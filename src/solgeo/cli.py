@@ -52,7 +52,7 @@ def _matrix_json(M: np.ndarray) -> dict:
     return {
         "kind": "goe",
         "n": int(M.shape[0]),
-        "matrix": [[float(v) for v in row] for row in M],
+        "matrix": M.tolist(),
     }
 
 

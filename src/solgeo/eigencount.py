@@ -19,7 +19,9 @@ import numpy as np
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import MultiGraph
 from .jsonio import sha256_of
-from .spectral import eig_slack, symmetric_spectrum
+from .spectral import (
+    demeaned_adjacency, eig_slack, symmetric_eigenpairs, symmetric_spectrum,
+)
 
 # Net resolutions below this are floored; a larger radius only grows the
 # counted superset, so the floor never costs soundness.
@@ -82,17 +84,17 @@ def eigenspace_window(
     work = np.asarray(M, dtype=float)
     if sign == "bottom":
         work = -work
-    vals = symmetric_spectrum(work)
+    if with_basis:
+        vals, vecs = symmetric_eigenpairs(work)
+    else:
+        vals = symmetric_spectrum(work)
     n = work.shape[0]
     lam_top = float(vals[-1])
     slack = eig_slack(float(np.max(np.abs(vals))))
     threshold = lam_top * (1.0 - delta)
     counted = vals >= threshold - slack
     count = int(np.count_nonzero(counted))
-    basis = None
-    if with_basis:
-        _, vecs = np.linalg.eigh(work)
-        basis = vecs[:, counted]
+    basis = vecs[:, counted] if with_basis else None
     return EigenspaceWindow(delta, count / n, lam_top, n, count, basis)
 
 
@@ -121,7 +123,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
     eps_rule = math.sqrt(eta / delta)
-    signature = sha256_of({"kind": "goe", "n": n, "matrix": [[float(v) for v in row] for row in G]})
+    signature = sha256_of({"kind": "goe", "n": n, "matrix": G.tolist()})
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
         abs(lam1 / math.sqrt(n) - 2.0) < n ** -0.25,
@@ -261,9 +263,8 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     consts = IndSetConstants.for_degree(d)
     signature = G.sha256()
 
-    A = G.adjacency()
-    M = (d / n) * np.ones((n, n)) - A  # -(A - (d/n) J)
-    vals = symmetric_spectrum(M)
+    Abar, err = demeaned_adjacency(G)
+    vals = symmetric_spectrum(np.negative(Abar, out=Abar), err)  # (d/n) J - A
     lam1 = float(vals[-1])
     slack = eig_slack(float(np.max(np.abs(vals))))
     lam_lo, lam_hi = lam1 - slack, lam1 + slack

@@ -391,9 +391,9 @@ class MultiGraph:
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix with parallel-edge multiplicities."""
         A = np.zeros((self.n, self.n))
-        for u, v in self.edges:
-            A[u, v] += 1.0
-            A[v, u] += 1.0
+        E = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        np.add.at(A, (E[:, 0], E[:, 1]), 1.0)
+        np.add.at(A, (E[:, 1], E[:, 0]), 1.0)
         return A
 
     def average_degree(self) -> float:

@@ -52,6 +52,8 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
+        if obj and isinstance(obj[0], float) and _emit_float_row(obj, out):
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -64,6 +66,24 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(obj.item(), out)
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _emit_float_row(row: list | tuple, out: list[str]) -> bool:
+    """Encode a row of non-integral finite floats in one ``%.17g`` pass,
+    which renders them exactly as ``format_float`` does.  Return False,
+    having emitted nothing, for any other row: integral floats (-0.0
+    included) print as "3.0", and NaN and inf must raise."""
+    if not all(issubclass(t, float) for t in set(map(type, row))):
+        return False
+    if any(map(float.is_integer, row)):
+        return False
+    text = ("%.17g," * len(row)) % tuple(row)
+    if "n" in text:  # "nan" or "inf"
+        return False
+    out.append("[")
+    out.append(text[:-1])
+    out.append("]")
+    return True
 
 
 def sha256_of(obj: Any) -> str:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SignedHypergraph
+from .spectral import UNIT_ROUNDOFF, prove_norm_below
 
 # Relative inflation applied to spectral branch values so LAPACK rounding
 # can never push a reported bound below the true maximum.
@@ -76,15 +77,39 @@ def _abs_sum(p: SparsePolynomial) -> float:
 
 
 def _quadratic_norm_bound(p: SparsePolynomial) -> float:
+    """n |W| for the symmetric W with x^T W x = p(x), the norm proved.
+
+    Keys are distinct ordered pairs, so each off-diagonal entry sums at
+    most two halves, w_ab/2 + w_ba/2, and rounds once; a diagonal entry is
+    w_aa exactly.  So |W - W0|_2 <= |W - W0|_F <= 2u |W|_F, plus 2^-1074
+    for each coefficient below 2^-1021 in magnitude, whose halving can
+    underflow.  Without such coefficients an all-zero W means the terms
+    cancel exactly, and the bound is 0.
+
+    The relative slack is SPECTRAL_REL_SLACK up to n = 105 and 8n(n+1)u
+    beyond.  The norm is proved at half of it, which leaves room for the
+    Cholesky proof's own margin of at most about 2n(n+1)u |W| (see
+    ``spectral._prove_min_above``) and for the rounding of the product.
+    """
     W = np.zeros((p.n, p.n))
     for (a, b), w in p.terms.items():
         W[a, b] += w / 2.0
         W[b, a] += w / 2.0
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(W)))) if p.n else 0.0
-    return p.n * norm * (1.0 + SPECTRAL_REL_SLACK)
+    underflows = sum(1 for w in p.terms.values() if 0.0 < abs(w) < 2.0**-1021)
+    if not underflows and not W.any():
+        return 0.0
+    u = UNIT_ROUNDOFF
+    err = 2.0 * u * float(np.linalg.norm(W)) + underflows * math.ulp(0.0)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+    slack = max(SPECTRAL_REL_SLACK, 8.0 * p.n * (p.n + 1) * u)
+    prove_norm_below(W, norm * (1.0 + slack / 2.0), err)
+    return p.n * norm * (1.0 + slack)
 
 
 def _flatten_bound(p: SparsePolynomial) -> float:
+    """n^(t/2) sigma_max of the flattened coefficient matrix.  The dense
+    branch takes sigma_max from an SVD without proving it; the Holder
+    branch is exact arithmetic on absolute sums."""
     t = p.degree
     a = (t + 1) // 2
     b = t - a

@@ -2,9 +2,41 @@
 
 Every certificate downstream consumes *measured* spectral quantities from
 these routines, never high-probability thresholds; the thresholds only
-gate whether a nontrivial bound is attempted.  To keep floating point from
-breaking soundness, each certified inequality shifts the measured quantity
-by ``eig_slack`` in the conservative direction.
+gate whether a nontrivial bound is attempted.
+
+Each consumed number is computed by ``np.linalg.eigvalsh`` and then
+*proved*, shifted by ``eig_slack`` in the direction its consumer uses it:
+a Cholesky factorization of the shifted matrix shows it positive definite
+(``_prove_min_above``), with a margin that covers the factorization's own
+rounding and the rounding made while forming the matrix.  A failed proof
+raises ``EigensolverError``; nothing falls back silently.
+
+Consumers and the direction each one consumes:
+
+* ``SpectralReport.lambda2`` (``spectral_report``, ``normalized_laplacian_gap``)
+  is a lower bound: lambda_2(L) > lambda2 - eig_slack(2), proved on
+  L + 2 v0 v0^T / |v0|^2 with v0 = D^(1/2) 1.  Used by
+  ``edge_expansion_lower_bound`` and the 2XOR/kXOR count certificates.
+* ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``)
+  is an upper bound: |A - (2m/n^2) J| < nu + eig_slack(nu), proved from
+  both sides.  Used by ``mixing_interval`` and the cluster and balance
+  certificates.
+* ``symmetric_spectrum`` / ``symmetric_eigenpairs`` prove
+  lambda_max < vals[-1] + s and lambda_min > vals[0] - s with
+  s = eig_slack(max |vals|).  The SK and independent-set counts and
+  ``eigenspace_window`` consume the first as an upper bound on the top
+  eigenvalue; ``hoffman_bound`` consumes the second.
+* ``refuter``'s quadratic-norm branch proves its norm with ``prove_norm_below``.
+
+Not proved:
+
+* the window counts ``alpha`` in ``eigencount`` (how many eigenvalues lie
+  above a threshold) are taken from ``eigvalsh`` as computed;
+* ``lam_lo`` = vals[-1] - s in the SK and independent-set counts only
+  places the window threshold, which the counting argument allows
+  anywhere, so no lower bound on lambda_max is consumed;
+* interior eigenvalues and the eigenvectors of ``symmetric_eigenpairs``;
+* the SVD branch of the refuter's flattening bound.
 """
 
 from __future__ import annotations
@@ -16,8 +48,9 @@ import numpy as np
 
 from .instances import MultiGraph
 
-# Relative residual the dense symmetric eigensolver must meet, and the
-# multiplier applied when budgeting slack into certified inequalities.
+# EIG_TOL scales the additive slack budgeted into every certified
+# inequality (see eig_slack).  The Cholesky proofs spend about
+# n^2 u |M| of it, under a thirtieth at n <= MAX_DENSE_N.
 EIG_TOL = 1e-8
 SLACK_FACTOR = 10.0
 
@@ -25,9 +58,14 @@ SLACK_FACTOR = 10.0
 # silently degraded to an uncertified iterative method.
 MAX_DENSE_N = 5000
 
+# Unit roundoff of IEEE double precision and the smallest positive normal
+# number: the constants of the Cholesky margin.
+UNIT_ROUNDOFF = 2.0**-53
+_TINY = 2.0**-1022
+
 
 class EigensolverError(RuntimeError):
-    """Raised when a computed eigenpair fails its residual contract."""
+    """Raised when a computed spectral bound fails its Cholesky proof."""
 
 
 def eig_slack(scale: float) -> float:
@@ -81,21 +119,139 @@ class SpectralReport:
         )
 
 
-def _checked_extremes(A: np.ndarray, indices: list[int], scale: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense symmetric eigensolve with residual verification on the
-    eigenpairs that will be reported."""
-    n = A.shape[0]
+def _check_dense(n: int) -> None:
     if n > MAX_DENSE_N:
         raise ValueError(f"dense eigensolve limited to n <= {MAX_DENSE_N}")
-    vals, vecs = np.linalg.eigh(A)
-    for idx in indices:
-        v = vecs[:, idx]
-        residual = np.linalg.norm(A @ v - vals[idx] * v)
-        if residual > EIG_TOL * max(scale, 1.0):
-            raise EigensolverError(
-                f"eigenpair residual {residual:.3e} exceeds tolerance at index {idx}"
-            )
-    return vals, vecs
+
+
+def _prove_min_above(
+    B: np.ndarray, mu: float, err: float = 0.0, claim: str | None = None
+) -> None:
+    """Prove lambda_min(B0) > mu for every symmetric B0 with
+    |B0 - B|_2 <= err, or raise EigensolverError naming ``claim``.
+
+    Only the lower triangle of ``B`` is read, as by ``eigvalsh``.  Its
+    diagonal is shifted in place and restored exactly before returning.
+
+    Let X = fl(B - mu' I), with mu' exceeding mu + err by more than the
+    rounding of that diagonal subtraction, at most u |b_ii - mu'|.  Then
+    X > 0 gives lambda_min(B0) >= lambda_min(B) - err > mu.  X > 0 is
+    proved by the sufficient shift of S. M. Rump, "Verification of
+    positive definiteness", BIT 46 (2006):
+
+        Let X = X^T in F^(n x n) with x_ii >= 0, u = 2^-53 and
+        gamma_k = k u / (1 - k u).  If the floating-point Cholesky
+        factorization of fl(X - c I) runs to completion with
+            c >= gamma_(n+1) / (1 - 2 gamma_(n+1)) * tr(X) + c_eta,
+        where c_eta is the paper's allowance for underflow, then X is
+        positive definite.
+
+    The code takes c_eta = 4 n (2 (n + 2) + max x_ii) * 2^-1022.  An
+    underflow allowance built, as the paper's is, from the subnormal
+    spacing 2^-1074 and a polynomial of degree two in n and max x_ii lies
+    below it by a factor near 2^50.  c is inflated by 1 + 16u to cover
+    the rounding of its own evaluation; both choices only enlarge c.  The
+    bound holds for the blocked LAPACK/OpenBLAS factorization behind
+    ``np.linalg.cholesky``, which evaluates the same inner products in
+    another order.
+    """
+    n = B.shape[0]
+    u = UNIT_ROUNDOFF
+    claim = claim or f"lambda_min > {float(mu)!r}"
+    diag = B.diagonal().copy()
+    # 4u (...) covers the rounding of x below and of forming mu' itself
+    shift = mu + (err + 4.0 * u * (float(np.max(np.abs(diag))) + abs(mu) + err))
+    x = diag - shift
+    if not (math.isfinite(shift) and np.all(x > 0.0)):
+        raise EigensolverError(f"Cholesky proof of {claim} failed: shifted diagonal not positive")
+    g = (n + 1) * u / (1.0 - (n + 1) * u)
+    c = (g / (1.0 - 2.0 * g) * math.fsum(x)
+         + 4.0 * n * (2.0 * (n + 2) + float(x.max())) * _TINY) * (1.0 + 16.0 * u)
+    idx = np.diag_indices(n)
+    try:
+        B[idx] = x - c
+        R = np.linalg.cholesky(B)
+    except np.linalg.LinAlgError:
+        R = None
+    finally:
+        B[idx] = diag
+    # a NaN pivot can slip past the factorization's own positivity test
+    if R is None or not np.all(R.diagonal() > 0.0):
+        raise EigensolverError(f"Cholesky proof of {claim} failed")
+
+
+def _prove_max_below(B: np.ndarray, t: float, err: float = 0.0) -> None:
+    """Prove lambda_max(B0) < t for every symmetric B0 with |B0 - B|_2 <= err,
+    via lambda_min(-B0) > -t; ``B`` is negated in place and back, exactly."""
+    np.negative(B, out=B)
+    try:
+        _prove_min_above(B, -t, err, f"lambda_max < {float(t)!r}")
+    finally:
+        np.negative(B, out=B)
+
+
+def prove_norm_below(B: np.ndarray, t: float, err: float = 0.0) -> None:
+    """Prove |B0|_2 < t for every symmetric B0 with |B0 - B|_2 <= err, or
+    raise EigensolverError; ``B`` is left as it was."""
+    _prove_max_below(B, t, err)
+    _prove_min_above(B, -t, err)
+
+
+def _lambda2_value(A: np.ndarray, degrees: np.ndarray) -> float:
+    """lambda_2 of the normalized Laplacian, proved from below.  ``A`` is
+    the adjacency matrix and is overwritten.
+
+    L is formed in place as 1 on the diagonal and -(a_ij s_i) s_j off it,
+    s = 1/sqrt(d); only its lower triangle is read.  Against the exact
+    L, each entry is off by at most 6.1u relatively, and
+    |D^-1/2 A D^-1/2|_F <= sqrt(n); the entries of 2 w w^T by at most
+    7.3u relatively, |2 P0|_F = 2; adding the two rounds by at most
+    u (|L|_F + 2) <= u (2 sqrt(n) + 2).  By Weyl's inequality the
+    eigenvalues move by at most 16u (sqrt(n) + 2) in all.
+    """
+    n = A.shape[0]
+    inv_sqrt = 1.0 / np.sqrt(degrees)
+    L = A
+    L *= inv_sqrt[:, None]
+    L *= -inv_sqrt[None, :]
+    np.fill_diagonal(L, 1.0)  # no self-loops: a_ii = 0
+    vals = np.linalg.eigvalsh(L)
+    lam2 = float(np.clip(vals[min(1, n - 1)], 0.0, 2.0))
+    mu = lam2 - eig_slack(2.0)
+    if mu > 0.0:  # otherwise lambda_2 >= 0 > mu holds for every Laplacian
+        # v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
+        # moves its eigenvalue to 2 and keeps lambda_2..lambda_n
+        w = np.sqrt(degrees) * math.sqrt(2.0 / float(degrees.sum()))
+        L += np.outer(w, w)
+        _prove_min_above(L, mu, 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0))
+    return lam2
+
+
+def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """A - (d_avg/n) J, formed in place in ``A`` (by default a fresh
+    adjacency matrix of G), with a bound on its spectral-norm distance from
+    the exact A - (2m/n^2) J.
+
+    The float q = d_avg/n is off by at most 2u q and each entry
+    fl(a_ij - q) by at most u |a_ij - q|, so each row of the error sums to
+    at most u (d_max + 3 d_avg); for a symmetric error that bounds its
+    spectral norm.  fl(a_ij - q) is exactly symmetric.
+    """
+    if A is None:
+        A = G.adjacency()
+    A -= G.average_degree() / G.n
+    return A, 4.0 * UNIT_ROUNDOFF * (max(G.degrees) + G.average_degree())
+
+
+def _demeaned_norm_value(G: MultiGraph, A: np.ndarray | None = None) -> float:
+    if G.m == 0:
+        return 0.0
+    _check_dense(G.n)
+    Abar, err = demeaned_adjacency(G, A)
+    vals = np.linalg.eigvalsh(Abar)
+    nu = float(max(abs(vals[0]), abs(vals[-1])))
+    prove_norm_below(Abar, nu + eig_slack(nu), err)
+    return nu
 
 
 def spectral_report(
@@ -109,19 +265,17 @@ def spectral_report(
     d_avg = G.average_degree()
 
     lam2: float | None = None
+    A = None
     if laplacian:
         if d_min == 0:
             raise ValueError("normalized Laplacian requires no isolated vertices")
+        _check_dense(n)
         A = G.adjacency()
-        inv_sqrt = 1.0 / np.sqrt(degrees)
-        L = np.eye(n) - (inv_sqrt[:, None] * A) * inv_sqrt[None, :]
-        L = (L + L.T) / 2.0
-        vals, _ = _checked_extremes(L, [0, min(1, n - 1)], 2.0)
-        lam2 = float(np.clip(vals[min(1, n - 1)], 0.0, 2.0))
+        lam2 = _lambda2_value(A.copy() if demeaned else A, degrees)
 
     norm: float | None = None
     if demeaned:
-        norm = _demeaned_norm_value(G)
+        norm = _demeaned_norm_value(G, A)
 
     return SpectralReport(n, G.m, d_min, d_max, d_avg, lam2, norm)
 
@@ -129,17 +283,6 @@ def spectral_report(
 def normalized_laplacian_gap(G: MultiGraph, demeaned: bool = True) -> SpectralReport:
     """Report lambda2 of the normalized Laplacian (plus degree statistics)."""
     return spectral_report(G, laplacian=True, demeaned=demeaned)
-
-
-def _demeaned_norm_value(G: MultiGraph) -> float:
-    if G.m == 0:
-        return 0.0
-    A = G.adjacency()
-    Abar = A - (G.average_degree() / G.n) * np.ones((G.n, G.n))
-    Abar = (Abar + Abar.T) / 2.0
-    scale = float(np.linalg.norm(Abar, ord="fro"))
-    vals, _ = _checked_extremes(Abar, [0, G.n - 1], scale)
-    return float(max(abs(vals[0]), abs(vals[-1])))
 
 
 def demeaned_norm(G: MultiGraph) -> float:
@@ -176,16 +319,40 @@ def mixing_interval(report: SpectralReport, s: int, t: int) -> tuple[float, floa
     return (center - radius, center + radius)
 
 
-def symmetric_spectrum(M: np.ndarray, check: bool = True) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, with residual
-    verification of the extreme pairs."""
-    M = np.asarray(M, dtype=float)
+def _symmetric_copy(M: np.ndarray, err: float) -> tuple[np.ndarray, float]:
+    """A float copy of M to work in, and err grown by |M - M^T|_F, twice the
+    distance from the lower-triangle matrix the solvers read to M's
+    symmetric part; the factor 2 covers the rounding of computing it."""
+    M = np.array(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     if not np.allclose(M, M.T, atol=1e-10):
         raise ValueError("matrix must be symmetric")
-    if check:
-        scale = float(np.linalg.norm(M, ord="fro"))
-        vals, _ = _checked_extremes(M, [0, M.shape[0] - 1], scale)
-        return vals
-    return np.linalg.eigvalsh(M)
+    _check_dense(M.shape[0])
+    return M, err + float(np.linalg.norm(M - M.T))
+
+
+def _prove_extremes(B: np.ndarray, vals: np.ndarray, err: float) -> None:
+    s = eig_slack(float(np.max(np.abs(vals))))
+    _prove_max_below(B, vals[-1] + s, err)
+    _prove_min_above(B, vals[0] - s, err)
+
+
+def symmetric_spectrum(M: np.ndarray, err: float = 0.0) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, with the extremes
+    proved: lambda_max < vals[-1] + s and lambda_min > vals[0] - s,
+    s = eig_slack(max |vals|), for every symmetric matrix within ``err``
+    (spectral norm) of M's symmetric part."""
+    B, err = _symmetric_copy(M, err)
+    vals = np.linalg.eigvalsh(B)
+    _prove_extremes(B, vals, err)
+    return vals
+
+
+def symmetric_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending, extremes proved as in ``symmetric_spectrum``)
+    and orthonormal eigenvectors, as columns, from one ``eigh``."""
+    B, err = _symmetric_copy(M, 0.0)
+    vals, vecs = np.linalg.eigh(B)
+    _prove_extremes(B, vals, err)
+    return vals, vecs

@@ -107,6 +107,25 @@ def test_eigenspace_window_basis_orthonormal():
     assert np.allclose(Q.T @ Q, np.eye(win.count), atol=1e-8)
 
 
+def test_eigenspace_window_basis_one_eigh(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(
+            np.linalg, name, lambda M, _f=real, _n=name: calls.append(_n) or _f(M)
+        )
+    eigenspace_window(sample_goe(30, seed=2), 0.4, "top", with_basis=True)
+    assert calls == ["eigh"]
+
+
+def test_sk_signature_hashes_the_matrix_as_before():
+    from solgeo.jsonio import sha256_of
+
+    G = sample_goe(12, seed=4)
+    doc = {"kind": "goe", "n": 12, "matrix": [[float(v) for v in row] for row in G]}
+    assert certify_count_sk(G, 0.1).signature == sha256_of(doc)
+
+
 @pytest.mark.slow
 def test_bottom_window_kesten_mckay_scale():
     # mass of the bottom spectral window of a random 3-regular de-meaned

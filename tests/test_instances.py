@@ -379,6 +379,17 @@ def test_multigraph_cleaning_and_cache():
         MultiGraph(2, ((0, 1),), (2, 0))  # stale degree cache
 
 
+@pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2), (1, 2), (2, 4), (0, 4), (4, 0)]])
+def test_adjacency_matches_loop(edges):
+    G = MultiGraph.build(5, edges)
+    ref = np.zeros((5, 5))
+    for u, v in G.edges:
+        ref[u, v] += 1.0
+        ref[v, u] += 1.0
+    A = G.adjacency()
+    assert A.dtype == ref.dtype and np.array_equal(A, ref)
+
+
 def test_bias():
     assert bias(np.array([1, 1, 1, 1])) == 1.0
     assert bias(np.array([1, -1, 1, -1])) == 0.0

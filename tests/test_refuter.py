@@ -18,6 +18,7 @@ from solgeo.refuter import (
     kxor_principle,
     refute_polynomial,
 )
+from solgeo.spectral import EigensolverError
 
 
 def brute_poly_max(p: SparsePolynomial) -> float:
@@ -53,6 +54,35 @@ def test_quadratic_two_variable_exact():
     res = refute_polynomial(p)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert brute_poly_max(p) == pytest.approx(2.0)
+
+
+def test_quadratic_norm_is_proved(monkeypatch):
+    p = random_poly(12, 2, 30, seed=5)
+    assert refute_polynomial(p).branches["quadratic-norm"] >= brute_poly_max(p)
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def shrunk(M):
+        return true_eigvalsh(M) * (1.0 - 1e-9)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shrunk)
+    with pytest.raises(EigensolverError):
+        refute_polynomial(p)
+
+
+def test_quadratic_norm_value_unchanged_at_desk_scale():
+    # up to n = 105 the bound is n |W| (1 + SPECTRAL_REL_SLACK), as before
+    p = random_poly(12, 2, 30, seed=6)
+    W = np.zeros((12, 12))
+    for (a, b), w in p.terms.items():
+        W[a, b] += w / 2.0
+        W[b, a] += w / 2.0
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+    assert refute_polynomial(p).branches["quadratic-norm"] == 12 * norm * (1.0 + 1e-11)
+
+
+def test_cancelling_quadratic_has_zero_norm():
+    p = SparsePolynomial(3, 2, {(0, 1): 1.5, (1, 0): -1.5})
+    assert refute_polynomial(p).branches["quadratic-norm"] == 0.0
 
 
 def test_single_cubic_term():

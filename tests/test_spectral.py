@@ -4,14 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.instances import MultiGraph, sample_unsigned_hypergraph
+from solgeo import spectral
+from solgeo.instances import MultiGraph, sample_goe, sample_unsigned_hypergraph
 from solgeo.spectral import (
+    EigensolverError,
     SpectralReport,
     demeaned_norm,
     edge_expansion_lower_bound,
+    eig_slack,
     mixing_interval,
     normalized_laplacian_gap,
     spectral_report,
+    symmetric_spectrum,
 )
 
 
@@ -168,3 +172,129 @@ def test_report_deterministic():
     a = spectral_report(G)
     b = spectral_report(G)
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Cholesky proofs of the consumed spectral numbers
+# ---------------------------------------------------------------------------
+
+def connected_graph(n: int, m: int, seed: int) -> MultiGraph:
+    G = random_graph(n, m, seed)
+    return MultiGraph.build(n, list(G.edges) + [(i, (i + 1) % n) for i in range(n)])
+
+
+def skewed_eigvalsh(monkeypatch, edit):
+    """Make np.linalg.eigvalsh return its true values changed by edit."""
+    true_eigvalsh = np.linalg.eigvalsh
+
+    def fake(M):
+        vals = true_eigvalsh(M).copy()
+        edit(vals)
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fake)
+
+
+def test_over_reported_lambda2_is_caught(monkeypatch):
+    # lambda2 is consumed as a lower bound, so over-reporting is unsafe
+    G = connected_graph(30, 60, seed=1)
+
+    def edit(vals):
+        vals[1] += 10 * eig_slack(2.0)
+
+    skewed_eigvalsh(monkeypatch, edit)
+    with pytest.raises(EigensolverError):
+        normalized_laplacian_gap(G, demeaned=False)
+
+
+def test_under_reported_lambda2_still_verifies(monkeypatch):
+    G = connected_graph(30, 60, seed=1)
+    true = normalized_laplacian_gap(G, demeaned=False).lambda2
+
+    def edit(vals):
+        vals[1] -= 10 * eig_slack(2.0)
+
+    skewed_eigvalsh(monkeypatch, edit)
+    report = normalized_laplacian_gap(G, demeaned=False)
+    assert report.lambda2 == pytest.approx(true - 10 * eig_slack(2.0))
+
+
+def test_under_reported_demeaned_norm_is_caught(monkeypatch):
+    G = connected_graph(30, 60, seed=2)
+    nu = demeaned_norm(G)
+
+    def edit(vals):
+        vals[0] += 10 * eig_slack(nu)
+        vals[-1] -= 10 * eig_slack(nu)
+
+    skewed_eigvalsh(monkeypatch, edit)
+    with pytest.raises(EigensolverError):
+        demeaned_norm(G)
+    with pytest.raises(EigensolverError):
+        spectral_report(G, laplacian=False)
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_wrong_extreme_eigenvalue_is_caught(monkeypatch, end):
+    # lambda_max is consumed as an upper bound, lambda_min as a lower bound
+    M = sample_goe(40, seed=3)
+    s = eig_slack(float(np.max(np.abs(np.linalg.eigvalsh(M)))))
+
+    def edit(vals):
+        vals[end] += 10 * s if end == 0 else -10 * s
+
+    skewed_eigvalsh(monkeypatch, edit)
+    with pytest.raises(EigensolverError):
+        symmetric_spectrum(M)
+
+
+def test_proof_margin_on_known_spectrum():
+    # I + J has smallest eigenvalue exactly 1 (multiplicity n - 1)
+    n = 50
+    B = np.eye(n) + np.ones((n, n))
+    before = B.copy()
+    spectral._prove_min_above(B, 1.0 - 1e-9)
+    assert np.array_equal(B, before)
+    with pytest.raises(EigensolverError):
+        spectral._prove_min_above(B, 1.0 + 1e-9)
+    assert np.array_equal(B, before)
+    # a true claim closer than the factorization's rounding margin (about
+    # 51u tr(B - I) ~ 3e-13 here) is refused, not waved through
+    with pytest.raises(EigensolverError):
+        spectral._prove_min_above(B, 1.0 - 1e-13)
+    # a perturbation of size err must be covered too
+    with pytest.raises(EigensolverError):
+        spectral._prove_min_above(B, 1.0 - 1e-9, err=2e-9)
+    spectral._prove_max_below(B, n + 1.0 + 1e-9)
+    with pytest.raises(EigensolverError):
+        spectral._prove_max_below(B, n + 1.0 - 1e-9)
+    assert np.array_equal(B, before)
+
+
+def test_nonfinite_matrix_fails_proof():
+    B = np.eye(4)
+    B[2, 1] = B[1, 2] = np.nan
+    with pytest.raises(EigensolverError):
+        spectral._prove_min_above(B, 0.5)
+
+
+def test_asymmetry_is_charged_to_the_proof():
+    # M passes the symmetry check (relative tolerance 1e-5), but the lower
+    # triangle the solvers read is not its symmetric part: the top
+    # eigenvalue of the lower triangle plus slack falls below the true one
+    M = 10.0 * np.ones((4, 4))
+    M[1, 0] -= 9e-5
+    vals = np.linalg.eigvalsh(M)
+    s = eig_slack(float(np.max(np.abs(vals))))
+    assert vals[-1] + s < np.linalg.eigvalsh((M + M.T) / 2)[-1]
+    with pytest.raises(EigensolverError):
+        symmetric_spectrum(M)
+
+
+def test_report_builds_adjacency_once(monkeypatch):
+    G = connected_graph(12, 20, seed=5)
+    calls = []
+    real = MultiGraph.adjacency
+    monkeypatch.setattr(MultiGraph, "adjacency", lambda self: calls.append(1) or real(self))
+    spectral_report(G)
+    assert len(calls) == 1
