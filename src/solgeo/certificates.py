@@ -10,13 +10,69 @@ computed from and the tool version, and serialize canonically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
+from typing import get_args, get_type_hints
 
-TOOL_VERSION = "0.2.0"
+TOOL_VERSION = "0.3.0"
+
+# field name -> JSON key, where the two differ
+_JSON_KEYS = {"signature": "instance_sha256"}
+
+
+@cache
+def _hints(cls: type) -> dict:
+    return get_type_hints(cls)
+
+
+def _item_hints(hint, n: int) -> tuple:
+    args = get_args(hint)
+    return args[:1] * n if args[-1] is Ellipsis else args
+
+
+def _encode(value, hint):
+    """Floats through float(), tuples as lists, records as their JSON."""
+    if hint is float:
+        return float(value)
+    if isinstance(value, tuple):
+        return [_encode(v, h) for v, h in zip(value, _item_hints(hint, len(value)))]
+    if isinstance(value, JsonRecord):
+        return value.to_json_dict()
+    return value
+
+
+def _decode(value, hint):
+    if get_args(hint):
+        return tuple(_decode(v, h) for v, h in zip(value, _item_hints(hint, len(value))))
+    if isinstance(hint, type) and issubclass(hint, JsonRecord):
+        return hint.from_json_dict(value)
+    return value
+
+
+class JsonRecord:
+    """JSON codec of a dataclass, derived from its fields.  A field with a
+    default may be missing from the JSON; one without may not."""
+
+    def to_json_dict(self) -> dict:
+        hints = _hints(type(self))
+        return {
+            _JSON_KEYS.get(f.name, f.name): _encode(getattr(self, f.name), hints[f.name])
+            for f in fields(self)
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        hints = _hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            key = _JSON_KEYS.get(f.name, f.name)
+            if key in d or (f.default is MISSING and f.default_factory is MISSING):
+                kwargs[f.name] = _decode(d[key], hints[f.name])
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(JsonRecord):
     """One named pass/fail check: the measured value vs. its threshold."""
 
     name: str
@@ -24,29 +80,9 @@ class CheckRecord:
     threshold: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": float(self.measured),
-            "threshold": float(self.threshold),
-            "passed": self.passed,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CheckRecord":
-        return cls(d["name"], d["measured"], d["threshold"], d["passed"])
-
-
-def _checks_to_json(checks: tuple[CheckRecord, ...]) -> list[dict]:
-    return [c.to_json_dict() for c in checks]
-
-
-def _checks_from_json(items: list[dict]) -> tuple[CheckRecord, ...]:
-    return tuple(CheckRecord.from_json_dict(c) for c in items)
-
 
 @dataclass(frozen=True)
-class CountCertificate:
+class CountCertificate(JsonRecord):
     """Certified upper bound 2^log2_bound on the number of assignments
     within the stated slack, valid for the hashed instance."""
 
@@ -67,38 +103,9 @@ class CountCertificate:
         if self.fallback and abs(self.log2_bound - self.n) > 1e-9:
             raise ValueError("fallback certificates must carry the trivial bound 2^n")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "log2_bound": float(self.log2_bound),
-            "eta": float(self.eta),
-            "fallback": self.fallback,
-            "checks": _checks_to_json(self.checks),
-            "recursion_trace": list(self.recursion_trace),
-            "transcript": self.transcript,
-            "instance_sha256": self.signature,
-            "tool_version": self.tool_version,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CountCertificate":
-        return cls(
-            kind=d["kind"],
-            n=d["n"],
-            log2_bound=d["log2_bound"],
-            eta=d["eta"],
-            fallback=d["fallback"],
-            checks=_checks_from_json(d["checks"]),
-            signature=d["instance_sha256"],
-            recursion_trace=tuple(d.get("recursion_trace", ())),
-            transcript=d.get("transcript", {}),
-            tool_version=d.get("tool_version", TOOL_VERSION),
-        )
-
 
 @dataclass(frozen=True)
-class RefutationCertificate:
+class RefutationCertificate(JsonRecord):
     """Assertion that no (1-eta_refuted)-satisfying assignment exists,
     derived from a count certificate plus a clause-incidence count."""
 
@@ -109,30 +116,9 @@ class RefutationCertificate:
     signature: str
     tool_version: str = TOOL_VERSION
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "eta_refuted": float(self.eta_refuted),
-            "evidence": self.evidence,
-            "instance_sha256": self.signature,
-            "tool_version": self.tool_version,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "RefutationCertificate":
-        return cls(
-            kind=d["kind"],
-            n=d["n"],
-            eta_refuted=d["eta_refuted"],
-            evidence=d["evidence"],
-            signature=d["instance_sha256"],
-            tool_version=d.get("tool_version", TOOL_VERSION),
-        )
-
 
 @dataclass(frozen=True)
-class ClusterCertificate:
+class ClusterCertificate(JsonRecord):
     """Certified cluster structure of near-satisfiers: every pair is within
     theta*n in Hamming distance or inside the gap window, and the number of
     radius-(theta*n) clusters is at most 2^log2_cluster_bound."""
@@ -156,42 +142,9 @@ class ClusterCertificate:
         if self.fallback and abs(self.log2_cluster_bound - self.n) > 1e-9:
             raise ValueError("fallback certificates must carry the trivial bound 2^n")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "eta": float(self.eta),
-            "theta": float(self.theta),
-            "log2_cluster_bound": float(self.log2_cluster_bound),
-            "gap_interval": [float(self.gap_interval[0]), float(self.gap_interval[1])],
-            "primal_report": self.primal_report,
-            "fallback": self.fallback,
-            "checks": _checks_to_json(self.checks),
-            "transcript": self.transcript,
-            "instance_sha256": self.signature,
-            "tool_version": self.tool_version,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "ClusterCertificate":
-        return cls(
-            n=d["n"],
-            eta=d["eta"],
-            theta=d["theta"],
-            log2_cluster_bound=d["log2_cluster_bound"],
-            gap_interval=(d["gap_interval"][0], d["gap_interval"][1]),
-            primal_report=d["primal_report"],
-            fallback=d["fallback"],
-            checks=_checks_from_json(d["checks"]),
-            signature=d["instance_sha256"],
-            transcript=d.get("transcript", {}),
-            kind=d["kind"],
-            tool_version=d.get("tool_version", TOOL_VERSION),
-        )
-
 
 @dataclass(frozen=True)
-class BalanceCertificate:
+class BalanceCertificate(JsonRecord):
     """Assertion that every assignment with bias at least rho violates more
     than an eta fraction of the clauses (so no rho-biased assignment is
     (1-eta)-satisfying)."""
@@ -215,43 +168,21 @@ class BalanceCertificate:
                 "eta fraction of violations"
             )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "rho": float(self.rho),
-            "eta": float(self.eta),
-            "violated_fraction_bound": float(self.violated_fraction_bound),
-            "checks": _checks_to_json(self.checks),
-            "transcript": self.transcript,
-            "instance_sha256": self.signature,
-            "tool_version": self.tool_version,
-        }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "BalanceCertificate":
-        return cls(
-            n=d["n"],
-            rho=d["rho"],
-            eta=d["eta"],
-            violated_fraction_bound=d["violated_fraction_bound"],
-            checks=_checks_from_json(d["checks"]),
-            signature=d["instance_sha256"],
-            transcript=d.get("transcript", {}),
-            kind=d["kind"],
-            tool_version=d.get("tool_version", TOOL_VERSION),
-        )
+CERTIFICATE_CLASSES = {
+    "count": CountCertificate,
+    "sk-count": CountCertificate,
+    "indset-count": CountCertificate,
+    "refutation": RefutationCertificate,
+    "indset-refutation": RefutationCertificate,
+    "clusters": ClusterCertificate,
+    "balance": BalanceCertificate,
+}
 
 
 def certificate_from_json(d: dict):
     """Load any certificate JSON dict into its dataclass."""
-    kind = d.get("kind")
-    if kind in ("count", "sk-count", "indset-count"):
-        return CountCertificate.from_json_dict(d)
-    if kind in ("refutation", "indset-refutation"):
-        return RefutationCertificate.from_json_dict(d)
-    if kind == "clusters":
-        return ClusterCertificate.from_json_dict(d)
-    if kind == "balance":
-        return BalanceCertificate.from_json_dict(d)
-    raise ValueError(f"unrecognized certificate kind {kind!r}")
+    cls = CERTIFICATE_CLASSES.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unrecognized certificate kind {d.get('kind')!r}")
+    return cls.from_json_dict(d)

@@ -11,10 +11,13 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import math
+import json
 import os
 import sys
+from contextlib import nullcontext
+from dataclasses import dataclass
 from multiprocessing import Pool
+from typing import Callable
 
 import numpy as np
 
@@ -26,35 +29,170 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    goe_json,
     load_instance,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
 )
-from .jsonio import read_json, sha256_of, write_json
+from .jsonio import canonical_json, read_json, sha256_of, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VIOLATED = 3
 EXIT_INTERNAL = 4
 
+# Defaults shared by the certify flags and the sweep config keys.
+_DEFAULTS = {"predicate": "ksat", "eps_exponent": 0.05, "c0": geometry.PRIMAL_NORM_C0}
+_PREDICATES = {"ksat": Predicate.ksat, "xor": Predicate.parity}
 
-def _predicate(name: str, k: int) -> Predicate:
-    if name == "ksat":
-        return Predicate.ksat(k)
-    if name == "xor":
-        return Predicate.parity(k)
-    raise ValueError(f"unknown predicate {name!r}")
+_GENERATORS = {
+    "csp": lambda a: sample_signed_hypergraph(a.k, a.n, a.m, a.seed),
+    "xor": lambda a: sample_signed_hypergraph(a.k, a.n, a.m, a.seed).to_xor(),
+    "hypergraph": lambda a: sample_unsigned_hypergraph(a.k, a.n, a.m, a.seed),
+    "graph": lambda a: MultiGraph.build(a.n, sample_unsigned_hypergraph(2, a.n, a.m, a.seed).edges),
+    "regular": lambda a: sample_regular_graph(a.n, a.d, a.seed),
+    "goe": lambda a: sample_goe(a.n, a.seed),
+}
 
 
-def _matrix_json(M: np.ndarray) -> dict:
-    return {
-        "kind": "goe",
-        "n": int(M.shape[0]),
-        "matrix": M.tolist(),
-    }
+def _predicate(args, instance: SignedHypergraph) -> Predicate:
+    return _PREDICATES[args.predicate](instance.k)
 
+
+def _required(args, name: str):
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"--kind {args.kind} requires --{name.replace('_', '-')}")
+    return value
+
+
+def _balance_csp(I: SignedHypergraph, a):
+    P, rho = _predicate(a, I), _required(a, "rho")
+    if I.k == 3:
+        return geometry.certify_balance_3csp(I, P, rho, a.eta)
+    return geometry.certify_balance_kcsp(I, P, rho)
+
+
+def _balance_xor(I: XorInstance, a):
+    rho = _required(a, "rho")
+    if I.k < 4:
+        raise ValueError("balance certification needs a csp or k>=4 xor instance")
+    return geometry.certify_balance_kxor(I, rho)
+
+
+def _indset_threshold(G: MultiGraph, a) -> int:
+    if a.threshold_size is not None:
+        return a.threshold_size
+    return eigencount.IndSetConstants.for_degree(G.degrees[0]).threshold_size(a.eta, G.n)
+
+
+# ---------------------------------------------------------------------------
+# Registry
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Kind:
+    """What `--kind` means to the commands: the certifier and the oracle
+    for each accepted instance type, each called as f(instance, args),
+    and the number a sweep row records from the oracle's exact value.
+    The pairing of certificate with oracle result, and the verdict, are
+    ``oracle.PAIRINGS``."""
+
+    certifiers: dict
+    oracles: dict
+    value: Callable = lambda v: v
+    oracle_name: str | None = None  # the `oracle --kind`, if not the row's key
+
+
+KINDS = {
+    "count": Kind(
+        certifiers={
+            MultiGraph: lambda G, a: counting.certify_count_2xor(G, a.eta),
+            UnsignedHypergraph: lambda H, a: counting.certify_count_kxor(H, a.eta, a.eps_exponent),
+            XorInstance: lambda I, a: counting.certify_count_kxor(
+                I.hypergraph(), a.eta, a.eps_exponent),
+            SignedHypergraph: lambda I, a: counting.certify_count_kcsp(
+                I, _predicate(a, I), a.eta, a.eps_exponent),
+        },
+        oracles={
+            XorInstance: lambda I, a: oracle.brute_count(I, None, a.eta),
+            SignedHypergraph: lambda I, a: oracle.brute_count(I, _predicate(a, I), a.eta),
+        },
+    ),
+    "clusters": Kind(
+        certifiers={
+            XorInstance: lambda I, a: geometry.certify_clusters_3xor(I.hypergraph(), a.eta, a.c0),
+            UnsignedHypergraph: lambda H, a: geometry.certify_clusters_3xor(H, a.eta, a.c0),
+            SignedHypergraph: lambda I, a: geometry.certify_clusters_3csp(
+                I, _predicate(a, I), a.eta, a.c0),
+        },
+        oracles={
+            XorInstance: lambda I, a: oracle.brute_clusters(I, a.eta, _required(a, "theta"))[0],
+        },
+        value=lambda v: v["num_solutions"],
+    ),
+    "balance": Kind(
+        certifiers={SignedHypergraph: _balance_csp, XorInstance: _balance_xor},
+        oracles={
+            XorInstance: lambda I, a: oracle.brute_max_bias(I, None, a.eta),
+            SignedHypergraph: lambda I, a: oracle.brute_max_bias(I, _predicate(a, I), a.eta),
+        },
+        oracle_name="bias",
+    ),
+    "sk": Kind(
+        certifiers={np.ndarray: lambda M, a: eigencount.certify_count_sk(M, a.eta)},
+        oracles={np.ndarray: lambda M, a: oracle.brute_sk_opt_and_count(M, a.eta)},
+        value=lambda v: v["count"],
+    ),
+    "indset": Kind(
+        certifiers={MultiGraph: lambda G, a: eigencount.certify_count_indsets(G, a.eta)},
+        oracles={MultiGraph: lambda G, a: oracle.brute_independent_sets(G, _indset_threshold(G, a))},
+        value=lambda v: v["count"],
+    ),
+    "gauss": Kind(certifiers={}, oracles={XorInstance: lambda I, a: oracle.gaussian_count(I)}),
+}
+_ORACLE_KINDS = {row.oracle_name or name: name for name, row in KINDS.items() if row.oracles}
+
+
+_FILE_KINDS = {SignedHypergraph: "csp", XorInstance: "xor", UnsignedHypergraph: "hypergraph",
+               MultiGraph: "graph", np.ndarray: "goe"}
+
+
+def _lookup(command: str, kind: str, table: dict, instance) -> Callable:
+    run = table.get(type(instance))
+    if run is None:
+        accepted = " or ".join(_FILE_KINDS[t] for t in table) or "no"
+        raise ValueError(f"{command} --kind {kind} takes {accepted} files, "
+                         f"not {_FILE_KINDS[type(instance)]} files")
+    return run
+
+
+def _certify(kind: str, instance, args):
+    """The certificate, or None where a balance run declines."""
+    return _lookup("certify", kind, KINDS[kind].certifiers, instance)(instance, args)
+
+
+def _certificate_doc(cert, instance, args) -> dict:
+    if cert is None:
+        return {"kind": "balance-declined", "rho": args.rho, "instance_sha256": instance.sha256()}
+    return cert.to_json_dict()
+
+
+def _verdict(cert, result: oracle.OracleResult) -> str:
+    """The verdict on ``cert``; ValueError if ``result`` is ground truth
+    for another instance or other parameters."""
+    verdict = oracle.verify_certificate(cert, result)
+    mismatch = verdict != oracle.INAPPLICABLE and oracle.binding_mismatch(cert, result)
+    if mismatch:
+        raise ValueError(mismatch)
+    return verdict
+
+
+# ---------------------------------------------------------------------------
+# Commands
+# ---------------------------------------------------------------------------
 
 def _load(path: str):
     doc = read_json(path)
@@ -63,132 +201,27 @@ def _load(path: str):
     return load_instance(doc)
 
 
-def _generate(kind: str, k: int, n: int, m: int, d: int, seed: int):
-    if kind == "csp":
-        return sample_signed_hypergraph(k, n, m, seed)
-    if kind == "xor":
-        return sample_signed_hypergraph(k, n, m, seed).to_xor()
-    if kind == "hypergraph":
-        return sample_unsigned_hypergraph(k, n, m, seed)
-    if kind == "graph":
-        H = sample_unsigned_hypergraph(2, n, m, seed)
-        return MultiGraph.build(n, [tuple(S) for S in H.edges])
-    if kind == "regular":
-        return sample_regular_graph(n, d, seed)
-    if kind == "goe":
-        return sample_goe(n, seed)
-    raise ValueError(f"unknown generator kind {kind!r}")
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    obj = _generate(args.kind, args.k, args.n, args.m, args.d, args.seed)
-    doc = _matrix_json(obj) if isinstance(obj, np.ndarray) else obj.to_json_dict()
+    obj = _GENERATORS[args.kind](args)
+    doc = goe_json(obj) if isinstance(obj, np.ndarray) else obj.to_json_dict()
     doc["seed"] = args.seed
     write_json(args.out, doc)
     print(f"wrote {args.kind} instance to {args.out}")
     return EXIT_OK
 
 
-def _certify(kind: str, instance, args) -> dict:
-    if kind == "count":
-        if isinstance(instance, MultiGraph):
-            return counting.certify_count_2xor(instance, args.eta).to_json_dict()
-        if isinstance(instance, UnsignedHypergraph):
-            return counting.certify_count_kxor(instance, args.eta, args.eps_exponent).to_json_dict()
-        if isinstance(instance, XorInstance):
-            return counting.certify_count_kxor(
-                instance.hypergraph(), args.eta, args.eps_exponent
-            ).to_json_dict()
-        if isinstance(instance, SignedHypergraph):
-            P = _predicate(args.predicate, instance.k)
-            return counting.certify_count_kcsp(
-                instance, P, args.eta, args.eps_exponent
-            ).to_json_dict()
-    if kind == "clusters":
-        if isinstance(instance, (XorInstance, UnsignedHypergraph)):
-            H = instance.hypergraph() if isinstance(instance, XorInstance) else instance
-            return geometry.certify_clusters_3xor(H, args.eta, args.c0).to_json_dict()
-        if isinstance(instance, SignedHypergraph):
-            P = _predicate(args.predicate, instance.k)
-            return geometry.certify_clusters_3csp(instance, P, args.eta, args.c0).to_json_dict()
-    if kind == "balance":
-        if args.rho is None:
-            raise ValueError("balance certification requires --rho")
-        cert = None
-        if isinstance(instance, SignedHypergraph):
-            P = _predicate(args.predicate, instance.k)
-            if instance.k == 3:
-                cert = geometry.certify_balance_3csp(instance, P, args.rho, args.eta)
-            else:
-                cert = geometry.certify_balance_kcsp(instance, P, args.rho)
-        elif isinstance(instance, XorInstance) and instance.k >= 4:
-            cert = geometry.certify_balance_kxor(instance, args.rho)
-        else:
-            raise ValueError("balance certification needs a csp or k>=4 xor instance")
-        if cert is None:
-            return {
-                "kind": "balance-declined",
-                "rho": args.rho,
-                "instance_sha256": instance.sha256(),
-            }
-        return cert.to_json_dict()
-    if kind == "sk":
-        if isinstance(instance, np.ndarray):
-            return eigencount.certify_count_sk(instance, args.eta).to_json_dict()
-        raise ValueError("sk certification requires a goe matrix file")
-    if kind == "indset":
-        if isinstance(instance, MultiGraph):
-            return eigencount.certify_count_indsets(instance, args.eta).to_json_dict()
-        raise ValueError("indset certification requires a graph file")
-    raise ValueError(f"cannot certify kind {kind!r} on {type(instance).__name__}")
-
-
 def cmd_certify(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
-    doc = _certify(args.kind, instance, args)
+    doc = _certificate_doc(_certify(args.kind, instance, args), instance, args)
     write_json(args.out, doc)
     print(f"wrote {doc['kind']} certificate to {args.out}")
     return EXIT_OK
 
 
-def _oracle(kind: str, instance, args) -> oracle.OracleResult:
-    if kind == "count":
-        if isinstance(instance, XorInstance):
-            return oracle.brute_count(instance, None, args.eta)
-        if isinstance(instance, SignedHypergraph):
-            return oracle.brute_count(instance, _predicate(args.predicate, instance.k), args.eta)
-    if kind == "gauss":
-        if isinstance(instance, XorInstance):
-            return oracle.gaussian_count(instance)
-    if kind == "clusters":
-        if isinstance(instance, XorInstance):
-            if args.theta is None:
-                raise ValueError("cluster oracle requires --theta")
-            res, _ = oracle.brute_clusters(instance, args.eta, args.theta)
-            return res
-    if kind == "bias":
-        if isinstance(instance, XorInstance):
-            return oracle.brute_max_bias(instance, None, args.eta)
-        if isinstance(instance, SignedHypergraph):
-            return oracle.brute_max_bias(instance, _predicate(args.predicate, instance.k), args.eta)
-    if kind == "sk":
-        if isinstance(instance, np.ndarray):
-            return oracle.brute_sk_opt_and_count(instance, args.eta)
-    if kind == "indset":
-        if isinstance(instance, MultiGraph):
-            if args.threshold_size is not None:
-                threshold = args.threshold_size
-            else:
-                d = instance.degrees[0]
-                consts = eigencount.IndSetConstants.for_degree(d)
-                threshold = math.ceil(consts.C_d * (1.0 - args.eta) * instance.n - 1e-9)
-            return oracle.brute_independent_sets(instance, threshold)
-    raise ValueError(f"cannot run oracle kind {kind!r} on {type(instance).__name__}")
-
-
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = _load(args.instance)
-    res = _oracle(args.kind, instance, args)
+    oracles = KINDS[_ORACLE_KINDS[args.kind]].oracles
+    res = _lookup("oracle", args.kind, oracles, instance)(instance, args)
     write_json(args.out, res.to_json_dict(timing=args.timing))
     print(f"wrote {res.kind} oracle result to {args.out}")
     return EXIT_OK
@@ -200,18 +233,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("inapplicable: declined balance runs carry no claim")
         return EXIT_USAGE
     cert = certificate_from_json(cert_doc)
-    odoc = read_json(args.oracle)
-    result = oracle.OracleResult(
-        odoc["kind"], odoc["exact_value"], odoc["enumeration_size"],
-        odoc.get("runtime_ms", 0.0),
-    )
-    verdict = oracle.verify_certificate(cert, result)
+    verdict = _verdict(cert, oracle.OracleResult.from_json_dict(read_json(args.oracle)))
     print(verdict)
-    if verdict == oracle.SOUND:
-        return EXIT_OK
-    if verdict == oracle.VIOLATED:
-        return EXIT_VIOLATED
-    return EXIT_USAGE
+    return {oracle.SOUND: EXIT_OK, oracle.VIOLATED: EXIT_VIOLATED}.get(verdict, EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +243,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _AXIS_DEFAULTS = {"k": 3, "delta": None, "m": None, "eta": 0.0, "rho": None, "d": 3}
+# Config keys besides the grid, with their defaults; rows are keyed on all of them.
+_CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 
 
 def _sweep_cells(config: dict) -> list[dict]:
     grid = config["grid"]
     axes = sorted(grid)
-    cells = []
-    for combo in itertools.product(*(grid[a] for a in axes)):
-        cells.append(dict(zip(axes, combo)))
-    return cells
+    return [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
 
 
-def _cell_args(cell: dict) -> dict:
+def _effective_config(config: dict) -> dict:
+    return {"kind": config["kind"],
+            **{key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}}
+
+
+def _cell_hash(config: dict, cell: dict) -> str:
+    """The resume key of a cell: the cell and the full effective config."""
+    return sha256_of({**_effective_config(config), "cell": cell})[:16]
+
+
+def _job_args(config: dict, cell: dict, seed: int) -> argparse.Namespace:
+    """The gen/certify/oracle arguments of one sweep job."""
     merged = dict(_AXIS_DEFAULTS)
     merged.update(cell)
     if merged.get("m") is None and merged.get("delta") is not None:
@@ -238,29 +272,17 @@ def _cell_args(cell: dict) -> dict:
     if merged.get("m") is None and merged.get("delta_exp") is not None:
         # density exponent axis: m = n^(1 + delta_exp)
         merged["m"] = int(round(merged["n"] ** (1.0 + merged["delta_exp"])))
-    return merged
+    merged["m"] = merged["m"] or 0
+    return argparse.Namespace(**{**merged, **_effective_config(config), "seed": seed,
+                                 "theta": None, "threshold_size": None})
 
 
 def _sweep_worker(job: tuple) -> dict:
     config, cell, seed = job
-    kind = config["kind"]
-    params = _cell_args(cell)
-    n = params["n"]
-    instance = _generate(
-        config.get("instance", "xor"), params.get("k", 3), n,
-        params.get("m") or 0, params.get("d", 3), seed,
-    )
-
-    class _Args:
-        eta = params.get("eta", 0.0)
-        rho = params.get("rho")
-        eps_exponent = config.get("eps_exponent", 0.05)
-        predicate = config.get("predicate", "ksat")
-        c0 = config.get("c0", geometry.PRIMAL_NORM_C0)
-        theta = None
-        threshold_size = None
-
-    doc = _certify(kind, instance, _Args)
+    args = _job_args(config, cell, seed)
+    instance = _GENERATORS[args.instance](args)
+    cert = _certify(args.kind, instance, args)
+    doc = _certificate_doc(cert, instance, args)
     result = {
         key: doc[key]
         for key in ("kind", "log2_bound", "theta", "log2_cluster_bound",
@@ -273,36 +295,14 @@ def _sweep_worker(job: tuple) -> dict:
 
     oracle_value = None
     sound = None
-    oracle_max_n = config.get("oracle_max_n", 0)
-    if n <= oracle_max_n:
-        cert = None if doc["kind"] == "balance-declined" else certificate_from_json(doc)
-        if kind == "count" and isinstance(instance, (XorInstance, SignedHypergraph)):
-            P = None
-            if isinstance(instance, SignedHypergraph):
-                P = _predicate(config.get("predicate", "ksat"), instance.k)
-            ores = oracle.brute_count(instance, P, _Args.eta)
-            oracle_value = ores.exact_value
-            sound = oracle.verify_certificate(cert, ores) == oracle.SOUND
-        elif kind == "clusters" and isinstance(instance, XorInstance) and cert is not None:
-            ores, _ = oracle.brute_clusters(instance, cert.eta, cert.theta)
-            oracle_value = ores.exact_value["num_solutions"]
-            sound = oracle.verify_certificate(cert, ores) == oracle.SOUND
-        elif kind == "balance" and cert is not None:
-            P = None
-            if isinstance(instance, SignedHypergraph):
-                P = _predicate(config.get("predicate", "ksat"), instance.k)
-            ores = oracle.brute_max_bias(instance, P, cert.eta)
-            oracle_value = ores.exact_value
-            sound = oracle.verify_certificate(cert, ores) == oracle.SOUND
-        elif kind == "sk":
-            ores = oracle.brute_sk_opt_and_count(instance, _Args.eta)
-            oracle_value = ores.exact_value["count"]
-            sound = oracle.verify_certificate(cert, ores) == oracle.SOUND
-        elif kind == "indset" and cert is not None:
-            threshold = cert.transcript.get("threshold_size", 1)
-            ores = oracle.brute_independent_sets(instance, max(int(threshold), 1))
-            oracle_value = ores.exact_value["count"]
-            sound = oracle.verify_certificate(cert, ores) == oracle.SOUND
+    row = KINDS[args.kind]
+    run = row.oracles.get(type(instance))
+    if cert is not None and run is not None and args.n <= args.oracle_max_n:
+        # the oracle runs at the parameters the certificate is bound to
+        vars(args).update(oracle.PAIRINGS[cert.kind].parameters(cert))
+        res = run(instance, args)
+        oracle_value = row.value(res.exact_value)
+        sound = _verdict(cert, res) == oracle.SOUND
 
     return {
         "cell": cell,
@@ -310,7 +310,7 @@ def _sweep_worker(job: tuple) -> dict:
         "result": result,
         "oracle": oracle_value,
         "sound": sound,
-        "cell_hash": sha256_of({"kind": kind, "cell": cell})[:16],
+        "cell_hash": _cell_hash(config, cell),
     }
 
 
@@ -322,52 +322,35 @@ def _worker_count() -> int:
     return max(1, min(available, 8))
 
 
+def _read_rows(jsonl_path: str) -> list[dict]:
+    with open(jsonl_path, "r", encoding="utf-8") as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = read_json(args.config)
     out_path = args.out or config.get("out")
     if not out_path:
         raise ValueError("sweep needs an output path (--out or config 'out')")
-    cells = _sweep_cells(config)
-    seeds = range(config.get("seeds", 1))
-
-    done: set[tuple[str, int]] = set()
+    done = set()
     if os.path.exists(out_path):
-        import json as _json
-
-        with open(out_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    row = _json.loads(line)
-                    done.add((row["cell_hash"], row["seed"]))
-
-    jobs = []
-    for cell in cells:
-        cell_hash = sha256_of({"kind": config["kind"], "cell": cell})[:16]
-        for seed in seeds:
-            if (cell_hash, seed) not in done:
-                jobs.append((config, cell, seed))
+        done = {(row["cell_hash"], row["seed"]) for row in _read_rows(out_path)}
+    jobs = [
+        (config, cell, seed)
+        for cell in _sweep_cells(config)
+        for seed in range(config.get("seeds", 1))
+        if (_cell_hash(config, cell), seed) not in done
+    ]
 
     violations = 0
-    from .jsonio import canonical_json
-
-    with open(out_path, "a", encoding="utf-8") as fh:
-        workers = _worker_count()
-        if workers > 1 and len(jobs) > 1:
-            with Pool(workers) as pool:
-                for row in pool.imap(_sweep_worker, jobs, chunksize=1):
-                    if row["sound"] is False:
-                        violations += 1
-                    fh.write(canonical_json(row))
-                    fh.write("\n")
-                    fh.flush()
-        else:
-            for job in jobs:
-                row = _sweep_worker(job)
-                if row["sound"] is False:
-                    violations += 1
-                fh.write(canonical_json(row))
-                fh.write("\n")
-                fh.flush()
+    workers = _worker_count() if len(jobs) > 1 else 1
+    with open(out_path, "a", encoding="utf-8") as fh, \
+            (Pool(workers) if workers > 1 else nullcontext()) as pool:
+        rows = pool.imap(_sweep_worker, jobs, chunksize=1) if pool else map(_sweep_worker, jobs)
+        for row in rows:
+            violations += row["sound"] is False
+            fh.write(canonical_json(row) + "\n")
+            fh.flush()
 
     if args.csv:
         _export_csv(out_path, args.csv)
@@ -379,13 +362,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _export_csv(jsonl_path: str, csv_path: str) -> None:
     """Secondary flat export of a sweep's JSONL rows."""
     import csv
-    import json as _json
 
-    rows = []
-    with open(jsonl_path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(_json.loads(line))
+    rows = _read_rows(jsonl_path)
     if not rows:
         return
     cell_keys = sorted({k for row in rows for k in row["cell"]})
@@ -415,8 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="sample a random instance to a JSON file")
-    gen.add_argument("--kind", required=True,
-                     choices=["csp", "xor", "hypergraph", "graph", "regular", "goe"])
+    gen.add_argument("--kind", required=True, choices=list(_GENERATORS))
     gen.add_argument("-k", type=int, default=3)
     gen.add_argument("-n", type=int, required=True)
     gen.add_argument("-m", type=int, default=0)
@@ -427,25 +404,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cert = sub.add_parser("certify", help="emit a certificate for an instance file")
     cert.add_argument("--kind", required=True,
-                      choices=["count", "clusters", "balance", "sk", "indset"])
+                      choices=[name for name, row in KINDS.items() if row.certifiers])
     cert.add_argument("--instance", required=True)
     cert.add_argument("--out", required=True)
     cert.add_argument("--eta", type=float, default=0.0)
     cert.add_argument("--rho", type=float, default=None)
-    cert.add_argument("--eps-exponent", type=float, default=0.05, dest="eps_exponent")
-    cert.add_argument("--predicate", default="ksat", choices=["ksat", "xor"])
-    cert.add_argument("--c0", type=float, default=geometry.PRIMAL_NORM_C0)
+    cert.add_argument("--eps-exponent", type=float, default=_DEFAULTS["eps_exponent"],
+                      dest="eps_exponent")
+    cert.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
+    cert.add_argument("--c0", type=float, default=_DEFAULTS["c0"])
     cert.set_defaults(func=cmd_certify)
 
     orc = sub.add_parser("oracle", help="exact ground truth for an instance file")
-    orc.add_argument("--kind", required=True,
-                     choices=["count", "gauss", "clusters", "bias", "sk", "indset"])
+    orc.add_argument("--kind", required=True, choices=list(_ORACLE_KINDS))
     orc.add_argument("--instance", required=True)
     orc.add_argument("--out", required=True)
     orc.add_argument("--eta", type=float, default=0.0)
     orc.add_argument("--theta", type=float, default=None)
     orc.add_argument("--threshold-size", type=int, default=None, dest="threshold_size")
-    orc.add_argument("--predicate", default="ksat", choices=["ksat", "xor"])
+    orc.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
     orc.add_argument("--timing", action="store_true")
     orc.set_defaults(func=cmd_oracle)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
-from .instances import MultiGraph
+from .instances import MultiGraph, goe_json
 from .jsonio import sha256_of
 from .spectral import (
     demeaned_adjacency, eig_slack, symmetric_eigenpairs, symmetric_spectrum,
@@ -123,7 +123,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
     eps_rule = math.sqrt(eta / delta)
-    signature = sha256_of({"kind": "goe", "n": n, "matrix": G.tolist()})
+    signature = sha256_of(goe_json(G))
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
         abs(lam1 / math.sqrt(n) - 2.0) < n ** -0.25,
@@ -195,6 +195,10 @@ class IndSetConstants:
             raise ValueError("d must be >= 3")
         r = 2.0 * math.sqrt(d - 1.0) / d
         return cls(d, r, r / (1.0 + r), math.sqrt(r) / (1.0 + r))
+
+    def threshold_size(self, eta: float, n: int) -> int:
+        """The smallest size counted at slack eta: ceil(C_d (1-eta) n)."""
+        return math.ceil(self.C_d * (1.0 - eta) * n - 1e-9)
 
     def __post_init__(self) -> None:
         if self.C_d > 0.5 + 1e-12:
@@ -277,7 +281,7 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     )
 
     delta = eta ** (2.0 / 5.0)
-    s_min = math.ceil(consts.C_d * (1.0 - eta) * n - 1e-9)
+    s_min = consts.threshold_size(eta, n)
     transcript: dict = {
         "d": d,
         "r_d": consts.r_d,

@@ -240,11 +240,6 @@ class XorInstance:
     def m(self) -> int:
         return len(self.clauses)
 
-    def positive_fraction(self) -> float:
-        if not self.clauses:
-            raise ValueError("empty instance")
-        return sum(1 for b, _ in self.clauses if b == 1) / self.m
-
     def hypergraph(self) -> "UnsignedHypergraph":
         return UnsignedHypergraph(self.k, self.n, tuple(S for _, S in self.clauses))
 
@@ -511,6 +506,12 @@ def sample_goe(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     W = rng.normal(size=(n, n))
     return (W + W.T) / math.sqrt(2.0)
+
+
+def goe_json(M: np.ndarray) -> dict:
+    """The JSON document of a matrix file; SK certificates and oracle
+    results bind the matrix by its hash."""
+    return {"kind": "goe", "n": int(M.shape[0]), "matrix": M.tolist()}
 
 
 def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) -> MultiGraph:

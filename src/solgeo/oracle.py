@@ -12,47 +12,60 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .certificates import (
-    BalanceCertificate,
-    ClusterCertificate,
-    CountCertificate,
-    RefutationCertificate,
-)
 from .instances import (
     MultiGraph,
     Predicate,
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    goe_json,
     signs_to_index,
     violation_budget,
 )
+from .jsonio import sha256_of
 
 _CHUNK = 1 << 16
 
 
+# The parameters an oracle value can depend on, as named in its JSON.
+PARAMETERS = ("eta", "theta", "threshold_size")
+
+
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact value of an oracle computation plus bookkeeping."""
+    """Exact value of an oracle computation plus bookkeeping: the hash of
+    the instance, computed the way the matching certificates bind it, and
+    the parameters the value depends on."""
 
     kind: str
     exact_value: object
     enumeration_size: int
     runtime_ms: float = field(compare=False, default=0.0)
+    instance_sha256: str | None = None
+    parameters: dict = field(default_factory=dict)
 
     def to_json_dict(self, timing: bool = False) -> dict:
         d = {
             "kind": self.kind,
             "exact_value": self.exact_value,
             "enumeration_size": self.enumeration_size,
+            "instance_sha256": self.instance_sha256,
+            **self.parameters,
         }
         if timing:
             d["runtime_ms"] = self.runtime_ms
         return d
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "OracleResult":
+        return cls(
+            d["kind"], d["exact_value"], d["enumeration_size"], d.get("runtime_ms", 0.0),
+            d.get("instance_sha256"), {k: d[k] for k in PARAMETERS if k in d},
+        )
 
 
 def _elapsed_ms(t0: float) -> float:
@@ -146,7 +159,12 @@ def brute_count(
     violations = violation_profile(I, P)
     budget = violation_budget(eta, I.m)
     count = int((violations <= budget).sum())
-    return OracleResult("count", count, 1 << I.n, _elapsed_ms(t0))
+    # count certificates of an XOR instance hold for every signing, so they
+    # bind its hypergraph
+    bound = I.hypergraph() if isinstance(I, XorInstance) else I
+    return OracleResult(
+        "count", count, 1 << I.n, _elapsed_ms(t0), bound.sha256(), {"eta": float(eta)}
+    )
 
 
 def gaussian_count(I: XorInstance) -> OracleResult:
@@ -178,7 +196,7 @@ def gaussian_count(I: XorInstance) -> OracleResult:
         count = 0
     else:
         count = 1 << (I.n - len(pivots))
-    return OracleResult("gauss-count", count, I.m, _elapsed_ms(t0))
+    return OracleResult("gauss-count", count, I.m, _elapsed_ms(t0), I.sha256())
 
 
 @dataclass(frozen=True)
@@ -237,7 +255,10 @@ def brute_clusters(I: XorInstance, eta: float, theta: float) -> tuple[OracleResu
         _greedy_cover(solutions, theta * I.n),
     )
     return (
-        OracleResult("clusters", profile.to_json_dict(), 1 << I.n, _elapsed_ms(t0)),
+        OracleResult(
+            "clusters", profile.to_json_dict(), 1 << I.n, _elapsed_ms(t0),
+            I.hypergraph().sha256(), {"eta": float(eta), "theta": float(theta)},
+        ),
         profile,
     )
 
@@ -257,7 +278,9 @@ def brute_max_bias(
     else:
         ones = np.bitwise_count(solutions).astype(np.int64)
         value = float(np.max(np.abs(I.n - 2 * ones)) / I.n)
-    return OracleResult("max-bias", value, 1 << I.n, _elapsed_ms(t0))
+    return OracleResult(
+        "max-bias", value, 1 << I.n, _elapsed_ms(t0), I.sha256(), {"eta": float(eta)}
+    )
 
 
 def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
@@ -279,7 +302,8 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
     return OracleResult(
-        "sk", {"opt": best, "count": count}, total, _elapsed_ms(t0)
+        "sk", {"opt": best, "count": count}, total, _elapsed_ms(t0),
+        sha256_of(goe_json(G)), {"eta": float(eta)},
     )
 
 
@@ -353,7 +377,8 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
         raise ValueError("size threshold must be positive")
     enumerate_sets(0, 0, 0)
     return OracleResult(
-        "indset", {"alpha": alpha, "count": count}, 1 << n, _elapsed_ms(t0)
+        "indset", {"alpha": alpha, "count": count}, 1 << n, _elapsed_ms(t0),
+        G.sha256(), {"threshold_size": size_threshold},
     )
 
 
@@ -399,46 +424,85 @@ def _count_verdict(log2_bound: float, count: int) -> str:
     return SOUND if math.log2(count) <= log2_bound + 1e-9 else VIOLATED
 
 
+def _cluster_verdict(cert, data: dict) -> str:
+    if cert.fallback:
+        return SOUND
+    theta_n = cert.theta * cert.n
+    lo, hi = cert.gap_interval
+    for dist_str, cnt in data["distance_histogram"].items():
+        d = int(dist_str)
+        if cnt and not (d <= theta_n + 1e-9 or (lo - 1e-9 <= d <= hi + 1e-9)):
+            return VIOLATED
+    if data["cover_count"] > 2.0**cert.log2_cluster_bound * (1 + 1e-9):
+        return VIOLATED
+    return SOUND
+
+
+def _balance_verdict(cert, max_bias: float | None) -> str:
+    if max_bias is None:
+        return SOUND
+    return SOUND if max_bias < cert.rho - 1e-12 else VIOLATED
+
+
+@dataclass(frozen=True)
+class Pairing:
+    """How one certificate kind is checked: the kind of oracle result that
+    holds its ground truth, the parameters the two must share, and the
+    verdict on the oracle's exact value."""
+
+    oracle_kind: str
+    parameters: Callable[[object], dict]
+    verdict: Callable[[object, object], str]
+
+
+def _eta(cert) -> dict:
+    return {"eta": cert.eta}
+
+
+PAIRINGS = {
+    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, int(v))),
+    "sk-count": Pairing("sk", _eta, lambda c, v: _count_verdict(c.log2_bound, int(v["count"]))),
+    "indset-count": Pairing(
+        "indset", lambda c: {"threshold_size": c.transcript["threshold_size"]},
+        lambda c, v: _count_verdict(c.log2_bound, int(v["count"])),
+    ),
+    "clusters": Pairing("clusters", lambda c: {"eta": c.eta, "theta": c.theta}, _cluster_verdict),
+    "balance": Pairing("max-bias", _eta, _balance_verdict),
+    "refutation": Pairing(
+        "count", lambda c: {"eta": c.eta_refuted},
+        lambda c, v: SOUND if int(v) == 0 else VIOLATED,
+    ),
+    "indset-refutation": Pairing(
+        "indset", lambda c: {},
+        lambda c, v: SOUND if v["alpha"] < c.evidence["refuted_size"] else VIOLATED,
+    ),
+}
+
+
 def verify_certificate(cert, oracle: OracleResult) -> str:
     """Compare a certificate against an exact oracle result.
 
     Returns "sound", "violated" (must never happen), or "inapplicable"
-    when the kinds do not match.
+    when the kinds do not match.  Whether the two describe the same
+    instance and parameters is ``binding_mismatch``'s question.
     """
-    if isinstance(cert, CountCertificate):
-        if cert.kind == "count" and oracle.kind == "count":
-            return _count_verdict(cert.log2_bound, int(oracle.exact_value))
-        if cert.kind == "sk-count" and oracle.kind == "sk":
-            return _count_verdict(cert.log2_bound, int(oracle.exact_value["count"]))
-        if cert.kind == "indset-count" and oracle.kind == "indset":
-            return _count_verdict(cert.log2_bound, int(oracle.exact_value["count"]))
+    pairing = PAIRINGS.get(cert.kind)
+    if pairing is None or pairing.oracle_kind != oracle.kind:
         return INAPPLICABLE
-    if isinstance(cert, ClusterCertificate):
-        if oracle.kind != "clusters":
-            return INAPPLICABLE
-        if cert.fallback:
-            return SOUND
-        data = oracle.exact_value
-        theta_n = cert.theta * cert.n
-        lo, hi = cert.gap_interval
-        for dist_str, cnt in data["distance_histogram"].items():
-            d = int(dist_str)
-            if cnt and not (d <= theta_n + 1e-9 or (lo - 1e-9 <= d <= hi + 1e-9)):
-                return VIOLATED
-        if data["cover_count"] > 2.0**cert.log2_cluster_bound * (1 + 1e-9):
-            return VIOLATED
-        return SOUND
-    if isinstance(cert, BalanceCertificate):
-        if oracle.kind != "max-bias":
-            return INAPPLICABLE
-        if oracle.exact_value is None:
-            return SOUND
-        return SOUND if oracle.exact_value < cert.rho - 1e-12 else VIOLATED
-    if isinstance(cert, RefutationCertificate):
-        if cert.kind == "refutation" and oracle.kind == "count":
-            return SOUND if int(oracle.exact_value) == 0 else VIOLATED
-        if cert.kind == "indset-refutation" and oracle.kind == "indset":
-            refuted = cert.evidence["refuted_size"]
-            return SOUND if oracle.exact_value["alpha"] < refuted else VIOLATED
-        return INAPPLICABLE
-    return INAPPLICABLE
+    return pairing.verdict(cert, oracle.exact_value)
+
+
+def binding_mismatch(cert, oracle: OracleResult) -> str | None:
+    """Why ``oracle`` is not ground truth for the instance and parameters
+    ``cert`` is bound to, or None when it is."""
+    if oracle.instance_sha256 is None:
+        return "the oracle result names no instance_sha256; rerun `solgeo oracle`"
+    if oracle.instance_sha256 != cert.signature:
+        return (f"the oracle ran on instance {oracle.instance_sha256}, "
+                f"the certificate is bound to {cert.signature}")
+    pairing = PAIRINGS.get(cert.kind)
+    for name, value in (pairing.parameters(cert) if pairing else {}).items():
+        if oracle.parameters.get(name) != value:
+            return (f"the oracle ran at {name} = {oracle.parameters.get(name)!r}, "
+                    f"the certificate is for {name} = {value!r}")
+    return None

@@ -48,11 +48,6 @@ class SparsePolynomial:
             if not math.isfinite(w):
                 raise ValueError("coefficients must be finite")
 
-    def negated(self) -> "SparsePolynomial":
-        return SparsePolynomial(
-            self.n, self.degree, {T: -w for T, w in self.terms.items()}
-        )
-
     def evaluate(self, x: np.ndarray) -> float:
         total = 0.0
         for T, w in self.terms.items():
@@ -65,7 +60,7 @@ class SparsePolynomial:
 
 @dataclass(frozen=True)
 class PolynomialBound:
-    """A certified upper bound on max_x p(x), with the winning branch."""
+    """A certified upper bound on max_x |p(x)|, with the winning branch."""
 
     value: float
     branch: str
@@ -146,11 +141,13 @@ def _flatten_bound(p: SparsePolynomial) -> float:
 
 
 def refute_polynomial(p: SparsePolynomial) -> PolynomialBound:
-    """Certified upper bound on max over the hypercube of p(x).
+    """Certified upper bound on max over the hypercube of |p(x)|, so it
+    bounds -p as well as p.
 
     Always includes the absolute-coefficient-sum branch; degree 2 adds the
     quadratic-form bound n * ||W||, higher degrees add the flattening bound
-    n^(t/2) * sigma_max.  The minimum across branches is returned.
+    n^(t/2) * sigma_max.  Each bounds |p|.  The minimum across branches is
+    returned.
     """
     branches = {"abs-sum": _abs_sum(p)}
     if p.degree == 2:
@@ -219,11 +216,10 @@ def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertifica
         if len(T) > t:
             continue
         poly = _coefficient_polynomial(I, T)
-        up = refute_polynomial(poly)
-        down = refute_polynomial(poly.negated())
-        # |D_hat(T)| <= 1 unconditionally, so the trivial bound caps both sides
-        per_T[T] = min(1.0, max(up.value, down.value))
-        branches[T] = up.branch
+        bound = refute_polynomial(poly)
+        # |D_hat(T)| <= 1 unconditionally, so the trivial bound caps it
+        per_T[T] = min(1.0, bound.value)
+        branches[T] = bound.branch
     eps = max(per_T.values())
     return QuasirandomnessCertificate(t, eps, per_T, branches)
 

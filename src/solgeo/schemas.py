@@ -188,13 +188,17 @@ REFUTATION_CERTIFICATE = {
 
 ORACLE_RESULT = {
     "type": "object",
-    "required": ["kind", "exact_value", "enumeration_size"],
+    "required": ["kind", "exact_value", "enumeration_size", "instance_sha256"],
     "properties": {
         "kind": {
             "enum": ["count", "gauss-count", "clusters", "max-bias", "sk",
                      "indset", "subspace-count"],
         },
         "enumeration_size": {"type": "integer", "minimum": 0},
+        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
+        "eta": {"type": "number", "minimum": 0},
+        "theta": {"type": "number", "minimum": 0, "maximum": 0.5},
+        "threshold_size": {"type": "integer", "minimum": 1},
         "runtime_ms": {"type": "number", "minimum": 0},
     },
 }

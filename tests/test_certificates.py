@@ -1,0 +1,154 @@
+"""The certificate JSON codec, derived from the dataclass fields, checked
+against frozen output of the hand-written codecs it replaced."""
+
+import numpy as np
+import pytest
+
+from solgeo.certificates import (
+    CERTIFICATE_CLASSES,
+    BalanceCertificate,
+    CheckRecord,
+    ClusterCertificate,
+    CountCertificate,
+    RefutationCertificate,
+    certificate_from_json,
+)
+from solgeo.jsonio import canonical_json
+
+SHA = "ab" * 32
+# numpy scalars, an int measured value and a float32 exercise the float()
+# coercion; tuples exercise the list form
+CHECKS = (CheckRecord("gate", np.float64(0.1) + 0.2, np.float32(0.5), True),
+          CheckRecord("block", 3, np.float64(1e-17), False))
+
+
+def count(kind):
+    return CountCertificate(
+        kind=kind, n=12, log2_bound=np.float64(7.25), eta=np.float32(0.3), fallback=False,
+        checks=CHECKS, signature=SHA,
+        recursion_trace=({"depth": 0, "fallback": False, "log2": 1.5},),
+        transcript={"lambda_1": 0.1 + 0.2, "nested": {"a": [1, 2.0]}}, tool_version="0.2.0")
+
+
+def samples():
+    return {
+        "count": count("count"),
+        "sk-count": count("sk-count"),
+        "indset-count": count("indset-count"),
+        "clusters": ClusterCertificate(
+            n=10, eta=0.05, theta=np.float64(1 / 3), log2_cluster_bound=np.float64(2.0),
+            gap_interval=(np.float64(2.5), 7), primal_report={"d_avg": 4.0, "norm": 1 / 7},
+            fallback=False, checks=CHECKS, signature=SHA, transcript={"c0": 6.0},
+            tool_version="0.2.0"),
+        "balance": BalanceCertificate(
+            n=14, rho=np.float64(0.6), eta=0.02, violated_fraction_bound=np.float32(0.1),
+            checks=CHECKS[:1], signature=SHA, transcript={"k": 3}, tool_version="0.2.0"),
+        "refutation": RefutationCertificate(
+            kind="refutation", n=12, eta_refuted=np.float64(0.375),
+            evidence={"count_certificate": count("count").to_json_dict(), "set_size": 3},
+            signature=SHA, tool_version="0.2.0"),
+        "indset-refutation": RefutationCertificate(
+            kind="indset-refutation", n=8, eta_refuted=0.2,
+            evidence={"refuted_size": 4, "log2_subsets": np.float64(2.0)},
+            signature=SHA, tool_version="0.2.0"),
+    }
+
+
+# canonical_json(cert.to_json_dict()) of samples() under the hand-written
+# codecs of version 0.2.0
+FROZEN = {
+    "count": (
+        '{"checks":[{"measured":0.30000000000000004,"name":"gate","passed":true,"threshol'
+        'd":0.5},{"measured":3.0,"name":"block","passed":false,"threshold":1.000000000000'
+        '0001e-17}],"eta":0.30000001192092896,"fallback":false,"instance_sha256":"abababa'
+        'babababababababababababababababababababababababababababab","kind":"count","log2_'
+        'bound":7.25,"n":12,"recursion_trace":[{"depth":0,"fallback":false,"log2":1.5}],"'
+        'tool_version":"0.2.0","transcript":{"lambda_1":0.30000000000000004,"nested":{"a"'
+        ':[1,2.0]}}}'
+    ),
+    "sk-count": (
+        '{"checks":[{"measured":0.30000000000000004,"name":"gate","passed":true,"threshol'
+        'd":0.5},{"measured":3.0,"name":"block","passed":false,"threshold":1.000000000000'
+        '0001e-17}],"eta":0.30000001192092896,"fallback":false,"instance_sha256":"abababa'
+        'babababababababababababababababababababababababababababab","kind":"sk-count","lo'
+        'g2_bound":7.25,"n":12,"recursion_trace":[{"depth":0,"fallback":false,"log2":1.5}'
+        '],"tool_version":"0.2.0","transcript":{"lambda_1":0.30000000000000004,"nested":{'
+        '"a":[1,2.0]}}}'
+    ),
+    "indset-count": (
+        '{"checks":[{"measured":0.30000000000000004,"name":"gate","passed":true,"threshol'
+        'd":0.5},{"measured":3.0,"name":"block","passed":false,"threshold":1.000000000000'
+        '0001e-17}],"eta":0.30000001192092896,"fallback":false,"instance_sha256":"abababa'
+        'babababababababababababababababababababababababababababab","kind":"indset-count"'
+        ',"log2_bound":7.25,"n":12,"recursion_trace":[{"depth":0,"fallback":false,"log2":'
+        '1.5}],"tool_version":"0.2.0","transcript":{"lambda_1":0.30000000000000004,"neste'
+        'd":{"a":[1,2.0]}}}'
+    ),
+    "clusters": (
+        '{"checks":[{"measured":0.30000000000000004,"name":"gate","passed":true,"threshol'
+        'd":0.5},{"measured":3.0,"name":"block","passed":false,"threshold":1.000000000000'
+        '0001e-17}],"eta":0.050000000000000003,"fallback":false,"gap_interval":[2.5,7.0],'
+        '"instance_sha256":"ababababababababababababababababababababababababababababababa'
+        'bab","kind":"clusters","log2_cluster_bound":2.0,"n":10,"primal_report":{"d_avg":'
+        '4.0,"norm":0.14285714285714285},"theta":0.33333333333333331,"tool_version":"0.2.'
+        '0","transcript":{"c0":6.0}}'
+    ),
+    "balance": (
+        '{"checks":[{"measured":0.30000000000000004,"name":"gate","passed":true,"threshol'
+        'd":0.5}],"eta":0.02,"instance_sha256":"ababababababababababababababababababababa'
+        'bababababababababababab","kind":"balance","n":14,"rho":0.59999999999999998,"tool'
+        '_version":"0.2.0","transcript":{"k":3},"violated_fraction_bound":0.1000000014901'
+        '1612}'
+    ),
+    "refutation": (
+        '{"eta_refuted":0.375,"evidence":{"count_certificate":{"checks":[{"measured":0.30'
+        '000000000000004,"name":"gate","passed":true,"threshold":0.5},{"measured":3.0,"na'
+        'me":"block","passed":false,"threshold":1.0000000000000001e-17}],"eta":0.30000001'
+        '192092896,"fallback":false,"instance_sha256":"ababababababababababababababababab'
+        'ababababababababababababababab","kind":"count","log2_bound":7.25,"n":12,"recursi'
+        'on_trace":[{"depth":0,"fallback":false,"log2":1.5}],"tool_version":"0.2.0","tran'
+        'script":{"lambda_1":0.30000000000000004,"nested":{"a":[1,2.0]}}},"set_size":3},"'
+        'instance_sha256":"ababababababababababababababababababababababababababababababab'
+        'ab","kind":"refutation","n":12,"tool_version":"0.2.0"}'
+    ),
+    "indset-refutation": (
+        '{"eta_refuted":0.20000000000000001,"evidence":{"log2_subsets":2.0,"refuted_size"'
+        ':4},"instance_sha256":"ababababababababababababababababababababababababababababa'
+        'bababab","kind":"indset-refutation","n":8,"tool_version":"0.2.0"}'
+    ),
+}
+
+
+def test_frozen_reference_covers_every_kind():
+    assert set(FROZEN) == set(samples()) == set(CERTIFICATE_CLASSES)
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
+def test_codec_matches_frozen_reference(kind):
+    assert canonical_json(samples()[kind].to_json_dict()) == "".join(FROZEN[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
+def test_codec_round_trip(kind):
+    cert = samples()[kind]
+    doc = cert.to_json_dict()
+    back = certificate_from_json(doc)
+    assert type(back) is type(cert)
+    assert back.to_json_dict() == doc
+    assert back == cert
+    if hasattr(cert, "checks"):
+        assert all(isinstance(c, CheckRecord) for c in back.checks)
+        assert isinstance(back.checks, tuple)
+
+
+def test_decoder_defaults_and_required_keys():
+    doc = samples()["count"].to_json_dict()
+    for key in ("recursion_trace", "transcript", "tool_version"):
+        del doc[key]
+    cert = certificate_from_json(doc)
+    assert cert.recursion_trace == () and cert.transcript == {}
+    del doc["instance_sha256"]
+    with pytest.raises(KeyError):
+        certificate_from_json(doc)
+    with pytest.raises(ValueError, match="unrecognized"):
+        certificate_from_json({"kind": "nope"})

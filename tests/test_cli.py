@@ -5,6 +5,7 @@ import pytest
 
 from solgeo import schemas
 from solgeo.cli import main
+from solgeo.instances import XorInstance
 from solgeo.jsonio import read_json
 
 
@@ -193,3 +194,96 @@ def test_sweep_resume_and_single_cell_match(tmp_path):
     assert run("certify", "--kind", "count", "--instance", str(inst),
                "--eta", "0.05", "--out", str(cert)) == 0
     assert read_json(str(cert))["log2_bound"] == row["result"]["log2_bound"]
+
+
+def test_verify_refuses_oracle_of_another_instance(tmp_path, capsys):
+    # an oracle for a different instance once passed as evidence: "sound"
+    a = gen(tmp_path, "a.json", "--kind", "xor", "-k", "3", "-n", "12", "-m", "48", "--seed", "1")
+    b = gen(tmp_path, "b.json", "--kind", "xor", "-k", "3", "-n", "14", "-m", "56", "--seed", "2")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    assert run("certify", "--kind", "count", "--instance", str(a),
+               "--eta", "0.3", "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(b),
+               "--eta", "0.3", "--out", str(orc)) == 0
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    captured = capsys.readouterr()
+    assert "instance" in captured.err and "sound" not in captured.out
+
+
+def test_oracle_binds_instance_and_parameters(tmp_path):
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "40", "--seed", "3")
+    orc = tmp_path / "o.json"
+    assert run("oracle", "--kind", "count", "--instance", str(inst),
+               "--eta", "0.1", "--out", str(orc)) == 0
+    doc = validate_file(orc)
+    # XOR count certificates hold for every signing and bind the hypergraph
+    H = XorInstance.from_json_dict(read_json(str(inst))).hypergraph()
+    assert doc["instance_sha256"] == H.sha256()
+    assert doc["eta"] == 0.1 and "theta" not in doc
+
+
+def test_verify_refuses_other_parameters(tmp_path):
+    xor = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "200", "--seed", "4")
+    reg = gen(tmp_path, "g.json", "--kind", "regular", "-n", "12", "-d", "3", "--seed", "4")
+    cases = [
+        (xor, ["--kind", "count", "--eta", "0.1"], ["--kind", "count", "--eta", "0.2"]),
+        (xor, ["--kind", "clusters", "--eta", "0.05", "--c0", "6"],
+         ["--kind", "clusters", "--eta", "0.05", "--theta", "0.1"]),
+        (reg, ["--kind", "indset", "--eta", "0.2"],
+         ["--kind", "indset", "--eta", "0.2", "--threshold-size", "1"]),
+    ]
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    for inst, certify, oracle in cases:
+        assert run("certify", *certify, "--instance", str(inst), "--out", str(cert)) == 0
+        assert run("oracle", *oracle, "--instance", str(inst), "--out", str(orc)) == 0
+        assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+
+
+def test_verify_refuses_oracle_file_without_instance(tmp_path):
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    doc = read_json(str(orc))
+    del doc["instance_sha256"]  # the oracle format of version 0.2.0
+    orc.write_text(json.dumps(doc))
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+
+
+def test_sweep_resume_keys_on_effective_config(tmp_path):
+    grid = {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}
+    out = tmp_path / "rows.jsonl"
+    assert run("sweep", "--config", str(sweep_config(tmp_path, grid=grid, seeds=1)),
+               "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 1
+    # another instance family is another sweep, even with the same cell
+    csp = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp")
+    assert run("sweep", "--config", str(csp), "--out", str(out)) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 2 and rows[0]["cell_hash"] != rows[1]["cell_hash"]
+    # spelling out the defaults changes nothing
+    explicit = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", predicate="ksat",
+                            eps_exponent=0.05, c0=3.0)
+    assert run("sweep", "--config", str(explicit), "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 2
+    for key, value in [("predicate", "xor"), ("eps_exponent", 0.1), ("c0", 4.0),
+                       ("oracle_max_n", 0)]:
+        config = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", **{key: value})
+        before = len(out.read_text().splitlines())
+        assert run("sweep", "--config", str(config), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == before + 1, key
+
+
+def test_certify_rejects_asymmetric_goe(tmp_path, capsys):
+    # asymmetry within the old 1e-5 relative tolerance but beyond what the
+    # Cholesky proof absorbs once exited 4, an internal error
+    inst = gen(tmp_path, "g.json", "--kind", "goe", "-n", "6", "--seed", "0")
+    doc = read_json(str(inst))
+    doc["matrix"][0][1] = 20.0
+    doc["matrix"][1][0] = 20.0 + 9e-5
+    inst.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("certify", "--kind", "sk", "--instance", str(inst),
+               "--eta", "0.1", "--out", str(tmp_path / "c.json")) == 2
+    assert "symmetric" in capsys.readouterr().err

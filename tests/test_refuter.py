@@ -109,13 +109,17 @@ def test_scaling_property():
         assert got == pytest.approx(c * base, rel=1e-9)
 
 
+def negated(p: SparsePolynomial) -> SparsePolynomial:
+    return SparsePolynomial(p.n, p.degree, {T: -w for T, w in p.terms.items()})
+
+
 def test_negation_gives_min_side():
     p = random_poly(6, 3, 8, seed=5)
-    res_neg = refute_polynomial(p.negated())
+    res_neg = refute_polynomial(negated(p))
     assert res_neg.value >= -min(
-        -brute_poly_max(p.negated()), 0
+        -brute_poly_max(negated(p)), 0
     ) - 1e-9  # sound on the negated side too
-    assert res_neg.value >= brute_poly_max(p.negated()) - 1e-9
+    assert res_neg.value >= brute_poly_max(negated(p)) - 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -218,3 +222,16 @@ def test_xor_principle_sound_by_enumeration(seed):
     for idx in satisfiers:
         xor_frac = 1.0 - xor_viol[idx] / I.m
         assert xor_frac >= res.fraction_lower_bound - 1e-9
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_bound_covers_absolute_value_exhaustively(degree):
+    # every branch bounds max |p|, so one refutation covers p and -p
+    for seed in range(40):
+        terms = (3, 12, 40)[seed % 3]
+        p = random_poly(8, degree, terms, seed * 3 + degree)
+        neg = negated(p)
+        res = refute_polynomial(p)
+        assert res.value >= max(brute_poly_max(p), brute_poly_max(neg)) - 1e-9
+        for value in res.branches.values():
+            assert value >= brute_poly_max(neg) - 1e-9

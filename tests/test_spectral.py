@@ -279,16 +279,21 @@ def test_nonfinite_matrix_fails_proof():
 
 
 def test_asymmetry_is_charged_to_the_proof():
-    # M passes the symmetry check (relative tolerance 1e-5), but the lower
-    # triangle the solvers read is not its symmetric part: the top
-    # eigenvalue of the lower triangle plus slack falls below the true one
+    # the lower triangle the solvers read is not M's symmetric part: the
+    # top eigenvalue of the lower triangle plus slack falls below the true
+    # one, so M is refused as input
     M = 10.0 * np.ones((4, 4))
     M[1, 0] -= 9e-5
     vals = np.linalg.eigvalsh(M)
     s = eig_slack(float(np.max(np.abs(vals))))
     assert vals[-1] + s < np.linalg.eigvalsh((M + M.T) / 2)[-1]
-    with pytest.raises(EigensolverError):
+    with pytest.raises(ValueError, match="symmetric"):
         symmetric_spectrum(M)
+    # asymmetry the check lets through is charged to the proofs, which pass
+    M[1, 0] = 10.0 - s / 20
+    vals = symmetric_spectrum(M)
+    assert vals[-1] + s > np.linalg.eigvalsh((M + M.T) / 2)[-1]
+    assert vals[0] - s < np.linalg.eigvalsh((M + M.T) / 2)[0]
 
 
 def test_report_builds_adjacency_once(monkeypatch):
