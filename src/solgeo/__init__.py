@@ -33,7 +33,6 @@ from .instances import (
     csp_to_ksat,
     density_table,
     evaluate,
-    induced_hypergraph,
     induced_xor,
     ksat_fourier,
     primal_graph,
@@ -66,7 +65,6 @@ __all__ = [
     "csp_to_ksat",
     "density_table",
     "evaluate",
-    "induced_hypergraph",
     "induced_xor",
     "ksat_fourier",
     "primal_graph",

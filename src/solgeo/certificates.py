@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import get_args, get_type_hints
 
-TOOL_VERSION = "0.3.0"
+TOOL_VERSION = "0.4.0"
 
 # field name -> JSON key, where the two differ
 _JSON_KEYS = {"signature": "instance_sha256"}

@@ -20,11 +20,12 @@ from .instances import (
     UnsignedHypergraph,
     XorInstance,
     Predicate,
+    clause_split,
     csp_to_ksat,
     violation_budget,
 )
 from .refuter import kxor_principle
-from .spectral import eig_slack, normalized_laplacian_gap
+from .spectral import eig_slack, spectral_report
 
 # Width multiplier on the degree-concentration gate.  The clean
 # density^(-1/3) window only holds once the density beats log^3(n); the
@@ -122,7 +123,7 @@ def _count_2xor_budget(G: MultiGraph, budget: int) -> _BoundResult:
         lam2_check = CheckRecord("lambda2-threshold", 0.0, 1.0 - delta ** -0.25, False)
         return _fallback(n, (degree_check, lam2_check), transcript)
 
-    report = normalized_laplacian_gap(simple, demeaned=False)
+    report = spectral_report(simple, demeaned=False)
     lam2_threshold = 1.0 - delta ** -0.25
     lam2_check = CheckRecord(
         "lambda2-threshold", report.lambda2, lam2_threshold,
@@ -173,64 +174,23 @@ def certify_count_2xor(G: MultiGraph, eta: float) -> CountCertificate:
 # kXOR recursion
 # ---------------------------------------------------------------------------
 
-def _partition_blocks(
-    n: int, c: float, partition_seed: int | None = None
-) -> list[list[int]]:
-    """Vertex blocks of size ceil(n^c); the last block absorbs the
-    remainder.  The default partition is contiguous index ranges so that
-    certificates are deterministic; a seed switches to a random balanced
-    partition for experiments."""
+def _partition_blocks(n: int, c: float) -> list[range]:
+    """Contiguous vertex blocks of size ceil(n^c); the last block absorbs
+    the remainder."""
     size = max(1, math.ceil(n**c))
     blocks_target = max(1, math.ceil(n ** (1.0 - c)))
     if (blocks_target - 1) * size >= n:
         blocks_target = math.ceil(n / size)
-    if partition_seed is None:
-        order = list(range(n))
-    else:
-        import numpy as _np
-
-        order = _np.random.default_rng(partition_seed).permutation(n).tolist()
-    blocks = []
-    start = 0
-    for _ in range(blocks_target - 1):
-        blocks.append(sorted(order[start : start + size]))
-        start += size
-    blocks.append(sorted(order[start:]))
-    return blocks
+    starts = [i * size for i in range(blocks_target)] + [n]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
-def _induced_block_hypergraph(
-    H: UnsignedHypergraph, block: list[int]
-) -> UnsignedHypergraph:
-    """(k-1)-uniform hypergraph induced by a vertex block: hyperedges with
-    exactly one vertex inside the block, projected to their outside
-    vertices and relabeled to the complement's index order."""
-    inside = set(block)
-    remap = {}
-    idx = 0
-    for v in range(H.n):
-        if v not in inside:
-            remap[v] = idx
-            idx += 1
-    out = []
-    for S in H.edges:
-        hits = sum(1 for v in S if v in inside)
-        if hits != 1:
-            continue
-        out.append(tuple(remap[v] for v in S if v not in inside))
-    return UnsignedHypergraph(H.k - 1, H.n - len(block), tuple(out))
-
-
-def _kxor_budget(
-    H: UnsignedHypergraph, budget: int, eps: float, depth: int,
-    partition_seed: int | None = None,
-) -> _BoundResult:
+def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> _BoundResult:
     n, k = H.n, H.k
     if depth > H.k:
         raise RuntimeError("recursion exceeded the clause arity")
     if k == 2:
-        G = MultiGraph.build(n, [S for S in H.edges if len(set(S)) == 2])
-        return _count_2xor_budget(G, budget)
+        return _count_2xor_budget(MultiGraph.build(n, H.without_repeats().edges), budget)
 
     clean = H.without_repeats().dedup()
     transcript: dict = {
@@ -252,7 +212,7 @@ def _kxor_budget(
         transcript.update({"density": density, "delta_exponent": delta_exp, "c": c})
         checks = (CheckRecord("density-usable", density, float(n), False),)
         return _fallback(n, checks, transcript)
-    blocks = _partition_blocks(n, c, partition_seed)
+    blocks = _partition_blocks(n, c)
     ell = len(blocks)
     block_budget = (k * budget) // ell
 
@@ -270,45 +230,40 @@ def _kxor_budget(
     sizes = []
     bounds = []
     trace = []
-    child_seed = None if partition_seed is None else partition_seed + 1
     for i, block in enumerate(blocks):
-        sub_H = _induced_block_hypergraph(clean, block)
-        sub = _kxor_budget(sub_H, block_budget, eps, depth + 1, child_seed)
-        sizes.append(len(block))
+        # hyperedges with one vertex in the block, projected to the rest and
+        # relabelled to the complement's index order: a shift past the block
+        size = len(block)
+        sub_H = UnsignedHypergraph(k - 1, n - size, tuple(
+            tuple(v if v < block.start else v - size for v in out_part)
+            for _, _, out_part in clause_split(clean.edges, block, 1)
+        ))
+        sub = _kxor_budget(sub_H, block_budget, eps, depth + 1)
+        sizes.append(size)
         bounds.append(sub.log2_bound)
-        entry = {
+        trace.append({
             "block": i,
-            "size": len(block),
+            "size": size,
+            "start": block.start,
             "m_induced": sub_H.m,
             "budget": block_budget,
             "log2_bound": sub.log2_bound,
             "fallback": sub.fallback,
             "transcript": sub.transcript,
             "checks": [c.to_json_dict() for c in sub.checks],
-        }
-        if partition_seed is None:
-            entry["start"] = block[0]
-        else:
-            entry["vertices"] = block
-        trace.append(entry)
+        })
 
     log2_bound, fallback = _cap(n, aggregate_partition(n, sizes, bounds))
     return _BoundResult(log2_bound, fallback, (), tuple(trace), transcript)
 
 
 def certify_count_kxor(
-    H: UnsignedHypergraph, eta: float, eps: float = 0.05,
-    partition_seed: int | None = None,
+    H: UnsignedHypergraph, eta: float, eps: float = 0.05
 ) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
-    violating at most an eta fraction of the hyperedges of H.
-
-    The default contiguous partition keeps certificates deterministic;
-    ``partition_seed`` switches to a random balanced partition for
-    experiments.
-    """
+    violating at most an eta fraction of the hyperedges of H."""
     budget = violation_budget(eta, H.m)
-    res = _kxor_budget(H, budget, eps, 0, partition_seed)
+    res = _kxor_budget(H, budget, eps, 0)
     return CountCertificate(
         kind="count",
         n=H.n,
@@ -402,9 +357,14 @@ def refute_from_count(
     If some x were (1-eta/2)-satisfying, flipping any subset of a variable
     set S touched by few clauses would yield 2^|S| distinct assignments all
     (1-eta)-satisfying; a certified count below 2^|S| rules that out.
+
+    Neither the incidence count nor the count bound depends on the signs,
+    so the refutation holds for every signing and, like the count
+    certificate it upgrades, binds the hypergraph of I.
     """
-    if count_cert.n != I.n:
-        raise ValueError("certificate does not match the instance size")
+    signature = I.hypergraph().sha256()
+    if count_cert.kind != "count" or count_cert.n != I.n or count_cert.signature != signature:
+        raise ValueError("certificate does not match the instance")
     if count_cert.eta < eta - 1e-12:
         raise ValueError("certificate slack is smaller than the requested eta")
     n, m, k = I.n, I.m, I.k
@@ -428,5 +388,5 @@ def refute_from_count(
             "clause_incidence": incidence,
             "incidence_budget": incidence_budget,
         },
-        signature=I.sha256(),
+        signature=signature,
     )

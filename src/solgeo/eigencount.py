@@ -228,9 +228,6 @@ class CenteredIndicator:
         s = len(self.subset)
         return Fraction(s) * (1 - Fraction(s, self.n))
 
-    def to_array(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values()])
-
 
 def _require_regular(G: MultiGraph) -> int:
     if G.n < 1 or not G.is_regular() or G.degrees[0] < 1:
@@ -357,7 +354,9 @@ def refute_indset_from_count(
     refutation of any independent set of size (1-eta/2) C_d n: every subset
     of a large independent set is independent, so a large set would spawn
     binomially many sets at the counted size."""
-    if count_cert.kind != "indset-count" or count_cert.n != G.n:
+    signature = G.sha256()
+    if (count_cert.kind != "indset-count" or count_cert.n != G.n
+            or count_cert.signature != signature):
         raise ValueError("certificate does not match the instance")
     d = _require_regular(G)
     consts = IndSetConstants.for_degree(d)
@@ -380,5 +379,5 @@ def refute_indset_from_count(
             "counted_size": s_small,
             "log2_subsets": log2_subsets,
         },
-        signature=G.sha256(),
+        signature=signature,
     )

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from .certificates import BalanceCertificate, CheckRecord, ClusterCertificate
 from .instances import (
@@ -19,6 +20,7 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    clause_split,
     csp_to_ksat,
     primal_graph,
     split_by_sign,
@@ -348,6 +350,21 @@ class InducedPositiveFraction:
     bound: PolynomialBound
 
 
+def _positive_fraction(
+    S: Iterable[int], k: int, truncated: Sequence[tuple[int, tuple[int, ...]]]
+) -> InducedPositiveFraction:
+    """The positivity margin of the truncated clauses (rhs, S-part): the
+    polynomial sum_U w_U sigma^U over S, refuted, per clause and halved."""
+    remap = {v: i for i, v in enumerate(sorted(set(S)))}
+    terms: dict[tuple[int, ...], float] = {}
+    for b, in_part in truncated:
+        key = tuple(remap[v] for v in in_part)
+        terms[key] = terms.get(key, 0.0) + float(b)
+    bound = refute_polynomial(SparsePolynomial(len(remap), k - 2, terms))
+    eps = min(0.5, bound.value / (2.0 * len(truncated)))
+    return InducedPositiveFraction(eps, len(truncated), bound)
+
+
 def certify_induced_positive_fraction(
     I: XorInstance, S: list[int]
 ) -> InducedPositiveFraction:
@@ -366,15 +383,7 @@ def certify_induced_positive_fraction(
     trunc = truncated_xor(I, S, I.k - 2)
     if trunc.m == 0:
         raise ValueError("truncated instance is empty")
-    remap = {v: i for i, v in enumerate(sorted(set(S)))}
-    terms: dict[tuple[int, ...], float] = {}
-    for b, U in trunc.clauses:
-        key = tuple(remap[v] for v in U)
-        terms[key] = terms.get(key, 0.0) + float(b)
-    poly = SparsePolynomial(len(remap), I.k - 2, terms)
-    bound = refute_polynomial(poly)
-    eps = min(0.5, bound.value / (2.0 * trunc.m))
-    return InducedPositiveFraction(eps, trunc.m, bound)
+    return _positive_fraction(S, I.k, trunc.clauses)
 
 
 def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:
@@ -413,29 +422,22 @@ def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | Non
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
     n, m = I.n, I.m
-    if m == 0:
-        return None
-    clean = XorInstance(
-        I.k, n, tuple((b, U) for b, U in I.clauses if len(set(U)) == I.k)
-    )
     s = math.ceil(rho * n)
     if s >= n - 1:
         return None
-    S = list(range(s))
-    Sset = set(S)
-    remap = {v: i for i, v in enumerate(range(s, n))}
-    edges = []
-    for b, U in clean.clauses:
-        outside = [v for v in U if v not in Sset]
-        if len(outside) != 2:
-            continue
-        edges.append((remap[outside[0]], remap[outside[1]]))
-    if not edges:
+    # clauses with k-2 variables in S = [0, s), none repeated; the outside
+    # pair, shifted past S, is an edge of the family graph
+    family = [
+        (I.clauses[i][0], in_part, out_part)
+        for i, in_part, out_part in clause_split(
+            (U for _, U in I.clauses), range(s), I.k - 2
+        )
+        if len(set(in_part + out_part)) == I.k
+    ]
+    if not family:
         return None
-    G = MultiGraph.build(n - s, edges)
-    if G.m == 0:
-        return None
-    induced = certify_induced_positive_fraction(clean, S)
+    G = MultiGraph.build(n - s, [(u - s, v - s) for _, _, (u, v) in family])
+    induced = _positive_fraction(range(s), I.k, [(b, in_part) for b, in_part, _ in family])
     v_frac = refute_biased_2xor_family(G, induced.eps, rho)
     if v_frac <= _MARGIN:
         return None

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -83,10 +83,6 @@ def signs_to_index(z: Sequence[int]) -> int:
 
 def index_to_signs(idx: int, k: int) -> tuple[int, ...]:
     return tuple(-1 if (idx >> i) & 1 else 1 for i in range(k))
-
-
-def _subsets(k: int) -> list[tuple[int, ...]]:
-    return [tuple(i for i in range(k) if (mask >> i) & 1) for mask in range(1 << k)]
 
 
 def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], float]:
@@ -603,79 +599,45 @@ def xor_satisfied_fraction(I: XorInstance, x: Sequence[int] | np.ndarray) -> flo
 # Induced / truncated / primal constructions
 # ---------------------------------------------------------------------------
 
-def _select_clauses(
-    I: XorInstance, S: frozenset[int], inside: int, positional: bool
-) -> list[tuple[int, tuple[int, ...]]]:
-    """Clauses whose variable tuple has exactly ``inside`` positions in S.
-
-    Set-membership selection accepts the S-positions anywhere in the tuple;
-    positional selection requires them to be exactly the leading positions.
-    """
-    out = []
-    for b, U in I.clauses:
-        flags = [u in S for u in U]
-        if sum(flags) != inside:
-            continue
-        if positional and not all(flags[:inside]):
-            continue
-        out.append((b, U))
-    return out
+def clause_split(
+    tuples: Iterable[tuple[int, ...]], S: Iterable[int], inside: int
+) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
+    """For each variable tuple with exactly ``inside`` of its positions in
+    S, in order: its index, its S-part and its outside part, each part in
+    tuple order.  Every induced and truncated instance is built from this
+    one selection."""
+    S = frozenset(S)
+    for i, U in enumerate(tuples):
+        in_part = [u for u in U if u in S]
+        if len(in_part) == inside:
+            yield i, tuple(in_part), tuple([u for u in U if u not in S])
 
 
 def induced_xor(
-    I: XorInstance,
-    S: Iterable[int],
-    sigma: Mapping[int, int],
-    t: int,
-    positional: bool = False,
+    I: XorInstance, S: Iterable[int], sigma: Mapping[int, int], t: int
 ) -> XorInstance:
     """The induced tXOR instance: clauses with exactly k-t variables in S
     are projected onto their non-S variables, with the rhs multiplied by
     the sigma-values of the dropped S-variables."""
     if not (1 <= t <= I.k - 1):
         raise ValueError(f"t must be in [1, k-1], got {t}")
-    Sset = frozenset(S)
-    clauses = []
-    for b, U in _select_clauses(I, Sset, I.k - t, positional):
-        rhs = b
-        rest = []
-        for u in U:
-            if u in Sset:
-                rhs *= sigma[u]
-            else:
-                rest.append(u)
-        clauses.append((rhs, tuple(rest)))
-    return XorInstance(t, I.n, tuple(clauses))
+    clauses = tuple(
+        (I.clauses[i][0] * math.prod(sigma[u] for u in in_part), out_part)
+        for i, in_part, out_part in clause_split((U for _, U in I.clauses), S, I.k - t)
+    )
+    return XorInstance(t, I.n, clauses)
 
 
-def truncated_xor(
-    I: XorInstance, S: Iterable[int], arity: int, positional: bool = False
-) -> XorInstance:
+def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
     """The truncated (k-t)XOR instance on S: same clause selection as the
     induced instance, but keeping the S-variables and the original rhs."""
     if not (1 <= arity <= I.k - 1):
         raise ValueError(f"truncated arity must be in [1, k-1], got {arity}")
-    Sset = frozenset(S)
-    clauses = []
-    for b, U in _select_clauses(I, Sset, arity, positional):
-        kept = tuple(u for u in U if u in Sset)
-        clauses.append((b, kept))
-    return XorInstance(arity, I.n, tuple(clauses))
-
-
-def induced_hypergraph(
-    I: XorInstance,
-    S: Iterable[int],
-    t: int,
-    dedup: bool = False,
-    positional: bool = False,
-) -> UnsignedHypergraph:
-    """Underlying t-uniform hypergraph of the induced tXOR instance;
-    independent of sigma."""
-    sigma = {u: 1 for u in S}
-    ind = induced_xor(I, S, sigma, t, positional=positional)
-    H = UnsignedHypergraph(t, I.n, tuple(U for _, U in ind.clauses))
-    return H.dedup() if dedup else H
+    clauses = tuple(
+        (I.clauses[i][0], in_part)
+        for i, in_part, _ in clause_split((U for _, U in I.clauses), S, arity)
+    )
+    return XorInstance(arity, I.n, clauses)
 
 
 def primal_graph(H: UnsignedHypergraph) -> MultiGraph:

@@ -13,10 +13,11 @@ raises ``EigensolverError``; nothing falls back silently.
 
 Consumers and the direction each one consumes:
 
-* ``SpectralReport.lambda2`` (``spectral_report``, ``normalized_laplacian_gap``)
-  is a lower bound: lambda_2(L) > lambda2 - eig_slack(2), proved on
-  L + 2 v0 v0^T / |v0|^2 with v0 = D^(1/2) 1.  Used by
-  ``edge_expansion_lower_bound`` and the 2XOR/kXOR count certificates.
+* ``SpectralReport.lambda2`` (``spectral_report``) is a lower bound:
+  lambda_2(L) > lambda2 - eig_slack(2), proved on L + 2 v0 v0^T / |v0|^2
+  with v0 = D^(1/2) 1.  Used by ``edge_expansion_lower_bound`` and by the
+  2XOR base case of the 2XOR/kXOR/kSAT/kCSP count certificates, which
+  calls ``spectral_report(G, demeaned=False)``.
 * ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``)
   is an upper bound: |A - (2m/n^2) J| < nu + eig_slack(nu), proved from
   both sides.  Used by ``mixing_interval`` and the cluster and balance
@@ -278,11 +279,6 @@ def spectral_report(
         norm = _demeaned_norm_value(G, A)
 
     return SpectralReport(n, G.m, d_min, d_max, d_avg, lam2, norm)
-
-
-def normalized_laplacian_gap(G: MultiGraph, demeaned: bool = True) -> SpectralReport:
-    """Report lambda2 of the normalized Laplacian (plus degree statistics)."""
-    return spectral_report(G, laplacian=True, demeaned=demeaned)
 
 
 def demeaned_norm(G: MultiGraph) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -29,6 +30,7 @@ from solgeo.instances import (
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import (
     batch_xor_counts,
+    binding_mismatch,
     brute_count,
     gaussian_count,
     verify_certificate,
@@ -264,7 +266,7 @@ def test_kcsp_fallback_propagates():
 def _mock_count_cert(I: XorInstance, eta: float, log2_bound: float) -> CountCertificate:
     return CountCertificate(
         kind="count", n=I.n, log2_bound=log2_bound, eta=eta,
-        fallback=log2_bound >= I.n, checks=(), signature=I.sha256(),
+        fallback=log2_bound >= I.n, checks=(), signature=I.hypergraph().sha256(),
     )
 
 
@@ -306,6 +308,8 @@ def test_refute_from_count_emission_logic():
     res = brute_count(I, None, ref.eta_refuted)
     assert res.exact_value == 0
     assert verify_certificate(ref, res) == "sound"
+    assert binding_mismatch(ref, res) is None
+    assert ref.signature == I.hypergraph().sha256()
 
 
 def test_refute_from_count_validates_inputs():
@@ -315,6 +319,17 @@ def test_refute_from_count_validates_inputs():
         refute_from_count(I, cert, 0.75)  # certificate slack too small
 
 
+def test_refute_from_count_refuses_certificate_of_another_instance():
+    I = contradictory_instance()
+    other = contradictory_instance(pairs=9)
+    assert other.n == I.n
+    with pytest.raises(ValueError):
+        refute_from_count(I, _mock_count_cert(other, 0.75, 0.5), 0.75)
+    sk_kind = dataclasses.replace(_mock_count_cert(I, 0.75, 0.5), kind="sk-count")
+    with pytest.raises(ValueError):
+        refute_from_count(I, sk_kind, 0.75)
+
+
 def test_certificates_deterministic_bytes():
     H = sample_unsigned_hypergraph(3, 12, 60, seed=4)
     a = canonical_json(certify_count_kxor(H, 0.05).to_json_dict())
@@ -322,16 +337,16 @@ def test_certificates_deterministic_bytes():
     assert a == b
 
 
-def test_randomized_partition_mode_is_sound_and_opt_in():
+def test_default_partition_is_contiguous_and_sound():
     H = sample_unsigned_hypergraph(3, 12, 12 * 8, seed=6)
     default = certify_count_kxor(H, 0.0)
-    assert "start" in default.recursion_trace[0]
-    randomized = certify_count_kxor(H, 0.0, partition_seed=3)
-    blocks = [entry["vertices"] for entry in randomized.recursion_trace]
-    assert sorted(v for block in blocks for v in block) == list(range(12))
+    starts = [entry["start"] for entry in default.recursion_trace]
+    sizes = [entry["size"] for entry in default.recursion_trace]
+    assert len(sizes) > 1
+    assert starts == [sum(sizes[:i]) for i in range(len(sizes))]
+    assert sum(sizes) == 12
     table = xor_sign_table(H)
     rng = np.random.default_rng(0)
     signs = np.stack([table[i] for i in rng.integers(0, 1 << 12, size=40)]).astype(np.int8)
     counts = batch_xor_counts(table, signs, 0)
-    assert counts.max() <= 2.0**randomized.log2_bound + 1e-9
     assert counts.max() <= 2.0**default.log2_bound + 1e-9

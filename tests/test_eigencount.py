@@ -304,6 +304,15 @@ def test_refute_indset_emission_on_disjoint_cliques():
     assert verify_certificate(ref, res) == "sound"
 
 
+def test_refute_indset_refuses_certificate_of_another_graph():
+    cert = certify_count_indsets(two_k4s(), 0.4)
+    cube = MultiGraph.build(
+        8, [(u, u | bit) for u in range(8) for bit in (1, 2, 4) if not u & bit]
+    )
+    with pytest.raises(ValueError):
+        refute_indset_from_count(cube, cert, 0.4)
+
+
 def test_refute_indset_threshold_arithmetic():
     # the subset binomial beats (C_d/4) eta log2(1/eta) n for eta < 1/2
     n, d = 100, 3

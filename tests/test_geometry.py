@@ -19,7 +19,6 @@ from solgeo.geometry import (
 from solgeo.instances import (
     MultiGraph,
     Predicate,
-    SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
     ksat_fourier,
@@ -36,21 +35,7 @@ from solgeo.oracle import (
 )
 from solgeo.spectral import SpectralReport
 
-
-def planted_3sat(n: int, m: int, plus_count: int, seed: int) -> tuple[SignedHypergraph, np.ndarray]:
-    """Random 3SAT instance with signs repaired so a planted assignment
-    with the given number of +1 entries satisfies every clause."""
-    rng = np.random.default_rng(seed)
-    xstar = np.array([1] * plus_count + [-1] * (n - plus_count))
-    rng.shuffle(xstar)
-    base = sample_signed_hypergraph(3, n, m, seed)
-    clauses = []
-    for c, S in base.clauses:
-        pattern = tuple(ci * xstar[si] for ci, si in zip(c, S))
-        if all(p == 1 for p in pattern):
-            c = (-c[0],) + c[1:]
-        clauses.append((c, S))
-    return SignedHypergraph(3, n, tuple(clauses)), xstar
+from conftest import planted_3sat, sign_cube_k4, synthetic_balanced_k4
 
 
 # ---------------------------------------------------------------------------
@@ -362,23 +347,6 @@ def test_balance_3csp_reference_rule_recorded():
     assert cert.transcript["eta_asymptotic_rule"] == pytest.approx(0.8 / 16)
 
 
-def synthetic_balanced_k4(n: int = 64, mu: int = 100, seed: int = 42) -> XorInstance:
-    """Every outside pair carries exactly mu clauses whose S-part is a
-    random pair, making the family graph a perfect complete multigraph."""
-    rng = np.random.default_rng(seed)
-    s = n // 2
-    clauses = []
-    for u in range(s, n):
-        for v in range(u + 1, n):
-            for _ in range(mu):
-                a = int(rng.integers(0, s))
-                b = int(rng.integers(0, s))
-                while b == a:
-                    b = int(rng.integers(0, s))
-                clauses.append((int(rng.choice([-1, 1])), (a, b, u, v)))
-    return XorInstance(4, n, tuple(clauses))
-
-
 def test_balance_kxor_emits_on_structured_instance():
     I = synthetic_balanced_k4()
     cert = certify_balance_kxor(I, rho=0.5)
@@ -399,25 +367,6 @@ def test_balance_kxor_rejects_small_k():
     I = sample_signed_hypergraph(3, 10, 40, seed=1).to_xor()
     with pytest.raises(ValueError):
         certify_balance_kxor(I, rho=0.5)
-
-
-def sign_cube_k4(n: int = 64, tuples_per_pair: int = 6, seed: int = 9) -> SignedHypergraph:
-    """Structured 4CSP carrying the full sign cube over each tuple, so every
-    local Fourier coefficient polynomial vanishes identically (eps = 0)."""
-    rng = np.random.default_rng(seed)
-    s = n // 2
-    patterns = list(itertools.product([-1, 1], repeat=4))
-    clauses = []
-    for u in range(s, n):
-        for v in range(u + 1, n):
-            for _ in range(tuples_per_pair):
-                a = int(rng.integers(0, s))
-                b = int(rng.integers(0, s))
-                while b == a:
-                    b = int(rng.integers(0, s))
-                for c in patterns:
-                    clauses.append((c, (a, b, u, v)))
-    return SignedHypergraph(4, n, tuple(clauses))
 
 
 def test_balance_kcsp_composes_through_identity_reduction():

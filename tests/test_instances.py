@@ -14,7 +14,6 @@ from solgeo.instances import (
     csp_to_ksat,
     density_table,
     evaluate,
-    induced_hypergraph,
     induced_xor,
     ksat_fourier,
     load_instance,
@@ -257,26 +256,6 @@ def test_induced_truncated_size_and_sum_identities():
                 b * int(np.prod([sigma[v] for v in U])) for b, U in trunc.clauses
             )
             assert lhs == rhs
-
-
-def test_positional_mode_is_more_selective():
-    I = random_xor(3, 8, 40, seed=3)
-    S = [0, 1, 2, 3]
-    sigma = {v: 1 for v in S}
-    loose = induced_xor(I, S, sigma, 2)
-    strict = induced_xor(I, S, sigma, 2, positional=True)
-    assert strict.m <= loose.m
-    assert set(strict.clauses) <= set(loose.clauses)
-
-
-def test_induced_hypergraph_matches_induced_xor():
-    I = random_xor(3, 9, 30, seed=8)
-    S = [0, 1, 2]
-    sigma = {v: 1 for v in S}
-    H = induced_hypergraph(I, S, 2)
-    ind = induced_xor(I, S, sigma, 2)
-    assert H.edges == tuple(U for _, U in ind.clauses)
-    assert induced_hypergraph(I, S, 2, dedup=True).m <= H.m
 
 
 def test_primal_graph_triangle():

@@ -13,7 +13,6 @@ from solgeo.spectral import (
     edge_expansion_lower_bound,
     eig_slack,
     mixing_interval,
-    normalized_laplacian_gap,
     spectral_report,
     symmetric_spectrum,
 )
@@ -34,24 +33,24 @@ def random_graph(n: int, m: int, seed: int) -> MultiGraph:
 
 def test_k4_lambda2():
     # L = I - A/3 with A eigenvalues {3, -1, -1, -1}
-    report = normalized_laplacian_gap(complete_graph(4), demeaned=False)
+    report = spectral_report(complete_graph(4), demeaned=False)
     assert report.lambda2 == pytest.approx(4 / 3, abs=1e-9)
     assert (report.d_min, report.d_max) == (3, 3)
 
 
 def test_four_cycle_lambda2():
-    report = normalized_laplacian_gap(cycle_graph(4), demeaned=False)
+    report = spectral_report(cycle_graph(4), demeaned=False)
     assert report.lambda2 == pytest.approx(1.0, abs=1e-9)
 
 
 def test_isolated_vertex_rejected():
     G = MultiGraph.build(3, [(0, 1)])
     with pytest.raises(ValueError):
-        normalized_laplacian_gap(G)
+        spectral_report(G)
 
 
 def test_edge_expansion_four_cycle():
-    report = normalized_laplacian_gap(cycle_graph(4), demeaned=False)
+    report = spectral_report(cycle_graph(4), demeaned=False)
     bound = edge_expansion_lower_bound(report, 1)
     assert bound == pytest.approx(1.0, rel=1e-6)
     # actual boundary of any single vertex is 2
@@ -60,7 +59,7 @@ def test_edge_expansion_four_cycle():
 
 def test_edge_expansion_disconnected_is_zero():
     G = MultiGraph.build(4, [(0, 1), (2, 3)])
-    report = normalized_laplacian_gap(G, demeaned=False)
+    report = spectral_report(G, demeaned=False)
     assert report.lambda2 == pytest.approx(0.0, abs=1e-9)
     assert edge_expansion_lower_bound(report, 1) == pytest.approx(0.0, abs=1e-6)
     assert edge_expansion_lower_bound(report, 0) == 0.0
@@ -148,7 +147,7 @@ def test_er_spectral_gap_at_scale():
     good = 0
     for seed in range(10):
         G = random_graph(n, m, seed).simple()
-        report = normalized_laplacian_gap(G, demeaned=False)
+        report = spectral_report(G, demeaned=False)
         density = G.m / n
         if report.lambda2 >= 1.0 - 5.0 / math.sqrt(2.0 * density):
             good += 1
@@ -204,18 +203,18 @@ def test_over_reported_lambda2_is_caught(monkeypatch):
 
     skewed_eigvalsh(monkeypatch, edit)
     with pytest.raises(EigensolverError):
-        normalized_laplacian_gap(G, demeaned=False)
+        spectral_report(G, demeaned=False)
 
 
 def test_under_reported_lambda2_still_verifies(monkeypatch):
     G = connected_graph(30, 60, seed=1)
-    true = normalized_laplacian_gap(G, demeaned=False).lambda2
+    true = spectral_report(G, demeaned=False).lambda2
 
     def edit(vals):
         vals[1] -= 10 * eig_slack(2.0)
 
     skewed_eigvalsh(monkeypatch, edit)
-    report = normalized_laplacian_gap(G, demeaned=False)
+    report = spectral_report(G, demeaned=False)
     assert report.lambda2 == pytest.approx(true - 10 * eig_slack(2.0))
 
 
