@@ -11,7 +11,7 @@ flag.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import (
@@ -296,20 +296,12 @@ def certify_count_ksat(
         "eta_x": principle.eta_x,
         "quasirandomness": principle.quasirandomness.to_json_dict(),
     }
-    if not principle_check.passed:
-        return CountCertificate(
-            kind="count",
-            n=I.n,
-            log2_bound=float(I.n),
-            eta=eta,
-            fallback=True,
-            checks=(principle_check,),
-            signature=I.sha256(),
-            transcript=transcript,
-        )
-    budget_x = violation_budget(principle.eta_x, I.m)
-    res = _kxor_budget(I.hypergraph(), budget_x, eps, 0)
-    transcript.update(res.transcript)
+    if principle_check.passed:
+        budget_x = violation_budget(principle.eta_x, I.m)
+        res = _kxor_budget(I.hypergraph(), budget_x, eps, 0)
+        transcript.update(res.transcript)
+    else:
+        res = _fallback(I.n, (), {})
     return CountCertificate(
         kind="count",
         n=I.n,
@@ -332,17 +324,7 @@ def certify_count_kcsp(
     inner = certify_count_ksat(reduced, eta, eps)
     transcript = dict(inner.transcript)
     transcript["reduction_string"] = list(P.first_unsatisfying())
-    return CountCertificate(
-        kind="count",
-        n=I.n,
-        log2_bound=inner.log2_bound,
-        eta=eta,
-        fallback=inner.fallback,
-        checks=inner.checks,
-        signature=I.sha256(),
-        recursion_trace=inner.recursion_trace,
-        transcript=transcript,
-    )
+    return replace(inner, signature=I.sha256(), transcript=transcript)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import MultiGraph, goe_json
 from .jsonio import sha256_of
-from .spectral import (
-    demeaned_adjacency, eig_slack, symmetric_eigenpairs, symmetric_spectrum,
-)
+from .spectral import demeaned_adjacency, eig_slack, symmetric_spectrum
 
 # Net resolutions below this are floored; a larger radius only grows the
 # counted superset, so the floor never costs soundness.
@@ -48,33 +45,23 @@ def subspace_count_bound(alpha: float, eps: float, n: int) -> float:
     return min(float(n), (entropy2(4.0 * eps * eps) + alpha * math.log2(3.0 / eps)) * n)
 
 
-def boolean_in_ball_bound(eps: float, n: int) -> float:
-    """log2 bound on normalized Boolean vectors inside any eps-ball."""
-    if not (0.0 < eps < 1.0 / math.sqrt(2.0)):
-        raise ValueError("eps must lie in (0, 1/sqrt(2))")
-    return entropy2(eps * eps) * n
-
-
 @dataclass(frozen=True)
 class EigenspaceWindow:
     """Measured fraction of eigenvalues within (1-delta) of the extremal
-    eigenvalue, with the spanning basis optionally attached."""
+    eigenvalue."""
 
     delta: float
     alpha: float
     lambda_top: float
     n: int
     count: int
-    basis: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
 
 
-def eigenspace_window(
-    M: np.ndarray, delta: float, sign: str = "top", with_basis: bool = False
-) -> EigenspaceWindow:
+def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> EigenspaceWindow:
     """Fraction of eigenvalues lambda_i >= lambda_extremal * (1 - delta),
     computed on -M when sign == "bottom"."""
     if sign not in ("top", "bottom"):
@@ -84,18 +71,43 @@ def eigenspace_window(
     work = np.asarray(M, dtype=float)
     if sign == "bottom":
         work = -work
-    if with_basis:
-        vals, vecs = symmetric_eigenpairs(work)
-    else:
-        vals = symmetric_spectrum(work)
+    vals = symmetric_spectrum(work)
     n = work.shape[0]
     lam_top = float(vals[-1])
     slack = eig_slack(float(np.max(np.abs(vals))))
-    threshold = lam_top * (1.0 - delta)
-    counted = vals >= threshold - slack
-    count = int(np.count_nonzero(counted))
-    basis = vecs[:, counted] if with_basis else None
-    return EigenspaceWindow(delta, count / n, lam_top, n, count, basis)
+    count = int(np.count_nonzero(vals >= lam_top * (1.0 - delta) - slack))
+    return EigenspaceWindow(delta, count / n, lam_top, n, count)
+
+
+@dataclass(frozen=True)
+class _MeasuredWindow:
+    lam1: float
+    lam_lo: float
+    lam_hi: float
+    eps: float
+    alpha: float
+
+
+def _measured_window(vals: np.ndarray, delta: float, target: float) -> _MeasuredWindow:
+    """The window both counts rest on, from the proved spectrum ``vals``.
+
+    lambda_max lies in [lam_lo, lam_hi] = vals[-1] -/+ s, s = eig_slack(max
+    |vals|).  A unit vector with Rayleigh quotient at least ``target`` lies
+    within eps of the span of the eigenvectors above lam_lo (1 - delta),
+    eps^2 <= (lambda_max - target) / (lambda_max - lam_lo (1 - delta)),
+    taken at the worse end of the interval; alpha is the fraction of
+    eigenvalues above that threshold, less s.  Meaningful when lam_lo > 0.
+    """
+    lam1 = float(vals[-1])
+    slack = eig_slack(float(np.max(np.abs(vals))))
+    lam_lo, lam_hi = lam1 - slack, lam1 + slack
+    threshold = lam_lo * (1.0 - delta)
+    eps_sq = 0.0
+    for lam in (lam_lo, lam_hi):
+        if lam > threshold:
+            eps_sq = max(eps_sq, (lam - target) / (lam - threshold))
+    alpha = float(np.count_nonzero(vals >= threshold - slack)) / len(vals)
+    return _MeasuredWindow(lam1, lam_lo, lam_hi, math.sqrt(max(0.0, eps_sq)), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -115,15 +127,10 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
         raise ValueError("eta must lie in (0, 1)")
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    vals = symmetric_spectrum(G)
-    lam1 = float(vals[-1])
-    slack = eig_slack(float(np.max(np.abs(vals)))) if n else 0.0
-    lam_lo, lam_hi = lam1 - slack, lam1 + slack
-
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
-    eps_rule = math.sqrt(eta / delta)
-    signature = sha256_of(goe_json(G))
+    win = _measured_window(symmetric_spectrum(G), delta, target)
+    lam1 = win.lam1
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
         abs(lam1 / math.sqrt(n) - 2.0) < n ** -0.25,
@@ -132,46 +139,26 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
         "lambda_1": lam1,
         "target_rayleigh": target,
         "delta": delta,
-        "eps_asymptotic_rule": eps_rule,
+        "eps_asymptotic_rule": math.sqrt(eta / delta),
         "eta0_asymptotic_rule": (1.0 / (4.0 * math.sqrt(2.0))) ** (10.0 / 3.0),
     }
 
-    if lam_hi < target:
+    if win.lam_hi < target:
         # the spectral bound alone excludes every candidate
         transcript["spectral_exclusion"] = True
-        return CountCertificate(
-            kind="sk-count", n=n, log2_bound=0.0, eta=eta, fallback=False,
-            checks=(goe_check,), signature=signature, transcript=transcript,
+        log2_bound = 0.0
+    elif win.lam_lo <= 0:
+        log2_bound = float(n)
+    else:
+        eps_used = max(2.0 * win.eps, EPS_FLOOR)
+        transcript.update(
+            {"eps_measured": win.eps, "eps_used": eps_used, "alpha": win.alpha}
         )
-
-    if lam_lo <= 0:
-        return CountCertificate(
-            kind="sk-count", n=n, log2_bound=float(n), eta=eta, fallback=True,
-            checks=(goe_check,), signature=signature, transcript=transcript,
-        )
-
-    window_threshold = lam_lo * (1.0 - delta)
-    eps_sq = 0.0
-    for lam in (lam_lo, lam_hi):
-        if lam > window_threshold:
-            eps_sq = max(eps_sq, (lam - target) / (lam - window_threshold))
-    eps_measured = math.sqrt(max(0.0, eps_sq))
-    alpha = float(np.count_nonzero(vals >= window_threshold - slack)) / n
-    eps_used = max(2.0 * eps_measured, EPS_FLOOR)
-    transcript.update(
-        {"eps_measured": eps_measured, "eps_used": eps_used, "alpha": alpha}
-    )
-
-    if eps_used >= 0.25:
-        return CountCertificate(
-            kind="sk-count", n=n, log2_bound=float(n), eta=eta, fallback=True,
-            checks=(goe_check,), signature=signature, transcript=transcript,
-        )
-    log2_bound = subspace_count_bound(alpha, eps_used, n)
+        log2_bound = subspace_count_bound(win.alpha, eps_used, n) if eps_used < 0.25 else float(n)
     return CountCertificate(
         kind="sk-count", n=n, log2_bound=log2_bound, eta=eta,
-        fallback=log2_bound >= n, checks=(goe_check,), signature=signature,
-        transcript=transcript,
+        fallback=log2_bound >= n, checks=(goe_check,),
+        signature=sha256_of(goe_json(G)), transcript=transcript,
     )
 
 
@@ -207,28 +194,6 @@ class IndSetConstants:
             raise ValueError("C_y must be below sqrt(C_d)")
 
 
-@dataclass(frozen=True)
-class CenteredIndicator:
-    """The all-ones-orthogonal shift of a subset indicator, kept in exact
-    rational arithmetic: (1 - |S|/n) on S and -|S|/n off S."""
-
-    n: int
-    subset: frozenset[int]
-
-    def values(self) -> list[Fraction]:
-        s = Fraction(len(self.subset), self.n)
-        return [
-            (1 - s) if i in self.subset else -s for i in range(self.n)
-        ]
-
-    def inner_with_ones(self) -> Fraction:
-        return sum(self.values(), Fraction(0))
-
-    def norm_sq(self) -> Fraction:
-        s = len(self.subset)
-        return Fraction(s) * (1 - Fraction(s, self.n))
-
-
 def _require_regular(G: MultiGraph) -> int:
     if G.n < 1 or not G.is_regular() or G.degrees[0] < 1:
         raise ValueError("a d-regular graph with d >= 1 is required")
@@ -262,13 +227,15 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
         raise ValueError("certification requires d >= 3")
     n = G.n
     consts = IndSetConstants.for_degree(d)
-    signature = G.sha256()
+    delta = eta ** (2.0 / 5.0)
+    s_min = consts.threshold_size(eta, n)
+    # exact Rayleigh quotient of the centered indicator at the binding size
+    rayleigh = (d * s_min / n) / (1.0 - s_min / n)
 
     Abar, err = demeaned_adjacency(G)
     vals = symmetric_spectrum(np.negative(Abar, out=Abar), err)  # (d/n) J - A
-    lam1 = float(vals[-1])
-    slack = eig_slack(float(np.max(np.abs(vals))))
-    lam_lo, lam_hi = lam1 - slack, lam1 + slack
+    win = _measured_window(vals, delta, rayleigh)
+    lam1 = win.lam1
 
     friedman_gap = abs(lam1 - 2.0 * math.sqrt(d - 1.0))
     friedman_threshold = math.log(math.log(max(n, 3))) / math.log(max(n, 3))
@@ -277,8 +244,6 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
         friedman_gap < friedman_threshold,
     )
 
-    delta = eta ** (2.0 / 5.0)
-    s_min = consts.threshold_size(eta, n)
     transcript: dict = {
         "d": d,
         "r_d": consts.r_d,
@@ -290,59 +255,37 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
         "eps_asymptotic_rule": math.sqrt(2.0 * eta / delta),
     }
 
-    def fallback() -> CountCertificate:
-        return CountCertificate(
-            kind="indset-count", n=n, log2_bound=float(n), eta=eta, fallback=True,
-            checks=(friedman_check,), signature=signature, transcript=transcript,
-        )
-
-    if s_min < 1 or lam_lo <= 0:
-        return fallback()
-
-    # Hoffman fraction from the measured spectrum; regular graphs never
-    # have independent sets above n/2, so the cap at 1/2 is free.
-    c_lam = min(lam_hi / (d + lam_hi), 0.5)
-    transcript["hoffman_fraction"] = c_lam
-    if s_min > c_lam * n + 1e-9:
-        transcript["hoffman_exclusion"] = True
-        return CountCertificate(
-            kind="indset-count", n=n, log2_bound=0.0, eta=eta, fallback=False,
-            checks=(friedman_check,), signature=signature, transcript=transcript,
-        )
-
-    # exact Rayleigh quotient of the centered indicator at the binding size
-    rayleigh = (d * s_min / n) / (1.0 - s_min / n)
-    window_threshold = lam_lo * (1.0 - delta)
-    eps_sq = 0.0
-    for lam in (lam_lo, lam_hi):
-        if lam > window_threshold:
-            eps_sq = max(eps_sq, (lam - rayleigh) / (lam - window_threshold))
-    eps_measured = math.sqrt(max(0.0, eps_sq))
-    alpha = float(np.count_nonzero(vals >= window_threshold - slack)) / n
-
-    c_y_meas = math.sqrt(c_lam * (1.0 - c_lam))
-    eps_net = max(eps_measured, EPS_FLOOR)
-    eps_prime = 2.0 * eps_net * c_y_meas
-    transcript.update(
-        {
-            "alpha": alpha,
-            "eps_measured": eps_measured,
-            "eps_net": eps_net,
-            "eps_prime": eps_prime,
-            "c_y_measured": c_y_meas,
-        }
-    )
-
-    if eps_prime >= 1.0 / (4.0 * math.sqrt(2.0)):
-        return fallback()
-    log2_bound = min(
-        float(n),
-        (32.0 * eps_prime**2 * math.log2(1.0 / eps_prime)
-         + alpha * math.log2(3.0 / eps_net)) * n,
-    )
+    log2_bound = float(n)
+    if s_min >= 1 and win.lam_lo > 0:
+        # Hoffman fraction from the measured spectrum; regular graphs never
+        # have independent sets above n/2, so the cap at 1/2 is free.
+        c_lam = min(win.lam_hi / (d + win.lam_hi), 0.5)
+        transcript["hoffman_fraction"] = c_lam
+        if s_min > c_lam * n + 1e-9:
+            transcript["hoffman_exclusion"] = True
+            log2_bound = 0.0
+        else:
+            c_y_meas = math.sqrt(c_lam * (1.0 - c_lam))
+            eps_net = max(win.eps, EPS_FLOOR)
+            eps_prime = 2.0 * eps_net * c_y_meas
+            transcript.update(
+                {
+                    "alpha": win.alpha,
+                    "eps_measured": win.eps,
+                    "eps_net": eps_net,
+                    "eps_prime": eps_prime,
+                    "c_y_measured": c_y_meas,
+                }
+            )
+            if eps_prime < 1.0 / (4.0 * math.sqrt(2.0)):
+                log2_bound = min(
+                    float(n),
+                    (32.0 * eps_prime**2 * math.log2(1.0 / eps_prime)
+                     + win.alpha * math.log2(3.0 / eps_net)) * n,
+                )
     return CountCertificate(
         kind="indset-count", n=n, log2_bound=log2_bound, eta=eta,
-        fallback=log2_bound >= n, checks=(friedman_check,), signature=signature,
+        fallback=log2_bound >= n, checks=(friedman_check,), signature=G.sha256(),
         transcript=transcript,
     )
 

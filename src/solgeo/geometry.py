@@ -10,7 +10,7 @@ with two vertices inside (T2) or all three inside (T3) the larger side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .certificates import BalanceCertificate, CheckRecord, ClusterCertificate
@@ -24,7 +24,6 @@ from .instances import (
     csp_to_ksat,
     primal_graph,
     split_by_sign,
-    truncated_xor,
     violation_budget,
 )
 from .refuter import PolynomialBound, SparsePolynomial, kxor_principle, refute_polynomial
@@ -87,18 +86,11 @@ def hyperedge_split_bounds(
     """
     if not (0.0 <= gamma <= 0.5 + 1e-12):
         raise ValueError("gamma must lie in [0, 1/2]")
-    n = H.n
-    s = (0.5 + gamma) * n
-    comp = n - s
-    d = report.d_avg
-    nu = (report.demeaned_norm or 0.0) + eig_slack(report.demeaned_norm or 0.0)
-
-    cross_mean = d / n * s * comp
-    cross_rad = nu * math.sqrt(max(s * comp, 0.0))
-    e_cross_lb = cross_mean - cross_rad
-    e_cross_ub = cross_mean + cross_rad
-    e_comp_comp_ub = d / n * comp * comp + nu * comp
-    e_in_s_lb = d / n * s * s - nu * s
+    s = (0.5 + gamma) * H.n
+    comp = max(H.n - s, 0.0)  # gamma may pass 1/2 by the rounding allowed above
+    e_cross_lb, e_cross_ub = mixing_interval(report, s, comp)
+    e_comp_comp_ub = mixing_interval(report, comp, comp)[1]
+    e_in_s_lb = mixing_interval(report, s, s)[0]
 
     lb2 = max(0.0, 0.5 * e_cross_lb - 0.5 * e_comp_comp_ub)
     lb3 = max(0.0, (e_in_s_lb - e_cross_ub) / 6.0)
@@ -252,18 +244,7 @@ def certify_clusters_3csp(
     else:
         cert = certify_clusters_3xor(H, principle.eta_x, c0)
         transcript.update(cert.transcript)
-    return ClusterCertificate(
-        n=I.n,
-        eta=eta,
-        theta=cert.theta,
-        log2_cluster_bound=cert.log2_cluster_bound,
-        gap_interval=cert.gap_interval,
-        primal_report=cert.primal_report,
-        fallback=cert.fallback,
-        checks=cert.checks,
-        signature=I.sha256(),
-        transcript=transcript,
-    )
+    return replace(cert, eta=eta, signature=I.sha256(), transcript=transcript)
 
 
 # ---------------------------------------------------------------------------
@@ -363,27 +344,6 @@ def _positive_fraction(
     bound = refute_polynomial(SparsePolynomial(len(remap), k - 2, terms))
     eps = min(0.5, bound.value / (2.0 * len(truncated)))
     return InducedPositiveFraction(eps, len(truncated), bound)
-
-
-def certify_induced_positive_fraction(
-    I: XorInstance, S: list[int]
-) -> InducedPositiveFraction:
-    """Bound, uniformly over assignments sigma to S, the positive-clause
-    excess of the induced 2XOR instance.
-
-    The signed sum over induced clauses equals the truncated instance's
-    polynomial sum_U w_U sigma^U, whose maximum is certified by the
-    polynomial refuter; dividing by the clause count and halving turns the
-    excess into the positivity margin eps.
-    """
-    if I.k < 4:
-        raise ValueError("induced positivity requires k >= 4")
-    if not S:
-        raise ValueError("S must be nonempty")
-    trunc = truncated_xor(I, S, I.k - 2)
-    if trunc.m == 0:
-        raise ValueError("truncated instance is empty")
-    return _positive_fraction(S, I.k, trunc.clauses)
 
 
 def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:
@@ -497,12 +457,7 @@ def certify_balance_kcsp(
             "eta_asymptotic_rule": rho**I.k / 2.0,
         }
     )
-    return BalanceCertificate(
-        n=I.n,
-        rho=inner.rho,
-        eta=eta_p * (1.0 - 1e-9),
-        violated_fraction_bound=eta_p,
-        checks=inner.checks,
-        signature=I.sha256(),
-        transcript=transcript,
+    return replace(
+        inner, eta=eta_p * (1.0 - 1e-9), violated_fraction_bound=eta_p,
+        signature=I.sha256(), transcript=transcript,
     )

@@ -22,9 +22,9 @@ Consumers and the direction each one consumes:
   is an upper bound: |A - (2m/n^2) J| < nu + eig_slack(nu), proved from
   both sides.  Used by ``mixing_interval`` and the cluster and balance
   certificates.
-* ``symmetric_spectrum`` / ``symmetric_eigenpairs`` prove
-  lambda_max < vals[-1] + s and lambda_min > vals[0] - s with
-  s = eig_slack(max |vals|).  The SK and independent-set counts and
+* ``symmetric_spectrum`` proves lambda_max < vals[-1] + s and
+  lambda_min > vals[0] - s with s = eig_slack(max |vals|).  The SK and
+  independent-set counts (through ``eigencount._measured_window``) and
   ``eigenspace_window`` consume the first as an upper bound on the top
   eigenvalue; ``hoffman_bound`` consumes the second.
 * ``refuter``'s quadratic-norm branch proves its norm with ``prove_norm_below``.
@@ -36,7 +36,7 @@ Not proved:
 * ``lam_lo`` = vals[-1] - s in the SK and independent-set counts only
   places the window threshold, which the counting argument allows
   anywhere, so no lower bound on lambda_max is consumed;
-* interior eigenvalues and the eigenvectors of ``symmetric_eigenpairs``;
+* interior eigenvalues; no routine here computes an eigenvector;
 * the SVD branch of the refuter's flattening bound.
 """
 
@@ -300,7 +300,7 @@ def edge_expansion_lower_bound(report: SpectralReport, s: int) -> float:
     return 0.5 * lam2 * report.d_min * s
 
 
-def mixing_interval(report: SpectralReport, s: int, t: int) -> tuple[float, float]:
+def mixing_interval(report: SpectralReport, s: float, t: float) -> tuple[float, float]:
     """Certified interval for e(S, T) over all |S| = s, |T| = t, from the
     expander mixing lemma with the measured de-meaned norm."""
     if report.demeaned_norm is None:
@@ -337,12 +337,6 @@ def _symmetric_copy(M: np.ndarray, err: float) -> tuple[np.ndarray, float]:
     return M, err + asym
 
 
-def _prove_extremes(B: np.ndarray, vals: np.ndarray, err: float) -> None:
-    s = eig_slack(float(np.max(np.abs(vals))))
-    _prove_max_below(B, vals[-1] + s, err)
-    _prove_min_above(B, vals[0] - s, err)
-
-
 def symmetric_spectrum(M: np.ndarray, err: float = 0.0) -> np.ndarray:
     """All eigenvalues of a symmetric matrix, ascending, with the extremes
     proved: lambda_max < vals[-1] + s and lambda_min > vals[0] - s,
@@ -350,14 +344,7 @@ def symmetric_spectrum(M: np.ndarray, err: float = 0.0) -> np.ndarray:
     (spectral norm) of M's symmetric part."""
     B, err = _symmetric_copy(M, err)
     vals = np.linalg.eigvalsh(B)
-    _prove_extremes(B, vals, err)
+    s = eig_slack(float(np.max(np.abs(vals))))
+    _prove_max_below(B, vals[-1] + s, err)
+    _prove_min_above(B, vals[0] - s, err)
     return vals
-
-
-def symmetric_eigenpairs(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending, extremes proved as in ``symmetric_spectrum``)
-    and orthonormal eigenvectors, as columns, from one ``eigh``."""
-    B, err = _symmetric_copy(M, 0.0)
-    vals, vecs = np.linalg.eigh(B)
-    _prove_extremes(B, vals, err)
-    return vals, vecs

@@ -6,10 +6,7 @@ import pytest
 
 from conftest import petersen_graph
 from solgeo.eigencount import (
-    CenteredIndicator,
-    EigenspaceWindow,
     IndSetConstants,
-    boolean_in_ball_bound,
     certify_count_indsets,
     certify_count_sk,
     eigenspace_window,
@@ -64,28 +61,6 @@ def test_subspace_count_bound_vs_brute(eps):
         assert math.log2(max(res.exact_value, 1)) <= bound + 1e-9
 
 
-def test_boolean_in_ball_edges():
-    assert boolean_in_ball_bound(1e-9, 16) == pytest.approx(0.0, abs=1e-6)
-    near_max = boolean_in_ball_bound(1 / math.sqrt(2) - 1e-9, 16)
-    assert near_max == pytest.approx(16.0, abs=1e-4)
-    with pytest.raises(ValueError):
-        boolean_in_ball_bound(0.9, 16)
-
-
-def test_boolean_in_ball_vs_brute():
-    n = 10
-    rng = np.random.default_rng(2)
-    for trial in range(5):
-        center = rng.normal(size=n)
-        center /= np.linalg.norm(center)
-        eps = 0.5
-        idx = np.arange(1 << n, dtype=np.uint32)
-        bits = np.stack([((idx >> v) & 1) for v in range(n)], axis=1)
-        Y = (1.0 - 2.0 * bits) / math.sqrt(n)
-        inside = int((np.linalg.norm(Y - center, axis=1) <= eps).sum())
-        assert math.log2(max(inside, 1)) <= boolean_in_ball_bound(eps, n) + 1e-9
-
-
 def test_eigenspace_window_identity():
     win = eigenspace_window(np.eye(12), 0.5, "top")
     assert win.alpha == 1.0
@@ -97,25 +72,6 @@ def test_eigenspace_window_bottom_negates():
     win = eigenspace_window(M, 0.1, "bottom")
     assert win.lambda_top == pytest.approx(5.0)
     assert win.count == 1
-
-
-def test_eigenspace_window_basis_orthonormal():
-    G = sample_goe(40, seed=1)
-    win = eigenspace_window(G, 0.4, "top", with_basis=True)
-    Q = win.basis
-    assert Q.shape[1] == win.count
-    assert np.allclose(Q.T @ Q, np.eye(win.count), atol=1e-8)
-
-
-def test_eigenspace_window_basis_one_eigh(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        real = getattr(np.linalg, name)
-        monkeypatch.setattr(
-            np.linalg, name, lambda M, _f=real, _n=name: calls.append(_n) or _f(M)
-        )
-    eigenspace_window(sample_goe(30, seed=2), 0.4, "top", with_basis=True)
-    assert calls == ["eigh"]
 
 
 def test_sk_signature_hashes_the_matrix_as_before():
@@ -239,9 +195,12 @@ def test_centered_indicator_exact_identities():
     pet = petersen_graph()
     subset = frozenset({0, 2, 8, 9})  # an independent set of the Petersen graph
     assert not any(u in subset and v in subset for u, v in pet.edges)
-    y = CenteredIndicator(n, subset)
-    assert y.inner_with_ones() == 0
-    assert y.norm_sq() == Fraction(4) * (1 - Fraction(4, 10))
+    # the centered indicator: 1 - |S|/n on S, -|S|/n off S
+    s = Fraction(len(subset), n)
+    yv = [(1 - s) if i in subset else -s for i in range(n)]
+    norm_sq = sum(v * v for v in yv)
+    assert sum(yv) == 0
+    assert norm_sq == Fraction(4) * (1 - Fraction(4, 10))
     # quadratic identity behind the Hoffman bound, in exact rationals
     d = 3
     A = [[Fraction(0)] * n for _ in range(n)]
@@ -254,9 +213,10 @@ def test_centered_indicator_exact_identities():
     ones_form = sum(
         minus_abar[i][j] for i in subset for j in subset
     )
-    yv = y.values()
     y_form = sum(minus_abar[i][j] * yv[i] * yv[j] for i in range(n) for j in range(n))
     assert ones_form == y_form == Fraction(d, n) * len(subset) ** 2
+    # the Rayleigh quotient certify_count_indsets uses at the binding size
+    assert y_form / norm_sq == (d * s) / (1 - s)
 
 
 def test_indsets_hoffman_exclusion_gives_zero_bits():

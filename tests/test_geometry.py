@@ -5,25 +5,25 @@ import numpy as np
 import pytest
 
 from solgeo.geometry import (
+    _positive_fraction,
     balanced_code_bound,
     certify_balance_3csp,
     certify_balance_kcsp,
     certify_balance_kxor,
     certify_clusters_3csp,
     certify_clusters_3xor,
-    certify_induced_positive_fraction,
     certify_primal_expansion,
     hyperedge_split_bounds,
     refute_biased_2xor_family,
 )
 from solgeo.instances import (
     MultiGraph,
-    Predicate,
     UnsignedHypergraph,
     XorInstance,
     ksat_fourier,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
+    truncated_xor,
     violation_budget,
 )
 from solgeo.oracle import (
@@ -250,14 +250,14 @@ def test_clusters_3csp_sound_small(seed):
 def test_induced_positive_fraction_tight_when_all_positive():
     clauses = tuple((1, (0, 1, 4, 5)) for _ in range(6))
     I = XorInstance(4, 6, clauses)
-    res = certify_induced_positive_fraction(I, [0, 1])
+    res = _positive_fraction([0, 1], 4, truncated_xor(I, [0, 1], 2).clauses)
     assert res.eps == pytest.approx(0.5)
 
 
 def test_induced_positive_fraction_cancellation():
     clauses = ((1, (0, 1, 4, 5)), (-1, (0, 1, 4, 5)))
     I = XorInstance(4, 6, clauses)
-    res = certify_induced_positive_fraction(I, [0, 1])
+    res = _positive_fraction([0, 1], 4, truncated_xor(I, [0, 1], 2).clauses)
     assert res.eps == pytest.approx(0.0, abs=1e-12)
 
 
@@ -271,7 +271,7 @@ def test_induced_positive_fraction_exhaustive_sigma():
         clauses.append((int(rng.choice([-1, 1])), (int(a), int(b), int(u), int(v))))
     I = XorInstance(4, n, tuple(clauses))
     S = list(range(s))
-    res = certify_induced_positive_fraction(I, S)
+    res = _positive_fraction(S, 4, truncated_xor(I, S, 2).clauses)
     from solgeo.instances import induced_xor
 
     for bits in itertools.product([-1, 1], repeat=s):

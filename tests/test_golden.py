@@ -8,7 +8,9 @@ and says so.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 
 from solgeo.counting import (
@@ -36,7 +38,7 @@ from solgeo.instances import (
 )
 from solgeo.jsonio import canonical_json
 
-from conftest import planted_3sat, sign_cube_k4, synthetic_balanced_k4
+from conftest import petersen_graph, planted_3sat, sign_cube_k4, synthetic_balanced_k4
 
 
 def _kxor(seed):
@@ -46,6 +48,14 @@ def _kxor(seed):
 def _2xor():
     H = sample_unsigned_hypergraph(2, 200, int(200**1.4), seed=1)
     return certify_count_2xor(MultiGraph.build(200, H.edges), 0.0)
+
+
+def _sk_one_spike(n=64, eta=0.1):
+    # one eigenvalue just above the target Rayleigh quotient: a one-dimensional
+    # window and a nontrivial count
+    M = np.zeros((n, n))
+    M[0, 0] = 1.001 * 2.0 * (1.0 - eta) * math.sqrt(n)
+    return certify_count_sk(M, eta)
 
 
 CASES = {
@@ -67,6 +77,17 @@ CASES = {
     "balance-kcsp": lambda: certify_balance_kcsp(sign_cube_k4(), ksat_fourier(4), rho=0.5),
     "sk-count": lambda: certify_count_sk(sample_goe(60, seed=1), 0.1),
     "indset-count": lambda: certify_count_indsets(sample_regular_graph(26, 3, seed=1), 0.2),
+    # one case per exit of the SK and independent-set certifiers
+    "sk-count-exclusion": lambda: certify_count_sk(sample_goe(18, seed=1), 0.1),
+    "sk-count-lambda-nonpositive": lambda: certify_count_sk(np.zeros((4, 4)), 1.0 - 1e-9),
+    "sk-count-nontrivial": _sk_one_spike,
+    "indset-count-hoffman-exclusion": lambda: certify_count_indsets(
+        sample_regular_graph(200, 3, seed=1), 0.01),
+    "indset-count-empty-threshold": lambda: certify_count_indsets(
+        sample_regular_graph(26, 3, seed=1), 1.0 - 1e-12),
+    "indset-count-petersen": lambda: certify_count_indsets(petersen_graph(), 0.2),
+    "indset-count-nontrivial": lambda: certify_count_indsets(
+        sample_regular_graph(400, 3, seed=2), 0.01),
 }
 
 GOLDEN = {
@@ -82,7 +103,14 @@ GOLDEN = {
     "count-kxor-seed3": "917af7478121b261779c5aa768ce0eeded1097c7029a16eac43fb57201da04fd",
     "count-kxor-seed5": "ff917134fda589b374e31f23dd38333db4705a2ad634cc81beeb9002bc115317",
     "indset-count": "0adede11263c4795f1e5b92addc4bc8c97fdeaa75a375eaf234d21f1fbb8056f",
+    "indset-count-empty-threshold": "9c0f408be32d4bfcadcd5171e808b2822744f7425132c83051258ec23b027b50",
+    "indset-count-hoffman-exclusion": "69c385641eb926cdadffcb96287738069fbc0b3a40f1b5be3043aff04e6b906a",
+    "indset-count-nontrivial": "ed23454c42b6cc0b578f75fdfa3fa351764ef7a245d2e78bc26265877f81b520",
+    "indset-count-petersen": "1163a11d180d70e288fa9edffdd40bb074fca81e5df40c2a0b5ea5a8f5451b47",
     "sk-count": "f11a93e2dd56f8efd512c35c4e38a0e3c6ce9f95017758c257a9d260d62ea175",
+    "sk-count-exclusion": "7c1b54fafe6ef55b7129e3234c2be00e385212786285ae98aa408e62c2551c38",
+    "sk-count-lambda-nonpositive": "2d2f0b230a89b855afe3471ea2ba2974d8c1c569d8a7916850b440d5c337e91c",
+    "sk-count-nontrivial": "e6f60107c9312b489f80d7b9ed8f925e8998b6f387edfbc1041f1680f6f32c25",
 }
 
 

@@ -1,0 +1,63 @@
+"""Every name a module of the package imports is used in that module.
+
+Parsed with ``ast`` only, so the package is not imported.  A name counts
+as used when it is read anywhere in the module, including annotations
+written as strings, or when the module lists it in its own ``__all__``
+(a re-export).
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "solgeo"
+
+
+def _imported(tree: ast.Module) -> dict[str, int]:
+    """Each name bound by an import statement, with its line."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _annotations(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            yield node.annotation
+
+
+def _used(tree: ast.Module) -> set[str]:
+    roots = [tree]
+    for ann in _annotations(tree):
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            roots.append(ast.parse(ann.value, mode="eval"))
+    used = {
+        node.id
+        for root in roots
+        for node in ast.walk(root)
+        if isinstance(node, ast.Name)
+    }
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = _used(tree)
+    unused = sorted(
+        f"{name} (line {line})" for name, line in _imported(tree).items() if name not in used
+    )
+    assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
