@@ -34,7 +34,6 @@ from .instances import (
     density_table,
     evaluate,
     induced_xor,
-    ksat_fourier,
     primal_graph,
     sample_goe,
     sample_regular_graph,
@@ -66,7 +65,6 @@ __all__ = [
     "density_table",
     "evaluate",
     "induced_xor",
-    "ksat_fourier",
     "primal_graph",
     "sample_goe",
     "sample_regular_graph",

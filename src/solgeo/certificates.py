@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 TOOL_VERSION = "0.4.0"
 
@@ -42,7 +42,7 @@ def _encode(value, hint):
 
 
 def _decode(value, hint):
-    if get_args(hint):
+    if get_origin(hint) is tuple:
         return tuple(_decode(v, h) for v, h in zip(value, _item_hints(hint, len(value))))
     if isinstance(hint, type) and issubclass(hint, JsonRecord):
         return hint.from_json_dict(value)

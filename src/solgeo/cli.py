@@ -24,12 +24,13 @@ import numpy as np
 from . import counting, eigencount, geometry, oracle
 from .certificates import certificate_from_json
 from .instances import (
+    FILE_KINDS,
     MultiGraph,
     Predicate,
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    goe_json,
+    instance_doc,
     load_instance,
     sample_goe,
     sample_regular_graph,
@@ -156,8 +157,7 @@ KINDS = {
 _ORACLE_KINDS = {row.oracle_name or name: name for name, row in KINDS.items() if row.oracles}
 
 
-_FILE_KINDS = {SignedHypergraph: "csp", XorInstance: "xor", UnsignedHypergraph: "hypergraph",
-               MultiGraph: "graph", np.ndarray: "goe"}
+_FILE_KINDS = {t: kind or "graph" for kind, t in FILE_KINDS.items()}
 
 
 def _lookup(command: str, kind: str, table: dict, instance) -> Callable:
@@ -194,16 +194,8 @@ def _verdict(cert, result: oracle.OracleResult) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _load(path: str):
-    doc = read_json(path)
-    if isinstance(doc, dict) and doc.get("kind") == "goe":
-        return np.array(doc["matrix"], dtype=float)
-    return load_instance(doc)
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
-    obj = _GENERATORS[args.kind](args)
-    doc = goe_json(obj) if isinstance(obj, np.ndarray) else obj.to_json_dict()
+    doc = instance_doc(_GENERATORS[args.kind](args))
     doc["seed"] = args.seed
     write_json(args.out, doc)
     print(f"wrote {args.kind} instance to {args.out}")
@@ -211,7 +203,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(read_json(args.instance))
     doc = _certificate_doc(_certify(args.kind, instance, args), instance, args)
     write_json(args.out, doc)
     print(f"wrote {doc['kind']} certificate to {args.out}")
@@ -219,7 +211,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = _load(args.instance)
+    instance = load_instance(read_json(args.instance))
     oracles = KINDS[_ORACLE_KINDS[args.kind]].oracles
     res = _lookup("oracle", args.kind, oracles, instance)(instance, args)
     write_json(args.out, res.to_json_dict(timing=args.timing))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
-from .instances import MultiGraph, goe_json
+from .instances import MultiGraph, instance_doc
 from .jsonio import sha256_of
 from .spectral import demeaned_adjacency, eig_slack, symmetric_spectrum
 
@@ -158,7 +158,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     return CountCertificate(
         kind="sk-count", n=n, log2_bound=log2_bound, eta=eta,
         fallback=log2_bound >= n, checks=(goe_check,),
-        signature=sha256_of(goe_json(G)), transcript=transcript,
+        signature=sha256_of(instance_doc(G)), transcript=transcript,
     )
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from itertools import chain
+from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -55,16 +56,14 @@ def violation_budget(eta: float, m: int) -> int:
     return int(math.floor(eta * m + 1e-9))
 
 
-def _check_index_tuple(S: tuple[int, ...], n: int) -> None:
-    for v in S:
-        if not (0 <= v < n):
-            raise ValueError(f"variable index {v} out of range [0, {n})")
-
-
-def _check_signs(c: tuple[int, ...]) -> None:
-    for s in c:
-        if s not in (-1, 1):
-            raise ValueError(f"sign entries must be +-1, got {s}")
+def _require_ints(values: Iterable, what: str) -> None:
+    """Reject a decoded JSON field holding anything but integers.  Decoded
+    JSON holds only int, float, bool and str, and bool and float would
+    pass a range check."""
+    bad = set(map(type, values)) - {int}
+    if bad:
+        names = ", ".join(sorted(t.__name__ for t in bad))
+        raise ValueError(f"{what} must be JSON integers, not {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,38 +147,93 @@ class Predicate:
         return cls(k, tuple(table))
 
 
-def ksat_fourier(k: int) -> Predicate:
-    """The k-SAT predicate; constant coefficient 1 - 2^-k, all others -2^-k."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return Predicate.ksat(k)
-
-
 # ---------------------------------------------------------------------------
 # Instance types
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class SignedHypergraph:
-    """A k-uniform signed hypergraph: ordered clauses (c, S) with c a +-1
-    sign tuple and S a variable tuple, the carrier of a k-CSP instance."""
+class _KUniform:
+    """What the three k-uniform kinds share: k, n >= 1, one variable tuple
+    of length k in [0, n) per clause or edge, the file header and the
+    hash.  Each kind adds its payload check and its clause encoding."""
+
+    KIND: ClassVar[str]
+    BODY: ClassVar[str] = "clauses"
 
     k: int
     n: int
-    clauses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
+        k, n = self.k, self.n
+        if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
-        for c, S in self.clauses:
-            if len(c) != self.k or len(S) != self.k:
-                raise ValueError("clause arity mismatch")
-            _check_signs(c)
-            _check_index_tuple(S, self.n)
+        tuples = list(self._tuples(getattr(self, self.BODY)))
+        if set(map(len, tuples)) - {k}:
+            raise ValueError(f"{self.KIND} arity mismatch")
+        flat = list(chain.from_iterable(tuples))
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            v = next(v for v in flat if not 0 <= v < n)
+            raise ValueError(f"variable index {v} out of range [0, {n})")
+        self._check_payload()
+
+    @staticmethod
+    def _tuples(body: tuple) -> Iterable[tuple[int, ...]]:
+        return (S for _, S in body)
+
+    def _check_payload(self) -> None:
+        pass
 
     @property
     def m(self) -> int:
-        return len(self.clauses)
+        return len(getattr(self, self.BODY))
+
+    def hypergraph(self) -> "UnsignedHypergraph":
+        return UnsignedHypergraph(self.k, self.n, tuple(self._tuples(getattr(self, self.BODY))))
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.KIND, "k": self.k, "n": self.n, "index_base": 0,
+                self.BODY: self._encode()}
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        if d.get("kind") != cls.KIND:
+            raise ValueError(f"not a {cls.KIND} instance file")
+        k, n, base = d["k"], d["n"], d.get("index_base", 0)
+        _require_ints((k, n, base), "k, n and index_base")
+        if base != 0:
+            raise ValueError(f"variable indices must be 0-based, not index_base {base}")
+        body = cls._decode(d[cls.BODY])
+        _require_ints(chain.from_iterable(cls._tuples(body)), "vars")
+        return cls(k, n, body)
+
+    def sha256(self) -> str:
+        return sha256_of(self.to_json_dict())
+
+
+@dataclass(frozen=True)
+class SignedHypergraph(_KUniform):
+    """A k-uniform signed hypergraph: ordered clauses (c, S) with c a +-1
+    sign tuple and S a variable tuple, the carrier of a k-CSP instance."""
+
+    KIND = "csp"
+    clauses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+    def _check_payload(self) -> None:
+        for c, _ in self.clauses:
+            if len(c) != self.k:
+                raise ValueError("csp arity mismatch")
+            for s in c:
+                if s not in (-1, 1):
+                    raise ValueError(f"sign entries must be +-1, got {s}")
+
+    def _encode(self) -> list:
+        return [{"vars": list(S), "signs": list(c)} for c, S in self.clauses]
+
+    @staticmethod
+    def _decode(body: list) -> tuple:
+        clauses = tuple((tuple(cl["signs"]), tuple(cl["vars"])) for cl in body)
+        _require_ints(chain.from_iterable(c for c, _ in clauses), "signs")
+        return clauses
 
     def to_xor(self) -> "XorInstance":
         """Collapse each sign tuple to its product, yielding an XOR instance."""
@@ -189,55 +243,27 @@ class SignedHypergraph:
             tuple((int(np.prod(c)), S) for c, S in self.clauses),
         )
 
-    def hypergraph(self) -> "UnsignedHypergraph":
-        return UnsignedHypergraph(self.k, self.n, tuple(S for _, S in self.clauses))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "csp",
-            "k": self.k,
-            "n": self.n,
-            "index_base": 0,
-            "clauses": [{"vars": list(S), "signs": list(c)} for c, S in self.clauses],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SignedHypergraph":
-        if d.get("kind") != "csp":
-            raise ValueError("not a csp instance file")
-        clauses = tuple(
-            (tuple(cl["signs"]), tuple(cl["vars"])) for cl in d["clauses"]
-        )
-        return cls(d["k"], d["n"], clauses)
-
-    def sha256(self) -> str:
-        return sha256_of(self.to_json_dict())
-
 
 @dataclass(frozen=True)
-class XorInstance:
+class XorInstance(_KUniform):
     """A kXOR instance: clauses (b, S) demanding prod(x[S]) == b."""
 
-    k: int
-    n: int
+    KIND = "xor"
     clauses: tuple[tuple[int, tuple[int, ...]], ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
-        for b, S in self.clauses:
+    def _check_payload(self) -> None:
+        for b, _ in self.clauses:
             if b not in (-1, 1):
                 raise ValueError("rhs must be +-1")
-            if len(S) != self.k:
-                raise ValueError("clause arity mismatch")
-            _check_index_tuple(S, self.n)
 
-    @property
-    def m(self) -> int:
-        return len(self.clauses)
+    def _encode(self) -> list:
+        return [{"vars": list(S), "rhs": b} for b, S in self.clauses]
 
-    def hypergraph(self) -> "UnsignedHypergraph":
-        return UnsignedHypergraph(self.k, self.n, tuple(S for _, S in self.clauses))
+    @staticmethod
+    def _decode(body: list) -> tuple:
+        clauses = tuple((cl["rhs"], tuple(cl["vars"])) for cl in body)
+        _require_ints([b for b, _ in clauses], "rhs")
+        return clauses
 
     def to_signed(self) -> SignedHypergraph:
         """Embed as a signed hypergraph with the rhs on the first literal."""
@@ -247,45 +273,25 @@ class XorInstance:
             tuple(((b,) + (1,) * (self.k - 1), S) for b, S in self.clauses),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "xor",
-            "k": self.k,
-            "n": self.n,
-            "index_base": 0,
-            "clauses": [{"vars": list(S), "rhs": b} for b, S in self.clauses],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "XorInstance":
-        if d.get("kind") != "xor":
-            raise ValueError("not an xor instance file")
-        clauses = tuple((cl["rhs"], tuple(cl["vars"])) for cl in d["clauses"])
-        return cls(d["k"], d["n"], clauses)
-
-    def sha256(self) -> str:
-        return sha256_of(self.to_json_dict())
-
 
 @dataclass(frozen=True)
-class UnsignedHypergraph:
+class UnsignedHypergraph(_KUniform):
     """A k-uniform hypergraph as an ordered list of variable tuples."""
 
-    k: int
-    n: int
+    KIND = "hypergraph"
+    BODY = "edges"
     edges: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.n < 1:
-            raise ValueError("k and n must be positive")
-        for S in self.edges:
-            if len(S) != self.k:
-                raise ValueError("hyperedge arity mismatch")
-            _check_index_tuple(S, self.n)
+    @staticmethod
+    def _tuples(body: tuple) -> Iterable[tuple[int, ...]]:
+        return body
 
-    @property
-    def m(self) -> int:
-        return len(self.edges)
+    def _encode(self) -> list:
+        return [list(S) for S in self.edges]
+
+    @staticmethod
+    def _decode(body: list) -> tuple:
+        return tuple(tuple(e) for e in body)
 
     def without_repeats(self) -> "UnsignedHypergraph":
         """Drop hyperedges containing a repeated vertex."""
@@ -294,76 +300,43 @@ class UnsignedHypergraph:
 
     def dedup(self) -> "UnsignedHypergraph":
         """Keep the first occurrence of each tuple."""
-        seen: set[tuple[int, ...]] = set()
-        kept = []
-        for S in self.edges:
-            if S not in seen:
-                seen.add(S)
-                kept.append(S)
-        return UnsignedHypergraph(self.k, self.n, tuple(kept))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": "hypergraph",
-            "k": self.k,
-            "n": self.n,
-            "index_base": 0,
-            "edges": [list(S) for S in self.edges],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "UnsignedHypergraph":
-        if d.get("kind") != "hypergraph":
-            raise ValueError("not a hypergraph file")
-        return cls(d["k"], d["n"], tuple(tuple(e) for e in d["edges"]))
-
-    def sha256(self) -> str:
-        return sha256_of(self.to_json_dict())
+        return UnsignedHypergraph(self.k, self.n, tuple(dict.fromkeys(self.edges)))
 
 
 @dataclass(frozen=True)
 class MultiGraph:
     """An undirected multigraph without self-loops; parallel edges kept.
 
-    ``edges`` stores normalized (u <= v) pairs in construction order and
-    ``degrees`` caches per-vertex degrees, validated on construction.
+    ``edges`` holds pairs u < v in construction order; ``degrees`` is
+    derived from them on construction.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...]
+    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
+        n = self.n
+        if n < 1:
             raise ValueError("n must be positive")
-        deg = [0] * self.n
+        deg = [0] * n
         for u, v in self.edges:
-            if u == v:
-                raise ValueError("self-loops must be removed before construction")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError("edge endpoint out of range")
-            if u > v:
-                raise ValueError("edges must be normalized u <= v")
+            if not 0 <= u < v < n:
+                raise ValueError(f"edge ({u}, {v}) is not a loop-free pair 0 <= u < v < {n}")
             deg[u] += 1
             deg[v] += 1
-        if tuple(deg) != self.degrees:
-            raise ValueError("degree cache does not match edge list")
+        object.__setattr__(self, "degrees", tuple(deg))
 
     @classmethod
     def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "MultiGraph":
-        """Cleaning constructor: drops self-loops, normalizes orientation."""
+        """Cleaning constructor: drops self-loops, orients each edge u < v."""
         norm = []
-        deg = [0] * n
         for u, v in edges:
-            u, v = int(u), int(v)
-            if u == v:
-                continue
-            if u > v:
-                u, v = v, u
-            norm.append((u, v))
-            deg[u] += 1
-            deg[v] += 1
-        return cls(n, tuple(norm), tuple(deg))
+            if u < v:
+                norm.append((u, v))
+            elif v < u:
+                norm.append((v, u))
+        return cls(n, tuple(norm))
 
     @property
     def m(self) -> int:
@@ -371,13 +344,7 @@ class MultiGraph:
 
     def simple(self) -> "MultiGraph":
         """Collapse parallel edges (first occurrence kept)."""
-        seen: set[tuple[int, int]] = set()
-        kept = []
-        for e in self.edges:
-            if e not in seen:
-                seen.add(e)
-                kept.append(e)
-        return MultiGraph.build(self.n, kept)
+        return MultiGraph(self.n, tuple(dict.fromkeys(self.edges)))
 
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix with parallel-edge multiplicities."""
@@ -398,7 +365,12 @@ class MultiGraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiGraph":
-        return cls.build(d["n"], [tuple(e) for e in d["edges"]])
+        if "kind" in d:
+            raise ValueError("not a graph file")
+        n, edges = d["n"], [tuple(e) for e in d["edges"]]
+        _require_ints((n,), "n")
+        _require_ints(chain.from_iterable(edges), "edge endpoints")
+        return cls.build(n, edges)
 
     def sha256(self) -> str:
         return sha256_of(self.to_json_dict())
@@ -436,32 +408,40 @@ def _sample_distinct_indices(rng: np.random.Generator, count: int, space: int) -
     return order
 
 
-def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergraph:
-    """Include each of the 2^k * n^k potential (c, S) pairs independently
-    with probability m / (2^k * n^k)."""
+def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> list:
+    """Include each of the (2^k if signed, else 1) * n^k index tuples
+    independently with probability m / that space; each drawn tuple as
+    (sign bits, variable tuple), in draw order."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
         raise ValueError(f"n must be >= k, got n={n}, k={k}")
     if m < 0:
         raise ValueError(f"m must be >= 0, got {m}")
-    space = (1 << k) * n**k
+    tuples = n**k
+    space = (1 << k if signed else 1) * tuples
     if space >= _MAX_INDEX_SPACE:
-        raise ValueError("2^k * n^k too large for exact index sampling")
+        raise ValueError(f"{'2^k * ' if signed else ''}n^k too large for exact index sampling")
     p = m / space
     if p > 1:
         raise ValueError("m exceeds the number of potential hyperedges")
     rng = np.random.default_rng(seed)
     count = int(rng.binomial(space, p)) if p > 0 else 0
-    clauses = []
-    for idx in _sample_distinct_indices(rng, count, space):
-        c_bits, s_idx = divmod(idx, n**k)
-        c = index_to_signs(c_bits, k)
-        S = []
-        for _ in range(k):
-            s_idx, digit = divmod(s_idx, n)
-            S.append(digit)
-        clauses.append((c, tuple(S)))
+    # exact in int64, since space < 2^62; digit i of the tuple index is S[i]
+    drawn = np.array(_sample_distinct_indices(rng, count, space), dtype=np.int64)
+    c_bits, s_idx = np.divmod(drawn, tuples)
+    digits = []
+    for _ in range(k):
+        s_idx, digit = np.divmod(s_idx, n)
+        digits.append(digit.tolist())
+    return list(zip(c_bits.tolist(), zip(*digits)))
+
+
+def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergraph:
+    """Include each of the 2^k * n^k potential (c, S) pairs independently
+    with probability m / (2^k * n^k)."""
+    signs = [index_to_signs(c_bits, k) for c_bits in range(1 << k)]
+    clauses = [(signs[c_bits], S) for c_bits, S in _sample_tuples(k, n, m, seed, True)]
     clauses.sort(key=lambda cs: (cs[1], cs[0]))
     return SignedHypergraph(k, n, tuple(clauses))
 
@@ -469,28 +449,7 @@ def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergr
 def sample_unsigned_hypergraph(k: int, n: int, m: int, seed: int) -> UnsignedHypergraph:
     """Include each of the n^k variable tuples independently with
     probability m / n^k."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    if n < k:
-        raise ValueError(f"n must be >= k, got n={n}, k={k}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    space = n**k
-    if space >= _MAX_INDEX_SPACE:
-        raise ValueError("n^k too large for exact index sampling")
-    p = m / space
-    if p > 1:
-        raise ValueError("m exceeds the number of potential hyperedges")
-    rng = np.random.default_rng(seed)
-    count = int(rng.binomial(space, p)) if p > 0 else 0
-    edges = []
-    for s_idx in _sample_distinct_indices(rng, count, space):
-        S = []
-        for _ in range(k):
-            s_idx, digit = divmod(s_idx, n)
-            S.append(digit)
-        edges.append(tuple(S))
-    edges.sort()
+    edges = sorted(S for _, S in _sample_tuples(k, n, m, seed, False))
     return UnsignedHypergraph(k, n, tuple(edges))
 
 
@@ -502,12 +461,6 @@ def sample_goe(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     W = rng.normal(size=(n, n))
     return (W + W.T) / math.sqrt(2.0)
-
-
-def goe_json(M: np.ndarray) -> dict:
-    """The JSON document of a matrix file; SK certificates and oracle
-    results bind the matrix by its hash."""
-    return {"kind": "goe", "n": int(M.shape[0]), "matrix": M.tolist()}
 
 
 def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) -> MultiGraph:
@@ -676,15 +629,43 @@ def split_by_sign(I: SignedHypergraph) -> tuple[SignedHypergraph, SignedHypergra
     )
 
 
+def _goe_from_json_dict(d: dict) -> np.ndarray:
+    n, rows = d["n"], d["matrix"]
+    _require_ints((n,), "n")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"matrix must be {n} x {n}")
+    if not set(map(type, chain.from_iterable(rows))) <= {int, float}:
+        raise ValueError("matrix entries must be JSON numbers")
+    M = np.array(rows, dtype=float)
+    if not np.isfinite(M).all():
+        raise ValueError("matrix entries must be finite")
+    return M
+
+
+def instance_doc(instance) -> dict:
+    """The file document of any instance, a matrix included.  Certificates
+    and oracle results bind an instance by its hash."""
+    if isinstance(instance, np.ndarray):
+        return {"kind": "goe", "n": int(instance.shape[0]), "matrix": instance.tolist()}
+    return instance.to_json_dict()
+
+
+# Every instance file kind by its document's "kind", with the type it
+# loads as.  A graph document is the one without a kind.
+FILE_KINDS = {"csp": SignedHypergraph, "xor": XorInstance, "hypergraph": UnsignedHypergraph,
+              "goe": np.ndarray, None: MultiGraph}
+
+
 def load_instance(d: dict):
-    """Dispatch a parsed instance JSON dict to the right type."""
-    kind = d.get("kind")
-    if kind == "csp":
-        return SignedHypergraph.from_json_dict(d)
-    if kind == "xor":
-        return XorInstance.from_json_dict(d)
-    if kind == "hypergraph":
-        return UnsignedHypergraph.from_json_dict(d)
-    if kind is None and "edges" in d and "n" in d:
-        return MultiGraph.from_json_dict(d)
-    raise ValueError(f"unrecognized instance kind {kind!r}")
+    """The instance a parsed instance document describes; ValueError for
+    a document of no known kind or a malformed one."""
+    try:
+        cls = FILE_KINDS[d.get("kind")]
+    except (KeyError, TypeError):
+        raise ValueError(f"unrecognized instance kind {d.get('kind')!r}") from None
+    try:
+        return _goe_from_json_dict(d) if cls is np.ndarray else cls.from_json_dict(d)
+    except KeyError as exc:
+        raise ValueError(f"instance file lacks the field {exc}") from None
+    except TypeError as exc:
+        raise ValueError(f"malformed instance file: {exc}") from None

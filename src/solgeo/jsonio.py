@@ -97,6 +97,10 @@ def write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
-def read_json(path: str) -> Any:
+def read_json(path: str) -> dict:
+    """The JSON object in a file; every file the package reads holds one."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} does not hold a JSON object")
+    return doc

@@ -22,7 +22,7 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    goe_json,
+    instance_doc,
     signs_to_index,
     violation_budget,
 )
@@ -303,7 +303,7 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
         count += int((vals >= threshold - 1e-9).sum())
     return OracleResult(
         "sk", {"opt": best, "count": count}, total, _elapsed_ms(t0),
-        sha256_of(goe_json(G)), {"eta": float(eta)},
+        sha256_of(instance_doc(G)), {"eta": float(eta)},
     )
 
 

@@ -47,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certificates import JsonRecord
 from .instances import MultiGraph
 
 # EIG_TOL scales the additive slack budgeted into every certified
@@ -75,7 +76,7 @@ def eig_slack(scale: float) -> float:
 
 
 @dataclass(frozen=True)
-class SpectralReport:
+class SpectralReport(JsonRecord):
     """Measured spectral evidence for a multigraph.
 
     ``lambda2`` is the second-smallest eigenvalue of the normalized
@@ -99,25 +100,6 @@ class SpectralReport:
             raise ValueError("normalized Laplacian eigenvalue out of [0, 2]")
         if self.demeaned_norm is not None and self.demeaned_norm < 0:
             raise ValueError("operator norm must be nonnegative")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "d_min": self.d_min,
-            "d_max": self.d_max,
-            "d_avg": self.d_avg,
-            "lambda2": self.lambda2,
-            "demeaned_norm": self.demeaned_norm,
-            "eig_tolerance": self.eig_tolerance,
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "SpectralReport":
-        return cls(
-            d["n"], d["m"], d["d_min"], d["d_max"], d["d_avg"],
-            d["lambda2"], d["demeaned_norm"], d["eig_tolerance"],
-        )
 
 
 def _check_dense(n: int) -> None:

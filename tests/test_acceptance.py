@@ -22,7 +22,6 @@ from solgeo.counting import (
     refute_from_count,
 )
 from solgeo.eigencount import (
-    IndSetConstants,
     certify_count_indsets,
     certify_count_sk,
     eigenspace_window,
@@ -40,10 +39,10 @@ from solgeo.geometry import (
 )
 from solgeo.instances import (
     MultiGraph,
+    Predicate,
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    ksat_fourier,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -55,7 +54,6 @@ from solgeo.oracle import (
     brute_subspace_count,
     gaussian_count,
     independence_number,
-    verify_certificate,
     violation_profile,
     xor_sign_table,
 )
@@ -119,7 +117,7 @@ def test_criterion_1_count_soundness_sweep():
                 REDUCTION_LOG["count"].append((xor_inst, ref, eta, int(counts[0])))
         I = sample_signed_hypergraph(3, n, delta * n, seed=seed + 50_000)
         if I.m > 0:
-            profile = violation_profile(I, ksat_fourier(3))
+            profile = violation_profile(I, Predicate.ksat(3))
             for eta in etas:
                 cert = certify_count_ksat(I, eta)
                 count = int((profile <= violation_budget(eta, I.m)).sum())
@@ -440,7 +438,7 @@ def planted_3sat(n, m, plus_count, seed):
 
 def test_criterion_7_balance_certificates():
     n = 14
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     emitted = 0
     violations = 0
     declined = 0

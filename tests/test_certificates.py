@@ -1,6 +1,8 @@
 """The certificate JSON codec, derived from the dataclass fields, checked
 against frozen output of the hand-written codecs it replaced."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from solgeo.certificates import (
     CheckRecord,
     ClusterCertificate,
     CountCertificate,
+    JsonRecord,
     RefutationCertificate,
     certificate_from_json,
 )
@@ -152,3 +155,16 @@ def test_decoder_defaults_and_required_keys():
         certificate_from_json(doc)
     with pytest.raises(ValueError, match="unrecognized"):
         certificate_from_json({"kind": "nope"})
+
+
+@dataclass(frozen=True)
+class _Optional(JsonRecord):
+    value: float | None
+    values: tuple[float, ...] = ()
+
+
+@pytest.mark.parametrize("value", [None, 0.25])
+def test_optional_field_round_trips(value):
+    record = _Optional(value, (0.5, 1.0))
+    assert record.to_json_dict() == {"value": value, "values": [0.5, 1.0]}
+    assert _Optional.from_json_dict(record.to_json_dict()) == record

@@ -287,3 +287,57 @@ def test_certify_rejects_asymmetric_goe(tmp_path, capsys):
     assert run("certify", "--kind", "sk", "--instance", str(inst),
                "--eta", "0.1", "--out", str(tmp_path / "c.json")) == 2
     assert "symmetric" in capsys.readouterr().err
+
+
+XOR = ["--kind", "xor", "-k", "3", "-n", "10", "-m", "40"]
+CSP = ["--kind", "csp", "-k", "3", "-n", "10", "-m", "40"]
+REGULAR = ["--kind", "regular", "-n", "10", "-d", "3"]
+# a generated file, the --kind that certify and oracle both take it under,
+# the path to one field, and the bad value written there
+MALFORMED = {
+    "var-string": (XOR, "count", ("clauses", 0, "vars", 2), "a"),
+    "var-float": (XOR, "count", ("clauses", 0, "vars", 2), 2.5),
+    "var-bool": (XOR, "count", ("clauses", 0, "vars", 2), True),
+    "rhs-bool": (XOR, "count", ("clauses", 0, "rhs"), True),
+    "sign-float": (CSP, "count", ("clauses", 0, "signs", 0), 1.0),
+    # int() once truncated it to the generated edge [0, v]
+    "edge-float": (REGULAR, "indset", ("edges", 0, 0), 0.7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_instance_is_usage_error(tmp_path, capsys, case):
+    gen_argv, kind, path, value = MALFORMED[case]
+    inst = gen(tmp_path, "i.json", *gen_argv, "--seed", "1")
+    doc = read_json(str(inst))
+    field = doc
+    for key in path[:-1]:
+        field = field[key]
+    field[path[-1]] = value
+    inst.write_text(json.dumps(doc))
+    for command in ("certify", "oracle"):
+        capsys.readouterr()
+        assert run(command, "--kind", kind, "--eta", "0.2", "--instance", str(inst),
+                   "--out", str(tmp_path / "out.json")) == 2, command
+        assert capsys.readouterr().err.startswith("error: "), command
+
+
+@pytest.mark.parametrize("position", ["certify", "oracle", "verify-certificate",
+                                      "verify-oracle", "sweep"])
+def test_file_without_json_object_is_usage_error(tmp_path, capsys, position):
+    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    cert, orc, out = tmp_path / "c.json", tmp_path / "o.json", str(tmp_path / "out.json")
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    bad = tmp_path / "list.json"
+    bad.write_text("[1, 2]")
+    argv = {
+        "certify": ["certify", "--kind", "count", "--instance", str(bad), "--out", out],
+        "oracle": ["oracle", "--kind", "count", "--instance", str(bad), "--out", out],
+        "verify-certificate": ["verify", "--certificate", str(bad), "--oracle", str(orc)],
+        "verify-oracle": ["verify", "--certificate", str(cert), "--oracle", str(bad)],
+        "sweep": ["sweep", "--config", str(bad), "--out", out],
+    }[position]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert "JSON object" in capsys.readouterr().err

@@ -22,7 +22,6 @@ from solgeo.instances import (
     UnsignedHypergraph,
     XorInstance,
     induced_xor,
-    ksat_fourier,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
     violation_budget,
@@ -226,14 +225,14 @@ def test_ksat_soundness_small(seed):
         pytest.skip("empty sample")
     eta = 0.05
     cert = certify_count_ksat(I, eta)
-    res = brute_count(I, ksat_fourier(3), eta)
+    res = brute_count(I, Predicate.ksat(3), eta)
     assert verify_certificate(cert, res) == "sound"
 
 
 def test_kcsp_identity_predicate_matches_ksat():
     I = sample_signed_hypergraph(3, 10, 50, seed=5)
     eta = 0.05
-    via_csp = certify_count_kcsp(I, ksat_fourier(3), eta)
+    via_csp = certify_count_kcsp(I, Predicate.ksat(3), eta)
     direct = certify_count_ksat(I, eta)
     assert via_csp.log2_bound == direct.log2_bound
     assert via_csp.fallback == direct.fallback

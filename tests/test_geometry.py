@@ -18,16 +18,15 @@ from solgeo.geometry import (
 )
 from solgeo.instances import (
     MultiGraph,
+    Predicate,
     UnsignedHypergraph,
     XorInstance,
-    ksat_fourier,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
     truncated_xor,
     violation_budget,
 )
 from solgeo.oracle import (
-    batch_xor_counts,
     brute_clusters,
     brute_max_bias,
     verify_certificate,
@@ -215,7 +214,7 @@ def test_clusters_planted_signings_respect_certificate():
 
 def test_clusters_3csp_slack_conversion():
     I, _ = planted_3sat(14, 14 * 140, 7, seed=4)
-    cert = certify_clusters_3csp(I, ksat_fourier(3), 0.01, c0=6.0)
+    cert = certify_clusters_3csp(I, Predicate.ksat(3), 0.01, c0=6.0)
     eps = cert.transcript["quasirandom_eps"]
     assert cert.transcript["eta_x"] == pytest.approx(4 * 0.01 + 3 * eps)
     assert cert.signature == I.sha256()
@@ -225,7 +224,7 @@ def test_clusters_3csp_slack_conversion():
 def test_clusters_3csp_sound_small(seed):
     n = 12
     I, _ = planted_3sat(n, n * 100, 6, seed=seed)
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     eta = 0.01
     cert = certify_clusters_3csp(I, P, eta, c0=8.0)
     from solgeo.oracle import violation_profile
@@ -326,7 +325,7 @@ def test_biased_family_exhaustive(seed):
 def test_balance_3csp_emits_and_oracle_agrees():
     n = 14
     I, xstar = planted_3sat(n, n * 140, 9, seed=5)  # planted bias 4/14
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     cert = certify_balance_3csp(I, P, rho=0.8, eta=0.02)
     assert cert is not None
     assert cert.violated_fraction_bound > cert.eta
@@ -337,12 +336,12 @@ def test_balance_3csp_emits_and_oracle_agrees():
 
 def test_balance_3csp_declines_quietly():
     I = sample_signed_hypergraph(3, 12, 60, seed=0)
-    assert certify_balance_3csp(I, ksat_fourier(3), rho=0.05, eta=0.02) is None
+    assert certify_balance_3csp(I, Predicate.ksat(3), rho=0.05, eta=0.02) is None
 
 
 def test_balance_3csp_reference_rule_recorded():
     I, _ = planted_3sat(14, 14 * 140, 7, seed=9)
-    cert = certify_balance_3csp(I, ksat_fourier(3), rho=0.8, eta=0.02)
+    cert = certify_balance_3csp(I, Predicate.ksat(3), rho=0.8, eta=0.02)
     assert cert is not None
     assert cert.transcript["eta_asymptotic_rule"] == pytest.approx(0.8 / 16)
 
@@ -371,7 +370,7 @@ def test_balance_kxor_rejects_small_k():
 
 def test_balance_kcsp_composes_through_identity_reduction():
     signed = sign_cube_k4()
-    cert = certify_balance_kcsp(signed, ksat_fourier(4), rho=0.5)
+    cert = certify_balance_kcsp(signed, Predicate.ksat(4), rho=0.5)
     assert cert is not None
     assert cert.eta < cert.violated_fraction_bound
     assert cert.transcript["quasirandom_eps"] == pytest.approx(0.0, abs=1e-12)
@@ -380,4 +379,4 @@ def test_balance_kcsp_composes_through_identity_reduction():
 
 def test_balance_kcsp_declined_propagates():
     I = sample_signed_hypergraph(4, 12, 12 * 40, seed=3)
-    assert certify_balance_kcsp(I, ksat_fourier(4), rho=0.4) is None
+    assert certify_balance_kcsp(I, Predicate.ksat(4), rho=0.4) is None

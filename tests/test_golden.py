@@ -5,10 +5,20 @@ of its canonical JSON, ``tool_version`` left out, with the value recorded
 when the case was added.  A refactor that changes any certificate byte for
 the same inputs fails here; a deliberate format change updates the table
 and says so.
+
+The digests are computed in one child process with one BLAS thread, the
+setting measurements use: a dense eigensolve rounds differently with more
+threads, and a certificate carries its measured eigenvalues to the last
+digit.  ``python tests/test_golden.py`` prints them as JSON.
 """
 
 import hashlib
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,7 +40,6 @@ from solgeo.geometry import (
 from solgeo.instances import (
     MultiGraph,
     Predicate,
-    ksat_fourier,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -70,11 +79,11 @@ CASES = {
     "clusters-3xor": lambda: certify_clusters_3xor(
         sample_unsigned_hypergraph(3, 14, 14 * 140, seed=3), 0.05, c0=6.0),
     "clusters-3csp": lambda: certify_clusters_3csp(
-        planted_3sat(14, 14 * 140, 7, seed=4)[0], ksat_fourier(3), 0.01, c0=6.0),
+        planted_3sat(14, 14 * 140, 7, seed=4)[0], Predicate.ksat(3), 0.01, c0=6.0),
     "balance-3csp": lambda: certify_balance_3csp(
-        planted_3sat(14, 14 * 140, 9, seed=5)[0], ksat_fourier(3), rho=0.8, eta=0.02),
+        planted_3sat(14, 14 * 140, 9, seed=5)[0], Predicate.ksat(3), rho=0.8, eta=0.02),
     "balance-kxor": lambda: certify_balance_kxor(synthetic_balanced_k4(), rho=0.5),
-    "balance-kcsp": lambda: certify_balance_kcsp(sign_cube_k4(), ksat_fourier(4), rho=0.5),
+    "balance-kcsp": lambda: certify_balance_kcsp(sign_cube_k4(), Predicate.ksat(4), rho=0.5),
     "sk-count": lambda: certify_count_sk(sample_goe(60, seed=1), 0.1),
     "indset-count": lambda: certify_count_indsets(sample_regular_graph(26, 3, seed=1), 0.2),
     # one case per exit of the SK and independent-set certifiers
@@ -105,7 +114,7 @@ GOLDEN = {
     "indset-count": "0adede11263c4795f1e5b92addc4bc8c97fdeaa75a375eaf234d21f1fbb8056f",
     "indset-count-empty-threshold": "9c0f408be32d4bfcadcd5171e808b2822744f7425132c83051258ec23b027b50",
     "indset-count-hoffman-exclusion": "69c385641eb926cdadffcb96287738069fbc0b3a40f1b5be3043aff04e6b906a",
-    "indset-count-nontrivial": "ed23454c42b6cc0b578f75fdfa3fa351764ef7a245d2e78bc26265877f81b520",
+    "indset-count-nontrivial": "8cf2423ffa71b23fc85ac8c67e04820056852ea82719866f2e5f209973ec7a69",
     "indset-count-petersen": "1163a11d180d70e288fa9edffdd40bb074fca81e5df40c2a0b5ea5a8f5451b47",
     "sk-count": "f11a93e2dd56f8efd512c35c4e38a0e3c6ce9f95017758c257a9d260d62ea175",
     "sk-count-exclusion": "7c1b54fafe6ef55b7129e3234c2be00e385212786285ae98aa408e62c2551c38",
@@ -120,6 +129,20 @@ def digest(cert) -> str:
     return hashlib.sha256(canonical_json(d).encode()).hexdigest()
 
 
+@pytest.fixture(scope="module")
+def digests() -> dict:
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
+    child = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_certificate_bytes_unchanged(name):
-    assert digest(CASES[name]()) == GOLDEN[name]
+def test_certificate_bytes_unchanged(name, digests):
+    assert digests[name] == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: digest(case()) for name, case in CASES.items()}))

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package or a test module imports is used
+in that module.
 
 Parsed with ``ast`` only, so the package is not imported.  A name counts
 as used when it is read anywhere in the module, including annotations
@@ -11,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "solgeo"
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(ROOT.glob("src/solgeo/*.py")) + sorted(ROOT.glob("tests/*.py"))
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -53,7 +55,7 @@ def _used(tree: ast.Module) -> set[str]:
     return used
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used(tree)

@@ -10,12 +10,14 @@ from solgeo.instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    _sample_distinct_indices,
     bias,
     csp_to_ksat,
     density_table,
     evaluate,
+    index_to_signs,
     induced_xor,
-    ksat_fourier,
+    instance_doc,
     load_instance,
     primal_graph,
     random_assignment,
@@ -98,6 +100,28 @@ def test_regular_sampler_k4():
     assert sorted(G.edges) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
+@pytest.mark.parametrize("k, n, m, seed", [(2, 50, 300, 1), (3, 14, 400, 2), (4, 9, 200, 3)])
+def test_samplers_match_digit_loop(k, n, m, seed):
+    # the samplers' draws decoded one base-n digit at a time, as Python ints
+    def drawn(space):
+        rng = np.random.default_rng(seed)
+        count = int(rng.binomial(space, m / space))
+        for idx in _sample_distinct_indices(rng, count, space):
+            c_bits, s_idx = divmod(idx, n**k)
+            S = []
+            for _ in range(k):
+                s_idx, digit = divmod(s_idx, n)
+                S.append(digit)
+            yield c_bits, tuple(S)
+
+    signed = sorted(((index_to_signs(c, k), S) for c, S in drawn((1 << k) * n**k)),
+                    key=lambda cs: (cs[1], cs[0]))
+    assert sample_signed_hypergraph(k, n, m, seed).clauses == tuple(signed)
+    edges = sample_unsigned_hypergraph(k, n, m, seed).edges
+    assert edges == tuple(sorted(S for _, S in drawn(n**k)))
+    assert {type(v) for S in edges for v in S} == {int}
+
+
 def test_regular_sampler_degrees():
     G = sample_regular_graph(100, 3, seed=2)
     assert set(G.degrees) == {3}
@@ -116,14 +140,14 @@ def test_regular_sampler_rejects():
 # ---------------------------------------------------------------------------
 
 def test_ksat_fourier_k2():
-    P = ksat_fourier(2)
+    P = Predicate.ksat(2)
     assert P.fourier[()] == pytest.approx(3 / 4)
     for T in [(0,), (1,), (0, 1)]:
         assert P.fourier[T] == pytest.approx(-1 / 4)
 
 
 def test_ksat_fourier_k3():
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     assert P.fourier[()] == pytest.approx(7 / 8)
     for T, coeff in P.fourier.items():
         if T:
@@ -131,14 +155,14 @@ def test_ksat_fourier_k3():
 
 
 def test_ksat_truth_table():
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     assert P.value((1, 1, 1)) == 0
     assert P.value((-1, 1, 1)) == 1
     assert sum(P.table) == 7
 
 
 def test_predicate_plancherel():
-    for P in (ksat_fourier(3), Predicate.parity(3), Predicate.parity(4, -1)):
+    for P in (Predicate.ksat(3), Predicate.parity(3), Predicate.parity(4, -1)):
         power = sum(c * c for c in P.fourier.values())
         mean_sq = sum(v * v for v in P.table) / len(P.table)
         assert power == pytest.approx(mean_sq, abs=1e-9)
@@ -164,7 +188,7 @@ def test_evaluate_locality():
     base = sample_signed_hypergraph(3, 9, 20, seed=4)
     # re-house on 10 variables so variable 9 appears in no clause
     I = SignedHypergraph(3, 10, base.clauses)
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     x = random_assignment(10, seed=1)
     y = x.copy()
     y[9] *= -1
@@ -172,7 +196,7 @@ def test_evaluate_locality():
 
 
 def test_evaluate_matches_fourier_pairing():
-    P = ksat_fourier(3)
+    P = Predicate.ksat(3)
     rng = np.random.default_rng(0)
     for trial in range(100):
         I = sample_signed_hypergraph(3, 8, 20, seed=trial)
@@ -282,13 +306,13 @@ def test_primal_graph_rejects_repeated_vertices():
 
 def test_csp_to_ksat_identity_on_ksat():
     I = sample_signed_hypergraph(3, 8, 25, seed=2)
-    assert csp_to_ksat(I, ksat_fourier(3)) == I
+    assert csp_to_ksat(I, Predicate.ksat(3)) == I
 
 
 def test_csp_to_ksat_preserves_near_satisfaction():
     P = Predicate.parity(3)  # first unsatisfying string is (-1, 1, 1)
     assert P.first_unsatisfying() == (-1, 1, 1)
-    ksat = ksat_fourier(3)
+    ksat = Predicate.ksat(3)
     for seed in range(10):
         I = sample_signed_hypergraph(3, 12, 30, seed=seed)
         if I.m == 0:
@@ -345,17 +369,49 @@ def test_serialization_round_trips():
     assert UnsignedHypergraph.from_json_dict(H.to_json_dict()) == H
     G = sample_regular_graph(10, 3, seed=0)
     assert MultiGraph.from_json_dict(G.to_json_dict()) == G
-    for obj in (I, xi, H):
-        assert load_instance(obj.to_json_dict()) == obj
+    for obj in (I, xi, H, G):
+        assert load_instance(instance_doc(obj)) == obj
+    M = sample_goe(5, seed=2)
+    assert np.array_equal(load_instance(instance_doc(M)), M)
+
+
+def test_documents_of_another_kind_are_refused():
+    I = sample_signed_hypergraph(3, 10, 30, seed=1)
+    instances = [I, I.to_xor(), I.hypergraph(), sample_regular_graph(10, 3, seed=0)]
+    for cls in map(type, instances):
+        for other in instances:
+            if type(other) is not cls:
+                with pytest.raises(ValueError, match="not a"):
+                    cls.from_json_dict(other.to_json_dict())
+    for doc in ({"kind": "nope"}, {"kind": "graph", "n": 2, "edges": []}, {"kind": [1]}):
+        with pytest.raises(ValueError, match="unrecognized"):
+            load_instance(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "xor", "k": 2, "n": 3.0, "clauses": []},
+    {"kind": "xor", "k": 2, "n": 3, "index_base": 1, "clauses": []},
+    {"kind": "hypergraph", "k": 2, "n": 3, "edges": [[0, 1.5]]},
+    {"kind": "hypergraph", "k": 2, "n": 3, "edges": 5},
+    {"kind": "hypergraph", "k": 2, "n": 3},
+    {"n": 3, "edges": [[0, 2, 1]]},
+    {"kind": "goe", "n": 2, "matrix": [[1.0, 0.0], [0.0, "1"]]},
+    {"kind": "goe", "n": 3, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+], ids=["float-n", "index-base", "float-vertex", "edges-not-a-list", "no-edges",
+        "edge-arity", "string-entry", "matrix-shape"])
+def test_malformed_documents_raise_value_error(doc):
+    with pytest.raises(ValueError):
+        load_instance(doc)
 
 
 def test_multigraph_cleaning_and_cache():
     G = MultiGraph.build(4, [(0, 0), (1, 0), (1, 2), (1, 2)])
     assert G.edges == ((0, 1), (1, 2), (1, 2))  # loop dropped, orientation fixed
     assert G.degrees == (1, 3, 2, 0)
-    assert G.simple().m == 2
-    with pytest.raises(ValueError):
-        MultiGraph(2, ((0, 1),), (2, 0))  # stale degree cache
+    assert G.simple().m == 2 and G.simple().degrees == (1, 2, 1, 0)
+    for edges in (((1, 0),), ((1, 1),), ((0, 4),)):
+        with pytest.raises(ValueError):
+            MultiGraph(4, edges)  # unoriented, a loop, out of range
 
 
 @pytest.mark.parametrize("edges", [[], [(0, 1), (1, 2), (1, 2), (2, 4), (0, 4), (4, 0)]])

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -7,10 +5,8 @@ from conftest import petersen_graph
 from solgeo.certificates import CheckRecord, CountCertificate
 from solgeo.instances import (
     MultiGraph,
-    SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    ksat_fourier,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,

@@ -1,13 +1,10 @@
-import math
-
 import numpy as np
 import pytest
 
 from solgeo.instances import (
+    Predicate,
     SignedHypergraph,
-    XorInstance,
     density_table,
-    ksat_fourier,
     sample_signed_hypergraph,
     violation_budget,
 )
@@ -214,7 +211,7 @@ def test_xor_principle_sound_by_enumeration(seed):
         pytest.skip("empty sample")
     eta = 0.1
     res = kxor_principle(I, eta)
-    ksat = ksat_fourier(3)
+    ksat = Predicate.ksat(3)
     sat_viol = violation_profile(I, ksat)
     xor_viol = violation_profile(I.to_xor())
     budget = violation_budget(eta, I.m)
