@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 TOOL_VERSION = "0.4.0"
@@ -41,12 +42,33 @@ def _encode(value, hint):
     return value
 
 
-def _decode(value, hint):
-    if get_origin(hint) is tuple:
-        return tuple(_decode(v, h) for v, h in zip(value, _item_hints(hint, len(value))))
-    if isinstance(hint, type) and issubclass(hint, JsonRecord):
-        return hint.from_json_dict(value)
-    return value
+def _decode(value, hint, where: str):
+    """``value`` read as ``hint``: lists as tuples of the hinted length,
+    ints as floats where floats belong, bool as neither; ValueError naming
+    ``where`` for a value of another type."""
+    origin = get_origin(hint)
+    if origin is tuple:
+        if isinstance(value, (list, tuple)):
+            hints = _item_hints(hint, len(value))
+            if len(hints) == len(value):
+                return tuple(_decode(v, h, f"{where}[{i}]")
+                             for i, (v, h) in enumerate(zip(value, hints)))
+    elif origin is UnionType:
+        for arm in get_args(hint):
+            try:
+                return _decode(value, arm, where)
+            except ValueError:
+                pass
+    elif isinstance(hint, type) and issubclass(hint, JsonRecord):
+        if isinstance(value, dict):
+            return hint.from_json_dict(value)
+    elif isinstance(value, bool) is (hint is bool):  # isinstance(True, int) holds
+        if hint is float and isinstance(value, int):
+            return float(value)
+        if isinstance(value, hint):
+            return value
+    expected = hint.__name__ if isinstance(hint, type) else str(hint).replace(f"{__name__}.", "")
+    raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
 
 
 class JsonRecord:
@@ -67,7 +89,7 @@ class JsonRecord:
         for f in fields(cls):
             key = _JSON_KEYS.get(f.name, f.name)
             if key in d or (f.default is MISSING and f.default_factory is MISSING):
-                kwargs[f.name] = _decode(d[key], hints[f.name])
+                kwargs[f.name] = _decode(d[key], hints[f.name], f"{cls.__name__} field {key!r}")
         return cls(**kwargs)
 
 

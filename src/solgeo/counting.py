@@ -4,14 +4,14 @@ the XOR principle, and the refutation-from-counting reduction.
 
 All internal bookkeeping uses absolute violation budgets (integers), so
 the floor arithmetic of the block recursion is exact.  Bounds are capped
-at 2^n; a certificate whose bound reaches the cap carries the fallback
-flag.
+at 2^n; a bound that reaches the cap is a fallback.  A certificate is
+built once, bound to the caller's instance, whatever reductions led to it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import (
@@ -25,7 +25,7 @@ from .instances import (
     violation_budget,
 )
 from .refuter import kxor_principle
-from .spectral import eig_slack, spectral_report
+from .spectral import edge_expansion_lower_bound, spectral_report
 
 # Width multiplier on the degree-concentration gate.  The clean
 # density^(-1/3) window only holds once the density beats log^3(n); the
@@ -75,21 +75,24 @@ def aggregate_partition(
 
 @dataclass(frozen=True)
 class _BoundResult:
+    """A bound not yet bound to an instance; a fallback once it reaches n."""
+
     log2_bound: float
-    fallback: bool
     checks: tuple[CheckRecord, ...]
     trace: tuple[dict, ...]
     transcript: dict
 
 
 def _fallback(n: int, checks: tuple[CheckRecord, ...], transcript: dict) -> _BoundResult:
-    return _BoundResult(float(n), True, checks, (), transcript)
+    return _BoundResult(float(n), checks, (), transcript)
 
 
-def _cap(n: int, log2_bound: float) -> tuple[float, bool]:
-    if log2_bound >= n:
-        return float(n), True
-    return log2_bound, False
+def _count_certificate(instance, eta: float, res: _BoundResult) -> CountCertificate:
+    return CountCertificate(
+        kind="count", n=instance.n, log2_bound=res.log2_bound, eta=eta,
+        fallback=res.log2_bound >= instance.n, checks=res.checks,
+        signature=instance.sha256(), recursion_trace=res.trace, transcript=res.transcript,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -136,38 +139,20 @@ def _count_2xor_budget(G: MultiGraph, budget: int) -> _BoundResult:
         return _fallback(n, checks, transcript)
 
     # smallest minority-side size whose certified cut exceeds the doubled budget
-    lam2_eff = max(0.0, report.lambda2 - eig_slack(2.0))
-    cut_per_vertex = 0.5 * lam2_eff * report.d_min
-    s_star = None
-    for s in range(1, n + 1):
-        if cut_per_vertex * s > 2.0 * budget + 1e-9:
-            s_star = s
-            break
+    s_star = next((s for s in range(1, n + 1)
+                   if edge_expansion_lower_bound(report, s) > 2.0 * budget + 1e-9), None)
     if s_star is None:
         return _fallback(n, checks, transcript)
 
     transcript["s_star"] = s_star
-    radius = s_star - 1
-    log2_bound, fallback = _cap(n, 1.0 + log2_binomial_tail(n, radius))
-    return _BoundResult(log2_bound, fallback, checks, (), transcript)
+    log2_bound = min(float(n), 1.0 + log2_binomial_tail(n, s_star - 1))
+    return _BoundResult(log2_bound, checks, (), transcript)
 
 
 def certify_count_2xor(G: MultiGraph, eta: float) -> CountCertificate:
     """Certificate on the number of (1-eta)-satisfying assignments of any
     2XOR instance with underlying multigraph G, for all signings at once."""
-    budget = violation_budget(eta, G.m)
-    res = _count_2xor_budget(G, budget)
-    return CountCertificate(
-        kind="count",
-        n=G.n,
-        log2_bound=res.log2_bound,
-        eta=eta,
-        fallback=res.fallback,
-        checks=res.checks,
-        signature=G.sha256(),
-        recursion_trace=res.trace,
-        transcript=res.transcript,
-    )
+    return _count_certificate(G, eta, _count_2xor_budget(G, violation_budget(eta, G.m)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,13 +233,13 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
             "m_induced": sub_H.m,
             "budget": block_budget,
             "log2_bound": sub.log2_bound,
-            "fallback": sub.fallback,
+            "fallback": sub.log2_bound >= sub_H.n,
             "transcript": sub.transcript,
             "checks": [c.to_json_dict() for c in sub.checks],
         })
 
-    log2_bound, fallback = _cap(n, aggregate_partition(n, sizes, bounds))
-    return _BoundResult(log2_bound, fallback, (), tuple(trace), transcript)
+    log2_bound = min(float(n), aggregate_partition(n, sizes, bounds))
+    return _BoundResult(log2_bound, (), tuple(trace), transcript)
 
 
 def certify_count_kxor(
@@ -262,27 +247,12 @@ def certify_count_kxor(
 ) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
     violating at most an eta fraction of the hyperedges of H."""
-    budget = violation_budget(eta, H.m)
-    res = _kxor_budget(H, budget, eps, 0)
-    return CountCertificate(
-        kind="count",
-        n=H.n,
-        log2_bound=res.log2_bound,
-        eta=eta,
-        fallback=res.fallback,
-        checks=res.checks,
-        signature=H.sha256(),
-        recursion_trace=res.trace,
-        transcript=res.transcript,
-    )
+    return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps, 0))
 
 
-def certify_count_ksat(
-    I: SignedHypergraph, eta: float, eps: float = 0.05
-) -> CountCertificate:
-    """Certificate on the number of (1-eta)-satisfying assignments of I as
-    a kSAT instance: the XOR principle converts the SAT slack into an XOR
-    slack, then the signing-independent kXOR certifier takes over."""
+def _ksat_bound(I: SignedHypergraph, eta: float, eps: float) -> _BoundResult:
+    """The XOR principle step: convert I's SAT slack into an XOR slack,
+    then bound with the signing-independent kXOR recursion."""
     if I.k < 3:
         raise ValueError("kSAT counting requires k >= 3")
     if I.m == 0:
@@ -296,23 +266,20 @@ def certify_count_ksat(
         "eta_x": principle.eta_x,
         "quasirandomness": principle.quasirandomness.to_json_dict(),
     }
-    if principle_check.passed:
-        budget_x = violation_budget(principle.eta_x, I.m)
-        res = _kxor_budget(I.hypergraph(), budget_x, eps, 0)
-        transcript.update(res.transcript)
-    else:
-        res = _fallback(I.n, (), {})
-    return CountCertificate(
-        kind="count",
-        n=I.n,
-        log2_bound=res.log2_bound,
-        eta=eta,
-        fallback=res.fallback,
-        checks=(principle_check,) + res.checks,
-        signature=I.sha256(),
-        recursion_trace=res.trace,
-        transcript=transcript,
-    )
+    if not principle_check.passed:
+        return _fallback(I.n, (principle_check,), transcript)
+    res = _kxor_budget(I.hypergraph(), violation_budget(principle.eta_x, I.m), eps, 0)
+    return _BoundResult(res.log2_bound, (principle_check,) + res.checks, res.trace,
+                        {**transcript, **res.transcript})
+
+
+def certify_count_ksat(
+    I: SignedHypergraph, eta: float, eps: float = 0.05
+) -> CountCertificate:
+    """Certificate on the number of (1-eta)-satisfying assignments of I as
+    a kSAT instance: the XOR principle converts the SAT slack into an XOR
+    slack, then the signing-independent kXOR certifier takes over."""
+    return _count_certificate(I, eta, _ksat_bound(I, eta, eps))
 
 
 def certify_count_kcsp(
@@ -320,11 +287,9 @@ def certify_count_kcsp(
 ) -> CountCertificate:
     """Certificate on (1-eta)-satisfiers of I under an arbitrary predicate,
     via composition with a fixed non-satisfying string of P."""
-    reduced = csp_to_ksat(I, P)
-    inner = certify_count_ksat(reduced, eta, eps)
-    transcript = dict(inner.transcript)
-    transcript["reduction_string"] = list(P.first_unsatisfying())
-    return replace(inner, signature=I.sha256(), transcript=transcript)
+    res = _ksat_bound(csp_to_ksat(I, P), eta, eps)
+    res.transcript["reduction_string"] = list(P.first_unsatisfying())
+    return _count_certificate(I, eta, res)
 
 
 # ---------------------------------------------------------------------------

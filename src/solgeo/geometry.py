@@ -5,12 +5,14 @@ The structural engine is the primal multigraph of the hypergraph: its
 measured de-meaned operator norm feeds the expander mixing lemma, which
 lower-bounds how many hyperedges any lopsided vertex split must place
 with two vertices inside (T2) or all three inside (T3) the larger side.
+A reduction (3CSP to 3XOR, kCSP to kXOR) runs a private step on the
+reduced instance and binds the one certificate to the caller's instance.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .certificates import BalanceCertificate, CheckRecord, ClusterCertificate
@@ -27,7 +29,7 @@ from .instances import (
     violation_budget,
 )
 from .refuter import PolynomialBound, SparsePolynomial, kxor_principle, refute_polynomial
-from .spectral import SpectralReport, eig_slack, mixing_interval, spectral_report
+from .spectral import SpectralReport, demeaned_norm, eig_slack, mixing_interval, spectral_report
 
 # Calibrated constant gating whether the primal norm is in the regime
 # where nontrivial cluster/balance bounds are attempted.
@@ -128,30 +130,10 @@ def balanced_code_bound(eps: float, n: int, k_max: int = 200) -> float:
 # Cluster certificates
 # ---------------------------------------------------------------------------
 
-def _cluster_fallback(
-    H: UnsignedHypergraph, eta: float, checks: tuple[CheckRecord, ...],
-    primal_json: dict, transcript: dict,
-) -> ClusterCertificate:
-    return ClusterCertificate(
-        n=H.n,
-        eta=eta,
-        theta=0.5,
-        log2_cluster_bound=float(H.n),
-        gap_interval=(0.0, float(H.n)),
-        primal_report=primal_json,
-        fallback=True,
-        checks=checks,
-        signature=H.sha256(),
-        transcript=transcript,
-    )
-
-
-def certify_clusters_3xor(
-    H: UnsignedHypergraph, eta: float, c0: float = PRIMAL_NORM_C0
-) -> ClusterCertificate:
-    """Certify, for every signing of H at once, that (1-eta)-satisfiers
-    pairwise sit within theta*n or inside the half-distance gap window,
-    and bound the number of radius-(theta*n) clusters.
+def _cluster_step(H: UnsignedHypergraph, eta: float, c0: float) -> tuple[int | None, dict]:
+    """The smallest certified theta of H at slack eta, in grid steps of
+    1/n (None when none is certified), and the evidence fields of its
+    certificate.
 
     theta is the smallest grid value for which the T2 bound excludes every
     product-vector majority side in ((1/2+theta)n, (1-theta)n) and the T3
@@ -164,7 +146,6 @@ def certify_clusters_3xor(
     budget = violation_budget(eta, H.m)
     clean = H.without_repeats().dedup()
     primal = certify_primal_expansion(clean, c0)
-    primal_json = primal.report.to_json_dict()
     density = clean.m / n if n else 0.0
     theta_rule = max(
         2 * eta, density ** -0.5 * math.log(max(n, 2)) if density > 0 else 1.0
@@ -175,9 +156,13 @@ def certify_clusters_3xor(
         "density": density,
         "theta_asymptotic_rule": theta_rule,
     }
-    checks = (primal.check,)
+    evidence = {
+        "primal_report": primal.report.to_json_dict(),
+        "checks": (primal.check,),
+        "transcript": transcript,
+    }
     if clean.m == 0 or not primal.check.passed:
-        return _cluster_fallback(H, eta, checks, primal_json, transcript)
+        return None, evidence
 
     need = 2.0 * budget + _MARGIN
     ok2 = {}
@@ -187,7 +172,6 @@ def certify_clusters_3xor(
         ok2[s] = split.lb2 > need
         ok3[s] = split.lb3 > need
 
-    theta_steps = None
     for t in range(0, n // 4 + 1):
         if t / n >= 0.25:
             break
@@ -199,26 +183,35 @@ def certify_clusters_3xor(
         lo3 = math.floor(n / 2.0 + t) + 1
         t3_ok = all(ok3[d] for d in range(lo3, n + 1))
         if t2_ok and t3_ok:
-            theta_steps = t
-            break
-    if theta_steps is None:
-        return _cluster_fallback(H, eta, checks, primal_json, transcript)
+            transcript["theta_steps"] = t
+            return t, evidence
+    return None, evidence
 
-    theta = theta_steps / n
-    code_log2 = min(float(n), balanced_code_bound(min(2 * theta, 0.4999), n))
-    transcript["theta_steps"] = theta_steps
+
+def _cluster_certificate(
+    instance, eta: float, theta_steps: int | None, evidence: dict
+) -> ClusterCertificate:
+    """The cluster certificate of a certified theta, or the trivial one
+    when there is none, bound to ``instance``."""
+    n = instance.n
+    theta, bound, gap = 0.5, float(n), (0.0, float(n))
+    if theta_steps is not None:
+        theta = theta_steps / n
+        bound = min(float(n), balanced_code_bound(min(2 * theta, 0.4999), n))
+        gap = ((0.5 - theta) * n, (0.5 + theta) * n)
     return ClusterCertificate(
-        n=n,
-        eta=eta,
-        theta=theta,
-        log2_cluster_bound=code_log2,
-        gap_interval=((0.5 - theta) * n, (0.5 + theta) * n),
-        primal_report=primal_json,
-        fallback=False,
-        checks=checks,
-        signature=H.sha256(),
-        transcript=transcript,
+        n=n, eta=eta, theta=theta, log2_cluster_bound=bound, gap_interval=gap,
+        fallback=theta_steps is None, signature=instance.sha256(), **evidence,
     )
+
+
+def certify_clusters_3xor(
+    H: UnsignedHypergraph, eta: float, c0: float = PRIMAL_NORM_C0
+) -> ClusterCertificate:
+    """Certify, for every signing of H at once, that (1-eta)-satisfiers
+    pairwise sit within theta*n or inside the half-distance gap window,
+    and bound the number of radius-(theta*n) clusters."""
+    return _cluster_certificate(H, eta, *_cluster_step(H, eta, c0))
 
 
 def certify_clusters_3csp(
@@ -237,14 +230,13 @@ def certify_clusters_3csp(
         "quasirandom_eps": principle.eps,
         "eta_x": principle.eta_x,
     }
-    H = reduced.hypergraph()
     if principle.eta_x >= 1.0:
-        checks = (CheckRecord("xor-principle-nontrivial", principle.eta_x, 1.0, False),)
-        cert = _cluster_fallback(H, eta, checks, {}, transcript)
+        check = CheckRecord("xor-principle-nontrivial", principle.eta_x, 1.0, False)
+        theta_steps, evidence = None, {"primal_report": {}, "checks": (check,)}
     else:
-        cert = certify_clusters_3xor(H, principle.eta_x, c0)
-        transcript.update(cert.transcript)
-    return replace(cert, eta=eta, signature=I.sha256(), transcript=transcript)
+        theta_steps, evidence = _cluster_step(reduced.hypergraph(), principle.eta_x, c0)
+        transcript.update(evidence["transcript"])
+    return _cluster_certificate(I, eta, theta_steps, {**evidence, "transcript": transcript})
 
 
 # ---------------------------------------------------------------------------
@@ -361,15 +353,15 @@ def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:
         raise ValueError("rho must lie in [0, 1]")
     n = G.n
     davg = G.average_degree()
-    nu = spectral_report(G, laplacian=False, demeaned=True).demeaned_norm
+    nu = demeaned_norm(G)
     nu += eig_slack(nu)
     gamma_frac = (davg * n / 2.0 * (1.0 + rho**2) - nu * n - davg) / (2.0 * G.m)
     return max(0.0, gamma_frac - (0.5 + eps))
 
 
-def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | None:
-    """Certify that no sufficiently biased assignment nearly satisfies the
-    kXOR instance, or decline.
+def _balance_kxor_step(I: XorInstance, rho: float) -> dict | None:
+    """The fields of the kXOR balance certificate of I, all but n and the
+    signature, or None to decline.
 
     The clauses with exactly k-2 variables in a fixed rho*n-sized set S
     form a family of 2XOR instances on the outside variables, one per
@@ -377,8 +369,6 @@ def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | Non
     positivity margin plus the biased-family refuter exclude every
     assignment whose outside part is rho-biased.
     """
-    if I.k < 4:
-        raise ValueError("kXOR balance certification requires k >= 4")
     if not (0.0 < rho <= 1.0):
         raise ValueError("rho must lie in (0, 1]")
     n, m = I.n, I.m
@@ -402,30 +392,32 @@ def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | Non
     if v_frac <= _MARGIN:
         return None
     violated_fraction = v_frac * G.m / m
-    eta = violated_fraction * (1.0 - 1e-9)
-    rho_whole = (rho * (n - s) + s) / n
-    eta_rule = rho ** (I.k - 2) * rho**2 / 2.0
-    transcript = {
-        "set_size": s,
-        "selected_clauses": G.m,
-        "eps_induced": induced.eps,
-        "violated_fraction_induced": v_frac,
-        "rho_inner": rho,
-        "eta_asymptotic_rule": eta_rule,
-        "refuter_branch": induced.bound.branch,
+    return {
+        "rho": (rho * (n - s) + s) / n,
+        "eta": violated_fraction * (1.0 - 1e-9),
+        "violated_fraction_bound": violated_fraction,
+        "checks": (CheckRecord("family-violation-positive", v_frac, 0.0, True),),
+        "transcript": {
+            "set_size": s,
+            "selected_clauses": G.m,
+            "eps_induced": induced.eps,
+            "violated_fraction_induced": v_frac,
+            "rho_inner": rho,
+            "eta_asymptotic_rule": rho ** (I.k - 2) * rho**2 / 2.0,
+            "refuter_branch": induced.bound.branch,
+        },
     }
-    checks = (
-        CheckRecord("family-violation-positive", v_frac, 0.0, True),
-    )
-    return BalanceCertificate(
-        n=n,
-        rho=rho_whole,
-        eta=eta,
-        violated_fraction_bound=violated_fraction,
-        checks=checks,
-        signature=I.sha256(),
-        transcript=transcript,
-    )
+
+
+def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | None:
+    """Certify that no sufficiently biased assignment nearly satisfies the
+    kXOR instance, or decline (see ``_balance_kxor_step``)."""
+    if I.k < 4:
+        raise ValueError("kXOR balance certification requires k >= 4")
+    fields = _balance_kxor_step(I, rho)
+    if fields is None:
+        return None
+    return BalanceCertificate(n=I.n, signature=I.sha256(), **fields)
 
 
 def certify_balance_kcsp(
@@ -439,25 +431,18 @@ def certify_balance_kcsp(
     if I.m == 0:
         raise ValueError("cannot certify an empty instance")
     reduced = csp_to_ksat(I, P)
-    xor = reduced.to_xor()
-    inner = certify_balance_kxor(xor, rho)
-    if inner is None:
+    fields = _balance_kxor_step(reduced.to_xor(), rho)
+    if fields is None:
         return None
     principle = kxor_principle(reduced, 0.0)
     # largest SAT slack whose implied XOR slack stays under the certificate
     scale = 2.0 ** (I.k - 1)
-    eta_p = (inner.eta - (scale - 1.0) * principle.eps) / scale
+    eta_xor = fields["eta"]
+    eta_p = (eta_xor - (scale - 1.0) * principle.eps) / scale
     if eta_p <= 0:
         return None
-    transcript = dict(inner.transcript)
-    transcript.update(
-        {
-            "quasirandom_eps": principle.eps,
-            "eta_xor": inner.eta,
-            "eta_asymptotic_rule": rho**I.k / 2.0,
-        }
+    fields["transcript"].update(
+        quasirandom_eps=principle.eps, eta_xor=eta_xor, eta_asymptotic_rule=rho**I.k / 2.0
     )
-    return replace(
-        inner, eta=eta_p * (1.0 - 1e-9), violated_fraction_bound=eta_p,
-        signature=I.sha256(), transcript=transcript,
-    )
+    fields.update(eta=eta_p * (1.0 - 1e-9), violated_fraction_bound=eta_p)
+    return BalanceCertificate(n=I.n, signature=I.sha256(), **fields)

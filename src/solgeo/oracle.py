@@ -34,6 +34,13 @@ _CHUNK = 1 << 16
 # The parameters an oracle value can depend on, as named in its JSON.
 PARAMETERS = ("eta", "theta", "threshold_size")
 
+# The types each scalar field of an oracle file may hold; bool is none of them.
+_SCALAR_TYPES = {
+    "kind": (str,), "enumeration_size": (int,), "threshold_size": (int,),
+    "instance_sha256": (str, type(None)),
+    "runtime_ms": (int, float), "eta": (int, float), "theta": (int, float),
+}
+
 
 @dataclass(frozen=True)
 class OracleResult:
@@ -62,6 +69,11 @@ class OracleResult:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "OracleResult":
+        for key, types in _SCALAR_TYPES.items():
+            value = d.get(key)
+            if key in d and (isinstance(value, bool) or not isinstance(value, types)):
+                raise ValueError(f"oracle field {key!r} holds {type(value).__name__} "
+                                 f"{value!r:.40}, not {' or '.join(t.__name__ for t in types)}")
         return cls(
             d["kind"], d["exact_value"], d["enumeration_size"], d.get("runtime_ms", 0.0),
             d.get("instance_sha256"), {k: d[k] for k in PARAMETERS if k in d},
@@ -418,6 +430,17 @@ VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
 
 
+def _exact_int(value, key: str | None = None) -> int:
+    """The integer an oracle's exact value holds (its entry ``key``, if
+    given); ValueError if it holds anything else."""
+    if key is not None:
+        value = value.get(key) if isinstance(value, dict) else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        where = "exact_value" + (f"[{key!r}]" if key else "")
+        raise ValueError(f"oracle {where} holds {type(value).__name__} {value!r:.40}, not int")
+    return value
+
+
 def _count_verdict(log2_bound: float, count: int) -> str:
     if count <= 0:
         return SOUND
@@ -460,21 +483,22 @@ def _eta(cert) -> dict:
 
 
 PAIRINGS = {
-    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, int(v))),
-    "sk-count": Pairing("sk", _eta, lambda c, v: _count_verdict(c.log2_bound, int(v["count"]))),
+    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact_int(v))),
+    "sk-count": Pairing(
+        "sk", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact_int(v, "count"))),
     "indset-count": Pairing(
         "indset", lambda c: {"threshold_size": c.transcript["threshold_size"]},
-        lambda c, v: _count_verdict(c.log2_bound, int(v["count"])),
+        lambda c, v: _count_verdict(c.log2_bound, _exact_int(v, "count")),
     ),
     "clusters": Pairing("clusters", lambda c: {"eta": c.eta, "theta": c.theta}, _cluster_verdict),
     "balance": Pairing("max-bias", _eta, _balance_verdict),
     "refutation": Pairing(
         "count", lambda c: {"eta": c.eta_refuted},
-        lambda c, v: SOUND if int(v) == 0 else VIOLATED,
+        lambda c, v: SOUND if _exact_int(v) == 0 else VIOLATED,
     ),
     "indset-refutation": Pairing(
         "indset", lambda c: {},
-        lambda c, v: SOUND if v["alpha"] < c.evidence["refuted_size"] else VIOLATED,
+        lambda c, v: SOUND if _exact_int(v, "alpha") < c.evidence["refuted_size"] else VIOLATED,
     ),
 }
 

@@ -15,13 +15,14 @@ Consumers and the direction each one consumes:
 
 * ``SpectralReport.lambda2`` (``spectral_report``) is a lower bound:
   lambda_2(L) > lambda2 - eig_slack(2), proved on L + 2 v0 v0^T / |v0|^2
-  with v0 = D^(1/2) 1.  Used by ``edge_expansion_lower_bound`` and by the
-  2XOR base case of the 2XOR/kXOR/kSAT/kCSP count certificates, which
-  calls ``spectral_report(G, demeaned=False)``.
+  with v0 = D^(1/2) 1.  Used only by ``edge_expansion_lower_bound``, the
+  Cheeger cut bound that the 2XOR base case of the 2XOR/kXOR/kSAT/kCSP
+  count certificates applies to ``spectral_report(G, demeaned=False)``.
 * ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``)
   is an upper bound: |A - (2m/n^2) J| < nu + eig_slack(nu), proved from
-  both sides.  Used by ``mixing_interval`` and the cluster and balance
-  certificates.
+  both sides.  ``mixing_interval`` uses the report's for the cluster and
+  3CSP balance certificates; ``geometry.refute_biased_2xor_family`` calls
+  ``demeaned_norm`` for the kXOR and kCSP balance certificates.
 * ``symmetric_spectrum`` proves lambda_max < vals[-1] + s and
   lambda_min > vals[0] - s with s = eig_slack(max |vals|).  The SK and
   independent-set counts (through ``eigencount._measured_window``) and

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from solgeo import schemas
 from solgeo.certificates import (
     CERTIFICATE_CLASSES,
     BalanceCertificate,
@@ -168,3 +169,32 @@ def test_optional_field_round_trips(value):
     record = _Optional(value, (0.5, 1.0))
     assert record.to_json_dict() == {"value": value, "values": [0.5, 1.0]}
     assert _Optional.from_json_dict(record.to_json_dict()) == record
+
+
+@pytest.mark.parametrize("kind", sorted(FROZEN))
+def test_json_keys_match_schema(kind):
+    # the schemas and the dataclasses describe one format
+    schema = schemas.CERTIFICATES_BY_KIND[kind]
+    assert set(samples()[kind].to_json_dict()) == set(schema["properties"])
+
+
+def test_every_schema_kind_has_a_class():
+    assert set(CERTIFICATE_CLASSES) == set(schemas.CERTIFICATES_BY_KIND) - {"balance-declined"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("checks", 5), ("log2_bound", "7"), ("n", 12.0), ("n", True), ("eta", False),
+    ("fallback", 0), ("instance_sha256", None), ("recursion_trace", [3]),
+    ("transcript", []), ("checks", [["gate", 0.1, 0.5, True]]),
+    ("checks", [{"name": "gate", "measured": "0.1", "threshold": 0.5, "passed": True}]),
+])
+def test_decoder_refuses_a_value_of_another_type(key, value):
+    doc = {**samples()["count"].to_json_dict(), key: value}
+    with pytest.raises(ValueError, match="holds"):
+        certificate_from_json(doc)
+
+
+def test_decoder_reads_json_integers_as_floats():
+    doc = {**samples()["clusters"].to_json_dict(), "theta": 0, "gap_interval": [0, 12]}
+    cert = certificate_from_json(doc)
+    assert type(cert.theta) is float and all(type(x) is float for x in cert.gap_interval)

@@ -341,3 +341,40 @@ def test_file_without_json_object_is_usage_error(tmp_path, capsys, position):
     capsys.readouterr()
     assert run(*argv) == 2
     assert "JSON object" in capsys.readouterr().err
+
+
+# a hand-edited certificate or oracle field: which file, the field, its bad
+# value, and a word the message must name
+MALFORMED_VERIFY = {
+    # each of these once exited 4, an internal error
+    "checks-int": ("certificate", "checks", 5, "'checks'"),
+    "log2-bound-string": ("certificate", "log2_bound", "7", "'log2_bound'"),
+    "check-record-string": ("certificate", "checks", [{"name": "x", "measured": "1",
+                                                      "threshold": 1.0, "passed": True}],
+                            "'measured'"),
+    "n-float": ("certificate", "n", 10.0, "'n'"),
+    "enumeration-size-string": ("oracle", "enumeration_size", "1024", "'enumeration_size'"),
+    # once silently sound: the verdict read it with int()
+    "exact-value-string": ("oracle", "exact_value", "3", "exact_value"),
+    "exact-value-float": ("oracle", "exact_value", 3.5, "exact_value"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_VERIFY))
+def test_malformed_certificate_or_oracle_is_usage_error(tmp_path, capsys, case):
+    which, key, value, named = MALFORMED_VERIFY[case]
+    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    files = {"certificate": tmp_path / "c.json", "oracle": tmp_path / "o.json"}
+    for command, path in zip(("certify", "oracle"), files.values()):
+        assert run(command, "--kind", "count", "--instance", str(inst),
+                   "--out", str(path)) == 0
+    assert run("verify", "--certificate", str(files["certificate"]),
+               "--oracle", str(files["oracle"])) == 0
+    doc = read_json(str(files[which]))
+    doc[key] = value
+    files[which].write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(files["certificate"]),
+               "--oracle", str(files["oracle"])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err

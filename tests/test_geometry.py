@@ -19,6 +19,7 @@ from solgeo.geometry import (
 from solgeo.instances import (
     MultiGraph,
     Predicate,
+    SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
     sample_signed_hypergraph,
@@ -380,3 +381,13 @@ def test_balance_kcsp_composes_through_identity_reduction():
 def test_balance_kcsp_declined_propagates():
     I = sample_signed_hypergraph(4, 12, 12 * 40, seed=3)
     assert certify_balance_kcsp(I, Predicate.ksat(4), rho=0.4) is None
+
+
+def test_balance_kcsp_declines_when_the_principle_eats_the_xor_slack():
+    # one sign pattern dropped from every cube: the XOR side still certifies
+    # balance, but the quasirandomness error of the XOR principle exceeds
+    # its slack, so no SAT slack is left to certify
+    cube = sign_cube_k4(n=48)
+    I = SignedHypergraph(4, cube.n, tuple(c for i, c in enumerate(cube.clauses) if i % 16))
+    assert certify_balance_kxor(I.to_xor(), rho=0.5) is not None
+    assert certify_balance_kcsp(I, Predicate.ksat(4), rho=0.5) is None

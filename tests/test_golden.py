@@ -9,7 +9,10 @@ and says so.
 The digests are computed in one child process with one BLAS thread, the
 setting measurements use: a dense eigensolve rounds differently with more
 threads, and a certificate carries its measured eigenvalues to the last
-digit.  ``python tests/test_golden.py`` prints them as JSON.
+digit.  The child also counts the instance documents each case hashes:
+a certifier hashes the one instance its certificate binds, once, however
+many reductions it goes through.  ``python tests/test_golden.py`` prints
+both as JSON.
 """
 
 import hashlib
@@ -23,6 +26,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from solgeo import eigencount, instances
 from solgeo.counting import (
     certify_count_2xor,
     certify_count_kcsp,
@@ -80,6 +84,19 @@ CASES = {
         sample_unsigned_hypergraph(3, 14, 14 * 140, seed=3), 0.05, c0=6.0),
     "clusters-3csp": lambda: certify_clusters_3csp(
         planted_3sat(14, 14 * 140, 7, seed=4)[0], Predicate.ksat(3), 0.01, c0=6.0),
+    # the fallback exits of the cluster and XOR-principle certifiers
+    "clusters-3xor-primal-norm": lambda: certify_clusters_3xor(
+        sample_unsigned_hypergraph(3, 14, 14 * 140, seed=3), 0.05),
+    "clusters-3xor-no-theta": lambda: certify_clusters_3xor(
+        sample_unsigned_hypergraph(3, 14, 14 * 140, seed=3), 0.3, c0=6.0),
+    "clusters-3csp-primal-norm": lambda: certify_clusters_3csp(
+        planted_3sat(14, 14 * 140, 7, seed=4)[0], Predicate.ksat(3), 0.01),
+    "clusters-3csp-xor-principle": lambda: certify_clusters_3csp(
+        planted_3sat(14, 14 * 140, 7, seed=4)[0], Predicate.ksat(3), 0.3, c0=6.0),
+    "count-ksat-xor-principle": lambda: certify_count_ksat(
+        sample_signed_hypergraph(3, 60, 1800, seed=2), 0.3),
+    "count-kcsp-xor-principle": lambda: certify_count_kcsp(
+        sample_signed_hypergraph(3, 60, 1800, seed=4), Predicate.parity(3), 0.3),
     "balance-3csp": lambda: certify_balance_3csp(
         planted_3sat(14, 14 * 140, 9, seed=5)[0], Predicate.ksat(3), rho=0.8, eta=0.02),
     "balance-kxor": lambda: certify_balance_kxor(synthetic_balanced_k4(), rho=0.5),
@@ -104,10 +121,16 @@ GOLDEN = {
     "balance-kcsp": "81ff7942151322a7d08bd4f84a12fc5a199c86907efc93d2d81679a2c1f25079",
     "balance-kxor": "188fdb84d22555b2d5d9fdce189b72225ccf57bf602b5e2e17d3646c658a1b08",
     "clusters-3csp": "475158bec95cf1ef395950179e3d89357c25039dc106eb338fa959b52872ab37",
+    "clusters-3csp-primal-norm": "48d6d87bd031a4c2f090acd35623883092c3f496f3ee27145839abc98884e11b",
+    "clusters-3csp-xor-principle": "d0696863dee72d5308ca1fed2d4cffa79620a918c745b1c4134d2011e7fdec02",
     "clusters-3xor": "928fced26cdde74596670528b2351784dd765b3293825a99033c53d4c895af9e",
+    "clusters-3xor-no-theta": "80cfc98eec01dbf6c80ed3f93614f7cd80638a503a9669ff31f5ac6e2fefc73f",
+    "clusters-3xor-primal-norm": "7e5d218d7b75a12200f7c05003ca58899b5b21b397c6f3c9a085cd6f7ba2477b",
     "count-2xor": "4f62c1d6cfc04a59cf97b59b4f1c2bf29a9d11e6d48433e521e5fb38a776d573",
     "count-kcsp-parity": "2fd7cb0659836a3d7951ed4c47f127dbb1ee27cf8d987f473c4a9e9b3d17c20e",
+    "count-kcsp-xor-principle": "92e93f30713d4816ddbbba32e0f5374f255278452a0b09b20dfce3ab08b11c01",
     "count-ksat": "ef47326de47111be16adc54cd0c005f1004902fcdce2577ca879e1216ae23aaf",
+    "count-ksat-xor-principle": "2f8499ca87bc2619dce905303d2d53e39b16cd3a24253e6bce69c2e0f1b92a9b",
     "count-kxor-seed1": "81c3ed61b352b9f8cb7797b547c0220dd968e9fe52611f006171a591be711a28",
     "count-kxor-seed3": "917af7478121b261779c5aa768ce0eeded1097c7029a16eac43fb57201da04fd",
     "count-kxor-seed5": "ff917134fda589b374e31f23dd38333db4705a2ad634cc81beeb9002bc115317",
@@ -130,7 +153,8 @@ def digest(cert) -> str:
 
 
 @pytest.fixture(scope="module")
-def digests() -> dict:
+def measured() -> dict:
+    """name -> {"digest", "sha256_calls"}, from one child process."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
@@ -140,9 +164,33 @@ def digests() -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_certificate_bytes_unchanged(name, digests):
-    assert digests[name] == GOLDEN[name]
+def test_certificate_bytes_unchanged(name, measured):
+    assert measured[name]["digest"] == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_certifier_hashes_one_instance(name, measured):
+    assert measured[name]["sha256_calls"] == 1
+
+
+def _measure(case) -> dict:
+    """The case's digest and how often it called ``sha256_of`` through the
+    names ``instances`` and ``eigencount`` bind, the only ones that hash
+    instance documents."""
+    calls = []
+    real = instances.sha256_of
+
+    def counted(obj):
+        calls.append(1)
+        return real(obj)
+
+    instances.sha256_of = eigencount.sha256_of = counted
+    try:
+        cert = case()
+    finally:
+        instances.sha256_of = eigencount.sha256_of = real
+    return {"digest": digest(cert), "sha256_calls": len(calls)}
 
 
 if __name__ == "__main__":
-    print(json.dumps({name: digest(case()) for name, case in CASES.items()}))
+    print(json.dumps({name: _measure(case) for name, case in CASES.items()}))
