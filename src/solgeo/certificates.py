@@ -15,7 +15,7 @@ from functools import cache
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
-TOOL_VERSION = "0.4.0"
+TOOL_VERSION = "0.5.0"
 
 # field name -> JSON key, where the two differ
 _JSON_KEYS = {"signature": "instance_sha256"}

@@ -430,15 +430,25 @@ VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
 
 
+def _exact(value, key: str | None, accepts: Callable[[object], bool], expected: str):
+    """The oracle's exact value (its entry ``key``, if given) when
+    ``accepts`` takes it; ValueError naming it and ``expected`` otherwise."""
+    if key is not None:
+        value = value.get(key) if isinstance(value, dict) else None
+    if not accepts(value):
+        where = "exact_value" + (f"[{key!r}]" if key else "")
+        raise ValueError(f"oracle {where} holds {type(value).__name__} {value!r:.40}, not {expected}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _exact_int(value, key: str | None = None) -> int:
     """The integer an oracle's exact value holds (its entry ``key``, if
     given); ValueError if it holds anything else."""
-    if key is not None:
-        value = value.get(key) if isinstance(value, dict) else None
-    if isinstance(value, bool) or not isinstance(value, int):
-        where = "exact_value" + (f"[{key!r}]" if key else "")
-        raise ValueError(f"oracle {where} holds {type(value).__name__} {value!r:.40}, not int")
-    return value
+    return _exact(value, key, _is_int, "int")
 
 
 def _count_verdict(log2_bound: float, count: int) -> str:
@@ -447,21 +457,35 @@ def _count_verdict(log2_bound: float, count: int) -> str:
     return SOUND if math.log2(count) <= log2_bound + 1e-9 else VIOLATED
 
 
-def _cluster_verdict(cert, data: dict) -> str:
+def _is_histogram(value) -> bool:
+    return isinstance(value, dict) and all(
+        d.isdecimal() and _is_int(cnt) for d, cnt in value.items())
+
+
+def _cluster_verdict(cert, data) -> str:
+    histogram = _exact(data, "distance_histogram", _is_histogram,
+                       "an object of int counts keyed by distance")
+    cover_count = _exact_int(data, "cover_count")
     if cert.fallback:
         return SOUND
     theta_n = cert.theta * cert.n
     lo, hi = cert.gap_interval
-    for dist_str, cnt in data["distance_histogram"].items():
+    for dist_str, cnt in histogram.items():
         d = int(dist_str)
         if cnt and not (d <= theta_n + 1e-9 or (lo - 1e-9 <= d <= hi + 1e-9)):
             return VIOLATED
-    if data["cover_count"] > 2.0**cert.log2_cluster_bound * (1 + 1e-9):
+    if cover_count > 2.0**cert.log2_cluster_bound * (1 + 1e-9):
         return VIOLATED
     return SOUND
 
 
-def _balance_verdict(cert, max_bias: float | None) -> str:
+def _is_max_bias(value) -> bool:
+    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)
+                             and math.isfinite(value))
+
+
+def _balance_verdict(cert, max_bias) -> str:
+    max_bias = _exact(max_bias, None, _is_max_bias, "a finite number or null")
     if max_bias is None:
         return SOUND
     return SOUND if max_bias < cert.rho - 1e-12 else VIOLATED

@@ -4,12 +4,18 @@ Every certificate downstream consumes *measured* spectral quantities from
 these routines, never high-probability thresholds; the thresholds only
 gate whether a nontrivial bound is attempted.
 
-Each consumed number is computed by ``np.linalg.eigvalsh`` and then
-*proved*, shifted by ``eig_slack`` in the direction its consumer uses it:
-a Cholesky factorization of the shifted matrix shows it positive definite
+Each consumed number is an estimate that is then *proved*, shifted by
+``eig_slack`` in the direction its consumer uses it: a Cholesky
+factorization of the shifted matrix shows it positive definite
 (``_prove_min_above``), with a margin that covers the factorization's own
-rounding and the rounding made while forming the matrix.  A failed proof
-raises ``EigensolverError``; nothing falls back silently.
+rounding and the rounding made while forming the matrix.  The estimate
+comes from ``np.linalg.eigvalsh``, except that graphs with at least
+``ITERATIVE_MIN_N`` vertices take the estimates of lambda_2 and of the
+de-meaned norm from Lanczos on a sparse matrix-vector product
+(``_lanczos_extremes``) and fall back to ``eigvalsh`` only when that
+estimate fails its proof.  Where an estimate comes from never decides
+soundness: the proof does.  A failed proof of the ``eigvalsh`` value
+raises ``EigensolverError``; nothing is consumed unproved.
 
 Consumers and the direction each one consumes:
 
@@ -37,7 +43,7 @@ Not proved:
 * ``lam_lo`` = vals[-1] - s in the SK and independent-set counts only
   places the window threshold, which the counting argument allows
   anywhere, so no lower bound on lambda_max is consumed;
-* interior eigenvalues; no routine here computes an eigenvector;
+* interior eigenvalues; no eigenvector or Ritz vector is consumed;
 * the SVD branch of the refuter's flattening bound.
 """
 
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -57,9 +64,23 @@ from .instances import MultiGraph
 EIG_TOL = 1e-8
 SLACK_FACTOR = 10.0
 
-# Dense eigensolves only; sizes beyond this are refused rather than
-# silently degraded to an uncertified iterative method.
+# Every proof factors the dense matrix, so sizes beyond this are refused.
 MAX_DENSE_N = 5000
+
+# Graphs with at least this many vertices estimate lambda_2 and the
+# de-meaned norm by Lanczos instead of eigvalsh.  Chosen by input size:
+# at n = 2000 eigvalsh costs about five Cholesky proofs and the Lanczos
+# estimate a fraction of one; below n = 1000 every solve is cheap and
+# keeps its eigvalsh bytes.
+ITERATIVE_MIN_N = 1000
+# Lanczos stops once both extreme Ritz residuals are below LANCZOS_TOL
+# times eig_slack (so the proofs keep at least half their slack), checked
+# every LANCZOS_CHECK_EVERY steps, or after LANCZOS_MAX_STEPS steps; it
+# starts from a standard normal vector drawn with seed LANCZOS_SEED.
+LANCZOS_TOL = 0.5
+LANCZOS_MAX_STEPS = 400
+LANCZOS_CHECK_EVERY = 20
+LANCZOS_SEED = 0
 
 # Unit roundoff of IEEE double precision and the smallest positive normal
 # number: the constants of the Cholesky margin.
@@ -181,8 +202,81 @@ def prove_norm_below(B: np.ndarray, t: float, err: float = 0.0) -> None:
     _prove_min_above(B, -t, err)
 
 
-def _lambda2_value(A: np.ndarray, degrees: np.ndarray) -> float:
-    """lambda_2 of the normalized Laplacian, proved from below.  ``A`` is
+def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[float, float]:
+    """Smallest and largest Ritz values of the symmetric operator
+    ``matvec`` on R^n: estimates of its extreme eigenvalues, not bounds.
+
+    Lanczos with full reorthogonalization (two Gram-Schmidt passes against
+    the whole basis each step) from a fixed start vector, so the result is
+    a deterministic function of the operator.  A Ritz pair (theta, y) of
+    the k-step tridiagonal T = S diag(theta) S^T has residual
+    |B y - theta y| = beta_k |s_kj|, and some eigenvalue of B lies within
+    that of theta.  It need not be the extreme one; the consumer's proof
+    settles that.
+    """
+    steps = min(LANCZOS_MAX_STEPS, n)
+    Q = np.empty((steps, n))
+    alpha, beta = np.empty(steps), np.empty(steps)
+    q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    Q[0] = q / np.linalg.norm(q)
+    floor = LANCZOS_TOL * eig_slack(0.0)  # below every stopping tolerance
+    for j in range(steps):
+        z = matvec(Q[j])
+        alpha[j] = Q[j] @ z
+        z -= alpha[j] * Q[j]
+        if j:
+            z -= beta[j - 1] * Q[j - 1]
+        for _ in range(2):
+            z -= Q[:j + 1].T @ (Q[:j + 1] @ z)
+        beta[j] = float(np.linalg.norm(z))
+        k = j + 1
+        if k % LANCZOS_CHECK_EVERY == 0 or k == steps or beta[j] <= floor:
+            off = beta[:k - 1]
+            theta, S = np.linalg.eigh(np.diag(alpha[:k]) + np.diag(off, 1) + np.diag(off, -1))
+            lo, hi = float(theta[0]), float(theta[-1])
+            resid = beta[j] * max(abs(S[-1, 0]), abs(S[-1, -1]))
+            if k == steps or resid <= LANCZOS_TOL * eig_slack(max(abs(lo), abs(hi))):
+                break
+        Q[k] = z / beta[j]
+    return lo, hi
+
+
+def _adjacency_matvec(G: MultiGraph) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> A x for G's adjacency matrix, parallel edges counted, from the
+    edge list."""
+    E = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
+    u, v, n = E[:, 0], E[:, 1], G.n
+    return lambda x: np.bincount(u, x[v], n) + np.bincount(v, x[u], n)
+
+
+def _proved_extreme(
+    B: np.ndarray,
+    matvec: Callable[[np.ndarray], np.ndarray] | None,
+    pick: Callable[[float, float], float],
+    prove: Callable[[float], None],
+) -> float:
+    """``pick`` of B's smallest and largest eigenvalue estimates, after
+    ``prove`` accepts it (it raises EigensolverError otherwise).
+
+    The estimates come from Lanczos on ``matvec``, an operator equal to B
+    up to rounding, when one is given; from ``eigvalsh(B)`` when none is
+    or when ``prove`` refuses the Lanczos value.
+    """
+    if matvec is not None:
+        value = pick(*_lanczos_extremes(matvec, B.shape[0]))
+        try:
+            prove(value)
+            return value
+        except EigensolverError:
+            pass
+    vals = np.linalg.eigvalsh(B)
+    value = pick(float(vals[0]), float(vals[-1]))
+    prove(value)
+    return value
+
+
+def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
+    """lambda_2 of G's normalized Laplacian, proved from below.  ``A`` is
     the adjacency matrix and is overwritten.
 
     L is formed in place as 1 on the diagonal and -(a_ij s_i) s_j off it,
@@ -192,6 +286,11 @@ def _lambda2_value(A: np.ndarray, degrees: np.ndarray) -> float:
     7.3u relatively, |2 P0|_F = 2; adding the two rounds by at most
     u (|L|_F + 2) <= u (2 sqrt(n) + 2).  By Weyl's inequality the
     eigenvalues move by at most 16u (sqrt(n) + 2) in all.
+
+    v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
+    moves its eigenvalue to 2 and keeps lambda_2..lambda_n <= 2, so
+    lambda_2 is the smallest eigenvalue of L + 2 P0.  Below
+    ITERATIVE_MIN_N it is read off eigvalsh(L) as the second smallest.
     """
     n = A.shape[0]
     inv_sqrt = 1.0 / np.sqrt(degrees)
@@ -199,16 +298,26 @@ def _lambda2_value(A: np.ndarray, degrees: np.ndarray) -> float:
     L *= inv_sqrt[:, None]
     L *= -inv_sqrt[None, :]
     np.fill_diagonal(L, 1.0)  # no self-loops: a_ii = 0
-    vals = np.linalg.eigvalsh(L)
-    lam2 = float(np.clip(vals[min(1, n - 1)], 0.0, 2.0))
-    mu = lam2 - eig_slack(2.0)
-    if mu > 0.0:  # otherwise lambda_2 >= 0 > mu holds for every Laplacian
-        # v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
-        # moves its eigenvalue to 2 and keeps lambda_2..lambda_n
-        w = np.sqrt(degrees) * math.sqrt(2.0 / float(degrees.sum()))
+    w = np.sqrt(degrees) * math.sqrt(2.0 / float(degrees.sum()))
+
+    def prove(lam2: float) -> None:
+        mu = lam2 - eig_slack(2.0)
+        if mu > 0.0:  # otherwise lambda_2 >= 0 > mu holds for every Laplacian
+            _prove_min_above(L, mu, 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0))
+
+    def clip(lam2: float) -> float:
+        return float(np.clip(lam2, 0.0, 2.0))
+
+    if n < ITERATIVE_MIN_N:
+        lam2 = clip(np.linalg.eigvalsh(L)[min(1, n - 1)])
         L += np.outer(w, w)
-        _prove_min_above(L, mu, 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0))
-    return lam2
+        prove(lam2)
+        return lam2
+    L += np.outer(w, w)
+    adjacency = _adjacency_matvec(G)
+    return _proved_extreme(
+        L, lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x),
+        lambda lo, hi: clip(lo), prove)
 
 
 def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -232,10 +341,13 @@ def _demeaned_norm_value(G: MultiGraph, A: np.ndarray | None = None) -> float:
         return 0.0
     _check_dense(G.n)
     Abar, err = demeaned_adjacency(G, A)
-    vals = np.linalg.eigvalsh(Abar)
-    nu = float(max(abs(vals[0]), abs(vals[-1])))
-    prove_norm_below(Abar, nu + eig_slack(nu), err)
-    return nu
+    matvec = None
+    if G.n >= ITERATIVE_MIN_N:
+        adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
+        matvec = lambda x: adjacency(x) - q * x.sum()
+    return _proved_extreme(
+        Abar, matvec, lambda lo, hi: max(abs(lo), abs(hi)),
+        lambda nu: prove_norm_below(Abar, nu + eig_slack(nu), err))
 
 
 def spectral_report(
@@ -255,7 +367,7 @@ def spectral_report(
             raise ValueError("normalized Laplacian requires no isolated vertices")
         _check_dense(n)
         A = G.adjacency()
-        lam2 = _lambda2_value(A.copy() if demeaned else A, degrees)
+        lam2 = _lambda2_value(G, A.copy() if demeaned else A, degrees)
 
     norm: float | None = None
     if demeaned:

@@ -343,35 +343,65 @@ def test_file_without_json_object_is_usage_error(tmp_path, capsys, position):
     assert "JSON object" in capsys.readouterr().err
 
 
-# a hand-edited certificate or oracle field: which file, the field, its bad
-# value, and a word the message must name
+# the pipelines the malformed files come from: gen, certify and oracle
+# arguments; a cluster oracle also takes the certificate's theta
+MALFORMED_PIPELINES = {
+    "count": (XOR, ["--kind", "count"], ["--kind", "count"]),
+    "clusters": (["--kind", "xor", "-k", "3", "-n", "14", "-m", "1960"],
+                 ["--kind", "clusters", "--eta", "0.05", "--c0", "6"],
+                 ["--kind", "clusters", "--eta", "0.05"]),
+    "balance": (["--kind", "csp", "-k", "3", "-n", "10", "-m", "1000"],
+                ["--kind", "balance", "--rho", "0.8", "--eta", "0.02"],
+                ["--kind", "bias", "--eta", "0.02"]),
+}
+
+# a hand-edited certificate or oracle field: the pipeline, which file, the
+# field's path, its bad value, and a word the message must name
 MALFORMED_VERIFY = {
     # each of these once exited 4, an internal error
-    "checks-int": ("certificate", "checks", 5, "'checks'"),
-    "log2-bound-string": ("certificate", "log2_bound", "7", "'log2_bound'"),
-    "check-record-string": ("certificate", "checks", [{"name": "x", "measured": "1",
-                                                      "threshold": 1.0, "passed": True}],
+    "checks-int": ("count", "certificate", ["checks"], 5, "'checks'"),
+    "log2-bound-string": ("count", "certificate", ["log2_bound"], "7", "'log2_bound'"),
+    "check-record-string": ("count", "certificate", ["checks"],
+                            [{"name": "x", "measured": "1", "threshold": 1.0, "passed": True}],
                             "'measured'"),
-    "n-float": ("certificate", "n", 10.0, "'n'"),
-    "enumeration-size-string": ("oracle", "enumeration_size", "1024", "'enumeration_size'"),
+    "n-float": ("count", "certificate", ["n"], 10.0, "'n'"),
+    "enumeration-size-string": ("count", "oracle", ["enumeration_size"], "1024",
+                                "'enumeration_size'"),
+    "max-bias-string": ("balance", "oracle", ["exact_value"], "0.1", "exact_value"),
+    "max-bias-bool": ("balance", "oracle", ["exact_value"], True, "exact_value"),
+    "cover-count-string": ("clusters", "oracle", ["exact_value", "cover_count"], "3",
+                           "'cover_count'"),
+    "histogram-count-float": ("clusters", "oracle", ["exact_value", "distance_histogram"],
+                              {"3": 1.5}, "'distance_histogram'"),
+    "histogram-distance-word": ("clusters", "oracle", ["exact_value", "distance_histogram"],
+                                {"three": 1}, "'distance_histogram'"),
     # once silently sound: the verdict read it with int()
-    "exact-value-string": ("oracle", "exact_value", "3", "exact_value"),
-    "exact-value-float": ("oracle", "exact_value", 3.5, "exact_value"),
+    "exact-value-string": ("count", "oracle", ["exact_value"], "3", "exact_value"),
+    "exact-value-float": ("count", "oracle", ["exact_value"], 3.5, "exact_value"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_VERIFY))
 def test_malformed_certificate_or_oracle_is_usage_error(tmp_path, capsys, case):
-    which, key, value, named = MALFORMED_VERIFY[case]
-    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    pipeline, which, path, value, named = MALFORMED_VERIFY[case]
+    instance, certify, oracle = MALFORMED_PIPELINES[pipeline]
+    inst = gen(tmp_path, "i.json", *instance, "--seed", "1")
     files = {"certificate": tmp_path / "c.json", "oracle": tmp_path / "o.json"}
-    for command, path in zip(("certify", "oracle"), files.values()):
-        assert run(command, "--kind", "count", "--instance", str(inst),
-                   "--out", str(path)) == 0
+    assert run("certify", *certify, "--instance", str(inst),
+               "--out", str(files["certificate"])) == 0
+    cert = read_json(str(files["certificate"]))
+    assert cert["kind"] == pipeline and not cert.get("fallback")
+    if pipeline == "clusters":
+        oracle = [*oracle, "--theta", repr(cert["theta"])]
+    assert run("oracle", *oracle, "--instance", str(inst), "--out", str(files["oracle"])) == 0
     assert run("verify", "--certificate", str(files["certificate"]),
                "--oracle", str(files["oracle"])) == 0
     doc = read_json(str(files[which]))
-    doc[key] = value
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
     files[which].write_text(json.dumps(doc))
     capsys.readouterr()
     assert run("verify", "--certificate", str(files["certificate"]),

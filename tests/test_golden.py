@@ -58,9 +58,9 @@ def _kxor(seed):
     return certify_count_kxor(sample_unsigned_hypergraph(3, 100, 3000, seed), 0.0)
 
 
-def _2xor():
-    H = sample_unsigned_hypergraph(2, 200, int(200**1.4), seed=1)
-    return certify_count_2xor(MultiGraph.build(200, H.edges), 0.0)
+def _2xor(n=200):
+    H = sample_unsigned_hypergraph(2, n, int(n**1.4), seed=1)
+    return certify_count_2xor(MultiGraph.build(n, H.edges), 0.0)
 
 
 def _sk_one_spike(n=64, eta=0.1):
@@ -80,6 +80,8 @@ CASES = {
     "count-kcsp-parity": lambda: certify_count_kcsp(
         sample_signed_hypergraph(3, 60, 1800, seed=4), Predicate.parity(3), 0.0),
     "count-2xor": _2xor,
+    # n >= spectral.ITERATIVE_MIN_N: lambda_2 estimated by Lanczos, then proved
+    "count-2xor-lanczos": lambda: _2xor(1000),
     "clusters-3xor": lambda: certify_clusters_3xor(
         sample_unsigned_hypergraph(3, 14, 14 * 140, seed=3), 0.05, c0=6.0),
     "clusters-3csp": lambda: certify_clusters_3csp(
@@ -127,6 +129,7 @@ GOLDEN = {
     "clusters-3xor-no-theta": "80cfc98eec01dbf6c80ed3f93614f7cd80638a503a9669ff31f5ac6e2fefc73f",
     "clusters-3xor-primal-norm": "7e5d218d7b75a12200f7c05003ca58899b5b21b397c6f3c9a085cd6f7ba2477b",
     "count-2xor": "4f62c1d6cfc04a59cf97b59b4f1c2bf29a9d11e6d48433e521e5fb38a776d573",
+    "count-2xor-lanczos": "8f57e1f39c889926178ddcea449659e22b593e708fb1cfaa3b40af476fe72dcb",
     "count-kcsp-parity": "2fd7cb0659836a3d7951ed4c47f127dbb1ee27cf8d987f473c4a9e9b3d17c20e",
     "count-kcsp-xor-principle": "92e93f30713d4816ddbbba32e0f5374f255278452a0b09b20dfce3ab08b11c01",
     "count-ksat": "ef47326de47111be16adc54cd0c005f1004902fcdce2577ca879e1216ae23aaf",

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from solgeo import spectral
-from solgeo.instances import MultiGraph, sample_goe, sample_unsigned_hypergraph
+from solgeo.instances import (
+    MultiGraph,
+    sample_goe,
+    sample_regular_graph,
+    sample_unsigned_hypergraph,
+)
 from solgeo.spectral import (
     EigensolverError,
     SpectralReport,
@@ -302,3 +307,106 @@ def test_report_builds_adjacency_once(monkeypatch):
     monkeypatch.setattr(MultiGraph, "adjacency", lambda self: calls.append(1) or real(self))
     spectral_report(G)
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# Lanczos estimates for graphs with at least ITERATIVE_MIN_N vertices
+# ---------------------------------------------------------------------------
+
+N_ITER = spectral.ITERATIVE_MIN_N
+
+
+def er_lambda2(seed: int):
+    """A graph measure at n = N_ITER and its slack: lambda_2 of an ER graph
+    in the criterion-3 regime."""
+    G = random_graph(N_ITER, int(N_ITER**1.4), seed).simple()
+    assert min(G.degrees) > 0
+    return lambda: spectral_report(G, demeaned=False).lambda2
+
+
+def regular_norm(seed: int):
+    G = sample_regular_graph(N_ITER, 3, seed)
+    return lambda: demeaned_norm(G)
+
+
+MEASURES = {"er-lambda2": er_lambda2, "regular-norm": regular_norm}
+
+
+def dense_value(monkeypatch, measure) -> float:
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "ITERATIVE_MIN_N", 10 * N_ITER)
+        return measure()
+
+
+def count_square_eigvalsh(monkeypatch) -> list:
+    """Record each n x n eigvalsh call, n = N_ITER, on top of whatever
+    eigvalsh is installed now."""
+    calls = []
+    inner = np.linalg.eigvalsh
+
+    def counted(M):
+        if np.shape(M) == (N_ITER, N_ITER):
+            calls.append(1)
+        return inner(M)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    return calls
+
+
+def skew_lanczos(monkeypatch, name: str) -> None:
+    """Make the Lanczos estimate wrong by 10 slacks in the direction its
+    consumer must not be wrong in: lambda_2 too high, the norm too low."""
+    real = spectral._lanczos_extremes
+
+    def skewed(matvec, n):
+        lo, hi = real(matvec, n)
+        if name == "er-lambda2":
+            return lo + 10 * eig_slack(2.0), hi
+        s = 10 * eig_slack(max(-lo, hi))
+        return lo + s, hi - s
+
+    monkeypatch.setattr(spectral, "_lanczos_extremes", skewed)
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_lanczos_value_agrees_with_eigvalsh(monkeypatch, name, seed):
+    measure = MEASURES[name](seed)
+    value, dense = measure(), dense_value(monkeypatch, measure)
+    assert abs(value - dense) <= eig_slack(dense)
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_lanczos_path_makes_no_dense_eigensolve(monkeypatch, name):
+    measure = MEASURES[name](0)
+    calls = count_square_eigvalsh(monkeypatch)
+    measure()
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_unproved_lanczos_estimate_falls_back_to_eigvalsh(monkeypatch, name):
+    measure = MEASURES[name](0)
+    dense = dense_value(monkeypatch, measure)
+    skew_lanczos(monkeypatch, name)
+    calls = count_square_eigvalsh(monkeypatch)
+    assert measure() == pytest.approx(dense, abs=1e-12)
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("name", sorted(MEASURES))
+def test_skewed_lanczos_and_eigvalsh_are_caught(monkeypatch, name):
+    measure = MEASURES[name](0)
+    skew_lanczos(monkeypatch, name)
+
+    def edit(vals):
+        s = 10 * eig_slack(float(np.max(np.abs(vals))))
+        if name == "er-lambda2":
+            vals[0] += s  # L + 2 P0 has lambda_2 as its smallest eigenvalue
+        else:
+            vals[0] += s
+            vals[-1] -= s
+
+    skewed_eigvalsh(monkeypatch, edit)
+    with pytest.raises(EigensolverError):
+        measure()
