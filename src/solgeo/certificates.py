@@ -45,8 +45,10 @@ def _encode(value, hint):
 def _decode(value, hint, where: str):
     """``value`` read as ``hint``: lists as tuples of the hinted length,
     ints as floats where floats belong, bool as neither; ValueError naming
-    ``where`` for a value of another type."""
+    ``where`` for a value of another type; ``object`` takes any value."""
     origin = get_origin(hint)
+    if hint is object:
+        return value
     if origin is tuple:
         if isinstance(value, (list, tuple)):
             hints = _item_hints(hint, len(value))
@@ -73,13 +75,15 @@ def _decode(value, hint, where: str):
 
 class JsonRecord:
     """JSON codec of a dataclass, derived from its fields.  A field with a
-    default may be missing from the JSON; one without may not."""
+    default may be missing from the JSON; one without may not.  A field
+    whose default is None is left out while it holds None."""
 
     def to_json_dict(self) -> dict:
         hints = _hints(type(self))
         return {
             _JSON_KEYS.get(f.name, f.name): _encode(getattr(self, f.name), hints[f.name])
             for f in fields(self)
+            if not (f.default is None and getattr(self, f.name) is None)
         }
 
     @classmethod

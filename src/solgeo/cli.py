@@ -14,8 +14,9 @@ import itertools
 import json
 import os
 import sys
+import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import Pool
 from typing import Callable
 
@@ -130,7 +131,7 @@ KINDS = {
                 I, _predicate(a, I), a.eta, a.c0),
         },
         oracles={
-            XorInstance: lambda I, a: oracle.brute_clusters(I, a.eta, _required(a, "theta"))[0],
+            XorInstance: lambda I, a: oracle.brute_clusters(I, a.eta, _required(a, "theta")),
         },
         value=lambda v: v["num_solutions"],
     ),
@@ -212,9 +213,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = load_instance(read_json(args.instance))
-    oracles = KINDS[_ORACLE_KINDS[args.kind]].oracles
-    res = _lookup("oracle", args.kind, oracles, instance)(instance, args)
-    write_json(args.out, res.to_json_dict(timing=args.timing))
+    run = _lookup("oracle", args.kind, KINDS[_ORACLE_KINDS[args.kind]].oracles, instance)
+    t0 = time.perf_counter()
+    res = run(instance, args)
+    if args.timing:
+        res = replace(res, runtime_ms=(time.perf_counter() - t0) * 1000.0)
+    write_json(args.out, res.to_json_dict())
     print(f"wrote {res.kind} oracle result to {args.out}")
     return EXIT_OK
 
@@ -235,12 +239,24 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 _AXIS_DEFAULTS = {"k": 3, "delta": None, "m": None, "eta": 0.0, "rho": None, "d": 3}
+# The axes that size and shape an instance; the others may hold floats.
+_INT_AXES = ("n", "k", "m", "d")
 # Config keys besides the grid, with their defaults; rows are keyed on all of them.
 _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 
 
 def _sweep_cells(config: dict) -> list[dict]:
+    """The grid's cells; ValueError naming an axis that is not a list of
+    numbers, or of integers where the instance size and shape belong."""
     grid = config["grid"]
+    if not isinstance(grid, dict):
+        raise ValueError(f"sweep config 'grid' holds {grid!r:.40}, not an object of axes")
+    for axis, values in grid.items():
+        types, expected = (int, "integers") if axis in _INT_AXES else ((int, float), "numbers")
+        if not isinstance(values, list) or any(
+                isinstance(v, bool) or not isinstance(v, types) for v in values):
+            raise ValueError(f"sweep grid axis {axis!r} holds {values!r:.40}, "
+                             f"not a list of {expected}")
     axes = sorted(grid)
     return [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
 
@@ -327,10 +343,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     done = set()
     if os.path.exists(out_path):
         done = {(row["cell_hash"], row["seed"]) for row in _read_rows(out_path)}
+    seeds = config.get("seeds", 1)
+    if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
+        raise ValueError(f"sweep config 'seeds' holds {seeds!r:.40}, not a count")
     jobs = [
         (config, cell, seed)
         for cell in _sweep_cells(config)
-        for seed in range(config.get("seeds", 1))
+        for seed in range(seeds)
         if (_cell_hash(config, cell), seed) not in done
     ]
 

@@ -10,12 +10,12 @@ batch sweeps reduce to numpy bit arithmetic and matmuls.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .certificates import JsonRecord
 from .instances import (
     MultiGraph,
     Predicate,
@@ -31,57 +31,21 @@ from .jsonio import sha256_of
 _CHUNK = 1 << 16
 
 
-# The parameters an oracle value can depend on, as named in its JSON.
-PARAMETERS = ("eta", "theta", "threshold_size")
-
-# The types each scalar field of an oracle file may hold; bool is none of them.
-_SCALAR_TYPES = {
-    "kind": (str,), "enumeration_size": (int,), "threshold_size": (int,),
-    "instance_sha256": (str, type(None)),
-    "runtime_ms": (int, float), "eta": (int, float), "theta": (int, float),
-}
-
-
 @dataclass(frozen=True)
-class OracleResult:
+class OracleResult(JsonRecord):
     """Exact value of an oracle computation plus bookkeeping: the hash of
     the instance, computed the way the matching certificates bind it, and
-    the parameters the value depends on."""
+    the parameters the value depends on.  A bookkeeping field left None
+    is left out of the JSON; ``runtime_ms`` is set only by a timed run."""
 
     kind: str
     exact_value: object
     enumeration_size: int
-    runtime_ms: float = field(compare=False, default=0.0)
+    runtime_ms: float | None = field(default=None, compare=False)
     instance_sha256: str | None = None
-    parameters: dict = field(default_factory=dict)
-
-    def to_json_dict(self, timing: bool = False) -> dict:
-        d = {
-            "kind": self.kind,
-            "exact_value": self.exact_value,
-            "enumeration_size": self.enumeration_size,
-            "instance_sha256": self.instance_sha256,
-            **self.parameters,
-        }
-        if timing:
-            d["runtime_ms"] = self.runtime_ms
-        return d
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "OracleResult":
-        for key, types in _SCALAR_TYPES.items():
-            value = d.get(key)
-            if key in d and (isinstance(value, bool) or not isinstance(value, types)):
-                raise ValueError(f"oracle field {key!r} holds {type(value).__name__} "
-                                 f"{value!r:.40}, not {' or '.join(t.__name__ for t in types)}")
-        return cls(
-            d["kind"], d["exact_value"], d["enumeration_size"], d.get("runtime_ms", 0.0),
-            d.get("instance_sha256"), {k: d[k] for k in PARAMETERS if k in d},
-        )
-
-
-def _elapsed_ms(t0: float) -> float:
-    return (time.perf_counter() - t0) * 1000.0
+    eta: float | None = None
+    theta: float | None = None
+    threshold_size: int | None = None
 
 
 def _bit_matrix(indices: np.ndarray, variables: Sequence[int]) -> np.ndarray:
@@ -165,7 +129,6 @@ def brute_count(
     I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float
 ) -> OracleResult:
     """Exact count of (1-eta)-satisfying assignments by full enumeration."""
-    t0 = time.perf_counter()
     if I.m == 0:
         raise ValueError("cannot count satisfiers of an empty instance")
     violations = violation_profile(I, P)
@@ -174,15 +137,12 @@ def brute_count(
     # count certificates of an XOR instance hold for every signing, so they
     # bind its hypergraph
     bound = I.hypergraph() if isinstance(I, XorInstance) else I
-    return OracleResult(
-        "count", count, 1 << I.n, _elapsed_ms(t0), bound.sha256(), {"eta": float(eta)}
-    )
+    return OracleResult("count", count, 1 << I.n, instance_sha256=bound.sha256(), eta=float(eta))
 
 
 def gaussian_count(I: XorInstance) -> OracleResult:
     """Exact count of exactly-satisfying assignments over GF(2):
     0 if inconsistent, else 2^(n - rank)."""
-    t0 = time.perf_counter()
     rows: list[tuple[int, int]] = []
     for b, S in I.clauses:
         mask = _odd_mask(S)
@@ -208,36 +168,19 @@ def gaussian_count(I: XorInstance) -> OracleResult:
         count = 0
     else:
         count = 1 << (I.n - len(pivots))
-    return OracleResult("gauss-count", count, I.m, _elapsed_ms(t0), I.sha256())
+    return OracleResult("gauss-count", count, I.m, instance_sha256=I.sha256())
 
 
-@dataclass(frozen=True)
-class ClusterProfile:
-    """All near-satisfiers of one instance: pairwise Hamming-distance
-    histogram and the greedy radius-(theta n) cover count."""
-
-    n: int
-    num_solutions: int
-    distance_histogram: dict[int, int]
-    cover_count: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "num_solutions": self.num_solutions,
-            "distance_histogram": {str(k): v for k, v in sorted(self.distance_histogram.items())},
-            "cover_count": self.cover_count,
-        }
-
-
-def _pairwise_distance_histogram(solutions: np.ndarray) -> dict[int, int]:
+def _pairwise_distance_histogram(solutions: np.ndarray) -> dict[str, int]:
+    """Number of solution pairs at each Hamming distance, keyed by the
+    distance in decimal, in increasing order."""
     hist: dict[int, int] = {}
     sols = solutions.astype(np.uint64)
     for i in range(len(sols)):
         d = np.bitwise_count(sols[i + 1:] ^ sols[i])
         for dist, cnt in zip(*np.unique(d, return_counts=True)):
             hist[int(dist)] = hist.get(int(dist), 0) + int(cnt)
-    return hist
+    return {str(dist): cnt for dist, cnt in sorted(hist.items())}
 
 
 def _greedy_cover(solutions: np.ndarray, radius: float) -> int:
@@ -251,35 +194,28 @@ def _greedy_cover(solutions: np.ndarray, radius: float) -> int:
     return covers
 
 
-def brute_clusters(I: XorInstance, eta: float, theta: float) -> tuple[OracleResult, ClusterProfile]:
+def brute_clusters(I: XorInstance, eta: float, theta: float) -> OracleResult:
     """Exact pairwise-distance profile of the (1-eta)-satisfiers plus the
     greedy count of radius-(theta n) balls needed to cover them."""
-    t0 = time.perf_counter()
     if I.n > 14:
         raise ValueError("cluster enumeration limited to n <= 14")
     violations = _violations_xor(I)
     budget = violation_budget(eta, I.m)
     solutions = np.nonzero(violations <= budget)[0]
-    profile = ClusterProfile(
-        I.n,
-        int(len(solutions)),
-        _pairwise_distance_histogram(solutions),
-        _greedy_cover(solutions, theta * I.n),
-    )
-    return (
-        OracleResult(
-            "clusters", profile.to_json_dict(), 1 << I.n, _elapsed_ms(t0),
-            I.hypergraph().sha256(), {"eta": float(eta), "theta": float(theta)},
-        ),
-        profile,
-    )
+    profile = {
+        "n": I.n,
+        "num_solutions": int(len(solutions)),
+        "distance_histogram": _pairwise_distance_histogram(solutions),
+        "cover_count": _greedy_cover(solutions, theta * I.n),
+    }
+    return OracleResult("clusters", profile, 1 << I.n, instance_sha256=I.hypergraph().sha256(),
+                        eta=float(eta), theta=float(theta))
 
 
 def brute_max_bias(
     I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float
 ) -> OracleResult:
     """Maximum bias over all (1-eta)-satisfiers; None if there are none."""
-    t0 = time.perf_counter()
     if I.m == 0:
         raise ValueError("cannot scan satisfiers of an empty instance")
     violations = violation_profile(I, P)
@@ -290,15 +226,12 @@ def brute_max_bias(
     else:
         ones = np.bitwise_count(solutions).astype(np.int64)
         value = float(np.max(np.abs(I.n - 2 * ones)) / I.n)
-    return OracleResult(
-        "max-bias", value, 1 << I.n, _elapsed_ms(t0), I.sha256(), {"eta": float(eta)}
-    )
+    return OracleResult("max-bias", value, 1 << I.n, instance_sha256=I.sha256(), eta=float(eta))
 
 
 def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
     """Exact max of x^T G x over the hypercube and the number of x
     reaching 2 (1-eta) n^(3/2)."""
-    t0 = time.perf_counter()
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if n > 18:
@@ -313,10 +246,8 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
         vals = np.einsum("ij,ij->i", X @ G, X)
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
-    return OracleResult(
-        "sk", {"opt": best, "count": count}, total, _elapsed_ms(t0),
-        sha256_of(instance_doc(G)), {"eta": float(eta)},
-    )
+    return OracleResult("sk", {"opt": best, "count": count}, total,
+                        instance_sha256=sha256_of(instance_doc(G)), eta=float(eta))
 
 
 def independence_number(G: MultiGraph) -> int:
@@ -364,7 +295,6 @@ def independence_number(G: MultiGraph) -> int:
 def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
     """Independence number plus the exact count of independent sets of size
     at least ``size_threshold``."""
-    t0 = time.perf_counter()
     n = G.n
     if n > 26:
         raise ValueError("independent-set enumeration limited to n <= 26")
@@ -388,16 +318,13 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
     if size_threshold <= 0:
         raise ValueError("size threshold must be positive")
     enumerate_sets(0, 0, 0)
-    return OracleResult(
-        "indset", {"alpha": alpha, "count": count}, 1 << n, _elapsed_ms(t0),
-        G.sha256(), {"threshold_size": size_threshold},
-    )
+    return OracleResult("indset", {"alpha": alpha, "count": count}, 1 << n,
+                        instance_sha256=G.sha256(), threshold_size=size_threshold)
 
 
 def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
     """Exact count of vectors in {+-1/sqrt(n)}^n within eps of the span of
     the given basis columns."""
-    t0 = time.perf_counter()
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
     if n > 20:
@@ -418,7 +345,7 @@ def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
         proj = Y @ Q
         dist_sq = np.maximum(1.0 - np.einsum("ij,ij->i", proj, proj), 0.0)
         count += int((np.sqrt(dist_sq) <= eps + 1e-12).sum())
-    return OracleResult("subspace-count", count, total, _elapsed_ms(t0))
+    return OracleResult("subspace-count", count, total)
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +357,16 @@ VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
 
 
-def _exact(value, key: str | None, accepts: Callable[[object], bool], expected: str):
-    """The oracle's exact value (its entry ``key``, if given) when
-    ``accepts`` takes it; ValueError naming it and ``expected`` otherwise."""
+def _exact(value, key: str | None, accepts: Callable[[object], bool], expected: str,
+           where: str = "oracle exact_value"):
+    """``value``, the field named ``where`` (its entry ``key``, if given),
+    when ``accepts`` takes it; ValueError naming it and ``expected``
+    otherwise."""
     if key is not None:
         value = value.get(key) if isinstance(value, dict) else None
+        where += f"[{key!r}]"
     if not accepts(value):
-        where = "exact_value" + (f"[{key!r}]" if key else "")
-        raise ValueError(f"oracle {where} holds {type(value).__name__} {value!r:.40}, not {expected}")
+        raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
     return value
 
 
@@ -445,10 +374,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _exact_int(value, key: str | None = None) -> int:
-    """The integer an oracle's exact value holds (its entry ``key``, if
-    given); ValueError if it holds anything else."""
-    return _exact(value, key, _is_int, "int")
+def _exact_int(value, key: str | None = None, where: str = "oracle exact_value") -> int:
+    """The integer an oracle's exact value, or the field named ``where``,
+    holds (its entry ``key``, if given); ValueError if it holds anything
+    else."""
+    return _exact(value, key, _is_int, "int", where)
 
 
 def _count_verdict(log2_bound: float, count: int) -> str:
@@ -522,7 +452,8 @@ PAIRINGS = {
     ),
     "indset-refutation": Pairing(
         "indset", lambda c: {},
-        lambda c, v: SOUND if _exact_int(v, "alpha") < c.evidence["refuted_size"] else VIOLATED,
+        lambda c, v: SOUND if _exact_int(v, "alpha") < _exact_int(
+            c.evidence, "refuted_size", "certificate evidence") else VIOLATED,
     ),
 }
 
@@ -550,7 +481,7 @@ def binding_mismatch(cert, oracle: OracleResult) -> str | None:
                 f"the certificate is bound to {cert.signature}")
     pairing = PAIRINGS.get(cert.kind)
     for name, value in (pairing.parameters(cert) if pairing else {}).items():
-        if oracle.parameters.get(name) != value:
-            return (f"the oracle ran at {name} = {oracle.parameters.get(name)!r}, "
+        if getattr(oracle, name) != value:
+            return (f"the oracle ran at {name} = {getattr(oracle, name)!r}, "
                     f"the certificate is for {name} = {value!r}")
     return None

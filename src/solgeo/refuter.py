@@ -48,15 +48,6 @@ class SparsePolynomial:
             if not math.isfinite(w):
                 raise ValueError("coefficients must be finite")
 
-    def evaluate(self, x: np.ndarray) -> float:
-        total = 0.0
-        for T, w in self.terms.items():
-            prod = w
-            for i in T:
-                prod *= x[i]
-            total += prod
-        return total
-
 
 @dataclass(frozen=True)
 class PolynomialBound:

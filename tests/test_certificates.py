@@ -162,12 +162,21 @@ def test_decoder_defaults_and_required_keys():
 class _Optional(JsonRecord):
     value: float | None
     values: tuple[float, ...] = ()
+    note: str | None = None
 
 
 @pytest.mark.parametrize("value", [None, 0.25])
 def test_optional_field_round_trips(value):
     record = _Optional(value, (0.5, 1.0))
     assert record.to_json_dict() == {"value": value, "values": [0.5, 1.0]}
+    assert _Optional.from_json_dict(record.to_json_dict()) == record
+
+
+def test_field_defaulting_to_none_is_written_only_when_set():
+    # a None without a default stays in the JSON; one with a None default does not
+    assert _Optional(None).to_json_dict() == {"value": None, "values": []}
+    record = _Optional(None, note="x")
+    assert record.to_json_dict() == {"value": None, "values": [], "note": "x"}
     assert _Optional.from_json_dict(record.to_json_dict()) == record
 
 

@@ -5,8 +5,9 @@ import pytest
 
 from solgeo import schemas
 from solgeo.cli import main
-from solgeo.instances import XorInstance
-from solgeo.jsonio import read_json
+from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
+from solgeo.instances import MultiGraph, XorInstance, instance_doc
+from solgeo.jsonio import read_json, write_json
 
 
 def run(*argv) -> int:
@@ -223,6 +224,19 @@ def test_oracle_binds_instance_and_parameters(tmp_path):
     assert doc["eta"] == 0.1 and "theta" not in doc
 
 
+def test_oracle_timing_is_opt_in(tmp_path):
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
+    cert, plain, timed = tmp_path / "c.json", tmp_path / "o.json", tmp_path / "t.json"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(plain)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(timed),
+               "--timing") == 0
+    doc, timed_doc = validate_file(plain), validate_file(timed)
+    assert "runtime_ms" not in doc
+    assert timed_doc.pop("runtime_ms") >= 0.0 and timed_doc == doc
+    assert run("verify", "--certificate", str(cert), "--oracle", str(timed)) == 0
+
+
 def test_verify_refuses_other_parameters(tmp_path):
     xor = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "200", "--seed", "4")
     reg = gen(tmp_path, "g.json", "--kind", "regular", "-n", "12", "-d", "3", "--seed", "4")
@@ -273,6 +287,22 @@ def test_sweep_resume_keys_on_effective_config(tmp_path):
         before = len(out.read_text().splitlines())
         assert run("sweep", "--config", str(config), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == before + 1, key
+
+
+@pytest.mark.parametrize("config", [
+    {"seeds": "2"},
+    {"grid": {"n": 12, "k": [3], "delta": [4]}},
+    {"grid": {"n": ["12"], "k": [3], "delta": [4]}},
+    {"grid": {"n": [12.5], "k": [3], "delta": [4]}},
+], ids=["seeds-string", "axis-not-list", "axis-value-string", "size-float"])
+def test_malformed_sweep_config_is_usage_error(tmp_path, capsys, config):
+    # each of these once exited 4, an internal error
+    cfg, out = sweep_config(tmp_path, **config), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and ("'seeds'" in err or "'n'" in err)
+    assert not out.exists()  # refused before any job ran
 
 
 def test_certify_rejects_asymmetric_goe(tmp_path, capsys):
@@ -408,3 +438,24 @@ def test_malformed_certificate_or_oracle_is_usage_error(tmp_path, capsys, case):
                "--oracle", str(files["oracle"])) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
+
+
+@pytest.mark.parametrize("value", ["9", 9.5, True], ids=["string", "float", "bool"])
+def test_malformed_refuted_size_is_usage_error(tmp_path, capsys, value):
+    # "9" once exited 4, 9.5 printed sound and true printed violated
+    block = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    G = MultiGraph.build(8, block + [(u + 4, v + 4) for u, v in block])  # two K4s
+    ref = refute_indset_from_count(G, certify_count_indsets(G, 0.4), 0.4)
+    inst, cert, orc = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "o.json"
+    write_json(str(inst), instance_doc(G))
+    doc = ref.to_json_dict()
+    write_json(str(cert), doc)
+    assert run("oracle", "--kind", "indset", "--threshold-size", "1", "--instance", str(inst),
+               "--out", str(orc)) == 0
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 0
+    doc["evidence"]["refuted_size"] = value
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'refuted_size'" in err

@@ -208,8 +208,8 @@ def test_clusters_planted_signings_respect_certificate():
     for idx in rng.integers(0, 1 << n, size=8):
         signs = table[idx]
         I = XorInstance(3, n, tuple((int(b), S) for b, S in zip(signs, H.edges)))
-        res, profile = brute_clusters(I, 0.05, cert.theta)
-        assert profile.num_solutions >= 1
+        res = brute_clusters(I, 0.05, cert.theta)
+        assert res.exact_value["num_solutions"] >= 1
         assert verify_certificate(cert, res) == "sound"
 
 

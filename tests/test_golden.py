@@ -1,10 +1,12 @@
-"""Certificate bytes pinned across refactors.
+"""Certificate and oracle-file bytes pinned across refactors.
 
 Each case builds one certificate from fixed inputs and compares the sha256
 of its canonical JSON, ``tool_version`` left out, with the value recorded
-when the case was added.  A refactor that changes any certificate byte for
-the same inputs fails here; a deliberate format change updates the table
-and says so.
+when the case was added.  Each oracle case writes one file with
+``solgeo oracle`` on a generated instance and compares the sha256 of the
+file's bytes the same way.  A refactor that changes any certificate or
+oracle byte for the same inputs fails here; a deliberate format change
+updates the table and says so.
 
 The digests are computed in one child process with one BLAS thread, the
 setting measurements use: a dense eigensolve rounds differently with more
@@ -12,21 +14,24 @@ threads, and a certificate carries its measured eigenvalues to the last
 digit.  The child also counts the instance documents each case hashes:
 a certifier hashes the one instance its certificate binds, once, however
 many reductions it goes through.  ``python tests/test_golden.py`` prints
-both as JSON.
+all of it as JSON.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from solgeo import eigencount, instances
+from solgeo import cli, eigencount, instances
 from solgeo.counting import (
     certify_count_2xor,
     certify_count_kcsp,
@@ -149,6 +154,43 @@ GOLDEN = {
 }
 
 
+XOR12 = ["--kind", "xor", "-k", "3", "-n", "12", "-m", "12"]
+CSP10 = ["--kind", "csp", "-k", "3", "-n", "10", "-m", "40", "--seed", "1"]
+REGULAR16 = ["--kind", "regular", "-n", "16", "-d", "3", "--seed", "1"]
+# name -> (`solgeo gen` arguments, `solgeo oracle` arguments), one case or
+# more for every `oracle --kind`
+ORACLE_CASES = {
+    "count-xor": ([*XOR12, "--seed", "2"], ["--kind", "count", "--eta", "0.1"]),
+    "count-csp-ksat": (CSP10, ["--kind", "count", "--eta", "0.05"]),
+    "count-csp-parity": (CSP10, ["--kind", "count", "--eta", "0.25", "--predicate", "xor"]),
+    # 8 solutions, so a non-empty distance histogram
+    "clusters": ([*XOR12, "--seed", "1"], ["--kind", "clusters", "--eta", "0.1", "--theta", "0.2"]),
+    "bias-xor": ([*XOR12, "--seed", "2"], ["--kind", "bias", "--eta", "0.1"]),
+    "bias-csp": (CSP10, ["--kind", "bias", "--eta", "0.05"]),
+    # no satisfier: the maximum bias is null
+    "bias-none": (["--kind", "xor", "-k", "3", "-n", "10", "-m", "100", "--seed", "2"],
+                  ["--kind", "bias", "--eta", "0.0"]),
+    "sk": (["--kind", "goe", "-n", "10", "--seed", "1"], ["--kind", "sk", "--eta", "0.1"]),
+    "indset": (REGULAR16, ["--kind", "indset", "--eta", "0.2"]),
+    "indset-threshold-size": (REGULAR16, ["--kind", "indset", "--threshold-size", "5"]),
+    "gauss": ([*XOR12, "--seed", "2"], ["--kind", "gauss"]),
+}
+
+ORACLE_GOLDEN = {
+    "bias-csp": "409a64e33fe7fba020d753eaf3e8b1e89278e95916d8f3da8e9bff1f686e1fd0",
+    "bias-none": "68ff925840d13ee1e5a0616c101613829f2241f08decf5220a3be253b65c4c26",
+    "bias-xor": "d80235aa044dd365b638236e97b061401818efd3194bba75858fa1a48bfa25f7",
+    "clusters": "46ac141043e7dd8bd7886334eb4e0f06f9f7ea60e6d0945e84d4730977d4a66e",
+    "count-csp-ksat": "97f9feea1b46899437f127b99f24d0924e6274402f24c12a6559592cbbc630b1",
+    "count-csp-parity": "4f44b720ffa19fa6567c98e5a849429f5925b1362f30781c6b4494a74d322699",
+    "count-xor": "a20e35e5f138d833f9dfad7dd08282237e7ea20f9020f36cc7f637a1d505f6f1",
+    "gauss": "6403f5975212adcf28bade799d201e2f65cdf5bffd00de6d118cf73aa860641a",
+    "indset": "af2fb0f20038de4da6c6d0c638e316b3d289ea9c1e53b2a24e39b6b077a52560",
+    "indset-threshold-size": "4dae1449d3dc6437443c00ff812f2550862368791d6a4e03eb9d690da7959b9a",
+    "sk": "af07522a128609d9405868e1cced667a27e53d4aa54fce1ea61cac3b1fc01d72",
+}
+
+
 def digest(cert) -> str:
     d = cert.to_json_dict()
     d.pop("tool_version")
@@ -157,7 +199,8 @@ def digest(cert) -> str:
 
 @pytest.fixture(scope="module")
 def measured() -> dict:
-    """name -> {"digest", "sha256_calls"}, from one child process."""
+    """{"certificates": name -> {"digest", "sha256_calls"}, "oracles":
+    name -> {"digest", "exact_value"}}, from one child process."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": path}
@@ -168,12 +211,23 @@ def measured() -> dict:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certificate_bytes_unchanged(name, measured):
-    assert measured[name]["digest"] == GOLDEN[name]
+    assert measured["certificates"][name]["digest"] == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_certifier_hashes_one_instance(name, measured):
-    assert measured[name]["sha256_calls"] == 1
+    assert measured["certificates"][name]["sha256_calls"] == 1
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_oracle_file_bytes_unchanged(name, measured):
+    assert measured["oracles"][name]["digest"] == ORACLE_GOLDEN[name]
+
+
+def test_oracle_cases_reach_the_edge_values(measured):
+    oracles = measured["oracles"]
+    assert oracles["clusters"]["exact_value"]["num_solutions"] >= 2
+    assert oracles["bias-none"]["exact_value"] is None
 
 
 def _measure(case) -> dict:
@@ -195,5 +249,23 @@ def _measure(case) -> dict:
     return {"digest": digest(cert), "sha256_calls": len(calls)}
 
 
+def _oracle_files() -> dict:
+    """Each oracle case's file digest and exact value, written by the CLI
+    in a scratch directory."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        for name, (gen, oracle) in ORACLE_CASES.items():
+            inst, res = os.path.join(tmp, "instance.json"), os.path.join(tmp, "oracle.json")
+            assert cli.main(["gen", *gen, "--out", inst]) == 0
+            assert cli.main(["oracle", *oracle, "--instance", inst, "--out", res]) == 0
+            data = Path(res).read_bytes()
+            out[name] = {"digest": hashlib.sha256(data).hexdigest(),
+                         "exact_value": json.loads(data)["exact_value"]}
+    return out
+
+
 if __name__ == "__main__":
-    print(json.dumps({name: _measure(case) for name, case in CASES.items()}))
+    print(json.dumps({
+        "certificates": {name: _measure(case) for name, case in CASES.items()},
+        "oracles": _oracle_files(),
+    }))

@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from conftest import petersen_graph
-from solgeo.certificates import CheckRecord, CountCertificate
+from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificate
 from solgeo.instances import (
     MultiGraph,
+    Predicate,
     UnsignedHypergraph,
     XorInstance,
+    evaluate,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
+    xor_violations,
 )
 from solgeo.oracle import (
     OracleResult,
@@ -23,6 +26,7 @@ from solgeo.oracle import (
     gaussian_count,
     independence_number,
     verify_certificate,
+    violation_profile,
     xor_sign_table,
 )
 
@@ -80,16 +84,16 @@ def test_batch_xor_counts_matches_single():
 def test_brute_clusters_single_solution():
     I = XorInstance(2, 4, tuple((1, (0, i)) for i in range(1, 4)))
     # solutions of the star with all +1 signs: x all-equal
-    res, profile = brute_clusters(I, 0.0, 0.1)
-    assert profile.num_solutions == 2
-    assert profile.distance_histogram == {4: 1}
-    assert profile.cover_count == 2
+    profile = brute_clusters(I, 0.0, 0.1).exact_value
+    assert profile["num_solutions"] == 2
+    assert profile["distance_histogram"] == {"4": 1}
+    assert profile["cover_count"] == 2
 
 
 def test_brute_clusters_plus_minus_pair():
-    res, profile = brute_clusters(triangle_xor(), 0.0, 0.0)
-    assert profile.num_solutions == 2
-    assert profile.distance_histogram == {3: 1}
+    profile = brute_clusters(triangle_xor(), 0.0, 0.0).exact_value
+    assert profile["num_solutions"] == 2
+    assert profile["distance_histogram"] == {"3": 1}
 
 
 def test_brute_max_bias_empty_and_symmetry():
@@ -156,7 +160,45 @@ def test_verify_count_certificate():
     assert verify_certificate(fallback, OracleResult("count", 64, 64)) == "sound"
 
 
-def test_oracle_result_serialization_excludes_timing_by_default():
-    res = OracleResult("count", 5, 64, 12.5)
-    assert "runtime_ms" not in res.to_json_dict()
-    assert res.to_json_dict(timing=True)["runtime_ms"] == 12.5
+def cluster_certificate(fallback: bool) -> ClusterCertificate:
+    # theta n = 2, gap window [8, 12], at most 2^2 clusters unless fallback
+    return ClusterCertificate(
+        n=20, eta=0.05, theta=0.1, log2_cluster_bound=20.0 if fallback else 2.0,
+        gap_interval=(8.0, 12.0), primal_report={}, fallback=fallback, checks=(),
+        signature="0" * 64,
+    )
+
+
+def cluster_oracle(histogram: dict, cover_count: int) -> OracleResult:
+    profile = {"n": 20, "num_solutions": 1 + sum(histogram.values()),
+               "distance_histogram": histogram, "cover_count": cover_count}
+    return OracleResult("clusters", profile, 1 << 20)
+
+
+def test_cluster_verdict_reads_every_distance_and_the_cover_count():
+    cert = cluster_certificate(fallback=False)
+    # within theta n, or at either end of the gap window, with 2^2 covers
+    assert verify_certificate(cert, cluster_oracle({"1": 3, "2": 1, "8": 2, "12": 5}, 4)) == "sound"
+    assert verify_certificate(cert, cluster_oracle({"5": 0}, 1)) == "sound"
+    # between theta n and the gap, or beyond it
+    assert verify_certificate(cert, cluster_oracle({"1": 3, "5": 1}, 1)) == "violated"
+    assert verify_certificate(cert, cluster_oracle({"13": 1}, 1)) == "violated"
+    # more covers than 2^log2_cluster_bound
+    assert verify_certificate(cert, cluster_oracle({"1": 1}, 5)) == "violated"
+    # a fallback certificate claims nothing
+    fallback = cluster_certificate(fallback=True)
+    assert verify_certificate(fallback, cluster_oracle({"5": 1}, 5)) == "sound"
+
+
+def test_violation_profile_matches_direct_evaluation():
+    predicates = [Predicate.ksat(3), Predicate.parity(3), Predicate.parity(3, -1)]
+    for seed in range(10):
+        n = 5 + seed % 4
+        I = sample_signed_hypergraph(3, n, 3 * n, seed)
+        # bit i of an assignment's index is set exactly when x_i == -1
+        X = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+        for P in predicates:
+            direct = [round((1 - evaluate(I, P, x)) * I.m) for x in X]
+            assert violation_profile(I, P).tolist() == direct, (seed, P.table)
+        J = I.to_xor()
+        assert violation_profile(J).tolist() == [xor_violations(J, x) for x in X], seed

@@ -8,6 +8,7 @@ from solgeo.instances import (
     sample_signed_hypergraph,
     violation_budget,
 )
+from solgeo import refuter
 from solgeo.oracle import violation_profile
 from solgeo.refuter import (
     SparsePolynomial,
@@ -117,6 +118,18 @@ def test_negation_gives_min_side():
         -brute_poly_max(negated(p)), 0
     ) - 1e-9  # sound on the negated side too
     assert res_neg.value >= brute_poly_max(negated(p)) - 1e-9
+
+
+def test_flatten_holder_branch_bounds_the_maximum(monkeypatch):
+    polys = [random_poly(6, 3, 12, seed) for seed in range(20)]
+    dense = [refuter._flatten_bound(p) for p in polys]
+    # every flattening is now above the limit: sqrt(max row sum * max column sum)
+    monkeypatch.setattr(refuter, "_DENSE_FLATTEN_LIMIT", 0)
+    holder = [refuter._flatten_bound(p) for p in polys]
+    for p, h, d in zip(polys, holder, dense):
+        assert h >= max(brute_poly_max(p), brute_poly_max(negated(p)))
+        assert h >= d
+    assert holder != dense
 
 
 # ---------------------------------------------------------------------------
