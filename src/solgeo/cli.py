@@ -243,6 +243,8 @@ _AXIS_DEFAULTS = {"k": 3, "delta": None, "m": None, "eta": 0.0, "rho": None, "d"
 _INT_AXES = ("n", "k", "m", "d")
 # Config keys besides the grid, with their defaults; rows are keyed on all of them.
 _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
+# The names a config key may hold, where its type alone does not decide.
+_CONFIG_CHOICES = {"instance": _GENERATORS, "predicate": _PREDICATES}
 
 
 def _sweep_cells(config: dict) -> list[dict]:
@@ -262,8 +264,20 @@ def _sweep_cells(config: dict) -> list[dict]:
 
 
 def _effective_config(config: dict) -> dict:
-    return {"kind": config["kind"],
-            **{key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}}
+    """The config's kind and every `_CONFIG_DEFAULTS` key; ValueError
+    naming a key whose value lacks its default's type (an int will do for
+    a float) or names no generator or predicate."""
+    effective = {key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}
+    for key, value in effective.items():
+        default = _CONFIG_DEFAULTS[key]
+        types = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, "
+                             f"not a {type(default).__name__}")
+        if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
+            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, "
+                             f"not one of {', '.join(_CONFIG_CHOICES[key])}")
+    return {"kind": config["kind"], **effective}
 
 
 def _cell_hash(config: dict, cell: dict) -> str:

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .certificates import BalanceCertificate, CheckRecord, ClusterCertificate
 from .instances import (
     MultiGraph,
@@ -386,7 +388,7 @@ def _balance_kxor_step(I: XorInstance, rho: float) -> dict | None:
     ]
     if not family:
         return None
-    G = MultiGraph.build(n - s, [(u - s, v - s) for _, _, (u, v) in family])
+    G = MultiGraph.build(n - s, np.array([out_part for _, _, out_part in family]) - s)
     induced = _positive_fraction(range(s), I.k, [(b, in_part) for b, in_part, _ in family])
     v_frac = refute_biased_2xor_family(G, induced.eps, rho)
     if v_frac <= _MARGIN:

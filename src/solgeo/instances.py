@@ -303,55 +303,94 @@ class UnsignedHypergraph(_KUniform):
         return UnsignedHypergraph(self.k, self.n, tuple(dict.fromkeys(self.edges)))
 
 
-@dataclass(frozen=True)
+def _int_rows(rows: np.ndarray | Iterable[tuple[int, ...]], width: int, what: str) -> np.ndarray:
+    """``rows`` as a fresh int64 array of shape (len(rows), width), from an
+    integer array or from a sequence of integer tuples; ValueError naming
+    ``what`` for a row of another width or an entry that is not an
+    integer."""
+    if isinstance(rows, np.ndarray):
+        if rows.size == 0:
+            return np.empty((0, width), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != width or rows.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be an integer array of shape (m, {width}), "
+                             f"not {rows.dtype} {rows.shape}")
+        return rows.astype(np.int64)
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"{what} must have {width} entries each")
+    if any(t is bool or not issubclass(t, (int, np.integer))
+           for t in set(map(type, chain.from_iterable(rows)))):
+        raise ValueError(f"{what} must hold integers")
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    except OverflowError:
+        raise ValueError(f"{what} must hold integers within int64") from None
+    return flat.reshape(-1, width)
+
+
+@dataclass(frozen=True, eq=False)
 class MultiGraph:
     """An undirected multigraph without self-loops; parallel edges kept.
 
-    ``edges`` holds pairs u < v in construction order; ``degrees`` is
-    derived from them on construction.
+    ``edge_array`` holds the pairs u < v in construction order, one row
+    each, as a read-only int64 array of shape (m, 2): the graph's one
+    stored form.  ``degrees`` is counted from it on construction, and
+    ``edges`` is read off it as a tuple of pairs on each access.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
-    degrees: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    edge_array: np.ndarray
+    degrees: tuple[int, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.n
         if n < 1:
             raise ValueError("n must be positive")
-        deg = [0] * n
-        for u, v in self.edges:
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u}, {v}) is not a loop-free pair 0 <= u < v < {n}")
-            deg[u] += 1
-            deg[v] += 1
-        object.__setattr__(self, "degrees", tuple(deg))
+        E = _int_rows(self.edge_array, 2, "edges")
+        u, v = E[:, 0], E[:, 1]
+        bad = (u < 0) | (u >= v) | (v >= n)
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(f"edge ({u[i]}, {v[i]}) is not a loop-free pair 0 <= u < v < {n}")
+        E.flags.writeable = False
+        object.__setattr__(self, "edge_array", E)
+        object.__setattr__(self, "degrees", tuple(np.bincount(E.ravel(), minlength=n).tolist()))
 
     @classmethod
-    def build(cls, n: int, edges: Iterable[tuple[int, int]]) -> "MultiGraph":
+    def build(cls, n: int, edges: np.ndarray | Iterable[tuple[int, int]]) -> "MultiGraph":
         """Cleaning constructor: drops self-loops, orients each edge u < v."""
-        norm = []
-        for u, v in edges:
-            if u < v:
-                norm.append((u, v))
-            elif v < u:
-                norm.append((v, u))
-        return cls(n, tuple(norm))
+        E = _int_rows(edges, 2, "edges")
+        E = E[E[:, 0] != E[:, 1]]
+        E.sort(axis=1)
+        return cls(n, E)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(zip(*self.edge_array.T.tolist()))
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MultiGraph):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.edge_array, other.edge_array)
+
+    __hash__ = None  # type: ignore[assignment]
 
     def simple(self) -> "MultiGraph":
         """Collapse parallel edges (first occurrence kept)."""
-        return MultiGraph(self.n, tuple(dict.fromkeys(self.edges)))
+        E = self.edge_array
+        _, first = np.unique(E[:, 0] * self.n + E[:, 1], return_index=True)
+        first.sort()
+        return MultiGraph(self.n, E[first])
 
     def adjacency(self) -> np.ndarray:
         """Dense adjacency matrix with parallel-edge multiplicities."""
-        A = np.zeros((self.n, self.n))
-        E = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
-        np.add.at(A, (E[:, 0], E[:, 1]), 1.0)
-        np.add.at(A, (E[:, 1], E[:, 0]), 1.0)
+        n, E = self.n, self.edge_array
+        A = np.zeros((n, n))
+        np.add.at(A.reshape(-1), np.concatenate((E[:, 0] * n + E[:, 1], E[:, 1] * n + E[:, 0])), 1.0)
         return A
 
     def average_degree(self) -> float:
@@ -361,16 +400,14 @@ class MultiGraph:
         return len(set(self.degrees)) <= 1
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": [[u, v] for u, v in self.edges]}
+        return {"n": self.n, "edges": self.edge_array.tolist()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiGraph":
         if "kind" in d:
             raise ValueError("not a graph file")
-        n, edges = d["n"], [tuple(e) for e in d["edges"]]
-        _require_ints((n,), "n")
-        _require_ints(chain.from_iterable(edges), "edge endpoints")
-        return cls.build(n, edges)
+        _require_ints((d["n"],), "n")
+        return cls.build(d["n"], d["edges"])
 
     def sha256(self) -> str:
         return sha256_of(self.to_json_dict())
@@ -390,28 +427,26 @@ class DensityTable:
 # Random samplers (pure functions of parameters and seed)
 # ---------------------------------------------------------------------------
 
-def _sample_distinct_indices(rng: np.random.Generator, count: int, space: int) -> list[int]:
-    """Uniformly sample ``count`` distinct integers from [0, space)."""
+def _sample_distinct_indices(rng: np.random.Generator, count: int, space: int) -> np.ndarray:
+    """Uniformly sample ``count`` distinct integers from [0, space), in
+    the order of their first draw."""
     if count > space:
         raise ValueError("cannot sample more distinct indices than the space size")
-    chosen: set[int] = set()
-    order: list[int] = []
+    order = np.empty(0, dtype=np.int64)
     while len(order) < count:
         batch = rng.integers(0, space, size=max(64, 2 * (count - len(order))))
-        for v in batch:
-            v = int(v)
-            if v not in chosen:
-                chosen.add(v)
-                order.append(v)
-                if len(order) == count:
-                    break
+        # the first draw of each value not drawn before, in draw order
+        values, first = np.unique(batch, return_index=True)
+        fresh = batch[np.sort(first[~np.isin(values, order)])]
+        order = np.concatenate((order, fresh[:count - len(order)]))
     return order
 
 
-def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> list:
+def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> tuple[np.ndarray, np.ndarray]:
     """Include each of the (2^k if signed, else 1) * n^k index tuples
-    independently with probability m / that space; each drawn tuple as
-    (sign bits, variable tuple), in draw order."""
+    independently with probability m / that space.  Returns the drawn
+    tuples in draw order: their sign bits, and their variable tuples as
+    the rows of a (count, k) array."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
@@ -428,29 +463,29 @@ def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> list:
     rng = np.random.default_rng(seed)
     count = int(rng.binomial(space, p)) if p > 0 else 0
     # exact in int64, since space < 2^62; digit i of the tuple index is S[i]
-    drawn = np.array(_sample_distinct_indices(rng, count, space), dtype=np.int64)
-    c_bits, s_idx = np.divmod(drawn, tuples)
-    digits = []
-    for _ in range(k):
-        s_idx, digit = np.divmod(s_idx, n)
-        digits.append(digit.tolist())
-    return list(zip(c_bits.tolist(), zip(*digits)))
+    c_bits, s_idx = np.divmod(_sample_distinct_indices(rng, count, space), tuples)
+    S = np.empty((count, k), dtype=np.int64)
+    for i in range(k):
+        s_idx, S[:, i] = np.divmod(s_idx, n)
+    return c_bits, S
 
 
 def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergraph:
     """Include each of the 2^k * n^k potential (c, S) pairs independently
     with probability m / (2^k * n^k)."""
-    signs = [index_to_signs(c_bits, k) for c_bits in range(1 << k)]
-    clauses = [(signs[c_bits], S) for c_bits, S in _sample_tuples(k, n, m, seed, True)]
-    clauses.sort(key=lambda cs: (cs[1], cs[0]))
+    c_bits, S = _sample_tuples(k, n, m, seed, True)
+    signs = 1 - 2 * ((c_bits[:, None] >> np.arange(k)) & 1)
+    # clauses sorted by variable tuple, then by sign tuple
+    order = np.lexsort(np.hstack((S, signs)).T[::-1])
+    clauses = zip(zip(*signs[order].T.tolist()), zip(*S[order].T.tolist()))
     return SignedHypergraph(k, n, tuple(clauses))
 
 
 def sample_unsigned_hypergraph(k: int, n: int, m: int, seed: int) -> UnsignedHypergraph:
     """Include each of the n^k variable tuples independently with
     probability m / n^k."""
-    edges = sorted(S for _, S in _sample_tuples(k, n, m, seed, False))
-    return UnsignedHypergraph(k, n, tuple(edges))
+    _, S = _sample_tuples(k, n, m, seed, False)
+    return UnsignedHypergraph(k, n, tuple(zip(*S[np.lexsort(S.T[::-1])].T.tolist())))
 
 
 def sample_goe(n: int, seed: int) -> np.ndarray:
@@ -485,7 +520,7 @@ def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) ->
         if len(np.unique(edge_ids)) != len(edge_ids):
             continue
         order = np.lexsort((v, u))
-        return MultiGraph.build(n, list(zip(u[order].tolist(), v[order].tolist())))
+        return MultiGraph(n, np.column_stack((u[order], v[order])))
     raise SamplerError(
         f"configuration model failed after {max_attempts} attempts (n={n}, d={d})"
     )
@@ -595,15 +630,14 @@ def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
 
 def primal_graph(H: UnsignedHypergraph) -> MultiGraph:
     """One edge per pair of vertices inside each hyperedge (a triangle per
-    3-uniform hyperedge); parallel edges kept."""
-    edges = []
-    for S in H.edges:
-        if len(set(S)) != len(S):
-            raise ValueError("hyperedges with repeated vertices must be removed first")
-        for i in range(len(S)):
-            for j in range(i + 1, len(S)):
-                edges.append((S[i], S[j]))
-    return MultiGraph.build(H.n, edges)
+    3-uniform hyperedge); parallel edges kept, in hyperedge order."""
+    V = _int_rows(H.edges, H.k, "hyperedges")
+    ordered = np.sort(V, axis=1)
+    if (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("hyperedges with repeated vertices must be removed first")
+    i, j = np.triu_indices(H.k, 1)
+    # row r holds hyperedge r's pairs (S[i], S[j]) for i < j, in that order
+    return MultiGraph.build(H.n, np.stack((V[:, i], V[:, j]), axis=2).reshape(-1, 2))
 
 
 def csp_to_ksat(I: SignedHypergraph, P: Predicate) -> SignedHypergraph:

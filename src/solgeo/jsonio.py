@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 from typing import Any
 
 
@@ -54,6 +55,8 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if obj and isinstance(obj[0], float) and _emit_float_row(obj, out):
             return
+        if obj and type(obj[0]) in (int, list, tuple) and _emit_int_row(obj, out):
+            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -83,6 +86,31 @@ def _emit_float_row(row: list | tuple, out: list[str]) -> bool:
     out.append("[")
     out.append(text[:-1])
     out.append("]")
+    return True
+
+
+# json.dumps(obj, separators=(",", ":")) without building an encoder per call
+_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _emit_int_row(row: list | tuple, out: list[str]) -> bool:
+    """Encode a row of exact ints, or a row of lists and tuples of exact
+    ints, in one C-level call, which renders them exactly as ``_emit``
+    does: ``str`` of an exact int is its JSON text.  Return False, having
+    emitted nothing, for any other row: bools and numpy integers take
+    ``_emit``."""
+    kinds = set(map(type, row))
+    if kinds == {int}:
+        out.append(f"[{','.join(map(str, row))}]")
+        return True
+    if not kinds <= {list, tuple}:
+        return False
+    # a matrix of floats is turned away at its first entry
+    if type(next(chain.from_iterable(row), 0)) is not int:
+        return False
+    if not set(map(type, chain.from_iterable(row))) <= {int}:
+        return False
+    out.append(_encode_compact(row))
     return True
 
 

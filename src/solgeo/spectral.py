@@ -82,6 +82,10 @@ LANCZOS_MAX_STEPS = 400
 LANCZOS_CHECK_EVERY = 20
 LANCZOS_SEED = 0
 
+# Rows per step of the in-place rank-one update in _lambda2_value: a
+# temporary of this many rows replaces one of n.
+_ROW_BLOCK = 64
+
 # Unit roundoff of IEEE double precision and the smallest positive normal
 # number: the constants of the Cholesky margin.
 UNIT_ROUNDOFF = 2.0**-53
@@ -242,10 +246,10 @@ def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tup
 
 
 def _adjacency_matvec(G: MultiGraph) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> A x for G's adjacency matrix, parallel edges counted, from the
-    edge list."""
-    E = np.array(G.edges, dtype=np.intp).reshape(-1, 2)
-    u, v, n = E[:, 0], E[:, 1], G.n
+    """x -> A x for G's adjacency matrix, parallel edges counted, from its
+    edge array."""
+    u, v = G.edge_array.T.copy()  # each endpoint column contiguous
+    n = G.n
     return lambda x: np.bincount(u, x[v], n) + np.bincount(v, x[u], n)
 
 
@@ -280,11 +284,13 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     the adjacency matrix and is overwritten.
 
     L is formed in place as 1 on the diagonal and -(a_ij s_i) s_j off it,
-    s = 1/sqrt(d); only its lower triangle is read.  Against the exact
-    L, each entry is off by at most 6.1u relatively, and
-    |D^-1/2 A D^-1/2|_F <= sqrt(n); the entries of 2 w w^T by at most
-    7.3u relatively, |2 P0|_F = 2; adding the two rounds by at most
-    u (|L|_F + 2) <= u (2 sqrt(n) + 2).  By Weyl's inequality the
+    s = 1/sqrt(d); only its lower triangle is read.  2 P0 = w w^T is added
+    in place a block of rows at a time, each entry as fl(l_ij + fl(w_i w_j)),
+    the rounding an added np.outer(w, w) would make, without its n x n
+    temporary.  Against the exact L, each entry is off by at most 6.1u
+    relatively, and |D^-1/2 A D^-1/2|_F <= sqrt(n); the entries of 2 w w^T
+    by at most 7.3u relatively, |2 P0|_F = 2; adding the two rounds by at
+    most u (|L|_F + 2) <= u (2 sqrt(n) + 2).  By Weyl's inequality the
     eigenvalues move by at most 16u (sqrt(n) + 2) in all.
 
     v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
@@ -308,12 +314,12 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     def clip(lam2: float) -> float:
         return float(np.clip(lam2, 0.0, 2.0))
 
-    if n < ITERATIVE_MIN_N:
-        lam2 = clip(np.linalg.eigvalsh(L)[min(1, n - 1)])
-        L += np.outer(w, w)
+    lam2 = clip(np.linalg.eigvalsh(L)[min(1, n - 1)]) if n < ITERATIVE_MIN_N else None
+    for lo in range(0, n, _ROW_BLOCK):  # L += w w^T
+        L[lo:lo + _ROW_BLOCK] += w[lo:lo + _ROW_BLOCK, None] * w
+    if lam2 is not None:
         prove(lam2)
         return lam2
-    L += np.outer(w, w)
     adjacency = _adjacency_matvec(G)
     return _proved_extreme(
         L, lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x),

@@ -294,15 +294,32 @@ def test_sweep_resume_keys_on_effective_config(tmp_path):
     {"grid": {"n": 12, "k": [3], "delta": [4]}},
     {"grid": {"n": ["12"], "k": [3], "delta": [4]}},
     {"grid": {"n": [12.5], "k": [3], "delta": [4]}},
-], ids=["seeds-string", "axis-not-list", "axis-value-string", "size-float"])
+    {"oracle_max_n": "12"},
+    {"c0": "6"},
+    {"predicate": "maj"},
+    {"instance": "ring"},
+    {"eps_exponent": True},
+], ids=["seeds-string", "axis-not-list", "axis-value-string", "size-float",
+        "oracle-max-n-string", "c0-string", "predicate-unknown", "instance-unknown",
+        "eps-exponent-bool"])
 def test_malformed_sweep_config_is_usage_error(tmp_path, capsys, config):
-    # each of these once exited 4, an internal error
+    # each of these once exited 4, an internal error, or was accepted and
+    # changed only the resume key
     cfg, out = sweep_config(tmp_path, **config), tmp_path / "rows.jsonl"
     capsys.readouterr()
     assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and ("'seeds'" in err or "'n'" in err)
+    key = "n" if "grid" in config else next(iter(config))
+    assert err.startswith("error: ") and f"'{key}'" in err
     assert not out.exists()  # refused before any job ran
+
+
+def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):
+    grid = {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}
+    out = tmp_path / "rows.jsonl"
+    config = sweep_config(tmp_path, grid=grid, seeds=1, c0=3, eps_exponent=0)
+    assert run("sweep", "--config", str(config), "--out", str(out)) == 0
+    assert len(out.read_text().splitlines()) == 1
 
 
 def test_certify_rejects_asymmetric_goe(tmp_path, capsys):

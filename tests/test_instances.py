@@ -31,7 +31,9 @@ from solgeo.instances import (
     xor_satisfied_fraction,
     xor_violations,
 )
+from solgeo.jsonio import canonical_json
 from solgeo.oracle import violation_profile
+from solgeo.spectral import _adjacency_matvec
 
 
 def random_xor(k, n, m, seed) -> XorInstance:
@@ -423,6 +425,114 @@ def test_adjacency_matches_loop(edges):
         ref[v, u] += 1.0
     A = G.adjacency()
     assert A.dtype == ref.dtype and np.array_equal(A, ref)
+
+
+# ---------------------------------------------------------------------------
+# The array-backed multigraph against the element-wise loops it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_build(edges) -> tuple:
+    norm = []
+    for u, v in edges:
+        if u < v:
+            norm.append((u, v))
+        elif v < u:
+            norm.append((v, u))
+    return tuple(norm)
+
+
+def _reference_degrees(n, edges) -> tuple:
+    deg = [0] * n
+    for u, v in edges:
+        deg[u] += 1
+        deg[v] += 1
+    return tuple(deg)
+
+
+def _reference_adjacency(n, edges) -> np.ndarray:
+    A = np.zeros((n, n))
+    for u, v in edges:
+        A[u, v] += 1.0
+        A[v, u] += 1.0
+    return A
+
+
+def _reference_matvec(n, edges, x) -> np.ndarray:
+    E = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    u, v = E[:, 0], E[:, 1]
+    return np.bincount(u, x[v], n) + np.bincount(v, x[u], n)
+
+
+def _reference_primal(H) -> tuple:
+    edges = []
+    for S in H.edges:
+        for i in range(len(S)):
+            for j in range(i + 1, len(S)):
+                edges.append((S[i], S[j]))
+    return _reference_build(edges)
+
+
+def _messy_edges(rng, n, m) -> list:
+    """Endpoint pairs with self-loops, both orientations and parallel
+    edges; the top two vertices are never used, so they stay isolated."""
+    pairs = [tuple(p) for p in rng.integers(0, max(n - 2, 1), size=(m, 2)).tolist()]
+    pairs += [pairs[i] for i in rng.integers(0, m, size=m // 3)] if m else []
+    pairs += [(v, u) for u, v in pairs[: m // 4]]
+    pairs += [(w, w) for w in rng.integers(0, max(n - 2, 1), size=m // 5).tolist()]
+    return [pairs[i] for i in rng.permutation(len(pairs))]
+
+
+@pytest.mark.parametrize("n, m", [(1, 0), (1, 4), (2, 3), (5, 0), (5, 12), (30, 80), (200, 900)])
+def test_array_graph_matches_reference_loops(n, m):
+    rng = np.random.default_rng(1000 * n + m)
+    for _ in range(5):
+        raw = _messy_edges(rng, n, m)
+        want = _reference_build(raw)
+        for G in (MultiGraph.build(n, raw), MultiGraph.build(n, np.array(raw, dtype=np.int32)),
+                  MultiGraph.build(n, iter(raw))):
+            E = G.edge_array
+            assert E.dtype == np.int64 and E.shape == (len(want), 2) and not E.flags.writeable
+            assert G.edges == want and G.m == len(want)
+            assert all(type(x) is int for e in G.edges for x in e)
+            assert G.degrees == _reference_degrees(n, want)
+            assert all(type(d) is int for d in G.degrees)
+            simple = tuple(dict.fromkeys(want))
+            assert G.simple().edges == simple
+            assert G.simple().degrees == _reference_degrees(n, simple)
+            assert np.array_equal(G.adjacency(), _reference_adjacency(n, want))
+            x = rng.normal(size=n)
+            assert np.array_equal(_adjacency_matvec(G)(x), _reference_matvec(n, want, x))
+            doc = {"n": n, "edges": [[u, v] for u, v in want]}
+            assert G.to_json_dict() == doc
+            assert canonical_json(G.to_json_dict()) == canonical_json(doc)
+            assert G == MultiGraph(n, want) == MultiGraph.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("k, n, m, seed", [(2, 12, 40, 0), (3, 20, 60, 4), (4, 9, 50, 1)])
+def test_primal_graph_matches_reference_loop(k, n, m, seed):
+    H = sample_unsigned_hypergraph(k, n, m, seed).without_repeats()
+    assert primal_graph(H).edges == _reference_primal(H)
+    assert primal_graph(UnsignedHypergraph(k, n, ())).m == 0
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1.5)], [(0, True)], [(0, 1, 2)], [(0,)], np.array([[0.0, 1.0]]),
+    np.zeros((2, 3), dtype=np.int64), [(0, 2**70)], [(0, 9)], [(-1, 2)],
+])
+def test_multigraph_refuses_bad_edges(edges):
+    with pytest.raises(ValueError):
+        MultiGraph.build(5, edges)
+
+
+def test_er_2xor_instance_digests_pinned():
+    # recorded with the element-wise sampler and graph code, so that the
+    # vectorized ones cannot drift
+    n = 2000
+    H = sample_unsigned_hypergraph(2, n, math.floor(n**1.4), 3)
+    assert H.sha256() == "ad6b5b77253c1506befdaf8e697c435a68b5ba79f53e0f0c3fced8b29c9e3bd0"
+    G = MultiGraph.build(n, H.edges)
+    assert G.sha256() == "fcf7df781af804a8b6be231c378eebea26c5c520d5f4453577cb04ab1afdcd2c"
+    assert G.simple().sha256() == "85e883eb6f5825c271efbbc3e1a37a9ffc02f02b2860a3f2e1c591809b2199c7"
 
 
 def test_bias():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.jsonio import canonical_json, format_float, sha256_of
+from solgeo.jsonio import _emit_int_row, canonical_json, format_float, sha256_of
 
 
 def test_float_formatting_17_digits():
@@ -128,3 +128,66 @@ def test_float_rows_reject_nonfinite(bad):
         canonical_json([0.5, bad, 0.25])
     with pytest.raises(ValueError):
         canonical_json([[0.5, 0.75], [0.1, bad]])
+
+
+# ---------------------------------------------------------------------------
+# The int-row fast path against the same frozen encoder
+# ---------------------------------------------------------------------------
+
+BIG = [0, -1, 7, -2**31, 2**31, -2**63, 2**63 - 1, 2**64, -(10**30), 10**40]
+
+
+def test_int_rows_match_reference_encoder():
+    rng = np.random.default_rng(11)
+    pairs = rng.integers(-5, 2000, size=(300, 2)).tolist()
+    rows = [
+        [1, 2, 3],
+        (4, 5, 6),
+        BIG,
+        pairs,
+        [tuple(p) for p in pairs],
+        [[0, 1], (2, 3), [], ()],
+        [[], []],
+        [[BIG, [1]], [2]],
+        [],
+        [1, True, 2],
+        [True, False],
+        [[0, 1], [True, 2]],
+        [np.int64(3), 4],
+        [[np.int64(3), 4], [5, 6]],
+        list(np.arange(5)),
+        [1, 2.5, 3],
+        [1, 2.0],
+        [[1, 2], [0.5, 3]],
+        [[0.5, 0.25], [1, 2]],
+        [[1, 2], 3],
+        [1, [2, 3]],
+        [1, None, "x"],
+        [[1, 2], {"a": [3, 4]}],
+    ]
+    for _ in range(100):
+        k = int(rng.integers(0, 6))
+        rows.append(rng.choice(BIG, size=k).tolist())
+        rows.append([rng.choice(BIG, size=2).tolist() for _ in range(k)])
+    for row in rows:
+        doc = {"row": row, "rows": [row, row], "nested": {"edges": row, "n": 3}}
+        assert canonical_json(row) == reference_json(row)
+        assert canonical_json(doc) == reference_json(doc)
+
+
+@pytest.mark.parametrize("row, fast", [
+    ([1, 2, 3], True),
+    ((1, -2), True),
+    ([[1, 2], (3, 4), []], True),
+    ([1, True], False),
+    ([np.int64(1), 2], False),
+    ([[1, 2], [np.int64(3), 4]], False),
+    ([1, 2.0], False),
+    ([[0.5, 1.5], [1, 2]], False),
+    ([[1, 2], 3], False),
+])
+def test_int_row_gate(row, fast):
+    # only exact ints, or rows of exact ints, take the one-call path
+    out: list = []
+    assert _emit_int_row(row, out) is fast
+    assert out == ([json.dumps(row, separators=(",", ":"))] if fast else [])
