@@ -53,7 +53,7 @@ _GENERATORS = {
     "csp": lambda a: sample_signed_hypergraph(a.k, a.n, a.m, a.seed),
     "xor": lambda a: sample_signed_hypergraph(a.k, a.n, a.m, a.seed).to_xor(),
     "hypergraph": lambda a: sample_unsigned_hypergraph(a.k, a.n, a.m, a.seed),
-    "graph": lambda a: MultiGraph.build(a.n, sample_unsigned_hypergraph(2, a.n, a.m, a.seed).edges),
+    "graph": lambda a: MultiGraph.build(a.n, sample_unsigned_hypergraph(2, a.n, a.m, a.seed).vars),
     "regular": lambda a: sample_regular_graph(a.n, a.d, a.seed),
     "goe": lambda a: sample_goe(a.n, a.seed),
 }

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import (
     MultiGraph,
@@ -175,7 +177,7 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
     if depth > H.k:
         raise RuntimeError("recursion exceeded the clause arity")
     if k == 2:
-        return _count_2xor_budget(MultiGraph.build(n, H.without_repeats().edges), budget)
+        return _count_2xor_budget(MultiGraph.build(n, H.vars), budget)
 
     clean = H.without_repeats().dedup()
     transcript: dict = {
@@ -219,10 +221,9 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
         # hyperedges with one vertex in the block, projected to the rest and
         # relabelled to the complement's index order: a shift past the block
         size = len(block)
-        sub_H = UnsignedHypergraph(k - 1, n - size, tuple(
-            tuple(v if v < block.start else v - size for v in out_part)
-            for _, _, out_part in clause_split(clean.edges, block, 1)
-        ))
+        _, _, out_part = clause_split(clean.vars, block, 1)
+        sub_H = UnsignedHypergraph(k - 1, n - size,
+                                   np.where(out_part < block.start, out_part, out_part - size))
         sub = _kxor_budget(sub_H, block_budget, eps, depth + 1)
         sizes.append(size)
         bounds.append(sub.log2_bound)
@@ -318,8 +319,8 @@ def refute_from_count(
     set_size = int(math.floor(eta * n / (3.0 * k) + 1e-9))
     if set_size < 1:
         return None
-    S = set(range(set_size))
-    incidence = sum(1 for _, U in I.clauses if any(v in S for v in U))
+    # clauses touching the prefix set [0, set_size)
+    incidence = int((I.vars < set_size).any(axis=1).sum())
     incidence_budget = int(math.floor(eta * m / 2.0 + 1e-9))
     if incidence > incidence_budget:
         return None

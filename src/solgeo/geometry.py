@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .instances import (
     XorInstance,
     clause_split,
     csp_to_ksat,
+    distinct_rows,
     primal_graph,
     split_by_sign,
     violation_budget,
@@ -325,19 +326,15 @@ class InducedPositiveFraction:
     bound: PolynomialBound
 
 
-def _positive_fraction(
-    S: Iterable[int], k: int, truncated: Sequence[tuple[int, tuple[int, ...]]]
-) -> InducedPositiveFraction:
+def _positive_fraction(S: Iterable[int], truncated: XorInstance) -> InducedPositiveFraction:
     """The positivity margin of the truncated clauses (rhs, S-part): the
     polynomial sum_U w_U sigma^U over S, refuted, per clause and halved."""
-    remap = {v: i for i, v in enumerate(sorted(set(S)))}
-    terms: dict[tuple[int, ...], float] = {}
-    for b, in_part in truncated:
-        key = tuple(remap[v] for v in in_part)
-        terms[key] = terms.get(key, 0.0) + float(b)
-    bound = refute_polynomial(SparsePolynomial(len(remap), k - 2, terms))
-    eps = min(0.5, bound.value / (2.0 * len(truncated)))
-    return InducedPositiveFraction(eps, len(truncated), bound)
+    S = np.unique(np.fromiter(S, np.int64))
+    # each variable relabelled to its rank in S
+    keys = np.searchsorted(S, truncated.vars)
+    bound = refute_polynomial(SparsePolynomial.summed(len(S), keys, truncated.rhs.astype(float)))
+    eps = min(0.5, bound.value / (2.0 * truncated.m))
+    return InducedPositiveFraction(eps, truncated.m, bound)
 
 
 def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:
@@ -379,17 +376,13 @@ def _balance_kxor_step(I: XorInstance, rho: float) -> dict | None:
         return None
     # clauses with k-2 variables in S = [0, s), none repeated; the outside
     # pair, shifted past S, is an edge of the family graph
-    family = [
-        (I.clauses[i][0], in_part, out_part)
-        for i, in_part, out_part in clause_split(
-            (U for _, U in I.clauses), range(s), I.k - 2
-        )
-        if len(set(in_part + out_part)) == I.k
-    ]
-    if not family:
+    rows, in_part, out_part = clause_split(I.vars, range(s), I.k - 2)
+    family = distinct_rows(I.vars[rows])
+    if not family.any():
         return None
-    G = MultiGraph.build(n - s, np.array([out_part for _, _, out_part in family]) - s)
-    induced = _positive_fraction(range(s), I.k, [(b, in_part) for b, in_part, _ in family])
+    G = MultiGraph.build(n - s, out_part[family] - s)
+    truncated = XorInstance(I.k - 2, n, in_part[family], I.rhs[rows[family]])
+    induced = _positive_fraction(range(s), truncated)
     v_frac = refute_biased_2xor_family(G, induced.eps, rho)
     if v_frac <= _MARGIN:
         return None

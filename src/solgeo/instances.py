@@ -12,9 +12,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import ClassVar, Iterable, Iterator, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,11 +39,6 @@ def bias(x: Sequence[int] | np.ndarray) -> float:
     if x.size == 0:
         raise ValueError("bias of an empty assignment is undefined")
     return abs(int(x.sum())) / x.size
-
-
-def random_assignment(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return rng.choice(np.array([-1, 1], dtype=np.int8), size=n).astype(int)
 
 
 def violation_budget(eta: float, m: int) -> int:
@@ -151,44 +146,97 @@ class Predicate:
 # Instance types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+def _int_rows(rows: np.ndarray | Iterable[tuple[int, ...]], width: int, what: str) -> np.ndarray:
+    """``rows`` as a fresh int64 array of shape (len(rows), width), from an
+    integer array or from a sequence of integer tuples; ValueError naming
+    ``what`` for a row of another width or an entry that is not an
+    integer."""
+    if isinstance(rows, np.ndarray):
+        if rows.size == 0:
+            return np.empty((0, width), dtype=np.int64)
+        if rows.ndim != 2 or rows.shape[1] != width or rows.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be an integer array of shape (m, {width}), "
+                             f"not {rows.dtype} {rows.shape}")
+        if rows.dtype.kind == "u" and rows.max() >= 1 << 63:
+            # would wrap to a negative int64, and 2^64 - 1 to a valid sign -1
+            raise ValueError(f"{what} must hold integers within int64")
+        return rows.astype(np.int64)
+    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
+    if set(map(len, rows)) - {width}:
+        raise ValueError(f"{what} must have {width} entries each")
+    if any(t is bool or not issubclass(t, (int, np.integer))
+           for t in set(map(type, chain.from_iterable(rows)))):
+        raise ValueError(f"{what} must hold integers")
+    try:
+        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
+    except OverflowError:
+        raise ValueError(f"{what} must hold integers within int64") from None
+    return flat.reshape(-1, width)
+
+
+def _sign_rows(values, width: int, m: int, what: str) -> np.ndarray:
+    """``values`` as a read-only int8 array of shape (m, width) with +-1
+    entries; ValueError naming ``what`` otherwise."""
+    A = _int_rows(values, width, what)
+    if len(A) != m:
+        raise ValueError(f"{what} must have one row per clause, not {len(A)} for {m}")
+    bad = np.abs(A) != 1
+    if bad.any():
+        raise ValueError(f"{what} entries must be +-1, got {A[bad][0]}")
+    A = A.astype(np.int8)
+    A.flags.writeable = False
+    return A
+
+
+def _tuples(A: np.ndarray) -> Iterable[tuple[int, ...]]:
+    """The rows of a 2-d integer array as tuples of Python ints."""
+    return zip(*A.T.tolist())
+
+
+@dataclass(frozen=True, eq=False)
 class _KUniform:
-    """What the three k-uniform kinds share: k, n >= 1, one variable tuple
-    of length k in [0, n) per clause or edge, the file header and the
-    hash.  Each kind adds its payload check and its clause encoding."""
+    """What the three k-uniform kinds share: k, n >= 1, and ``vars``, the
+    variable tuple of each clause or edge as one row of a read-only int64
+    array of shape (m, k) with entries in [0, n); the file header, the
+    hash and equality.  Each kind adds its payload array and its clause
+    encoding, and reads its tuples off the arrays on each access."""
 
     KIND: ClassVar[str]
     BODY: ClassVar[str] = "clauses"
 
     k: int
     n: int
+    vars: np.ndarray
 
     def __post_init__(self) -> None:
         k, n = self.k, self.n
         if k < 1 or n < 1:
             raise ValueError("k and n must be positive")
-        tuples = list(self._tuples(getattr(self, self.BODY)))
-        if set(map(len, tuples)) - {k}:
-            raise ValueError(f"{self.KIND} arity mismatch")
-        flat = list(chain.from_iterable(tuples))
-        if flat and (min(flat) < 0 or max(flat) >= n):
-            v = next(v for v in flat if not 0 <= v < n)
-            raise ValueError(f"variable index {v} out of range [0, {n})")
+        V = _int_rows(self.vars, k, f"{self.KIND} variable tuples")
+        bad = (V < 0) | (V >= n)
+        if bad.any():
+            raise ValueError(f"variable index {V[bad][0]} out of range [0, {n})")
+        V.flags.writeable = False
+        object.__setattr__(self, "vars", V)
         self._check_payload()
-
-    @staticmethod
-    def _tuples(body: tuple) -> Iterable[tuple[int, ...]]:
-        return (S for _, S in body)
 
     def _check_payload(self) -> None:
         pass
 
     @property
     def m(self) -> int:
-        return len(getattr(self, self.BODY))
+        return len(self.vars)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    __hash__ = None  # type: ignore[assignment]
 
     def hypergraph(self) -> "UnsignedHypergraph":
-        return UnsignedHypergraph(self.k, self.n, tuple(self._tuples(getattr(self, self.BODY))))
+        return UnsignedHypergraph(self.k, self.n, self.vars)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.KIND, "k": self.k, "n": self.n, "index_base": 0,
@@ -202,130 +250,106 @@ class _KUniform:
         _require_ints((k, n, base), "k, n and index_base")
         if base != 0:
             raise ValueError(f"variable indices must be 0-based, not index_base {base}")
-        body = cls._decode(d[cls.BODY])
-        _require_ints(chain.from_iterable(cls._tuples(body)), "vars")
-        return cls(k, n, body)
+        return cls(k, n, *cls._decode(d[cls.BODY]))
 
     def sha256(self) -> str:
         return sha256_of(self.to_json_dict())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignedHypergraph(_KUniform):
-    """A k-uniform signed hypergraph: ordered clauses (c, S) with c a +-1
-    sign tuple and S a variable tuple, the carrier of a k-CSP instance."""
+    """A k-uniform signed hypergraph, the carrier of a k-CSP instance:
+    clause i is (c, S) with S = ``vars[i]`` and the +-1 sign tuple
+    c = ``signs[i]``, a row of a read-only int8 array of shape (m, k)."""
 
     KIND = "csp"
-    clauses: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    signs: np.ndarray
 
     def _check_payload(self) -> None:
-        for c, _ in self.clauses:
-            if len(c) != self.k:
-                raise ValueError("csp arity mismatch")
-            for s in c:
-                if s not in (-1, 1):
-                    raise ValueError(f"sign entries must be +-1, got {s}")
+        object.__setattr__(self, "signs", _sign_rows(self.signs, self.k, self.m, "signs"))
+
+    @property
+    def clauses(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        return tuple(zip(_tuples(self.signs), _tuples(self.vars)))
 
     def _encode(self) -> list:
-        return [{"vars": list(S), "signs": list(c)} for c, S in self.clauses]
+        return [{"vars": S, "signs": c} for S, c in zip(self.vars.tolist(), self.signs.tolist())]
 
     @staticmethod
     def _decode(body: list) -> tuple:
-        clauses = tuple((tuple(cl["signs"]), tuple(cl["vars"])) for cl in body)
-        _require_ints(chain.from_iterable(c for c, _ in clauses), "signs")
-        return clauses
+        return [cl["vars"] for cl in body], [cl["signs"] for cl in body]
 
     def to_xor(self) -> "XorInstance":
         """Collapse each sign tuple to its product, yielding an XOR instance."""
-        return XorInstance(
-            self.k,
-            self.n,
-            tuple((int(np.prod(c)), S) for c, S in self.clauses),
-        )
+        return XorInstance(self.k, self.n, self.vars, self.signs.prod(axis=1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class XorInstance(_KUniform):
-    """A kXOR instance: clauses (b, S) demanding prod(x[S]) == b."""
+    """A kXOR instance: clauses (b, S) demanding prod(x[S]) == b, with
+    S = ``vars[i]`` and b = ``rhs[i]``, an entry of a read-only int8
+    array of shape (m,)."""
 
     KIND = "xor"
-    clauses: tuple[tuple[int, tuple[int, ...]], ...]
+    rhs: np.ndarray
 
     def _check_payload(self) -> None:
-        for b, _ in self.clauses:
-            if b not in (-1, 1):
-                raise ValueError("rhs must be +-1")
+        rhs = _sign_rows(np.reshape(self.rhs, (-1, 1)), 1, self.m, "rhs")
+        object.__setattr__(self, "rhs", rhs[:, 0])
+
+    @property
+    def clauses(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        return tuple(zip(self.rhs.tolist(), _tuples(self.vars)))
 
     def _encode(self) -> list:
-        return [{"vars": list(S), "rhs": b} for b, S in self.clauses]
+        return [{"vars": S, "rhs": b} for S, b in zip(self.vars.tolist(), self.rhs.tolist())]
 
     @staticmethod
     def _decode(body: list) -> tuple:
-        clauses = tuple((cl["rhs"], tuple(cl["vars"])) for cl in body)
-        _require_ints([b for b, _ in clauses], "rhs")
-        return clauses
+        rhs = [cl["rhs"] for cl in body]
+        _require_ints(rhs, "rhs")
+        return [cl["vars"] for cl in body], rhs
 
     def to_signed(self) -> SignedHypergraph:
         """Embed as a signed hypergraph with the rhs on the first literal."""
-        return SignedHypergraph(
-            self.k,
-            self.n,
-            tuple(((b,) + (1,) * (self.k - 1), S) for b, S in self.clauses),
-        )
+        signs = np.ones((self.m, self.k), dtype=np.int8)
+        signs[:, 0] = self.rhs
+        return SignedHypergraph(self.k, self.n, self.vars, signs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UnsignedHypergraph(_KUniform):
-    """A k-uniform hypergraph as an ordered list of variable tuples."""
+    """A k-uniform hypergraph: its ordered hyperedges are the rows of
+    ``vars``."""
 
     KIND = "hypergraph"
     BODY = "edges"
-    edges: tuple[tuple[int, ...], ...]
 
-    @staticmethod
-    def _tuples(body: tuple) -> Iterable[tuple[int, ...]]:
-        return body
+    @property
+    def edges(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_tuples(self.vars))
 
     def _encode(self) -> list:
-        return [list(S) for S in self.edges]
+        return self.vars.tolist()
 
     @staticmethod
     def _decode(body: list) -> tuple:
-        return tuple(tuple(e) for e in body)
+        return (body,)
 
     def without_repeats(self) -> "UnsignedHypergraph":
         """Drop hyperedges containing a repeated vertex."""
-        kept = tuple(S for S in self.edges if len(set(S)) == self.k)
-        return UnsignedHypergraph(self.k, self.n, kept)
+        return UnsignedHypergraph(self.k, self.n, self.vars[distinct_rows(self.vars)])
 
     def dedup(self) -> "UnsignedHypergraph":
         """Keep the first occurrence of each tuple."""
-        return UnsignedHypergraph(self.k, self.n, tuple(dict.fromkeys(self.edges)))
+        _, first = np.unique(self.vars, axis=0, return_index=True)
+        return UnsignedHypergraph(self.k, self.n, self.vars[np.sort(first)])
 
 
-def _int_rows(rows: np.ndarray | Iterable[tuple[int, ...]], width: int, what: str) -> np.ndarray:
-    """``rows`` as a fresh int64 array of shape (len(rows), width), from an
-    integer array or from a sequence of integer tuples; ValueError naming
-    ``what`` for a row of another width or an entry that is not an
-    integer."""
-    if isinstance(rows, np.ndarray):
-        if rows.size == 0:
-            return np.empty((0, width), dtype=np.int64)
-        if rows.ndim != 2 or rows.shape[1] != width or rows.dtype.kind not in "iu":
-            raise ValueError(f"{what} must be an integer array of shape (m, {width}), "
-                             f"not {rows.dtype} {rows.shape}")
-        return rows.astype(np.int64)
-    rows = rows if isinstance(rows, (list, tuple)) else list(rows)
-    if set(map(len, rows)) - {width}:
-        raise ValueError(f"{what} must have {width} entries each")
-    if any(t is bool or not issubclass(t, (int, np.integer))
-           for t in set(map(type, chain.from_iterable(rows)))):
-        raise ValueError(f"{what} must hold integers")
-    try:
-        flat = np.fromiter(chain.from_iterable(rows), np.int64, width * len(rows))
-    except OverflowError:
-        raise ValueError(f"{what} must hold integers within int64") from None
-    return flat.reshape(-1, width)
+def distinct_rows(V: np.ndarray) -> np.ndarray:
+    """Boolean mask of the rows of V whose entries are pairwise distinct."""
+    V = np.sort(V, axis=1)
+    return (V[:, 1:] != V[:, :-1]).all(axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,7 +390,7 @@ class MultiGraph:
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
-        return tuple(zip(*self.edge_array.T.tolist()))
+        return tuple(_tuples(self.edge_array))
 
     @property
     def m(self) -> int:
@@ -446,7 +470,8 @@ def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> tuple[np.
     """Include each of the (2^k if signed, else 1) * n^k index tuples
     independently with probability m / that space.  Returns the drawn
     tuples in draw order: their sign bits, and their variable tuples as
-    the rows of a (count, k) array."""
+    the rows of a (count, k) array, which the samplers sort and hand to
+    the instance as its ``vars``."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if n < k:
@@ -477,15 +502,14 @@ def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergr
     signs = 1 - 2 * ((c_bits[:, None] >> np.arange(k)) & 1)
     # clauses sorted by variable tuple, then by sign tuple
     order = np.lexsort(np.hstack((S, signs)).T[::-1])
-    clauses = zip(zip(*signs[order].T.tolist()), zip(*S[order].T.tolist()))
-    return SignedHypergraph(k, n, tuple(clauses))
+    return SignedHypergraph(k, n, S[order], signs[order])
 
 
 def sample_unsigned_hypergraph(k: int, n: int, m: int, seed: int) -> UnsignedHypergraph:
     """Include each of the n^k variable tuples independently with
     probability m / n^k."""
     _, S = _sample_tuples(k, n, m, seed, False)
-    return UnsignedHypergraph(k, n, tuple(zip(*S[np.lexsort(S.T[::-1])].T.tolist())))
+    return UnsignedHypergraph(k, n, S[np.lexsort(S.T[::-1])])
 
 
 def sample_goe(n: int, seed: int) -> np.ndarray:
@@ -530,18 +554,21 @@ def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) ->
 # Evaluation and local Fourier data
 # ---------------------------------------------------------------------------
 
+def _pattern_indices(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> np.ndarray:
+    """For each clause (c, S) of I, the index of the sign vector c o x_S."""
+    z = I.signs * np.asarray(x)[I.vars]
+    if (np.abs(z) != 1).any():
+        raise ValueError("assignment entries must be +-1")
+    return (z == -1) @ (1 << np.arange(I.k))
+
+
 def evaluate(I: SignedHypergraph, P: Predicate, x: Sequence[int] | np.ndarray) -> float:
     """Fraction of clauses of I satisfied by x under predicate P."""
     if I.m == 0:
         raise ValueError("cannot evaluate an empty instance")
     if P.k != I.k:
         raise ValueError("predicate arity does not match instance")
-    x = np.asarray(x)
-    sat = 0
-    for c, S in I.clauses:
-        z = tuple(int(ci * x[si]) for ci, si in zip(c, S))
-        sat += P.value(z)
-    return sat / I.m
+    return int(np.asarray(P.table)[_pattern_indices(I, x)].sum()) / I.m
 
 
 def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> DensityTable:
@@ -549,15 +576,8 @@ def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> Density
     coefficients; D_hat(empty) == 1 by normalization."""
     if I.m == 0:
         raise ValueError("cannot build the density table of an empty instance")
-    x = np.asarray(x)
     k = I.k
-    counts = np.zeros(1 << k)
-    for c, S in I.clauses:
-        idx = 0
-        for i, (ci, si) in enumerate(zip(c, S)):
-            if ci * int(x[si]) == -1:
-                idx |= 1 << i
-        counts[idx] += 1
+    counts = np.bincount(_pattern_indices(I, x), minlength=1 << k).astype(float)
     table = counts * ((1 << k) / I.m)
     values = {index_to_signs(idx, k): float(table[idx]) for idx in range(1 << k)}
     fourier = fourier_transform(table.tolist(), k)
@@ -566,21 +586,7 @@ def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> Density
 
 def xor_violations(I: XorInstance, x: Sequence[int] | np.ndarray) -> int:
     """Number of clauses of an XOR instance violated by x."""
-    x = np.asarray(x)
-    bad = 0
-    for b, S in I.clauses:
-        prod = 1
-        for si in S:
-            prod *= int(x[si])
-        if prod != b:
-            bad += 1
-    return bad
-
-
-def xor_satisfied_fraction(I: XorInstance, x: Sequence[int] | np.ndarray) -> float:
-    if I.m == 0:
-        raise ValueError("cannot evaluate an empty instance")
-    return 1.0 - xor_violations(I, x) / I.m
+    return int((np.asarray(x)[I.vars].prod(axis=1) != I.rhs).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -588,17 +594,18 @@ def xor_satisfied_fraction(I: XorInstance, x: Sequence[int] | np.ndarray) -> flo
 # ---------------------------------------------------------------------------
 
 def clause_split(
-    tuples: Iterable[tuple[int, ...]], S: Iterable[int], inside: int
-) -> Iterator[tuple[int, tuple[int, ...], tuple[int, ...]]]:
-    """For each variable tuple with exactly ``inside`` of its positions in
-    S, in order: its index, its S-part and its outside part, each part in
-    tuple order.  Every induced and truncated instance is built from this
-    one selection."""
-    S = frozenset(S)
-    for i, U in enumerate(tuples):
-        in_part = [u for u in U if u in S]
-        if len(in_part) == inside:
-            yield i, tuple(in_part), tuple([u for u in U if u not in S])
+    V: np.ndarray, S: Iterable[int], inside: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of V with exactly ``inside`` of their entries in S: their
+    indices, their S-parts as an (r, inside) array and their outside
+    parts as an (r, k - inside) array, each part in row order.  Every
+    induced and truncated instance is built from this one selection."""
+    member = np.isin(V, np.fromiter(S, np.int64))
+    rows = np.flatnonzero(member.sum(axis=1) == inside)
+    # a stable sort moves each row's S-positions to the front, in row order
+    order = np.argsort(~member[rows], axis=1, kind="stable")
+    parts = np.take_along_axis(V[rows], order, axis=1)
+    return rows, parts[:, :inside], parts[:, inside:]
 
 
 def induced_xor(
@@ -609,11 +616,11 @@ def induced_xor(
     the sigma-values of the dropped S-variables."""
     if not (1 <= t <= I.k - 1):
         raise ValueError(f"t must be in [1, k-1], got {t}")
-    clauses = tuple(
-        (I.clauses[i][0] * math.prod(sigma[u] for u in in_part), out_part)
-        for i, in_part, out_part in clause_split((U for _, U in I.clauses), S, I.k - t)
-    )
-    return XorInstance(t, I.n, clauses)
+    rows, in_part, out_part = clause_split(I.vars, S, I.k - t)
+    # a variable of S without a sigma-value leaves a 0 rhs, which is refused
+    values = np.zeros(I.n, dtype=np.int64)
+    values[list(sigma)] = list(sigma.values())
+    return XorInstance(t, I.n, out_part, I.rhs[rows] * values[in_part].prod(axis=1))
 
 
 def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
@@ -621,19 +628,15 @@ def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
     induced instance, but keeping the S-variables and the original rhs."""
     if not (1 <= arity <= I.k - 1):
         raise ValueError(f"truncated arity must be in [1, k-1], got {arity}")
-    clauses = tuple(
-        (I.clauses[i][0], in_part)
-        for i, in_part, _ in clause_split((U for _, U in I.clauses), S, arity)
-    )
-    return XorInstance(arity, I.n, clauses)
+    rows, in_part, _ = clause_split(I.vars, S, arity)
+    return XorInstance(arity, I.n, in_part, I.rhs[rows])
 
 
 def primal_graph(H: UnsignedHypergraph) -> MultiGraph:
     """One edge per pair of vertices inside each hyperedge (a triangle per
     3-uniform hyperedge); parallel edges kept, in hyperedge order."""
-    V = _int_rows(H.edges, H.k, "hyperedges")
-    ordered = np.sort(V, axis=1)
-    if (ordered[:, 1:] == ordered[:, :-1]).any():
+    V = H.vars
+    if not distinct_rows(V).all():
         raise ValueError("hyperedges with repeated vertices must be removed first")
     i, j = np.triu_indices(H.k, 1)
     # row r holds hyperedge r's pairs (S[i], S[j]) for i < j, in that order
@@ -646,20 +649,16 @@ def csp_to_ksat(I: SignedHypergraph, P: Predicate) -> SignedHypergraph:
     under kSAT."""
     if P.k != I.k:
         raise ValueError("predicate arity does not match instance")
-    z = P.first_unsatisfying()
-    clauses = tuple(
-        (tuple(ci * zi for ci, zi in zip(c, z)), S) for c, S in I.clauses
-    )
-    return SignedHypergraph(I.k, I.n, clauses)
+    z = np.array(P.first_unsatisfying(), dtype=np.int8)
+    return SignedHypergraph(I.k, I.n, I.vars, I.signs * z)
 
 
 def split_by_sign(I: SignedHypergraph) -> tuple[SignedHypergraph, SignedHypergraph]:
     """Extract the all-unnegated and fully-negated sub-instances."""
-    pos = tuple((c, S) for c, S in I.clauses if all(ci == 1 for ci in c))
-    neg = tuple((c, S) for c, S in I.clauses if all(ci == -1 for ci in c))
+    pos, neg = ((I.signs == s).all(axis=1) for s in (1, -1))
     return (
-        SignedHypergraph(I.k, I.n, pos),
-        SignedHypergraph(I.k, I.n, neg),
+        SignedHypergraph(I.k, I.n, I.vars[pos], I.signs[pos]),
+        SignedHypergraph(I.k, I.n, I.vars[neg], I.signs[neg]),
     )
 
 

@@ -55,7 +55,7 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, (list, tuple)):
         if obj and isinstance(obj[0], float) and _emit_float_row(obj, out):
             return
-        if obj and type(obj[0]) in (int, list, tuple) and _emit_int_row(obj, out):
+        if obj and type(obj[0]) in (list, tuple) and _emit_int_row(obj, out):
             return
         out.append("[")
         for i, item in enumerate(obj):
@@ -94,16 +94,14 @@ _encode_compact = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _emit_int_row(row: list | tuple, out: list[str]) -> bool:
-    """Encode a row of exact ints, or a row of lists and tuples of exact
-    ints, in one C-level call, which renders them exactly as ``_emit``
-    does: ``str`` of an exact int is its JSON text.  Return False, having
-    emitted nothing, for any other row: bools and numpy integers take
-    ``_emit``."""
-    kinds = set(map(type, row))
-    if kinds == {int}:
-        out.append(f"[{','.join(map(str, row))}]")
-        return True
-    if not kinds <= {list, tuple}:
+    """Encode a row of lists and tuples of exact ints in one C-level
+    call, which renders them exactly as ``_emit`` does: ``str`` of an
+    exact int is its JSON text.  Return False, having emitted nothing, for
+    any other row: bools and numpy integers take ``_emit``, and so do flat
+    rows of ints.  The flat int rows of the package's documents are
+    clause tuples of a few entries, for which the check costs more than
+    the one call saves."""
+    if not set(map(type, row)) <= {list, tuple}:
         return False
     # a matrix of floats is turned away at its first entry
     if type(next(chain.from_iterable(row), 0)) is not int:

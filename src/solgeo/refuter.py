@@ -48,6 +48,18 @@ class SparsePolynomial:
             if not math.isfinite(w):
                 raise ValueError("coefficients must be finite")
 
+    @classmethod
+    def summed(cls, n: int, keys: np.ndarray, weights: np.ndarray) -> "SparsePolynomial":
+        """sum_i weights[i] x^T_i over the rows T_i of ``keys``: one term
+        per distinct row, in order of first occurrence, its weights added
+        in row order from 0.0, as a dict accumulating them one at a time
+        would."""
+        unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        sums = np.bincount(inverse.ravel(), weights, len(unique))
+        order = np.argsort(first)
+        terms = dict(zip(map(tuple, unique[order].tolist()), sums[order].tolist()))
+        return cls(n, keys.shape[1], terms)
+
 
 @dataclass(frozen=True)
 class PolynomialBound:
@@ -182,15 +194,9 @@ def _coefficient_polynomial(
     I: SignedHypergraph, T: tuple[int, ...]
 ) -> SparsePolynomial:
     """The polynomial x -> D_hat_{I,x}(T), as a function of the assignment."""
-    terms: dict[tuple[int, ...], float] = {}
-    inv_m = 1.0 / I.m
-    for c, S in I.clauses:
-        sign = 1.0
-        for i in T:
-            sign *= c[i]
-        U = tuple(S[i] for i in T)
-        terms[U] = terms.get(U, 0.0) + sign * inv_m
-    return SparsePolynomial(I.n, len(T), terms)
+    T = list(T)
+    sign = I.signs[:, T].prod(axis=1)
+    return SparsePolynomial.summed(I.n, I.vars[:, T], sign * (1.0 / I.m))
 
 
 def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertificate:

@@ -31,6 +31,13 @@ def petersen_graph() -> MultiGraph:
     return MultiGraph.build(10, outer + inner + spokes)
 
 
+def from_clauses(cls, k: int, n: int, clauses):
+    """A SignedHypergraph or XorInstance from its clause list: the
+    (signs, vars) or (rhs, vars) pairs its ``clauses`` property reads
+    back."""
+    return cls(k, n, [S for _, S in clauses], [payload for payload, _ in clauses])
+
+
 def planted_xor_signs(table: np.ndarray, indices) -> np.ndarray:
     """Signings under which the given assignment indices satisfy exactly."""
     return np.stack([table[i] for i in indices]).astype(np.int8)
@@ -48,13 +55,10 @@ def planted_3sat(n: int, m: int, plus_count: int, seed: int) -> tuple[SignedHype
     xstar = np.array([1] * plus_count + [-1] * (n - plus_count))
     rng.shuffle(xstar)
     base = sample_signed_hypergraph(3, n, m, seed)
-    clauses = []
-    for c, S in base.clauses:
-        pattern = tuple(ci * xstar[si] for ci, si in zip(c, S))
-        if all(p == 1 for p in pattern):
-            c = (-c[0],) + c[1:]
-        clauses.append((c, S))
-    return SignedHypergraph(3, n, tuple(clauses)), xstar
+    signs = base.signs.copy()
+    signs[(signs * xstar[base.vars] == 1).all(axis=1), 0] *= -1
+    return SignedHypergraph(3, n, base.vars, signs), xstar
+
 
 def synthetic_balanced_k4(n: int = 64, mu: int = 100, seed: int = 42) -> XorInstance:
     """Every outside pair carries exactly mu clauses whose S-part is a
@@ -70,7 +74,8 @@ def synthetic_balanced_k4(n: int = 64, mu: int = 100, seed: int = 42) -> XorInst
                 while b == a:
                     b = int(rng.integers(0, s))
                 clauses.append((int(rng.choice([-1, 1])), (a, b, u, v)))
-    return XorInstance(4, n, tuple(clauses))
+    return from_clauses(XorInstance, 4, n, clauses)
+
 
 def sign_cube_k4(n: int = 64, tuples_per_pair: int = 6, seed: int = 9) -> SignedHypergraph:
     """Structured 4CSP carrying the full sign cube over each tuple, so every
@@ -88,4 +93,4 @@ def sign_cube_k4(n: int = 64, tuples_per_pair: int = 6, seed: int = 9) -> Signed
                     b = int(rng.integers(0, s))
                 for c in patterns:
                     clauses.append((c, (a, b, u, v)))
-    return SignedHypergraph(4, n, tuple(clauses))
+    return from_clauses(SignedHypergraph, 4, n, clauses)

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import petersen_graph, thread_map
+from conftest import petersen_graph, planted_3sat, thread_map
 from solgeo.certificates import certificate_from_json
 from solgeo.counting import (
     certify_count_2xor,
@@ -40,7 +40,6 @@ from solgeo.geometry import (
 from solgeo.instances import (
     MultiGraph,
     Predicate,
-    SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
     sample_goe,
@@ -110,9 +109,7 @@ def test_criterion_1_count_soundness_sweep():
                 counts = (viol <= violation_budget(eta, H.m)).sum(axis=0)
                 cell_checks += len(counts)
                 cell_violations += int((counts > 2.0**cert.log2_bound + 1e-6).sum())
-                xor_inst = XorInstance(
-                    3, n, tuple((int(b), S) for b, S in zip(signings[0], H.edges))
-                )
+                xor_inst = XorInstance(3, n, H.vars, signings[0])
                 ref = refute_from_count(xor_inst, cert, eta)
                 REDUCTION_LOG["count"].append((xor_inst, ref, eta, int(counts[0])))
         I = sample_signed_hypergraph(3, n, delta * n, seed=seed + 50_000)
@@ -156,7 +153,7 @@ def test_criterion_2_2xor_all_signings():
         cert = certify_count_2xor(G, 0.0)
         cap = 2.0**cert.log2_bound
         assert cert.fallback or cert.log2_bound == pytest.approx(1.0)
-        table = xor_sign_table(UnsignedHypergraph(2, 6, G.edges))
+        table = xor_sign_table(UnsignedHypergraph(2, 6, G.edge_array))
         signings = np.array(
             list(itertools.product([-1, 1], repeat=G.m)), dtype=np.int8
         )
@@ -168,9 +165,7 @@ def test_criterion_2_2xor_all_signings():
         # the smaller graphs, a stride sample for the largest
         stride = 1 if G.m <= 13 else 127
         for row in range(0, len(signings), stride):
-            I = XorInstance(
-                2, 6, tuple((int(b), S) for b, S in zip(signings[row], G.edges))
-            )
+            I = XorInstance(2, 6, G.edge_array, signings[row])
             assert gaussian_count(I).exact_value == counts[row]
     report(
         2, "2xor simultaneity", violations == 0,
@@ -423,19 +418,6 @@ def test_criterion_6_cluster_certificates():
 # 7. balance certificates
 # ---------------------------------------------------------------------------
 
-def planted_3sat(n, m, plus_count, seed):
-    rng = np.random.default_rng(seed)
-    xstar = np.array([1] * plus_count + [-1] * (n - plus_count))
-    rng.shuffle(xstar)
-    base = sample_signed_hypergraph(3, n, m, seed)
-    clauses = []
-    for c, S in base.clauses:
-        if all(ci * xstar[si] == 1 for ci, si in zip(c, S)):
-            c = (-c[0],) + c[1:]
-        clauses.append((c, S))
-    return SignedHypergraph(3, n, tuple(clauses))
-
-
 def test_criterion_7_balance_certificates():
     n = 14
     P = Predicate.ksat(3)
@@ -445,7 +427,7 @@ def test_criterion_7_balance_certificates():
 
     def run_k3(seed):
         nonlocal_stats = [0, 0, 0]
-        I = planted_3sat(n, 140 * n, 9, seed=seed)
+        I, _ = planted_3sat(n, 140 * n, 9, seed=seed)
         profile = violation_profile(I, P)
         ones = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
         biases = np.abs(n - 2 * ones) / n
@@ -607,7 +589,7 @@ def test_criterion_10_reductions_and_code_bound():
             cert = certify_count_kxor(H, eta)
             table = xor_sign_table(H)
             signs = table[seed % (1 << 12)]
-            I = XorInstance(3, 12, tuple((int(b), S) for b, S in zip(signs, H.edges)))
+            I = XorInstance(3, 12, H.vars, signs)
             count = int(
                 (violation_profile(I) <= violation_budget(eta, I.m)).sum()
             )

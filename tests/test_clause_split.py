@@ -2,13 +2,16 @@
 the kXOR block projection of the count recursion and the family-graph
 loop of the kXOR balance certificate."""
 
+import numpy as np
 import pytest
 
+from conftest import from_clauses
 from solgeo.counting import _partition_blocks
 from solgeo.instances import (
     UnsignedHypergraph,
     XorInstance,
     clause_split,
+    distinct_rows,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
 )
@@ -35,7 +38,7 @@ def frozen_induced_block_hypergraph(H, block):
 def frozen_balance_family(I, s):
     """The family graph edges and truncated clauses as the kXOR balance
     certificate computed them before."""
-    clean = XorInstance(I.k, I.n, tuple((b, U) for b, U in I.clauses if len(set(U)) == I.k))
+    clean = from_clauses(XorInstance, I.k, I.n, [(b, U) for b, U in I.clauses if len(set(U)) == I.k])
     Sset = set(range(s))
     remap = {v: i for i, v in enumerate(range(s, I.n))}
     edges = []
@@ -61,11 +64,9 @@ def test_block_projection_matches_frozen(k, seed):
     for c in (0.2, 0.35, 0.5, 0.75):
         for block in _partition_blocks(n, c):
             size = len(block)
-            edges = tuple(
-                tuple(v if v < block.start else v - size for v in out_part)
-                for _, _, out_part in clause_split(H.edges, block, 1)
-            )
-            got = UnsignedHypergraph(k - 1, n - size, edges)
+            _, _, out_part = clause_split(H.vars, block, 1)
+            got = UnsignedHypergraph(k - 1, n - size,
+                                     np.where(out_part < block.start, out_part, out_part - size))
             want = frozen_induced_block_hypergraph(H, list(block))
             assert got.n == want.n
             assert got.edges == want.edges
@@ -77,17 +78,17 @@ def test_balance_family_matches_frozen(seed):
     I = sample_signed_hypergraph(4, n, 8 * n, seed=seed).to_xor()
     assert any(len(set(U)) < 4 for _, U in I.clauses)
     for s in range(1, n - 1):
-        family = [
-            (I.clauses[i][0], in_part, out_part)
-            for i, in_part, out_part in clause_split((U for _, U in I.clauses), range(s), 2)
-            if len(set(in_part + out_part)) == 4
-        ]
+        rows, in_part, out_part = clause_split(I.vars, range(s), 2)
+        family = distinct_rows(I.vars[rows])
         edges, truncated = frozen_balance_family(I, s)
-        assert [(u - s, v - s) for _, _, (u, v) in family] == edges
-        assert [(b, in_part) for b, in_part, _ in family] == truncated
+        assert list(map(tuple, (out_part[family] - s).tolist())) == edges
+        assert list(zip(I.rhs[rows[family]].tolist(), map(tuple, in_part[family].tolist()))) == truncated
 
 
 def test_split_parts_keep_tuple_order():
-    tuples = [(5, 0, 7, 1), (0, 0, 2, 3), (4, 5, 6, 7)]
-    assert list(clause_split(tuples, {0, 1}, 2)) == [(0, (0, 1), (5, 7)), (1, (0, 0), (2, 3))]
-    assert list(clause_split(tuples, {0, 1}, 0)) == [(2, (), (4, 5, 6, 7))]
+    V = np.array([(5, 0, 7, 1), (0, 0, 2, 3), (4, 5, 6, 7)])
+    rows, in_part, out_part = clause_split(V, {0, 1}, 2)
+    assert (rows.tolist(), in_part.tolist(), out_part.tolist()) == (
+        [0, 1], [[0, 1], [0, 0]], [[5, 7], [2, 3]])
+    rows, in_part, out_part = clause_split(V, {0, 1}, 0)
+    assert (rows.tolist(), in_part.shape, out_part.tolist()) == ([2], (1, 0), [[4, 5, 6, 7]])

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import from_clauses
 from solgeo.certificates import CountCertificate
 from solgeo.counting import (
     aggregate_partition,
@@ -130,13 +131,13 @@ def test_2xor_eta_zero_bound_two():
 def test_2xor_all_signings_of_k5():
     G = complete_graph(5)
     cert = certify_count_2xor(G, 0.0)
-    table = xor_sign_table(UnsignedHypergraph(2, 5, G.edges))
+    table = xor_sign_table(UnsignedHypergraph(2, 5, G.edge_array))
     signings = np.array(list(itertools.product([-1, 1], repeat=G.m)), dtype=np.int8)
     counts = batch_xor_counts(table, signings, 0)
     assert counts.max() <= 2.0**cert.log2_bound + 1e-9
     # cross-check a sample against GF(2) elimination
     for row in range(0, len(signings), 97):
-        I = XorInstance(2, 5, tuple((int(b), S) for b, S in zip(signings[row], G.edges)))
+        I = XorInstance(2, 5, G.edge_array, signings[row])
         assert gaussian_count(I).exact_value == counts[row]
 
 
@@ -151,7 +152,7 @@ def test_2xor_empty_graph_falls_back():
 
 def test_kxor_k2_delegates_to_2xor():
     G = complete_graph(6)
-    H = UnsignedHypergraph(2, 6, G.edges)
+    H = UnsignedHypergraph(2, 6, G.edge_array)
     a = certify_count_kxor(H, 0.0)
     b = certify_count_2xor(G, 0.0)
     assert a.log2_bound == b.log2_bound
@@ -211,7 +212,7 @@ def test_ksat_slack_conversion_recorded():
 
 
 def test_ksat_fallback_on_hard_quasirandom_failure():
-    I = SignedHypergraph(3, 6, (((1, 1, 1), (0, 1, 2)),))  # eps = 1
+    I = SignedHypergraph(3, 6, [(0, 1, 2)], [(1, 1, 1)])  # eps = 1
     cert = certify_count_ksat(I, 0.1)
     assert cert.fallback and cert.log2_bound == 6.0
     assert any(c.name == "xor-principle-nontrivial" and not c.passed for c in cert.checks)
@@ -253,7 +254,7 @@ def test_kcsp_soundness_parity_predicate(seed):
 
 
 def test_kcsp_fallback_propagates():
-    I = SignedHypergraph(3, 6, (((1, 1, 1), (0, 1, 2)),))
+    I = SignedHypergraph(3, 6, [(0, 1, 2)], [(1, 1, 1)])
     cert = certify_count_kcsp(I, Predicate.parity(3), 0.0)
     assert cert.fallback
 
@@ -276,7 +277,7 @@ def contradictory_instance(n: int = 12, pairs: int = 10) -> XorInstance:
         S = (1 + i % (n - 3), 1 + (i + 1) % (n - 3), 1 + (i + 2) % (n - 3))
         clauses.append((1, S))
         clauses.append((-1, S))
-    return XorInstance(3, n, tuple(clauses))
+    return from_clauses(XorInstance, 3, n, clauses)
 
 
 def test_refute_from_count_trivial_bound_gives_nothing():
@@ -287,8 +288,7 @@ def test_refute_from_count_trivial_bound_gives_nothing():
 
 def test_refute_from_count_incidence_guard():
     # clauses touching the prefix set exceed the incidence budget
-    clauses = tuple((1, (0, 1, 2)) for _ in range(12))
-    I = XorInstance(3, 12, clauses)
+    I = XorInstance(3, 12, [(0, 1, 2)] * 12, [1] * 12)
     cert = _mock_count_cert(I, 0.9, 0.0)
     assert refute_from_count(I, cert, 0.9) is None
 

@@ -35,7 +35,7 @@ from solgeo.oracle import (
 )
 from solgeo.spectral import SpectralReport
 
-from conftest import planted_3sat, sign_cube_k4, synthetic_balanced_k4
+from conftest import from_clauses, planted_3sat, sign_cube_k4, synthetic_balanced_k4
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def test_clusters_planted_signings_respect_certificate():
     rng = np.random.default_rng(1)
     for idx in rng.integers(0, 1 << n, size=8):
         signs = table[idx]
-        I = XorInstance(3, n, tuple((int(b), S) for b, S in zip(signs, H.edges)))
+        I = XorInstance(3, n, H.vars, signs)
         res = brute_clusters(I, 0.05, cert.theta)
         assert res.exact_value["num_solutions"] >= 1
         assert verify_certificate(cert, res) == "sound"
@@ -248,16 +248,14 @@ def test_clusters_3csp_sound_small(seed):
 # ---------------------------------------------------------------------------
 
 def test_induced_positive_fraction_tight_when_all_positive():
-    clauses = tuple((1, (0, 1, 4, 5)) for _ in range(6))
-    I = XorInstance(4, 6, clauses)
-    res = _positive_fraction([0, 1], 4, truncated_xor(I, [0, 1], 2).clauses)
+    I = XorInstance(4, 6, [(0, 1, 4, 5)] * 6, [1] * 6)
+    res = _positive_fraction([0, 1], truncated_xor(I, [0, 1], 2))
     assert res.eps == pytest.approx(0.5)
 
 
 def test_induced_positive_fraction_cancellation():
-    clauses = ((1, (0, 1, 4, 5)), (-1, (0, 1, 4, 5)))
-    I = XorInstance(4, 6, clauses)
-    res = _positive_fraction([0, 1], 4, truncated_xor(I, [0, 1], 2).clauses)
+    I = XorInstance(4, 6, [(0, 1, 4, 5)] * 2, [1, -1])
+    res = _positive_fraction([0, 1], truncated_xor(I, [0, 1], 2))
     assert res.eps == pytest.approx(0.0, abs=1e-12)
 
 
@@ -269,9 +267,9 @@ def test_induced_positive_fraction_exhaustive_sigma():
         a, b = rng.choice(s, size=2, replace=False)
         u, v = rng.choice(np.arange(s, n), size=2, replace=False)
         clauses.append((int(rng.choice([-1, 1])), (int(a), int(b), int(u), int(v))))
-    I = XorInstance(4, n, tuple(clauses))
+    I = from_clauses(XorInstance, 4, n, clauses)
     S = list(range(s))
-    res = _positive_fraction(S, 4, truncated_xor(I, S, 2).clauses)
+    res = _positive_fraction(S, truncated_xor(I, S, 2))
     from solgeo.instances import induced_xor
 
     for bits in itertools.product([-1, 1], repeat=s):
@@ -307,7 +305,7 @@ def test_biased_family_exhaustive(seed):
     bound = refute_biased_2xor_family(G, eps, rho)
     m = G.m
     max_pos = math.floor((0.5 + eps) * m + 1e-9)
-    table = xor_sign_table(UnsignedHypergraph(2, n, G.edges))
+    table = xor_sign_table(UnsignedHypergraph(2, n, G.edge_array))
     idx = np.arange(1 << n, dtype=np.uint64)
     ones = np.bitwise_count(idx).astype(np.int64)
     biased = np.abs(n - 2 * ones) >= rho * n - 1e-9
@@ -388,6 +386,7 @@ def test_balance_kcsp_declines_when_the_principle_eats_the_xor_slack():
     # balance, but the quasirandomness error of the XOR principle exceeds
     # its slack, so no SAT slack is left to certify
     cube = sign_cube_k4(n=48)
-    I = SignedHypergraph(4, cube.n, tuple(c for i, c in enumerate(cube.clauses) if i % 16))
+    keep = np.arange(cube.m) % 16 != 0
+    I = SignedHypergraph(4, cube.n, cube.vars[keep], cube.signs[keep])
     assert certify_balance_kxor(I.to_xor(), rho=0.5) is not None
     assert certify_balance_kcsp(I, Predicate.ksat(4), rho=0.5) is None

@@ -65,7 +65,7 @@ def _kxor(seed):
 
 def _2xor(n=200):
     H = sample_unsigned_hypergraph(2, n, int(n**1.4), seed=1)
-    return certify_count_2xor(MultiGraph.build(n, H.edges), 0.0)
+    return certify_count_2xor(MultiGraph.build(n, H.vars), 0.0)
 
 
 def _sk_one_spike(n=64, eta=0.1):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import from_clauses
+from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
     MultiGraph,
     Predicate,
@@ -12,6 +14,7 @@ from solgeo.instances import (
     XorInstance,
     _sample_distinct_indices,
     bias,
+    clause_split,
     csp_to_ksat,
     density_table,
     evaluate,
@@ -20,7 +23,6 @@ from solgeo.instances import (
     instance_doc,
     load_instance,
     primal_graph,
-    random_assignment,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -28,11 +30,11 @@ from solgeo.instances import (
     split_by_sign,
     truncated_xor,
     violation_budget,
-    xor_satisfied_fraction,
     xor_violations,
 )
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import violation_profile
+from solgeo.refuter import SparsePolynomial, _coefficient_polynomial, refute_polynomial
 from solgeo.spectral import _adjacency_matvec
 
 
@@ -180,7 +182,7 @@ def test_constant_one_rejected():
 # ---------------------------------------------------------------------------
 
 def test_evaluate_single_2xor_clause():
-    I = XorInstance(2, 2, ((1, (0, 1)),)).to_signed()
+    I = XorInstance(2, 2, [(0, 1)], [1]).to_signed()
     P = Predicate.parity(2)
     assert evaluate(I, P, np.array([1, 1])) == 1.0
     assert evaluate(I, P, np.array([1, -1])) == 0.0
@@ -189,9 +191,9 @@ def test_evaluate_single_2xor_clause():
 def test_evaluate_locality():
     base = sample_signed_hypergraph(3, 9, 20, seed=4)
     # re-house on 10 variables so variable 9 appears in no clause
-    I = SignedHypergraph(3, 10, base.clauses)
+    I = SignedHypergraph(3, 10, base.vars, base.signs)
     P = Predicate.ksat(3)
-    x = random_assignment(10, seed=1)
+    x = np.random.default_rng(1).choice([-1, 1], size=10)
     y = x.copy()
     y[9] *= -1
     assert evaluate(I, P, x) == evaluate(I, P, y)
@@ -211,7 +213,7 @@ def test_evaluate_matches_fourier_pairing():
 
 
 def test_density_table_single_clause():
-    I = SignedHypergraph(2, 2, (((1, 1), (0, 1)),))
+    I = SignedHypergraph(2, 2, [(0, 1)], [(1, 1)])
     table = density_table(I, np.array([1, 1]))
     assert table.values[(1, 1)] == pytest.approx(4.0)  # concentrated, scaled by 2^k
     assert table.fourier[()] == pytest.approx(1.0)
@@ -225,7 +227,7 @@ def test_density_table_top_coefficient_is_xor_margin():
             continue
         x = rng.choice([-1, 1], size=9)
         xi = I.to_xor()
-        frac = xor_satisfied_fraction(xi, x)
+        frac = 1.0 - xor_violations(xi, x) / xi.m
         table = density_table(I, x)
         assert table.fourier[(0, 1, 2)] == pytest.approx(2 * frac - 1, abs=1e-9)
         assert table.fourier[()] == pytest.approx(1.0, abs=1e-9)
@@ -244,7 +246,7 @@ def test_density_table_normalization():
 def test_induced_truncated_worked_example():
     # 4XOR clause x_a x_b x_c x_d = +1 with a, b in S, sigma_a=+1, sigma_b=-1
     a, b, c, d = 0, 1, 2, 3
-    I = XorInstance(4, 4, ((1, (a, b, c, d)),))
+    I = XorInstance(4, 4, [(a, b, c, d)], [1])
     S = [a, b]
     sigma = {a: 1, b: -1}
     ind = induced_xor(I, S, sigma, t=2)
@@ -339,7 +341,7 @@ def test_csp_to_ksat_rejects_constant_one():
 
 def test_split_by_sign_all_positive():
     clauses = tuple(((1, 1, 1), (0, 1, 2)) for _ in range(4))
-    I = SignedHypergraph(3, 5, clauses)
+    I = from_clauses(SignedHypergraph, 3, 5, clauses)
     plus, minus = split_by_sign(I)
     assert plus == I
     assert minus.m == 0
@@ -399,8 +401,19 @@ def test_documents_of_another_kind_are_refused():
     {"n": 3, "edges": [[0, 2, 1]]},
     {"kind": "goe", "n": 2, "matrix": [[1.0, 0.0], [0.0, "1"]]},
     {"kind": "goe", "n": 3, "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+    {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "rhs": 0}]},
+    {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "rhs": True}]},
+    {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1, 2], "rhs": 1}]},
+    {"kind": "csp", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "signs": [1, 0]}]},
+    {"kind": "csp", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "signs": [1]}]},
+    {"kind": "csp", "k": 2, "n": 3, "clauses": [{"vars": [0, True], "signs": [1, 1]}]},
+    {"kind": "csp", "k": 2, "n": 3, "clauses": [{"vars": [0, 3], "signs": [1, 1]}]},
+    {"kind": "csp", "k": 2, "n": 3, "clauses": [[0, 1]]},
+    {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "rhs": 2**64 - 1}]},
 ], ids=["float-n", "index-base", "float-vertex", "edges-not-a-list", "no-edges",
-        "edge-arity", "string-entry", "matrix-shape"])
+        "edge-arity", "string-entry", "matrix-shape", "rhs-zero", "rhs-bool", "clause-arity",
+        "sign-zero", "sign-arity", "bool-vertex", "vertex-out-of-range", "clause-not-an-object",
+        "rhs-beyond-int64"])
 def test_malformed_documents_raise_value_error(doc):
     with pytest.raises(ValueError):
         load_instance(doc)
@@ -550,7 +563,233 @@ def test_violation_budget_boundaries():
 
 
 def test_xor_violation_helpers():
-    I = XorInstance(2, 3, ((1, (0, 1)), (-1, (1, 2))))
-    x = np.array([1, 1, 1])
-    assert xor_violations(I, x) == 1
-    assert xor_satisfied_fraction(I, x) == pytest.approx(0.5)
+    I = XorInstance(2, 3, [(0, 1), (1, 2)], [1, -1])
+    assert xor_violations(I, np.array([1, 1, 1])) == 1
+    assert xor_violations(I, [1, 1, -1]) == 0
+    assert xor_violations(XorInstance(2, 3, [], []), [1, 1, 1]) == 0
+
+
+# ---------------------------------------------------------------------------
+# The array-backed k-uniform instances against the tuple code they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_refuses(kind, k, n, clauses) -> bool:
+    """Whether the tuple-backed constructor refused these clauses."""
+    try:
+        if k < 1 or n < 1:
+            raise ValueError
+        tuples = clauses if kind == "hypergraph" else [S for _, S in clauses]
+        if set(map(len, tuples)) - {k}:
+            raise ValueError
+        flat = [v for S in tuples for v in S]
+        if flat and (min(flat) < 0 or max(flat) >= n):
+            raise ValueError
+        for payload, _ in clauses if kind != "hypergraph" else ():
+            if kind == "csp" and (len(payload) != k or any(s not in (-1, 1) for s in payload)):
+                raise ValueError
+            if kind == "xor" and payload not in (-1, 1):
+                raise ValueError
+    except ValueError:
+        return True
+    return False
+
+
+def _reference_clause_split(tuples, S, inside):
+    S = frozenset(S)
+    for i, U in enumerate(tuples):
+        in_part = [u for u in U if u in S]
+        if len(in_part) == inside:
+            yield i, tuple(in_part), tuple([u for u in U if u not in S])
+
+
+def _reference_induced(clauses, S, sigma, t):
+    k = len(clauses[0][1]) if clauses else t + 1
+    return tuple(
+        (clauses[i][0] * math.prod(sigma[u] for u in in_part), out_part)
+        for i, in_part, out_part in _reference_clause_split([U for _, U in clauses], S, k - t)
+    )
+
+
+def _reference_evaluate(clauses, P, x) -> float:
+    sat = 0
+    for c, S in clauses:
+        sat += P.value(tuple(int(ci * x[si]) for ci, si in zip(c, S)))
+    return sat / len(clauses)
+
+
+def _reference_density_counts(k, clauses, x) -> list:
+    counts = [0.0] * (1 << k)
+    for c, S in clauses:
+        idx = 0
+        for i, (ci, si) in enumerate(zip(c, S)):
+            if ci * int(x[si]) == -1:
+                idx |= 1 << i
+        counts[idx] += 1
+    return counts
+
+
+def _reference_xor_violations(clauses, x) -> int:
+    bad = 0
+    for b, S in clauses:
+        prod = 1
+        for si in S:
+            prod *= int(x[si])
+        if prod != b:
+            bad += 1
+    return bad
+
+
+def _reference_coefficient_terms(clauses, T) -> dict:
+    terms: dict = {}
+    inv_m = 1.0 / len(clauses)
+    for c, S in clauses:
+        sign = 1.0
+        for i in T:
+            sign *= c[i]
+        U = tuple(S[i] for i in T)
+        terms[U] = terms.get(U, 0.0) + sign * inv_m
+    return terms
+
+
+def _reference_positive_terms(S, truncated) -> dict:
+    remap = {v: i for i, v in enumerate(sorted(set(S)))}
+    terms: dict = {}
+    for b, in_part in truncated:
+        key = tuple(remap[v] for v in in_part)
+        terms[key] = terms.get(key, 0.0) + float(b)
+    return terms
+
+
+def _bits(terms: dict) -> list:
+    """The terms in order, each coefficient as its exact bit pattern."""
+    return [(T, float(w).hex()) for T, w in terms.items()]
+
+
+def _messy_clauses(rng, k, n, m) -> tuple:
+    """m random clauses and a third as many repeats of them, shuffled:
+    with n small, variable tuples often repeat a vertex, and the repeated
+    tuples often carry other signs."""
+    V = rng.integers(0, n, size=(m, k))
+    V = np.concatenate((V, V[rng.integers(0, max(m, 1), size=m // 3)]))
+    V = V[rng.permutation(len(V))]
+    signs = rng.choice([-1, 1], size=V.shape)
+    return tuple(zip(map(tuple, signs.tolist()), map(tuple, V.tolist())))
+
+
+@pytest.mark.parametrize("kind, k, n, clauses", [
+    ("hypergraph", 0, 5, []),
+    ("hypergraph", 2, 0, []),
+    ("hypergraph", 3, 5, [(0, 1, 2), (0, 1)]),
+    ("hypergraph", 3, 5, [(0, 1, 5)]),
+    ("hypergraph", 3, 5, [(-1, 1, 2)]),
+    ("hypergraph", 1, 1, [(0,), (0,)]),
+    ("xor", 2, 3, [(1, (0, 1)), (0, (0, 1))]),
+    ("xor", 2, 3, [(2, (0, 1))]),
+    ("xor", 2, 3, [(1, (0, 3))]),
+    ("xor", 3, 4, [(-1, (3, 3, 3))]),
+    ("csp", 2, 3, [((1,), (0, 1))]),
+    ("csp", 2, 3, [((1, 0), (0, 1))]),
+    ("csp", 2, 3, [((1, 1), (0, 1, 2))]),
+    ("csp", 2, 3, [((1, -1), (0, 0)), ((-1, -1), (2, 1))]),
+    ("csp", 2, 3, []),
+])
+def test_constructors_refuse_what_the_tuple_code_refused(kind, k, n, clauses):
+    cls = {"csp": SignedHypergraph, "xor": XorInstance, "hypergraph": UnsignedHypergraph}[kind]
+
+    def build():
+        return cls(k, n, clauses) if kind == "hypergraph" else from_clauses(cls, k, n, clauses)
+
+    if _reference_refuses(kind, k, n, clauses):
+        with pytest.raises(ValueError):
+            build()
+    else:
+        I = build()
+        assert (I.edges if kind == "hypergraph" else I.clauses) == tuple(clauses)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: UnsignedHypergraph(2, 3, [(0, 1.0)]),
+    lambda: UnsignedHypergraph(2, 3, [(0, True)]),
+    lambda: UnsignedHypergraph(2, 3, np.array([[0.0, 1.0]])),
+    lambda: SignedHypergraph(2, 3, [(0, 1)], [(1, True)]),
+    lambda: SignedHypergraph(2, 3, [(0, 1)], [(1, 1), (1, 1)]),
+    lambda: XorInstance(2, 3, [(0, 1)], [1.5]),
+    lambda: XorInstance(2, 3, [(0, 1)], [1, -1]),
+    lambda: XorInstance(2, 3, np.array([[0, 1]]), np.array([True])),
+    lambda: XorInstance(2, 3, [(0, 1)], [2**64 - 1]),
+    lambda: SignedHypergraph(2, 3, [(0, 1)], np.array([[1, 2**64 - 1]], dtype=np.uint64)),
+])
+def test_constructors_refuse_non_integers_and_misaligned_payloads(build):
+    # the tuple code accepted these, or some of them, and wrote them out
+    with pytest.raises(ValueError):
+        build()
+
+
+@pytest.mark.parametrize("k, n, m, seed", [
+    (1, 3, 8, 0), (2, 4, 0, 1), (2, 4, 30, 2), (3, 5, 40, 3), (3, 12, 200, 4), (4, 6, 60, 5),
+])
+def test_k_uniform_arrays_match_tuple_code(k, n, m, seed):
+    rng = np.random.default_rng(seed)
+    clauses = _messy_clauses(rng, k, n, m)
+    tuples = tuple(S for _, S in clauses)
+    I = from_clauses(SignedHypergraph, k, n, clauses)
+    xi, H = I.to_xor(), I.hypergraph()
+    for A, dtype in ((I.vars, np.int64), (I.signs, np.int8), (xi.rhs, np.int8)):
+        assert A.dtype == dtype and not A.flags.writeable
+    assert I.clauses == clauses and I.m == len(clauses) and H.edges == tuples
+    assert {type(v) for c, S in I.clauses for v in c + S} <= {int}
+    assert I == from_clauses(SignedHypergraph, k, n, clauses) == SignedHypergraph(
+        k, n, np.array(tuples, dtype=np.int32).reshape(-1, k), I.signs)
+    assert load_instance(instance_doc(I)) == I and load_instance(instance_doc(xi)) == xi
+
+    assert xi.clauses == tuple((int(np.prod(c)), S) for c, S in clauses)
+    assert {type(b) for b, _ in xi.clauses} <= {int}
+    assert xi.to_signed().clauses == tuple(((b,) + (1,) * (k - 1), S) for b, S in xi.clauses)
+    repeat_free = tuple(S for S in tuples if len(set(S)) == k)
+    assert H.without_repeats().edges == repeat_free
+    assert H.dedup().edges == tuple(dict.fromkeys(tuples))
+    assert H.without_repeats().dedup().edges == tuple(dict.fromkeys(repeat_free))
+    for P in (Predicate.ksat(k), Predicate.parity(k)):
+        z = P.first_unsatisfying()
+        assert csp_to_ksat(I, P).clauses == tuple(
+            (tuple(ci * zi for ci, zi in zip(c, z)), S) for c, S in clauses)
+    plus, minus = split_by_sign(I)
+    assert plus.clauses == tuple((c, S) for c, S in clauses if all(ci == 1 for ci in c))
+    assert minus.clauses == tuple((c, S) for c, S in clauses if all(ci == -1 for ci in c))
+
+    for S in ([], [0], list(range(n)), rng.choice(n, size=n // 2, replace=False).tolist()):
+        for inside in range(k + 1):
+            rows, in_part, out_part = clause_split(I.vars, S, inside)
+            got = zip(rows.tolist(), map(tuple, in_part.tolist()), map(tuple, out_part.tolist()))
+            assert list(got) == list(_reference_clause_split(tuples, S, inside))
+        if k >= 2:
+            sigma = {v: int(rng.choice([-1, 1])) for v in S}
+            for t in range(1, k):
+                assert induced_xor(xi, S, sigma, t).clauses == _reference_induced(
+                    xi.clauses, S, sigma, t)
+                truncated = truncated_xor(xi, S, k - t)
+                assert truncated.clauses == tuple(
+                    (xi.clauses[i][0], in_part)
+                    for i, in_part, _ in _reference_clause_split(tuples, S, k - t))
+                if truncated.m and k - t == k - 2:
+                    ref = refute_polynomial(SparsePolynomial(
+                        len(set(S)), k - 2, _reference_positive_terms(S, truncated.clauses)))
+                    got = _positive_fraction(S, truncated)
+                    assert got.eps == min(0.5, ref.value / (2.0 * truncated.m))
+                    assert (got.bound.value, got.bound.branches) == (ref.value, ref.branches)
+
+    if m == 0:
+        return
+    for _ in range(3):
+        x = rng.choice([-1, 1], size=n)
+        for P in (Predicate.ksat(k), Predicate.parity(k)):
+            assert evaluate(I, P, x) == _reference_evaluate(clauses, P, x)
+        table = density_table(I, x)
+        scaled = [c * ((1 << k) / I.m) for c in _reference_density_counts(k, clauses, x)]
+        assert list(table.values.values()) == scaled
+        assert xor_violations(xi, x) == _reference_xor_violations(xi.clauses, x)
+    for mask in range(1, 1 << k):
+        T = tuple(i for i in range(k) if (mask >> i) & 1)
+        got = _coefficient_polynomial(I, T)
+        assert got.degree == len(T)
+        assert _bits(got.terms) == _bits(_reference_coefficient_terms(clauses, T))

@@ -176,8 +176,8 @@ def test_int_rows_match_reference_encoder():
 
 
 @pytest.mark.parametrize("row, fast", [
-    ([1, 2, 3], True),
-    ((1, -2), True),
+    ([[1, 2, 3]], True),
+    ([(1, -2)], True),
     ([[1, 2], (3, 4), []], True),
     ([1, True], False),
     ([np.int64(1), 2], False),
@@ -185,9 +185,12 @@ def test_int_rows_match_reference_encoder():
     ([1, 2.0], False),
     ([[0.5, 1.5], [1, 2]], False),
     ([[1, 2], 3], False),
+    ([1, 2, 3], False),
+    ((1, -2), False),
 ])
 def test_int_row_gate(row, fast):
-    # only exact ints, or rows of exact ints, take the one-call path
+    # only rows of lists and tuples of exact ints take the one-call path;
+    # a flat row of ints is encoded element by element
     out: list = []
     assert _emit_int_row(row, out) is fast
     assert out == ([json.dumps(row, separators=(",", ":"))] if fast else [])

@@ -149,15 +149,15 @@ def brute_max_coefficient(I: SignedHypergraph, T: tuple[int, ...]) -> float:
 def test_quasirandom_all_plus_single_variable():
     # all signs +1: the T={0} coefficient polynomial has every weight
     # positive, so the absolute-sum branch equals the exhaustive maximum
-    clauses = tuple(((1, 1, 1), (i % 6, (i + 1) % 6, (i + 2) % 6)) for i in range(9))
-    I = SignedHypergraph(3, 6, clauses)
+    I = SignedHypergraph(3, 6, [(i % 6, (i + 1) % 6, (i + 2) % 6) for i in range(9)],
+                         [(1, 1, 1)] * 9)
     cert = certify_quasirandom(I, 1)
     for T in [(0,), (1,), (2,)]:
         assert cert.per_T_bounds[T] == pytest.approx(brute_max_coefficient(I, T), abs=1e-9)
 
 
 def test_quasirandom_single_clause_is_fully_biased():
-    I = SignedHypergraph(3, 5, (((1, -1, 1), (0, 1, 2)),))
+    I = SignedHypergraph(3, 5, [(0, 1, 2)], [(1, -1, 1)])
     cert = certify_quasirandom(I, 1)
     assert cert.eps == pytest.approx(1.0)
 
@@ -177,7 +177,7 @@ def test_quasirandom_rejects_bad_input():
     with pytest.raises(ValueError):
         certify_quasirandom(I, 3)
     with pytest.raises(ValueError):
-        certify_quasirandom(SignedHypergraph(3, 8, ()), 1)
+        certify_quasirandom(SignedHypergraph(3, 8, [], []), 1)
 
 
 @pytest.mark.slow
