@@ -332,7 +332,7 @@ def _positive_fraction(S: Iterable[int], truncated: XorInstance) -> InducedPosit
     S = np.unique(np.fromiter(S, np.int64))
     # each variable relabelled to its rank in S
     keys = np.searchsorted(S, truncated.vars)
-    bound = refute_polynomial(SparsePolynomial.summed(len(S), keys, truncated.rhs.astype(float)))
+    bound = refute_polynomial(SparsePolynomial(len(S), keys, truncated.rhs))
     eps = min(0.5, bound.value / (2.0 * truncated.m))
     return InducedPositiveFraction(eps, truncated.m, bound)
 

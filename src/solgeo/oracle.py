@@ -250,14 +250,20 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
                         instance_sha256=sha256_of(instance_doc(G)), eta=float(eta))
 
 
+def _neighbour_masks(G: MultiGraph) -> list[int]:
+    """Bit v of entry u is set when uv is an edge of G."""
+    nbr = [0] * G.n
+    for u, v in G.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
+
+
 def independence_number(G: MultiGraph) -> int:
     """Exact independence number by branch and bound with a greedy-coloring
     upper bound for pruning."""
     n = G.n
-    nbr = [0] * n
-    for u, v in G.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    nbr = _neighbour_masks(G)
 
     def clique_cover_bound(candidates: int) -> int:
         # a partition of the candidates into cliques; an independent set
@@ -298,10 +304,9 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
     n = G.n
     if n > 26:
         raise ValueError("independent-set enumeration limited to n <= 26")
-    nbr = [0] * n
-    for u, v in G.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
+    if size_threshold <= 0:
+        raise ValueError("size threshold must be positive")
+    nbr = _neighbour_masks(G)
     alpha = independence_number(G)
     count = 0
 
@@ -315,8 +320,6 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
             if not banned & (1 << v):
                 enumerate_sets(v + 1, size + 1, banned | (1 << v) | nbr[v])
 
-    if size_threshold <= 0:
-        raise ValueError("size threshold must be positive")
     enumerate_sets(0, 0, 0)
     return OracleResult("indset", {"alpha": alpha, "count": count}, 1 << n,
                         instance_sha256=G.sha256(), threshold_size=size_threshold)

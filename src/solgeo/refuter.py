@@ -26,39 +26,48 @@ SPECTRAL_REL_SLACK = 1e-11
 _DENSE_FLATTEN_LIMIT = 4_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparsePolynomial:
     """Homogeneous degree-t multilinear polynomial sum_T w_T x^T with
-    ordered index tuples T in [n]^t (repeated indices allowed)."""
+    ordered index rows T in [n]^t (repeated indices allowed).
+
+    ``keys`` is a read-only int64 array of shape (terms, t) and
+    ``weights`` a read-only float64 array of one weight per row.  The
+    constructor sums repeated rows: one term per distinct row, in order of
+    first occurrence, its weights added in row order from 0.0."""
 
     n: int
-    degree: int
-    terms: dict[tuple[int, ...], float]
+    keys: np.ndarray
+    weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.degree < 1:
+        keys = np.asarray(self.keys)
+        weights = np.asarray(self.weights, dtype=np.float64)
+        if keys.ndim != 2 or keys.dtype.kind not in "iu":
+            raise ValueError("keys must be an integer array of shape (terms, degree), "
+                             f"not {keys.dtype} {keys.shape}")
+        if keys.shape[1] < 1:
             raise ValueError("degree must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        for T, w in self.terms.items():
-            if len(T) != self.degree:
-                raise ValueError(f"term {T} has wrong arity")
-            if any(not (0 <= i < self.n) for i in T):
-                raise ValueError(f"term {T} has an index out of range")
-            if not math.isfinite(w):
-                raise ValueError("coefficients must be finite")
-
-    @classmethod
-    def summed(cls, n: int, keys: np.ndarray, weights: np.ndarray) -> "SparsePolynomial":
-        """sum_i weights[i] x^T_i over the rows T_i of ``keys``: one term
-        per distinct row, in order of first occurrence, its weights added
-        in row order from 0.0, as a dict accumulating them one at a time
-        would."""
-        unique, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-        sums = np.bincount(inverse.ravel(), weights, len(unique))
+        if weights.shape != keys.shape[:1]:
+            raise ValueError(f"{len(keys)} terms need one weight each, not {weights.shape}")
+        bad = ((keys < 0) | (keys >= self.n)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"term {tuple(keys[bad][0].tolist())} has an index out of range")
+        if not np.isfinite(weights).all():
+            raise ValueError("coefficients must be finite")
+        unique, first, inverse = np.unique(
+            keys.astype(np.int64), axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        terms = dict(zip(map(tuple, unique[order].tolist()), sums[order].tolist()))
-        return cls(n, keys.shape[1], terms)
+        keys, weights = unique[order], np.bincount(inverse.ravel(), weights, len(unique))[order]
+        keys.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "weights", weights)
+
+    @property
+    def degree(self) -> int:
+        return self.keys.shape[1]
 
 
 @dataclass(frozen=True)
@@ -71,18 +80,19 @@ class PolynomialBound:
 
 
 def _abs_sum(p: SparsePolynomial) -> float:
-    return float(sum(abs(w) for w in p.terms.values()))
+    # in order from 0.0: np.sum's pairwise or math.fsum's exact sum would round differently
+    return float(np.cumsum(np.abs(p.weights))[-1]) if len(p.weights) else 0.0
 
 
 def _quadratic_norm_bound(p: SparsePolynomial) -> float:
     """n |W| for the symmetric W with x^T W x = p(x), the norm proved.
 
-    Keys are distinct ordered pairs, so each off-diagonal entry sums at
-    most two halves, w_ab/2 + w_ba/2, and rounds once; a diagonal entry is
-    w_aa exactly.  So |W - W0|_2 <= |W - W0|_F <= 2u |W|_F, plus 2^-1074
-    for each coefficient below 2^-1021 in magnitude, whose halving can
-    underflow.  Without such coefficients an all-zero W means the terms
-    cancel exactly, and the bound is 0.
+    The constructor leaves distinct ordered pairs as keys, so each entry
+    off the diagonal sums at most two halves, w_ab/2 + w_ba/2, and rounds
+    once; a diagonal entry is w_aa exactly.  So |W - W0|_2 <= |W - W0|_F
+    <= 2u |W|_F, plus 2^-1074 for each coefficient below 2^-1021 in
+    magnitude, whose halving can underflow.  Without such coefficients an
+    all-zero W means the terms cancel exactly, and the bound is 0.
 
     The relative slack is SPECTRAL_REL_SLACK up to n = 105 and 8n(n+1)u
     beyond.  The norm is proved at half of it, which leaves room for the
@@ -90,10 +100,11 @@ def _quadratic_norm_bound(p: SparsePolynomial) -> float:
     ``spectral._prove_min_above``) and for the rounding of the product.
     """
     W = np.zeros((p.n, p.n))
-    for (a, b), w in p.terms.items():
-        W[a, b] += w / 2.0
-        W[b, a] += w / 2.0
-    underflows = sum(1 for w in p.terms.values() if 0.0 < abs(w) < 2.0**-1021)
+    a, b = p.keys.T
+    half = p.weights / 2.0
+    np.add.at(W, (a, b), half)
+    np.add.at(W, (b, a), half)
+    underflows = int(np.count_nonzero((p.weights != 0.0) & (abs(p.weights) < 2.0**-1021)))
     if not underflows and not W.any():
         return 0.0
     u = UNIT_ROUNDOFF
@@ -110,36 +121,22 @@ def _flatten_bound(p: SparsePolynomial) -> float:
     branch is exact arithmetic on absolute sums."""
     t = p.degree
     a = (t + 1) // 2
-    b = t - a
-
-    def row_index(T: tuple[int, ...]) -> tuple[int, int]:
-        r = 0
-        for i in T[:a]:
-            r = r * p.n + i
-        c = 0
-        for i in T[a:]:
-            c = c * p.n + i
-        return r, c
-
-    rows, cols = p.n**a, p.n**b
-    if rows * cols <= _DENSE_FLATTEN_LIMIT:
-        M = np.zeros((rows, cols))
-        for T, w in p.terms.items():
-            r, c = row_index(T)
-            M[r, c] += w
-        sigma = float(np.linalg.svd(M, compute_uv=False)[0]) if p.terms else 0.0
+    rows, cols = p.n**a, p.n ** (t - a)
+    if not len(p.weights):
+        sigma = 0.0
+    elif rows * cols <= _DENSE_FLATTEN_LIMIT:
+        # a key read as a base-n number is its entry's flat index: the
+        # first ceil(t/2) indices give the row, the rest the column
+        M = np.zeros(rows * cols)
+        M[p.keys @ p.n ** np.arange(t - 1, -1, -1)] = p.weights
+        sigma = float(np.linalg.svd(M.reshape(rows, cols), compute_uv=False)[0])
     else:
         # sigma_max <= sqrt(max row 1-norm * max column 1-norm)
-        row_sums: dict[int, float] = {}
-        col_sums: dict[int, float] = {}
-        for T, w in p.terms.items():
-            r, c = row_index(T)
-            row_sums[r] = row_sums.get(r, 0.0) + abs(w)
-            col_sums[c] = col_sums.get(c, 0.0) + abs(w)
-        if not row_sums:
-            sigma = 0.0
-        else:
-            sigma = math.sqrt(max(row_sums.values()) * max(col_sums.values()))
+        size = np.abs(p.weights)
+        _, row = np.unique(p.keys[:, :a], axis=0, return_inverse=True)
+        _, col = np.unique(p.keys[:, a:], axis=0, return_inverse=True)
+        sigma = math.sqrt(np.bincount(row.ravel(), size).max()
+                          * np.bincount(col.ravel(), size).max())
     return p.n ** (t / 2.0) * sigma * (1.0 + SPECTRAL_REL_SLACK)
 
 
@@ -196,7 +193,7 @@ def _coefficient_polynomial(
     """The polynomial x -> D_hat_{I,x}(T), as a function of the assignment."""
     T = list(T)
     sign = I.signs[:, T].prod(axis=1)
-    return SparsePolynomial.summed(I.n, I.vars[:, T], sign * (1.0 / I.m))
+    return SparsePolynomial(I.n, I.vars[:, T], sign * (1.0 / I.m))
 
 
 def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertificate:

@@ -342,7 +342,10 @@ def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.n
     return A, 4.0 * UNIT_ROUNDOFF * (max(G.degrees) + G.average_degree())
 
 
-def _demeaned_norm_value(G: MultiGraph, A: np.ndarray | None = None) -> float:
+def demeaned_norm(G: MultiGraph, A: np.ndarray | None = None) -> float:
+    """Operator norm of A - (d_avg/n) J, multiplicities counted.  A caller
+    that has built G's adjacency matrix passes it as ``A``, which is
+    overwritten."""
     if G.m == 0:
         return 0.0
     _check_dense(G.n)
@@ -377,14 +380,9 @@ def spectral_report(
 
     norm: float | None = None
     if demeaned:
-        norm = _demeaned_norm_value(G, A)
+        norm = demeaned_norm(G, A)
 
     return SpectralReport(n, G.m, d_min, d_max, d_avg, lam2, norm)
-
-
-def demeaned_norm(G: MultiGraph) -> float:
-    """Operator norm of A - (d_avg/n) J, multiplicities counted."""
-    return _demeaned_norm_value(G)
 
 
 def edge_expansion_lower_bound(report: SpectralReport, s: int) -> float:

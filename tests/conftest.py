@@ -11,6 +11,7 @@ from solgeo.instances import (
     XorInstance,
     sample_signed_hypergraph,
 )
+from solgeo.refuter import SparsePolynomial
 
 
 def thread_map(fn, items):
@@ -36,6 +37,25 @@ def from_clauses(cls, k: int, n: int, clauses):
     (signs, vars) or (rhs, vars) pairs its ``clauses`` property reads
     back."""
     return cls(k, n, [S for _, S in clauses], [payload for payload, _ in clauses])
+
+
+def poly_from_terms(n: int, degree: int, terms: dict) -> SparsePolynomial:
+    """The polynomial sum_T terms[T] x^T, from a {key tuple: weight} dict."""
+    keys = np.array(list(terms), dtype=np.int64).reshape(-1, degree)
+    return SparsePolynomial(n, keys, np.array(list(terms.values()), dtype=float))
+
+
+def brute_poly_max(p: SparsePolynomial) -> float:
+    """max over the hypercube of p(x), by evaluating every point."""
+    idx = np.arange(1 << p.n, dtype=np.uint64)
+    total = np.zeros(1 << p.n)
+    for T, w in zip(p.keys.tolist(), p.weights.tolist()):
+        mask = 0
+        for v in T:
+            mask ^= 1 << v
+        parity = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
+        total += w * (1.0 - 2.0 * parity)
+    return float(total.max())
 
 
 def planted_xor_signs(table: np.ndarray, indices) -> np.ndarray:

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import petersen_graph, planted_3sat, thread_map
+from conftest import brute_poly_max, petersen_graph, planted_3sat, poly_from_terms, thread_map
 from solgeo.certificates import certificate_from_json
 from solgeo.counting import (
     certify_count_2xor,
@@ -56,7 +56,7 @@ from solgeo.oracle import (
     violation_profile,
     xor_sign_table,
 )
-from solgeo.refuter import SparsePolynomial, refute_polynomial
+from solgeo.refuter import refute_polynomial
 from solgeo.spectral import demeaned_norm
 
 pytestmark = pytest.mark.acceptance
@@ -223,18 +223,6 @@ def test_criterion_3_spectral_statistics():
 # 4. polynomial refuter soundness
 # ---------------------------------------------------------------------------
 
-def brute_poly_max(p: SparsePolynomial) -> float:
-    idx = np.arange(1 << p.n, dtype=np.uint64)
-    total = np.zeros(1 << p.n)
-    for T, w in p.terms.items():
-        mask = 0
-        for v in T:
-            mask ^= 1 << v
-        parity = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
-        total += w * (1.0 - 2.0 * parity)
-    return float(total.max())
-
-
 def test_criterion_4_refuter_soundness():
     rng = np.random.default_rng(404)
     violations = 0
@@ -246,7 +234,7 @@ def test_criterion_4_refuter_soundness():
             for _ in range(int(rng.integers(1, 14))):
                 T = tuple(int(v) for v in rng.integers(0, n, size=degree))
                 terms[T] = terms.get(T, 0.0) + float(rng.normal())
-            p = SparsePolynomial(n, degree, terms)
+            p = poly_from_terms(n, degree, terms)
             bound = refute_polynomial(p).value
             exact = brute_poly_max(p)
             if bound < exact - 1e-9:
@@ -256,7 +244,7 @@ def test_criterion_4_refuter_soundness():
     # the two-variable quadratic case with distinct indices is exact
     for trial in range(1000):
         w = {(0, 1): float(rng.normal()), (1, 0): float(rng.normal())}
-        p = SparsePolynomial(2, 2, w)
+        p = poly_from_terms(2, 2, w)
         bound = refute_polynomial(p).value
         exact = brute_poly_max(p)
         if abs(bound - exact) > 1e-9 * max(1.0, abs(exact)):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import from_clauses
+from conftest import from_clauses, poly_from_terms
 from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
     MultiGraph,
@@ -34,7 +34,7 @@ from solgeo.instances import (
 )
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import violation_profile
-from solgeo.refuter import SparsePolynomial, _coefficient_polynomial, refute_polynomial
+from solgeo.refuter import _coefficient_polynomial, refute_polynomial
 from solgeo.spectral import _adjacency_matvec
 
 
@@ -660,9 +660,9 @@ def _reference_positive_terms(S, truncated) -> dict:
     return terms
 
 
-def _bits(terms: dict) -> list:
+def _bits(keys, weights) -> list:
     """The terms in order, each coefficient as its exact bit pattern."""
-    return [(T, float(w).hex()) for T, w in terms.items()]
+    return [(tuple(T), float(w).hex()) for T, w in zip(keys, weights)]
 
 
 def _messy_clauses(rng, k, n, m) -> tuple:
@@ -772,7 +772,7 @@ def test_k_uniform_arrays_match_tuple_code(k, n, m, seed):
                     (xi.clauses[i][0], in_part)
                     for i, in_part, _ in _reference_clause_split(tuples, S, k - t))
                 if truncated.m and k - t == k - 2:
-                    ref = refute_polynomial(SparsePolynomial(
+                    ref = refute_polynomial(poly_from_terms(
                         len(set(S)), k - 2, _reference_positive_terms(S, truncated.clauses)))
                     got = _positive_fraction(S, truncated)
                     assert got.eps == min(0.5, ref.value / (2.0 * truncated.m))
@@ -792,4 +792,5 @@ def test_k_uniform_arrays_match_tuple_code(k, n, m, seed):
         T = tuple(i for i in range(k) if (mask >> i) & 1)
         got = _coefficient_polynomial(I, T)
         assert got.degree == len(T)
-        assert _bits(got.terms) == _bits(_reference_coefficient_terms(clauses, T))
+        ref = _reference_coefficient_terms(clauses, T)
+        assert _bits(got.keys.tolist(), got.weights) == _bits(ref.keys(), ref.values())

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import petersen_graph
+from solgeo import oracle
 from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificate
 from solgeo.instances import (
     MultiGraph,
@@ -135,6 +136,16 @@ def test_brute_independent_sets_k4_and_petersen():
         "alpha": 4,
         "count": 5,
     }
+
+
+@pytest.mark.parametrize("threshold", [0, -1])
+def test_brute_independent_sets_refuses_a_threshold_before_searching(monkeypatch, threshold):
+    def searched(G):
+        raise AssertionError("independence_number ran")
+
+    monkeypatch.setattr(oracle, "independence_number", searched)
+    with pytest.raises(ValueError, match="size threshold must be positive"):
+        brute_independent_sets(petersen_graph(), threshold)
 
 
 def test_brute_subspace_full_and_zero():

@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from conftest import brute_poly_max, poly_from_terms
 from solgeo.instances import (
     Predicate,
     SignedHypergraph,
@@ -16,19 +19,7 @@ from solgeo.refuter import (
     kxor_principle,
     refute_polynomial,
 )
-from solgeo.spectral import EigensolverError
-
-
-def brute_poly_max(p: SparsePolynomial) -> float:
-    idx = np.arange(1 << p.n, dtype=np.uint64)
-    total = np.zeros(1 << p.n)
-    for T, w in p.terms.items():
-        mask = 0
-        for v in T:
-            mask ^= 1 << v
-        parity = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
-        total += w * (1.0 - 2.0 * parity)
-    return float(total.max())
+from solgeo.spectral import UNIT_ROUNDOFF, EigensolverError, prove_norm_below
 
 
 def random_poly(n: int, degree: int, terms: int, seed: int) -> SparsePolynomial:
@@ -37,18 +28,18 @@ def random_poly(n: int, degree: int, terms: int, seed: int) -> SparsePolynomial:
     for _ in range(terms):
         T = tuple(int(v) for v in rng.integers(0, n, size=degree))
         coeffs[T] = coeffs.get(T, 0.0) + float(rng.normal())
-    return SparsePolynomial(n, degree, coeffs)
+    return poly_from_terms(n, degree, coeffs)
 
 
 def test_linear_is_exact():
-    p = SparsePolynomial(3, 1, {(0,): 1.0, (1,): -2.0, (2,): 3.0})
+    p = poly_from_terms(3, 1, {(0,): 1.0, (1,): -2.0, (2,): 3.0})
     res = refute_polynomial(p)
     assert res.value == pytest.approx(6.0)
     assert res.value == pytest.approx(brute_poly_max(p))
 
 
 def test_quadratic_two_variable_exact():
-    p = SparsePolynomial(2, 2, {(0, 1): 1.0, (1, 0): 1.0})
+    p = poly_from_terms(2, 2, {(0, 1): 1.0, (1, 0): 1.0})
     res = refute_polynomial(p)
     assert res.value == pytest.approx(2.0, abs=1e-9)
     assert brute_poly_max(p) == pytest.approx(2.0)
@@ -71,7 +62,7 @@ def test_quadratic_norm_value_unchanged_at_desk_scale():
     # up to n = 105 the bound is n |W| (1 + SPECTRAL_REL_SLACK), as before
     p = random_poly(12, 2, 30, seed=6)
     W = np.zeros((12, 12))
-    for (a, b), w in p.terms.items():
+    for (a, b), w in zip(p.keys.tolist(), p.weights.tolist()):
         W[a, b] += w / 2.0
         W[b, a] += w / 2.0
     norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
@@ -79,12 +70,12 @@ def test_quadratic_norm_value_unchanged_at_desk_scale():
 
 
 def test_cancelling_quadratic_has_zero_norm():
-    p = SparsePolynomial(3, 2, {(0, 1): 1.5, (1, 0): -1.5})
+    p = poly_from_terms(3, 2, {(0, 1): 1.5, (1, 0): -1.5})
     assert refute_polynomial(p).branches["quadratic-norm"] == 0.0
 
 
 def test_single_cubic_term():
-    p = SparsePolynomial(8, 3, {(0, 1, 2): 1.0})
+    p = poly_from_terms(8, 3, {(0, 1, 2): 1.0})
     res = refute_polynomial(p)
     assert res.value == pytest.approx(1.0)
     assert res.branch == "abs-sum"
@@ -102,13 +93,13 @@ def test_scaling_property():
     p = random_poly(6, 2, 10, seed=0)
     base = refute_polynomial(p).value
     for c in (0.5, 2.0, 7.25):
-        scaled = SparsePolynomial(6, 2, {T: c * w for T, w in p.terms.items()})
+        scaled = SparsePolynomial(6, p.keys, c * p.weights)
         got = refute_polynomial(scaled).value
         assert got == pytest.approx(c * base, rel=1e-9)
 
 
 def negated(p: SparsePolynomial) -> SparsePolynomial:
-    return SparsePolynomial(p.n, p.degree, {T: -w for T, w in p.terms.items()})
+    return SparsePolynomial(p.n, p.keys, -p.weights)
 
 
 def test_negation_gives_min_side():
@@ -245,3 +236,170 @@ def test_bound_covers_absolute_value_exhaustively(degree):
         assert res.value >= max(brute_poly_max(p), brute_poly_max(neg)) - 1e-9
         for value in res.branches.values():
             assert value >= brute_poly_max(neg) - 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the array polynomial against the dict code it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_summed(keys: np.ndarray, weights: np.ndarray) -> dict:
+    """One term per distinct row, weights added in row order from 0.0."""
+    terms: dict = {}
+    for T, w in zip(map(tuple, keys.tolist()), weights.tolist()):
+        terms[T] = terms.get(T, 0.0) + w
+    return terms
+
+
+def _reference_abs_sum(terms: dict) -> float:
+    # what sum() computed up to Python 3.11, which compensates from 3.12 on
+    total = 0.0
+    for w in terms.values():
+        total += abs(w)
+    return total
+
+
+def _reference_quadratic_norm_bound(n: int, terms: dict) -> float:
+    W = np.zeros((n, n))
+    for (a, b), w in terms.items():
+        W[a, b] += w / 2.0
+        W[b, a] += w / 2.0
+    underflows = sum(1 for w in terms.values() if 0.0 < abs(w) < 2.0**-1021)
+    if not underflows and not W.any():
+        return 0.0
+    u = UNIT_ROUNDOFF
+    err = 2.0 * u * float(np.linalg.norm(W)) + underflows * math.ulp(0.0)
+    norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+    slack = max(refuter.SPECTRAL_REL_SLACK, 8.0 * n * (n + 1) * u)
+    prove_norm_below(W, norm * (1.0 + slack / 2.0), err)
+    return n * norm * (1.0 + slack)
+
+
+def _reference_flatten_bound(n: int, t: int, terms: dict) -> float:
+    a = (t + 1) // 2
+    b = t - a
+
+    def row_index(T: tuple[int, ...]) -> tuple[int, int]:
+        r = 0
+        for i in T[:a]:
+            r = r * n + i
+        c = 0
+        for i in T[a:]:
+            c = c * n + i
+        return r, c
+
+    rows, cols = n**a, n**b
+    if rows * cols <= refuter._DENSE_FLATTEN_LIMIT:
+        M = np.zeros((rows, cols))
+        for T, w in terms.items():
+            r, c = row_index(T)
+            M[r, c] += w
+        sigma = float(np.linalg.svd(M, compute_uv=False)[0]) if terms else 0.0
+    else:
+        row_sums: dict[int, float] = {}
+        col_sums: dict[int, float] = {}
+        for T, w in terms.items():
+            r, c = row_index(T)
+            row_sums[r] = row_sums.get(r, 0.0) + abs(w)
+            col_sums[c] = col_sums.get(c, 0.0) + abs(w)
+        if not row_sums:
+            sigma = 0.0
+        else:
+            sigma = math.sqrt(max(row_sums.values()) * max(col_sums.values()))
+    return n ** (t / 2.0) * sigma * (1.0 + refuter.SPECTRAL_REL_SLACK)
+
+
+def _reference_refutation(n: int, keys: np.ndarray, weights: np.ndarray):
+    """(value, branch, branches) as the dict code computed them, or the
+    message of the EigensolverError it raised."""
+    t = keys.shape[1]
+    terms = _reference_summed(keys, weights)
+    try:
+        branches = {"abs-sum": _reference_abs_sum(terms)}
+        if t == 2:
+            branches["quadratic-norm"] = _reference_quadratic_norm_bound(n, terms)
+        elif t >= 3:
+            branches["flatten"] = _reference_flatten_bound(n, t, terms)
+    except EigensolverError as e:
+        return str(e)
+    branch = min(branches, key=lambda name: branches[name])
+    return branches[branch], branch, branches
+
+
+def _refutation(n: int, keys: np.ndarray, weights: np.ndarray):
+    p = SparsePolynomial(n, keys, weights)
+    got = list(zip(map(tuple, p.keys.tolist()), map(float.hex, p.weights.tolist())))
+    want = [(T, float.hex(w)) for T, w in _reference_summed(keys, weights).items()]
+    assert got == want
+    try:
+        bound = refute_polynomial(p)
+    except EigensolverError as e:
+        return str(e)
+    return bound.value, bound.branch, bound.branches
+
+
+def _reference_cases(seed: int):
+    """(n, keys, weights): every degree 1-4, rows drawn from few enough
+    indices that they repeat, at weight scales down to where the halved
+    quadratic weights underflow and the Cholesky proof fails."""
+    rng = np.random.default_rng(seed)
+    for trial in range(60):
+        t = 1 + trial % 4
+        # n = 200 flattens a cubic past _DENSE_FLATTEN_LIMIT; a quartic
+        # stays below n = 14, where its dense SVD is cheap
+        n = int(rng.choice([3, 5, 8, 13] + ([40, 200] if t < 4 else [])))
+        m = int(rng.integers(0, 50))
+        keys = rng.integers(0, min(n, int(rng.choice([2, 4, n]))), size=(m, t))
+        scale = float(rng.choice([1.0, 1e-3, 1e150, 1e-300, 1e-310]))
+        yield n, keys, rng.normal(size=m) * scale
+    # cancelling pairs: (a, b) and (b, a), or a row and its negation
+    for n in (3, 9):
+        pairs = rng.integers(0, n, size=(6, 2))
+        w = rng.normal(size=6)
+        yield n, np.concatenate([pairs, pairs[:, ::-1]]), np.concatenate([w, -w])
+        yield n, np.concatenate([pairs, pairs]), np.concatenate([w, -w])
+    for t in (1, 2, 3, 4):
+        yield 7, np.empty((0, t), dtype=np.int64), np.empty(0)
+
+
+@pytest.mark.parametrize("holder", [False, True])
+@pytest.mark.parametrize("seed", range(4))
+def test_bounds_match_the_dict_code(monkeypatch, seed, holder):
+    if holder:
+        # every flattening now takes the Holder branch, which no golden
+        # certificate reaches
+        monkeypatch.setattr(refuter, "_DENSE_FLATTEN_LIMIT", 0)
+    outcomes = set()
+    for n, keys, weights in _reference_cases(seed):
+        got = _refutation(n, keys, weights)
+        assert got == _reference_refutation(n, keys, weights)
+        outcomes.update([got] if isinstance(got, str) else got[2])
+    assert {"abs-sum", "quadratic-norm", "flatten"} <= outcomes
+    assert any(o.startswith("Cholesky proof") for o in outcomes)
+
+
+@pytest.mark.parametrize("n, keys, weights, match", [
+    (3, np.zeros((2, 0), dtype=np.int64), [1.0, 2.0], "degree must be >= 1"),
+    (0, [[0]], [1.0], "n must be >= 1"),
+    (3, [[0, 1], [1, 2]], [1.0], "one weight each"),
+    (3, [[0, 1]], [[1.0]], "one weight each"),
+    (3, [[0, 3]], [1.0], r"term \(0, 3\) has an index out of range"),
+    (3, [[0, 1], [-1, 2]], [1.0, 1.0], r"term \(-1, 2\) has an index out of range"),
+    (3, np.array([[0, 2**64 - 1]], dtype=np.uint64), [1.0], "index out of range"),
+    (3, [[0, 1]], [float("nan")], "coefficients must be finite"),
+    (3, [[0, 1]], [float("inf")], "coefficients must be finite"),
+    (3, [[0.0, 1.0]], [1.0], "integer array"),
+    (3, [[True, False]], [1.0], "integer array"),
+    (3, [0, 1], [1.0, 1.0], "integer array"),
+])
+def test_polynomial_refuses_malformed_terms(n, keys, weights, match):
+    with pytest.raises(ValueError, match=match):
+        SparsePolynomial(n, keys, weights)
+
+
+def test_polynomial_sums_repeated_rows_into_read_only_arrays():
+    p = SparsePolynomial(4, np.array([[1, 2], [0, 3], [1, 2]], dtype=np.int32), [1, 2, 3])
+    assert p.degree == 2 and p.keys.dtype == np.int64 and p.weights.dtype == np.float64
+    assert p.keys.tolist() == [[1, 2], [0, 3]] and p.weights.tolist() == [4.0, 2.0]
+    for A in (p.keys, p.weights):
+        with pytest.raises(ValueError):
+            A[0] = 0
