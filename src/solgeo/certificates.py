@@ -17,9 +17,6 @@ from typing import get_args, get_origin, get_type_hints
 
 TOOL_VERSION = "0.5.0"
 
-# field name -> JSON key, where the two differ
-_JSON_KEYS = {"signature": "instance_sha256"}
-
 
 @cache
 def _hints(cls: type) -> dict:
@@ -81,7 +78,7 @@ class JsonRecord:
     def to_json_dict(self) -> dict:
         hints = _hints(type(self))
         return {
-            _JSON_KEYS.get(f.name, f.name): _encode(getattr(self, f.name), hints[f.name])
+            f.name: _encode(getattr(self, f.name), hints[f.name])
             for f in fields(self)
             if not (f.default is None and getattr(self, f.name) is None)
         }
@@ -91,9 +88,8 @@ class JsonRecord:
         hints = _hints(cls)
         kwargs = {}
         for f in fields(cls):
-            key = _JSON_KEYS.get(f.name, f.name)
-            if key in d or (f.default is MISSING and f.default_factory is MISSING):
-                kwargs[f.name] = _decode(d[key], hints[f.name], f"{cls.__name__} field {key!r}")
+            if f.name in d or (f.default is MISSING and f.default_factory is MISSING):
+                kwargs[f.name] = _decode(d[f.name], hints[f.name], f"{cls.__name__} field {f.name!r}")
         return cls(**kwargs)
 
 
@@ -118,7 +114,7 @@ class CountCertificate(JsonRecord):
     eta: float
     fallback: bool
     checks: tuple[CheckRecord, ...]
-    signature: str
+    instance_sha256: str
     recursion_trace: tuple[dict, ...] = ()
     transcript: dict = field(default_factory=dict, compare=False)
     tool_version: str = TOOL_VERSION
@@ -139,7 +135,7 @@ class RefutationCertificate(JsonRecord):
     n: int
     eta_refuted: float
     evidence: dict
-    signature: str
+    instance_sha256: str
     tool_version: str = TOOL_VERSION
 
 
@@ -157,7 +153,7 @@ class ClusterCertificate(JsonRecord):
     primal_report: dict
     fallback: bool
     checks: tuple[CheckRecord, ...]
-    signature: str
+    instance_sha256: str
     transcript: dict = field(default_factory=dict, compare=False)
     kind: str = "clusters"
     tool_version: str = TOOL_VERSION
@@ -180,7 +176,7 @@ class BalanceCertificate(JsonRecord):
     eta: float
     violated_fraction_bound: float
     checks: tuple[CheckRecord, ...]
-    signature: str
+    instance_sha256: str
     transcript: dict = field(default_factory=dict, compare=False)
     kind: str = "balance"
     tool_version: str = TOOL_VERSION
@@ -208,7 +204,8 @@ CERTIFICATE_CLASSES = {
 
 def certificate_from_json(d: dict):
     """Load any certificate JSON dict into its dataclass."""
-    cls = CERTIFICATE_CLASSES.get(d.get("kind"))
+    kind = d.get("kind")
+    cls = CERTIFICATE_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise ValueError(f"unrecognized certificate kind {d.get('kind')!r}")
+        raise ValueError(f"unrecognized certificate kind {kind!r}")
     return cls.from_json_dict(d)

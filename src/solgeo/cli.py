@@ -156,6 +156,7 @@ KINDS = {
     "gauss": Kind(certifiers={}, oracles={XorInstance: lambda I, a: oracle.gaussian_count(I)}),
 }
 _ORACLE_KINDS = {row.oracle_name or name: name for name, row in KINDS.items() if row.oracles}
+_CERTIFIABLE = [name for name, row in KINDS.items() if row.certifiers]
 
 
 _FILE_KINDS = {t: kind or "graph" for kind, t in FILE_KINDS.items()}
@@ -244,7 +245,7 @@ _INT_AXES = ("n", "k", "m", "d")
 # Config keys besides the grid, with their defaults; rows are keyed on all of them.
 _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 # The names a config key may hold, where its type alone does not decide.
-_CONFIG_CHOICES = {"instance": _GENERATORS, "predicate": _PREDICATES}
+_CONFIG_CHOICES = {"kind": _CERTIFIABLE, "instance": _GENERATORS, "predicate": _PREDICATES}
 
 
 def _sweep_cells(config: dict) -> list[dict]:
@@ -266,7 +267,7 @@ def _sweep_cells(config: dict) -> list[dict]:
 def _effective_config(config: dict) -> dict:
     """The config's kind and every `_CONFIG_DEFAULTS` key; ValueError
     naming a key whose value lacks its default's type (an int will do for
-    a float) or names no generator or predicate."""
+    a float) or names no certifiable kind, generator or predicate."""
     effective = {key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}
     for key, value in effective.items():
         default = _CONFIG_DEFAULTS[key]
@@ -274,10 +275,13 @@ def _effective_config(config: dict) -> dict:
         if isinstance(value, bool) or not isinstance(value, types):
             raise ValueError(f"sweep config {key!r} holds {value!r:.40}, "
                              f"not a {type(default).__name__}")
-        if key in _CONFIG_CHOICES and value not in _CONFIG_CHOICES[key]:
-            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, "
-                             f"not one of {', '.join(_CONFIG_CHOICES[key])}")
-    return {"kind": config["kind"], **effective}
+    effective["kind"] = config.get("kind")
+    for key, choices in _CONFIG_CHOICES.items():
+        # the kinds are a list, so an unhashable kind is refused here too
+        if effective[key] not in choices:
+            raise ValueError(f"sweep config {key!r} holds {effective[key]!r:.40}, "
+                             f"not one of {', '.join(choices)}")
+    return effective
 
 
 def _cell_hash(config: dict, cell: dict) -> str:
@@ -428,8 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(func=cmd_gen)
 
     cert = sub.add_parser("certify", help="emit a certificate for an instance file")
-    cert.add_argument("--kind", required=True,
-                      choices=[name for name, row in KINDS.items() if row.certifiers])
+    cert.add_argument("--kind", required=True, choices=_CERTIFIABLE)
     cert.add_argument("--instance", required=True)
     cert.add_argument("--out", required=True)
     cert.add_argument("--eta", type=float, default=0.0)

@@ -93,7 +93,7 @@ def _count_certificate(instance, eta: float, res: _BoundResult) -> CountCertific
     return CountCertificate(
         kind="count", n=instance.n, log2_bound=res.log2_bound, eta=eta,
         fallback=res.log2_bound >= instance.n, checks=res.checks,
-        signature=instance.sha256(), recursion_trace=res.trace, transcript=res.transcript,
+        instance_sha256=instance.sha256(), recursion_trace=res.trace, transcript=res.transcript,
     )
 
 
@@ -310,8 +310,8 @@ def refute_from_count(
     so the refutation holds for every signing and, like the count
     certificate it upgrades, binds the hypergraph of I.
     """
-    signature = I.hypergraph().sha256()
-    if count_cert.kind != "count" or count_cert.n != I.n or count_cert.signature != signature:
+    instance_sha256 = I.hypergraph().sha256()
+    if count_cert.kind != "count" or count_cert.n != I.n or count_cert.instance_sha256 != instance_sha256:
         raise ValueError("certificate does not match the instance")
     if count_cert.eta < eta - 1e-12:
         raise ValueError("certificate slack is smaller than the requested eta")
@@ -336,5 +336,5 @@ def refute_from_count(
             "clause_incidence": incidence,
             "incidence_budget": incidence_budget,
         },
-        signature=signature,
+        instance_sha256=instance_sha256,
     )

@@ -158,7 +158,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     return CountCertificate(
         kind="sk-count", n=n, log2_bound=log2_bound, eta=eta,
         fallback=log2_bound >= n, checks=(goe_check,),
-        signature=sha256_of(instance_doc(G)), transcript=transcript,
+        instance_sha256=sha256_of(instance_doc(G)), transcript=transcript,
     )
 
 
@@ -285,7 +285,7 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
                 )
     return CountCertificate(
         kind="indset-count", n=n, log2_bound=log2_bound, eta=eta,
-        fallback=log2_bound >= n, checks=(friedman_check,), signature=G.sha256(),
+        fallback=log2_bound >= n, checks=(friedman_check,), instance_sha256=G.sha256(),
         transcript=transcript,
     )
 
@@ -297,9 +297,9 @@ def refute_indset_from_count(
     refutation of any independent set of size (1-eta/2) C_d n: every subset
     of a large independent set is independent, so a large set would spawn
     binomially many sets at the counted size."""
-    signature = G.sha256()
+    instance_sha256 = G.sha256()
     if (count_cert.kind != "indset-count" or count_cert.n != G.n
-            or count_cert.signature != signature):
+            or count_cert.instance_sha256 != instance_sha256):
         raise ValueError("certificate does not match the instance")
     d = _require_regular(G)
     consts = IndSetConstants.for_degree(d)
@@ -322,5 +322,5 @@ def refute_indset_from_count(
             "counted_size": s_small,
             "log2_subsets": log2_subsets,
         },
-        signature=signature,
+        instance_sha256=instance_sha256,
     )

@@ -204,7 +204,7 @@ def _cluster_certificate(
         gap = ((0.5 - theta) * n, (0.5 + theta) * n)
     return ClusterCertificate(
         n=n, eta=eta, theta=theta, log2_cluster_bound=bound, gap_interval=gap,
-        fallback=theta_steps is None, signature=instance.sha256(), **evidence,
+        fallback=theta_steps is None, instance_sha256=instance.sha256(), **evidence,
     )
 
 
@@ -311,7 +311,7 @@ def certify_balance_3csp(
         eta=eta,
         violated_fraction_bound=v_min / m,
         checks=(chk_pos, chk_neg),
-        signature=I.sha256(),
+        instance_sha256=I.sha256(),
         transcript=transcript,
     )
 
@@ -360,7 +360,7 @@ def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:
 
 def _balance_kxor_step(I: XorInstance, rho: float) -> dict | None:
     """The fields of the kXOR balance certificate of I, all but n and the
-    signature, or None to decline.
+    instance hash, or None to decline.
 
     The clauses with exactly k-2 variables in a fixed rho*n-sized set S
     form a family of 2XOR instances on the outside variables, one per
@@ -412,7 +412,7 @@ def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | Non
     fields = _balance_kxor_step(I, rho)
     if fields is None:
         return None
-    return BalanceCertificate(n=I.n, signature=I.sha256(), **fields)
+    return BalanceCertificate(n=I.n, instance_sha256=I.sha256(), **fields)
 
 
 def certify_balance_kcsp(
@@ -440,4 +440,4 @@ def certify_balance_kcsp(
         quasirandom_eps=principle.eps, eta_xor=eta_xor, eta_asymptotic_rule=rho**I.k / 2.0
     )
     fields.update(eta=eta_p * (1.0 - 1e-9), violated_fraction_bound=eta_p)
-    return BalanceCertificate(n=I.n, signature=I.sha256(), **fields)
+    return BalanceCertificate(n=I.n, instance_sha256=I.sha256(), **fields)

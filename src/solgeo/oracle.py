@@ -4,7 +4,9 @@ never on the certification path.
 
 Enumeration encodes an assignment as an integer index whose bit i is set
 exactly when x_i == -1, so Hamming distances are popcounts of XORs and
-batch sweeps reduce to numpy bit arithmetic and matmuls.
+batch sweeps reduce to numpy bit arithmetic and matmuls.  The oracles
+read an instance's arrays, not its tuple views; a clause's parity mask
+is an exact Python int, cast to uint64 only by the enumerations (n <= 24).
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .instances import (
     UnsignedHypergraph,
     XorInstance,
     instance_doc,
-    signs_to_index,
     violation_budget,
 )
 from .jsonio import sha256_of
@@ -54,23 +55,26 @@ def _bit_matrix(indices: np.ndarray, variables: Sequence[int]) -> np.ndarray:
     return np.stack(cols, axis=1) if cols else np.zeros((len(indices), 0), np.uint32)
 
 
-def _odd_mask(S: Sequence[int]) -> int:
-    mask = 0
-    for v in S:
-        mask ^= 1 << v
-    return mask
+def clause_masks(V: np.ndarray) -> list[int]:
+    """For each row of ``V``, the bits of the variables it holds an odd
+    number of times (a repeated pair cancels), as exact Python ints: a
+    fixed-width mask would wrap past n = 64."""
+    return np.bitwise_xor.reduce(1 << V.astype(object), axis=1).tolist()
+
+
+def _enumerable(n: int) -> np.ndarray:
+    """Every assignment index of n variables, as uint64."""
+    if n > 24:
+        raise ValueError("enumeration limited to n <= 24")
+    return np.arange(1 << n, dtype=np.uint64)
 
 
 def xor_sign_table(H: UnsignedHypergraph) -> np.ndarray:
     """(2^n x m) matrix of prod(x[S]) over all assignments, as int8."""
-    if H.n > 24:
-        raise ValueError("enumeration limited to n <= 24")
-    idx = np.arange(1 << H.n, dtype=np.uint64)
-    table = np.empty((1 << H.n, H.m), dtype=np.int8)
-    for j, S in enumerate(H.edges):
-        masked = idx & np.uint64(_odd_mask(S))
-        parity = np.bitwise_count(masked).astype(np.int8) & 1
-        table[:, j] = 1 - 2 * parity
+    idx = _enumerable(H.n)
+    table = np.empty((len(idx), H.m), dtype=np.int8)
+    for j, mask in enumerate(np.array(clause_masks(H.vars), dtype=np.uint64)):
+        table[:, j] = 1 - 2 * (np.bitwise_count(idx & mask).astype(np.int8) & 1)
     return table
 
 
@@ -85,44 +89,37 @@ def batch_xor_counts(
     return (violations <= budget).sum(axis=0).astype(np.int64)
 
 
-def _violations_signed(I: SignedHypergraph, P: Predicate) -> np.ndarray:
-    """Violation count of every assignment (2^n array), via per-clause
-    pattern lookup."""
-    if I.n > 24:
-        raise ValueError("enumeration limited to n <= 24")
-    idx = np.arange(1 << I.n, dtype=np.uint32)
-    lut = np.array(P.table, dtype=np.uint8)
-    violations = np.zeros(1 << I.n, dtype=np.int32)
-    for c, S in I.clauses:
-        pattern = np.full(1 << I.n, signs_to_index(c), dtype=np.uint32)
-        for i, v in enumerate(S):
-            pattern ^= ((idx >> np.uint32(v)) & np.uint32(1)) << np.uint32(i)
-        violations += 1 - lut[pattern]
-    return violations
-
-
-def _violations_xor(I: XorInstance) -> np.ndarray:
-    if I.n > 24:
-        raise ValueError("enumeration limited to n <= 24")
-    idx = np.arange(1 << I.n, dtype=np.uint64)
-    violations = np.zeros(1 << I.n, dtype=np.int32)
-    for b, S in I.clauses:
-        masked = idx & np.uint64(_odd_mask(S))
-        parity = (np.bitwise_count(masked) & 1).astype(np.int32)
-        prod = 1 - 2 * parity
-        violations += (prod != b).astype(np.int32)
-    return violations
-
-
 def violation_profile(
     I: SignedHypergraph | XorInstance, P: Predicate | None = None
 ) -> np.ndarray:
-    """Exact per-assignment violation counts for a CSP or XOR instance."""
-    if isinstance(I, XorInstance):
-        return _violations_xor(I)
-    if P is None:
+    """Exact per-assignment violation counts (a 2^n int32 array) for an
+    XOR instance, by the parity of each clause's mask, or for a CSP
+    instance under P, by looking up each clause's sign pattern."""
+    if not isinstance(I, XorInstance) and P is None:
         raise ValueError("a predicate is required for signed instances")
-    return _violations_signed(I, P)
+    idx = _enumerable(I.n)
+    violations = np.zeros(len(idx), dtype=np.int32)
+    if isinstance(I, XorInstance):
+        masks = np.array(clause_masks(I.vars), dtype=np.uint64)
+        for mask, odd in zip(masks, (I.rhs == -1).tolist()):
+            violations += (np.bitwise_count(idx & mask) & 1) != odd
+        return violations
+    idx = idx.astype(np.uint32)
+    unsat = 1 - np.array(P.table, dtype=np.uint8)
+    sign_bits = ((I.signs == -1) @ (1 << np.arange(I.k))).tolist()
+    for bits, S in zip(sign_bits, I.vars.tolist()):
+        pattern = np.full(len(idx), bits, dtype=np.uint32)
+        for i, v in enumerate(S):
+            pattern ^= ((idx >> np.uint32(v)) & np.uint32(1)) << np.uint32(i)
+        violations += unsat[pattern]
+    return violations
+
+
+def _satisfiers(I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float) -> np.ndarray:
+    """The ascending uint64 indices of the assignments violating at most
+    ``violation_budget(eta, I.m)`` clauses."""
+    within = violation_profile(I, P) <= violation_budget(eta, I.m)
+    return np.flatnonzero(within).astype(np.uint64)
 
 
 def brute_count(
@@ -131,9 +128,7 @@ def brute_count(
     """Exact count of (1-eta)-satisfying assignments by full enumeration."""
     if I.m == 0:
         raise ValueError("cannot count satisfiers of an empty instance")
-    violations = violation_profile(I, P)
-    budget = violation_budget(eta, I.m)
-    count = int((violations <= budget).sum())
+    count = len(_satisfiers(I, P, eta))
     # count certificates of an XOR instance hold for every signing, so they
     # bind its hypergraph
     bound = I.hypergraph() if isinstance(I, XorInstance) else I
@@ -143,29 +138,17 @@ def brute_count(
 def gaussian_count(I: XorInstance) -> OracleResult:
     """Exact count of exactly-satisfying assignments over GF(2):
     0 if inconsistent, else 2^(n - rank)."""
-    rows: list[tuple[int, int]] = []
-    for b, S in I.clauses:
-        mask = _odd_mask(S)
-        rhs = 1 if b == -1 else 0
-        rows.append((mask, rhs))
-    pivots: dict[int, tuple[int, int]] = {}
-    inconsistent = False
-    for mask, rhs in rows:
-        while mask:
-            top = mask.bit_length() - 1
-            if top in pivots:
-                pmask, prhs = pivots[top]
-                mask ^= pmask
-                rhs ^= prhs
-            else:
-                pivots[top] = (mask, rhs)
-                break
-        else:
-            if rhs:
-                inconsistent = True
-                break
-    if inconsistent:
-        count = 0
+    pivots: dict[int, tuple[int, bool]] = {}
+    for mask, odd in zip(clause_masks(I.vars), (I.rhs == -1).tolist()):
+        while mask and (top := mask.bit_length() - 1) in pivots:
+            pmask, podd = pivots[top]
+            mask ^= pmask
+            odd ^= podd
+        if mask:
+            pivots[top] = (mask, odd)
+        elif odd:
+            count = 0
+            break
     else:
         count = 1 << (I.n - len(pivots))
     return OracleResult("gauss-count", count, I.m, instance_sha256=I.sha256())
@@ -175,16 +158,15 @@ def _pairwise_distance_histogram(solutions: np.ndarray) -> dict[str, int]:
     """Number of solution pairs at each Hamming distance, keyed by the
     distance in decimal, in increasing order."""
     hist: dict[int, int] = {}
-    sols = solutions.astype(np.uint64)
-    for i in range(len(sols)):
-        d = np.bitwise_count(sols[i + 1:] ^ sols[i])
+    for i in range(len(solutions)):
+        d = np.bitwise_count(solutions[i + 1:] ^ solutions[i])
         for dist, cnt in zip(*np.unique(d, return_counts=True)):
             hist[int(dist)] = hist.get(int(dist), 0) + int(cnt)
     return {str(dist): cnt for dist, cnt in sorted(hist.items())}
 
 
 def _greedy_cover(solutions: np.ndarray, radius: float) -> int:
-    remaining = solutions.astype(np.uint64)
+    remaining = solutions
     covers = 0
     while len(remaining):
         rep = remaining[0]
@@ -199,9 +181,7 @@ def brute_clusters(I: XorInstance, eta: float, theta: float) -> OracleResult:
     greedy count of radius-(theta n) balls needed to cover them."""
     if I.n > 14:
         raise ValueError("cluster enumeration limited to n <= 14")
-    violations = _violations_xor(I)
-    budget = violation_budget(eta, I.m)
-    solutions = np.nonzero(violations <= budget)[0]
+    solutions = _satisfiers(I, None, eta)
     profile = {
         "n": I.n,
         "num_solutions": int(len(solutions)),
@@ -218,9 +198,7 @@ def brute_max_bias(
     """Maximum bias over all (1-eta)-satisfiers; None if there are none."""
     if I.m == 0:
         raise ValueError("cannot scan satisfiers of an empty instance")
-    violations = violation_profile(I, P)
-    budget = violation_budget(eta, I.m)
-    solutions = np.nonzero(violations <= budget)[0].astype(np.uint64)
+    solutions = _satisfiers(I, P, eta)
     if len(solutions) == 0:
         value = None
     else:
@@ -253,7 +231,7 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
 def _neighbour_masks(G: MultiGraph) -> list[int]:
     """Bit v of entry u is set when uv is an edge of G."""
     nbr = [0] * G.n
-    for u, v in G.edges:
+    for u, v in G.edge_array.tolist():
         nbr[u] |= 1 << v
         nbr[v] |= 1 << u
     return nbr
@@ -479,9 +457,9 @@ def binding_mismatch(cert, oracle: OracleResult) -> str | None:
     ``cert`` is bound to, or None when it is."""
     if oracle.instance_sha256 is None:
         return "the oracle result names no instance_sha256; rerun `solgeo oracle`"
-    if oracle.instance_sha256 != cert.signature:
+    if oracle.instance_sha256 != cert.instance_sha256:
         return (f"the oracle ran on instance {oracle.instance_sha256}, "
-                f"the certificate is bound to {cert.signature}")
+                f"the certificate is bound to {cert.instance_sha256}")
     pairing = PAIRINGS.get(cert.kind)
     for name, value in (pairing.parameters(cert) if pairing else {}).items():
         if getattr(oracle, name) != value:

@@ -29,7 +29,7 @@ CHECKS = (CheckRecord("gate", np.float64(0.1) + 0.2, np.float32(0.5), True),
 def count(kind):
     return CountCertificate(
         kind=kind, n=12, log2_bound=np.float64(7.25), eta=np.float32(0.3), fallback=False,
-        checks=CHECKS, signature=SHA,
+        checks=CHECKS, instance_sha256=SHA,
         recursion_trace=({"depth": 0, "fallback": False, "log2": 1.5},),
         transcript={"lambda_1": 0.1 + 0.2, "nested": {"a": [1, 2.0]}}, tool_version="0.2.0")
 
@@ -42,19 +42,19 @@ def samples():
         "clusters": ClusterCertificate(
             n=10, eta=0.05, theta=np.float64(1 / 3), log2_cluster_bound=np.float64(2.0),
             gap_interval=(np.float64(2.5), 7), primal_report={"d_avg": 4.0, "norm": 1 / 7},
-            fallback=False, checks=CHECKS, signature=SHA, transcript={"c0": 6.0},
+            fallback=False, checks=CHECKS, instance_sha256=SHA, transcript={"c0": 6.0},
             tool_version="0.2.0"),
         "balance": BalanceCertificate(
             n=14, rho=np.float64(0.6), eta=0.02, violated_fraction_bound=np.float32(0.1),
-            checks=CHECKS[:1], signature=SHA, transcript={"k": 3}, tool_version="0.2.0"),
+            checks=CHECKS[:1], instance_sha256=SHA, transcript={"k": 3}, tool_version="0.2.0"),
         "refutation": RefutationCertificate(
             kind="refutation", n=12, eta_refuted=np.float64(0.375),
             evidence={"count_certificate": count("count").to_json_dict(), "set_size": 3},
-            signature=SHA, tool_version="0.2.0"),
+            instance_sha256=SHA, tool_version="0.2.0"),
         "indset-refutation": RefutationCertificate(
             kind="indset-refutation", n=8, eta_refuted=0.2,
             evidence={"refuted_size": 4, "log2_subsets": np.float64(2.0)},
-            signature=SHA, tool_version="0.2.0"),
+            instance_sha256=SHA, tool_version="0.2.0"),
     }
 
 

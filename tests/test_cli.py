@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from solgeo import schemas
+from solgeo import cli, schemas
 from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
 from solgeo.instances import MultiGraph, XorInstance, instance_doc
@@ -314,6 +314,33 @@ def test_malformed_sweep_config_is_usage_error(tmp_path, capsys, config):
     assert not out.exists()  # refused before any job ran
 
 
+@pytest.mark.parametrize("kind", [["count"], "bogus", "gauss", None],
+                         ids=["list", "unknown", "no-certifier", "missing"])
+def test_sweep_config_kind_names_a_certifiable_kind(tmp_path, capsys, kind):
+    # a list once exited 4, an internal error; the others printed only
+    # the key, as `error: 'bogus'` or `error: 'kind'`
+    cfg, out = sweep_config(tmp_path, kind=kind), tmp_path / "rows.jsonl"
+    if kind is None:
+        config = json.loads(cfg.read_text())
+        del config["kind"]
+        cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep config 'kind' holds {kind!r}, "
+        "not one of count, clusters, balance, sk, indset\n")
+    assert not out.exists()
+
+
+def test_sweep_resume_hashes_are_unchanged():
+    # recorded before the kind joined the config checks
+    config = {"kind": "count", "instance": "xor", "oracle_max_n": 12,
+              "grid": {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}}
+    assert cli._cell_hash(config, {"n": 10, "k": 3, "delta": 4, "eta": 0.05}) == "a7ff39db31771168"
+    config = {"kind": "clusters", "instance": "csp", "predicate": "xor", "c0": 4.0, "grid": {}}
+    assert cli._cell_hash(config, {}) == "171d54d732f3c2d5"
+
+
 def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):
     grid = {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}
     out = tmp_path / "rows.jsonl"
@@ -422,6 +449,10 @@ MALFORMED_VERIFY = {
                               {"3": 1.5}, "'distance_histogram'"),
     "histogram-distance-word": ("clusters", "oracle", ["exact_value", "distance_histogram"],
                                 {"three": 1}, "'distance_histogram'"),
+    # once exited 4: the kind was looked up in a dict unhashed
+    "kind-list": ("count", "certificate", ["kind"], ["count"], "unrecognized certificate kind"),
+    "kind-object": ("count", "certificate", ["kind"], {"kind": "count"},
+                    "unrecognized certificate kind"),
     # once silently sound: the verdict read it with int()
     "exact-value-string": ("count", "oracle", ["exact_value"], "3", "exact_value"),
     "exact-value-float": ("count", "oracle", ["exact_value"], 3.5, "exact_value"),

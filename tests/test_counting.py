@@ -237,7 +237,7 @@ def test_kcsp_identity_predicate_matches_ksat():
     direct = certify_count_ksat(I, eta)
     assert via_csp.log2_bound == direct.log2_bound
     assert via_csp.fallback == direct.fallback
-    assert via_csp.signature == I.sha256()
+    assert via_csp.instance_sha256 == I.sha256()
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -266,7 +266,7 @@ def test_kcsp_fallback_propagates():
 def _mock_count_cert(I: XorInstance, eta: float, log2_bound: float) -> CountCertificate:
     return CountCertificate(
         kind="count", n=I.n, log2_bound=log2_bound, eta=eta,
-        fallback=log2_bound >= I.n, checks=(), signature=I.hypergraph().sha256(),
+        fallback=log2_bound >= I.n, checks=(), instance_sha256=I.hypergraph().sha256(),
     )
 
 
@@ -308,7 +308,7 @@ def test_refute_from_count_emission_logic():
     assert res.exact_value == 0
     assert verify_certificate(ref, res) == "sound"
     assert binding_mismatch(ref, res) is None
-    assert ref.signature == I.hypergraph().sha256()
+    assert ref.instance_sha256 == I.hypergraph().sha256()
 
 
 def test_refute_from_count_validates_inputs():

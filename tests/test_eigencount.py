@@ -79,7 +79,7 @@ def test_sk_signature_hashes_the_matrix_as_before():
 
     G = sample_goe(12, seed=4)
     doc = {"kind": "goe", "n": 12, "matrix": [[float(v) for v in row] for row in G]}
-    assert certify_count_sk(G, 0.1).signature == sha256_of(doc)
+    assert certify_count_sk(G, 0.1).instance_sha256 == sha256_of(doc)
 
 
 @pytest.mark.slow

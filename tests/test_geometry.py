@@ -218,7 +218,7 @@ def test_clusters_3csp_slack_conversion():
     cert = certify_clusters_3csp(I, Predicate.ksat(3), 0.01, c0=6.0)
     eps = cert.transcript["quasirandom_eps"]
     assert cert.transcript["eta_x"] == pytest.approx(4 * 0.01 + 3 * eps)
-    assert cert.signature == I.sha256()
+    assert cert.instance_sha256 == I.sha256()
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificat
 from solgeo.instances import (
     MultiGraph,
     Predicate,
+    SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
     evaluate,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
+    signs_to_index,
+    violation_budget,
     xor_violations,
 )
 from solgeo.oracle import (
@@ -157,14 +162,14 @@ def test_brute_subspace_full_and_zero():
 def test_verify_count_certificate():
     cert = CountCertificate(
         kind="count", n=6, log2_bound=3.0, eta=0.0, fallback=False,
-        checks=(), signature="0" * 64,
+        checks=(), instance_sha256="0" * 64,
     )
     assert verify_certificate(cert, OracleResult("count", 8, 64)) == "sound"
     assert verify_certificate(cert, OracleResult("count", 9, 64)) == "violated"
     assert verify_certificate(cert, OracleResult("sk", {}, 64)) == "inapplicable"
     fallback = CountCertificate(
         kind="count", n=6, log2_bound=6.0, eta=0.0, fallback=True,
-        checks=(CheckRecord("x", 0.0, 1.0, False),), signature="0" * 64,
+        checks=(CheckRecord("x", 0.0, 1.0, False),), instance_sha256="0" * 64,
     )
     assert verify_certificate(fallback, OracleResult("count", 64, 64)) == "sound"
 
@@ -174,7 +179,7 @@ def cluster_certificate(fallback: bool) -> ClusterCertificate:
     return ClusterCertificate(
         n=20, eta=0.05, theta=0.1, log2_cluster_bound=20.0 if fallback else 2.0,
         gap_interval=(8.0, 12.0), primal_report={}, fallback=fallback, checks=(),
-        signature="0" * 64,
+        instance_sha256="0" * 64,
     )
 
 
@@ -211,3 +216,150 @@ def test_violation_profile_matches_direct_evaluation():
             assert violation_profile(I, P).tolist() == direct, (seed, P.table)
         J = I.to_xor()
         assert violation_profile(J).tolist() == [xor_violations(J, x) for x in X], seed
+
+
+# ---------------------------------------------------------------------------
+# The oracle's enumerations against the tuple code they replaced, frozen
+# here: per-clause loops over the ``clauses`` and ``edges`` views, with
+# exact Python-int masks
+# ---------------------------------------------------------------------------
+
+def _odd_mask(S) -> int:
+    mask = 0
+    for v in S:
+        mask ^= 1 << v
+    return mask
+
+
+def reference_sign_table(H: UnsignedHypergraph) -> np.ndarray:
+    idx = np.arange(1 << H.n, dtype=np.uint64)
+    table = np.empty((1 << H.n, H.m), dtype=np.int8)
+    for j, S in enumerate(H.edges):
+        masked = idx & np.uint64(_odd_mask(S))
+        parity = np.bitwise_count(masked).astype(np.int8) & 1
+        table[:, j] = 1 - 2 * parity
+    return table
+
+
+def reference_violations_signed(I: SignedHypergraph, P: Predicate) -> np.ndarray:
+    idx = np.arange(1 << I.n, dtype=np.uint32)
+    lut = np.array(P.table, dtype=np.uint8)
+    violations = np.zeros(1 << I.n, dtype=np.int32)
+    for c, S in I.clauses:
+        pattern = np.full(1 << I.n, signs_to_index(c), dtype=np.uint32)
+        for i, v in enumerate(S):
+            pattern ^= ((idx >> np.uint32(v)) & np.uint32(1)) << np.uint32(i)
+        violations += 1 - lut[pattern]
+    return violations
+
+
+def reference_violations_xor(I: XorInstance) -> np.ndarray:
+    idx = np.arange(1 << I.n, dtype=np.uint64)
+    violations = np.zeros(1 << I.n, dtype=np.int32)
+    for b, S in I.clauses:
+        masked = idx & np.uint64(_odd_mask(S))
+        parity = (np.bitwise_count(masked) & 1).astype(np.int32)
+        violations += ((1 - 2 * parity) != b).astype(np.int32)
+    return violations
+
+
+def reference_gaussian_count(I: XorInstance) -> int:
+    pivots: dict[int, tuple[int, int]] = {}
+    for b, S in I.clauses:
+        mask, rhs = _odd_mask(S), 1 if b == -1 else 0
+        while mask:
+            top = mask.bit_length() - 1
+            if top in pivots:
+                pmask, prhs = pivots[top]
+                mask ^= pmask
+                rhs ^= prhs
+            else:
+                pivots[top] = (mask, rhs)
+                break
+        else:
+            if rhs:
+                return 0
+    return 1 << (I.n - len(pivots))
+
+
+def random_predicate(k: int, seed: int) -> Predicate:
+    rng = np.random.default_rng(seed)
+    table = rng.integers(0, 2, size=1 << k)
+    table[rng.permutation(1 << k)[:2]] = (0, 1)  # neither constant 1 nor constant 0
+    return Predicate(k, tuple(int(v) for v in table))
+
+
+def sampled_instances():
+    """Signed instances at n = 3..14 over k = 2, 3, 4, with an empty one."""
+    for n in range(3, 15):
+        for k in (2, 3, 4):
+            if n >= k:
+                yield sample_signed_hypergraph(k, n, 2 * n, seed=100 * n + k)
+    yield SignedHypergraph(3, 5, np.zeros((0, 3), dtype=np.int64), np.zeros((0, 3)))
+
+
+# repeated variables: a repeated pair cancels from the parity, a triple
+# leaves one copy
+REPEATS = SignedHypergraph(
+    3, 5, [(0, 0, 1), (2, 2, 2), (3, 1, 3), (4, 4, 4), (1, 2, 3)],
+    [(1, -1, 1), (-1, -1, 1), (1, 1, -1), (1, 1, 1), (-1, 1, -1)])
+
+
+@pytest.mark.parametrize("I", [*sampled_instances(), REPEATS],
+                         ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
+def test_array_oracle_matches_tuple_reference(I):
+    for P in (Predicate.ksat(I.k), Predicate.parity(I.k), Predicate.parity(I.k, -1),
+              random_predicate(I.k, I.n)):
+        expected = reference_violations_signed(I, P)
+        assert np.array_equal(violation_profile(I, P), expected), P.table
+        if I.m:
+            budget = violation_budget(0.1, I.m)
+            assert brute_count(I, P, 0.1).exact_value == int((expected <= budget).sum())
+    J = I.to_xor()
+    expected = reference_violations_xor(J)
+    assert np.array_equal(violation_profile(J), expected)
+    assert np.array_equal(xor_sign_table(J.hypergraph()), reference_sign_table(J.hypergraph()))
+    assert gaussian_count(J).exact_value == reference_gaussian_count(J)
+    if I.m:
+        solutions = np.flatnonzero(expected <= violation_budget(0.1, I.m))
+        assert brute_count(J, None, 0.1).exact_value == len(solutions)
+        ones = np.bitwise_count(solutions.astype(np.uint64)).astype(np.int64)
+        expected_bias = float(np.max(np.abs(I.n - 2 * ones)) / I.n) if len(solutions) else None
+        assert brute_max_bias(J, None, 0.1).exact_value == expected_bias
+
+
+def test_brute_clusters_takes_an_empty_instance():
+    n = 6
+    profile = brute_clusters(XorInstance(3, n, np.zeros((0, 3), dtype=np.int64), []),
+                             0.0, 0.5).exact_value
+    assert profile["num_solutions"] == 1 << n
+    # 2^n / 2 pairs of assignments at each distance d, times C(n, d)
+    assert profile["distance_histogram"] == {
+        str(d): (1 << (n - 1)) * math.comb(n, d) for d in range(1, n + 1)}
+
+
+def planted_xor(n: int, m: int, free: int, seed: int) -> tuple[XorInstance, np.ndarray]:
+    """A 3XOR instance satisfied by a random assignment, none of whose
+    clauses holds one of ``free`` random variables; repeats allowed."""
+    rng = np.random.default_rng(seed)
+    unused = rng.choice(n, size=free, replace=False)
+    V = rng.choice(np.setdiff1d(np.arange(n), unused), size=(m, 3))
+    x = rng.choice(np.array([-1, 1]), size=n)
+    return XorInstance(3, n, V, x[V].prod(axis=1)), unused
+
+
+@pytest.mark.parametrize("n", [100, 200])
+@pytest.mark.parametrize("density", [0.6, 1.5])
+def test_gaussian_count_is_exact_past_64_variables(n, density):
+    free = 5
+    I, unused = planted_xor(n, int(density * n), free, seed=n)
+    assert I.vars.max() >= 64
+    count = gaussian_count(I).exact_value
+    assert count == reference_gaussian_count(I)
+    # consistent, and the unused variables are free
+    assert count >= 1 << free and count % (1 << free) == 0
+    # a cycle of 2XOR clauses whose signs multiply to -1 contradicts any system
+    cycle = [int(v) for v in np.setdiff1d(np.arange(n), unused)[[3, 40, 70, -1]]]
+    edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+    plus = XorInstance(2, n, I.vars[:, :2].tolist() + edges, [1] * I.m + [1, 1, 1, -1])
+    assert gaussian_count(plus).exact_value == reference_gaussian_count(plus) == 0

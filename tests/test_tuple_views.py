@@ -1,10 +1,11 @@
-"""No module of the package but ``instances`` and ``oracle`` reads the
-tuple views ``clauses`` and ``edges`` of an instance.
+"""No module of the package but ``instances`` reads the tuple views
+``clauses`` and ``edges`` of an instance.
 
 Those views are rebuilt from the instance's arrays on each access, so
-the certification paths read the arrays themselves; the oracles are
-reference code and may walk the tuples.  Parsed with ``ast`` only, so
-the package is not imported.
+the certification paths and the oracles read the arrays themselves.  The
+views serve callers outside the package: the benchmark's reference
+encoder and the tests.  Parsed with ``ast`` only, so the package is not
+imported.
 """
 
 import ast
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-TUPLE_READERS = {"instances.py", "oracle.py"}
+TUPLE_READERS = {"instances.py"}
 MODULES = [p for p in sorted(ROOT.glob("src/solgeo/*.py")) if p.name not in TUPLE_READERS]
 
 
