@@ -87,7 +87,8 @@ def _balance_xor(I: XorInstance, a):
 def _indset_threshold(G: MultiGraph, a) -> int:
     if a.threshold_size is not None:
         return a.threshold_size
-    return eigencount.IndSetConstants.for_degree(G.degrees[0]).threshold_size(a.eta, G.n)
+    return eigencount.IndSetConstants.for_degree(
+        eigencount.regular_degree(G)).threshold_size(a.eta, G.n)
 
 
 # ---------------------------------------------------------------------------

@@ -194,7 +194,8 @@ class IndSetConstants:
             raise ValueError("C_y must be below sqrt(C_d)")
 
 
-def _require_regular(G: MultiGraph) -> int:
+def regular_degree(G: MultiGraph) -> int:
+    """The degree d of a d-regular graph G with d >= 1; ValueError otherwise."""
     if G.n < 1 or not G.is_regular() or G.degrees[0] < 1:
         raise ValueError("a d-regular graph with d >= 1 is required")
     return G.degrees[0]
@@ -203,7 +204,7 @@ def _require_regular(G: MultiGraph) -> int:
 def hoffman_bound(G: MultiGraph) -> int:
     """Certified bound floor(lambda n / (d + lambda)) on the independence
     number, lambda = -lambda_min of the adjacency matrix (measured)."""
-    d = _require_regular(G)
+    d = regular_degree(G)
     vals = symmetric_spectrum(G.adjacency())
     lam = -float(vals[0]) + eig_slack(float(np.max(np.abs(vals))))
     if lam <= 0:
@@ -222,7 +223,7 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     """
     if not (0.0 < eta < 1.0):
         raise ValueError("eta must lie in (0, 1)")
-    d = _require_regular(G)
+    d = regular_degree(G)
     if d < 3:
         raise ValueError("certification requires d >= 3")
     n = G.n
@@ -301,7 +302,7 @@ def refute_indset_from_count(
     if (count_cert.kind != "indset-count" or count_cert.n != G.n
             or count_cert.instance_sha256 != instance_sha256):
         raise ValueError("certificate does not match the instance")
-    d = _require_regular(G)
+    d = regular_degree(G)
     consts = IndSetConstants.for_degree(d)
     s_small = count_cert.transcript.get("threshold_size")
     if s_small is None:

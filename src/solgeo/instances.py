@@ -79,20 +79,28 @@ def index_to_signs(idx: int, k: int) -> tuple[int, ...]:
     return tuple(-1 if (idx >> i) & 1 else 1 for i in range(k))
 
 
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Transform the contiguous length-2^k array ``a`` in place to
+    sum_x a[x] * (-1)^|x & T| at each index T, and return it; exact on an
+    integer array."""
+    h = 1
+    while h < len(a):
+        pairs = a.reshape(-1, 2, h)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return a
+
+
 def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], float]:
     """Fourier coefficients f_hat(T) = E_z[f(z) * prod_{i in T} z_i] of a
     function given as a table indexed by the sign-vector encoding."""
     if len(table) != 1 << k:
         raise ValueError("table length must be 2^k")
-    coeffs: dict[tuple[int, ...], float] = {}
-    for mask in range(1 << k):
-        T = tuple(i for i in range(k) if (mask >> i) & 1)
-        acc = 0.0
-        for idx in range(1 << k):
-            chi = -1.0 if bin(idx & mask).count("1") % 2 else 1.0
-            acc += table[idx] * chi
-        coeffs[T] = acc / (1 << k)
-    return coeffs
+    coeffs = _walsh_hadamard(np.array(table, dtype=float)) / (1 << k)
+    return {tuple(i for i in range(k) if (mask >> i) & 1): c
+            for mask, c in enumerate(coeffs.tolist())}
 
 
 @dataclass(frozen=True)
@@ -120,10 +128,7 @@ class Predicate:
 
     def first_unsatisfying(self) -> tuple[int, ...]:
         """The first string (in index order) on which the predicate is 0."""
-        for idx in range(1 << self.k):
-            if self.table[idx] == 0:
-                return index_to_signs(idx, self.k)
-        raise AssertionError("unreachable: constant-1 rejected at construction")
+        return index_to_signs(self.table.index(0), self.k)
 
     @classmethod
     def ksat(cls, k: int) -> "Predicate":
@@ -135,11 +140,8 @@ class Predicate:
         """XOR predicate: 1 exactly when prod(z) == rhs."""
         if rhs not in (-1, 1):
             raise ValueError("rhs must be +-1")
-        table = []
-        for idx in range(1 << k):
-            prod = -1 if bin(idx).count("1") % 2 else 1
-            table.append(1 if prod == rhs else 0)
-        return cls(k, tuple(table))
+        odd = np.bitwise_count(np.arange(1 << k)) & 1
+        return cls(k, tuple((odd == (rhs == -1)).astype(int).tolist()))
 
 
 # ---------------------------------------------------------------------------

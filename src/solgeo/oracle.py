@@ -3,17 +3,16 @@ elimination, and branch-and-bound.  These validate certificates and are
 never on the certification path.
 
 Enumeration encodes an assignment as an integer index whose bit i is set
-exactly when x_i == -1, so Hamming distances are popcounts of XORs and
-batch sweeps reduce to numpy bit arithmetic and matmuls.  The oracles
-read an instance's arrays, not its tuple views; a clause's parity mask
-is an exact Python int, cast to uint64 only by the enumerations (n <= 24).
+exactly when x_i == -1, so Hamming distances are popcounts of XORs.  The
+oracles read an instance's arrays; every violation profile, of a CSP or
+of an XOR instance, is one integer Walsh-Hadamard transform (n <= 24).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    _walsh_hadamard,
     instance_doc,
     violation_budget,
 )
@@ -49,12 +49,6 @@ class OracleResult(JsonRecord):
     threshold_size: int | None = None
 
 
-def _bit_matrix(indices: np.ndarray, variables: Sequence[int]) -> np.ndarray:
-    """Bit i of each index, for each listed variable; shape (len, len(vars))."""
-    cols = [((indices >> v) & 1).astype(np.uint32) for v in variables]
-    return np.stack(cols, axis=1) if cols else np.zeros((len(indices), 0), np.uint32)
-
-
 def clause_masks(V: np.ndarray) -> list[int]:
     """For each row of ``V``, the bits of the variables it holds an odd
     number of times (a repeated pair cancels), as exact Python ints: a
@@ -62,16 +56,16 @@ def clause_masks(V: np.ndarray) -> list[int]:
     return np.bitwise_xor.reduce(1 << V.astype(object), axis=1).tolist()
 
 
-def _enumerable(n: int) -> np.ndarray:
-    """Every assignment index of n variables, as uint64."""
+def _enumerable(n: int) -> int:
+    """The number 2^n of assignments of n variables, if n <= 24."""
     if n > 24:
         raise ValueError("enumeration limited to n <= 24")
-    return np.arange(1 << n, dtype=np.uint64)
+    return 1 << n
 
 
 def xor_sign_table(H: UnsignedHypergraph) -> np.ndarray:
     """(2^n x m) matrix of prod(x[S]) over all assignments, as int8."""
-    idx = _enumerable(H.n)
+    idx = np.arange(_enumerable(H.n), dtype=np.uint64)
     table = np.empty((len(idx), H.m), dtype=np.int8)
     for j, mask in enumerate(np.array(clause_masks(H.vars), dtype=np.uint64)):
         table[:, j] = 1 - 2 * (np.bitwise_count(idx & mask).astype(np.int8) & 1)
@@ -92,27 +86,27 @@ def batch_xor_counts(
 def violation_profile(
     I: SignedHypergraph | XorInstance, P: Predicate | None = None
 ) -> np.ndarray:
-    """Exact per-assignment violation counts (a 2^n int32 array) for an
-    XOR instance, by the parity of each clause's mask, or for a CSP
-    instance under P, by looking up each clause's sign pattern."""
-    if not isinstance(I, XorInstance) and P is None:
-        raise ValueError("a predicate is required for signed instances")
-    idx = _enumerable(I.n)
-    violations = np.zeros(len(idx), dtype=np.int32)
+    """Exact per-assignment violation counts (a 2^n int32 array) of a CSP
+    instance under P, or of an XOR instance as its signed embedding under
+    the parity predicate (P is then ignored).
+
+    With F the integer transform of 1 - P, 2^k (1 - P(z)) is the sum of
+    F(T) chi_T(z); a clause (c, S) puts F(T) chi_T(c) at the mask of S
+    restricted to T, and one transform of the sums is 2^k times the
+    profile."""
     if isinstance(I, XorInstance):
-        masks = np.array(clause_masks(I.vars), dtype=np.uint64)
-        for mask, odd in zip(masks, (I.rhs == -1).tolist()):
-            violations += (np.bitwise_count(idx & mask) & 1) != odd
-        return violations
-    idx = idx.astype(np.uint32)
-    unsat = 1 - np.array(P.table, dtype=np.uint8)
-    sign_bits = ((I.signs == -1) @ (1 << np.arange(I.k))).tolist()
-    for bits, S in zip(sign_bits, I.vars.tolist()):
-        pattern = np.full(len(idx), bits, dtype=np.uint32)
-        for i, v in enumerate(S):
-            pattern ^= ((idx >> np.uint32(v)) & np.uint32(1)) << np.uint32(i)
-        violations += unsat[pattern]
-    return violations
+        I, P = I.to_signed(), Predicate.parity(I.k)
+    elif P is None:
+        raise ValueError("a predicate is required for signed instances")
+    if P.k != I.k:
+        raise ValueError("predicate arity does not match instance")
+    F = _walsh_hadamard(1 - np.array(P.table, dtype=np.int64))
+    terms = np.zeros(_enumerable(I.n), dtype=np.int64)
+    for T in np.flatnonzero(F).tolist():
+        cols = [i for i in range(I.k) if (T >> i) & 1]
+        masks = np.array(clause_masks(I.vars[:, cols]), dtype=np.int64)
+        np.add.at(terms, masks, F[T] * I.signs[:, cols].prod(axis=1, dtype=np.int64))
+    return np.right_shift(_walsh_hadamard(terms), I.k, out=terms).astype(np.int32)
 
 
 def _satisfiers(I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float) -> np.ndarray:
@@ -181,6 +175,8 @@ def brute_clusters(I: XorInstance, eta: float, theta: float) -> OracleResult:
     greedy count of radius-(theta n) balls needed to cover them."""
     if I.n > 14:
         raise ValueError("cluster enumeration limited to n <= 14")
+    if not 0.0 <= theta <= 0.5:
+        raise ValueError(f"theta must lie in [0, 1/2], got {theta!r}")
     solutions = _satisfiers(I, None, eta)
     profile = {
         "n": I.n,
@@ -220,7 +216,7 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
     total = 1 << n
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        X = 1.0 - 2.0 * _bit_matrix(idx, range(n)).astype(np.float64)
+        X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)
         vals = np.einsum("ij,ij->i", X @ G, X)
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
@@ -322,7 +318,7 @@ def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
     scale = 1.0 / math.sqrt(n)
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        Y = (1.0 - 2.0 * _bit_matrix(idx, range(n)).astype(np.float64)) * scale
+        Y = (1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)) * scale
         proj = Y @ Q
         dist_sq = np.maximum(1.0 - np.einsum("ij,ij->i", proj, proj), 0.0)
         count += int((np.sqrt(dist_sq) <= eps + 1e-12).sum())

@@ -507,3 +507,30 @@ def test_malformed_refuted_size_is_usage_error(tmp_path, capsys, value):
     assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "'refuted_size'" in err
+
+
+@pytest.mark.parametrize("theta", ["0.7", "-0.1"])
+def test_cluster_oracle_refuses_theta_outside_half_interval(tmp_path, capsys, theta):
+    # both once exited 0 with a file that failed its schema
+    inst = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "200", "--seed", "4")
+    orc = tmp_path / "o.json"
+    capsys.readouterr()
+    assert run("oracle", "--kind", "clusters", "--eta", "0.05", "--theta", theta,
+               "--instance", str(inst), "--out", str(orc)) == 2
+    assert "theta must lie in [0, 1/2]" in capsys.readouterr().err
+    assert not orc.exists()
+
+
+def test_indset_oracle_needs_a_threshold_on_an_irregular_graph(tmp_path, capsys):
+    # two K4s joined by the edge 1-4: the threshold once came from vertex 0's degree, 3
+    block = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    G = MultiGraph.build(8, block + [(u + 4, v + 4) for u, v in block] + [(1, 4)])
+    inst, orc = tmp_path / "g.json", tmp_path / "o.json"
+    write_json(str(inst), instance_doc(G))
+    assert run("oracle", "--kind", "indset", "--eta", "0.2", "--instance", str(inst),
+               "--out", str(orc)) == 2
+    assert "regular graph" in capsys.readouterr().err
+    assert not orc.exists()
+    assert run("oracle", "--kind", "indset", "--threshold-size", "2", "--instance", str(inst),
+               "--out", str(orc)) == 0
+    assert validate_file(orc)["exact_value"] == {"alpha": 2, "count": 15}

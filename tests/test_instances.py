@@ -18,6 +18,7 @@ from solgeo.instances import (
     csp_to_ksat,
     density_table,
     evaluate,
+    fourier_transform,
     index_to_signs,
     induced_xor,
     instance_doc,
@@ -175,6 +176,41 @@ def test_predicate_plancherel():
 def test_constant_one_rejected():
     with pytest.raises(ValueError):
         Predicate(2, (1, 1, 1, 1))
+
+
+def reference_fourier_transform(table, k: int) -> dict:
+    """The O(4^k) loop the Walsh-Hadamard transform replaced, frozen here."""
+    coeffs = {}
+    for mask in range(1 << k):
+        T = tuple(i for i in range(k) if (mask >> i) & 1)
+        acc = 0.0
+        for idx in range(1 << k):
+            chi = -1.0 if bin(idx & mask).count("1") % 2 else 1.0
+            acc += table[idx] * chi
+        coeffs[T] = acc / (1 << k)
+    return coeffs
+
+
+def every_bit(coeffs: dict) -> list:
+    """The keys in order and each coefficient's exact bits, sign of zero included."""
+    return [(T, c.hex()) for T, c in coeffs.items()]
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_fourier_transform_matches_the_quadratic_loop(k):
+    rng = np.random.default_rng(k)
+    for table in ([0] * (1 << k), [1] * (1 << k), *rng.integers(0, 2, (4, 1 << k)).tolist()):
+        assert every_bit(fourier_transform(table, k)) == every_bit(
+            reference_fourier_transform(table, k))
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_predicate_fourier_unchanged_to_the_bit(k):
+    table = np.random.default_rng(k).integers(0, 2, 1 << k)
+    table[k % len(table)] = 0  # not the constant-1 predicate
+    for P in (Predicate.ksat(k), Predicate.parity(k), Predicate.parity(k, -1),
+              Predicate(k, tuple(table.tolist()))):
+        assert every_bit(P.fourier) == every_bit(reference_fourier_transform(P.table, k))
 
 
 # ---------------------------------------------------------------------------

@@ -305,27 +305,54 @@ REPEATS = SignedHypergraph(
     [(1, -1, 1), (-1, -1, 1), (1, 1, -1), (1, 1, 1), (-1, 1, -1)])
 
 
-@pytest.mark.parametrize("I", [*sampled_instances(), REPEATS],
+# the desk-cli cluster oracle's 3XOR shape, k = 5, and n = 20 (profiles only)
+LARGER = [sample_signed_hypergraph(3, 14, 1960, seed=1),
+          *(sample_signed_hypergraph(5, n, 3 * n, seed=n) for n in (5, 9, 12)),
+          sample_signed_hypergraph(3, 20, 24, seed=20)]
+
+
+@pytest.mark.parametrize("I", [*sampled_instances(), REPEATS, *LARGER],
                          ids=lambda I: f"k{I.k}-n{I.n}-m{I.m}")
 def test_array_oracle_matches_tuple_reference(I):
+    scans = I.m and I.n <= 14
     for P in (Predicate.ksat(I.k), Predicate.parity(I.k), Predicate.parity(I.k, -1),
               random_predicate(I.k, I.n)):
         expected = reference_violations_signed(I, P)
         assert np.array_equal(violation_profile(I, P), expected), P.table
-        if I.m:
+        if scans:
             budget = violation_budget(0.1, I.m)
             assert brute_count(I, P, 0.1).exact_value == int((expected <= budget).sum())
-    J = I.to_xor()
-    expected = reference_violations_xor(J)
-    assert np.array_equal(violation_profile(J), expected)
-    assert np.array_equal(xor_sign_table(J.hypergraph()), reference_sign_table(J.hypergraph()))
-    assert gaussian_count(J).exact_value == reference_gaussian_count(J)
-    if I.m:
-        solutions = np.flatnonzero(expected <= violation_budget(0.1, I.m))
-        assert brute_count(J, None, 0.1).exact_value == len(solutions)
-        ones = np.bitwise_count(solutions.astype(np.uint64)).astype(np.int64)
-        expected_bias = float(np.max(np.abs(I.n - 2 * ones)) / I.n) if len(solutions) else None
-        assert brute_max_bias(J, None, 0.1).exact_value == expected_bias
+    # the signs' products, and every rhs -1
+    for J in (I.to_xor(), XorInstance(I.k, I.n, I.vars, np.full(I.m, -1))):
+        expected = reference_violations_xor(J)
+        assert np.array_equal(violation_profile(J), expected)
+        if I.n > 14:
+            continue
+        assert np.array_equal(xor_sign_table(J.hypergraph()),
+                              reference_sign_table(J.hypergraph()))
+        assert gaussian_count(J).exact_value == reference_gaussian_count(J)
+        if scans:
+            solutions = np.flatnonzero(expected <= violation_budget(0.1, I.m))
+            assert brute_count(J, None, 0.1).exact_value == len(solutions)
+            ones = np.bitwise_count(solutions.astype(np.uint64)).astype(np.int64)
+            expected_bias = float(np.max(np.abs(I.n - 2 * ones)) / I.n) if len(solutions) else None
+            assert brute_max_bias(J, None, 0.1).exact_value == expected_bias
+
+
+@pytest.mark.parametrize("arity", [2, 4])
+def test_a_predicate_of_another_arity_is_refused(arity):
+    I = sample_signed_hypergraph(3, 8, 40, seed=3)
+    P = Predicate.ksat(arity)
+    for scan in (lambda: violation_profile(I, P), lambda: brute_count(I, P, 0.3),
+                 lambda: brute_max_bias(I, P, 0.3)):
+        with pytest.raises(ValueError, match="predicate arity does not match instance"):
+            scan()
+
+
+@pytest.mark.parametrize("theta", [-0.1, 0.7, math.nan])
+def test_brute_clusters_refuses_theta_outside_half_interval(theta):
+    with pytest.raises(ValueError, match="theta must lie in"):
+        brute_clusters(triangle_xor(), 0.0, theta)
 
 
 def test_brute_clusters_takes_an_empty_instance():
