@@ -8,7 +8,7 @@ Library layout:
 * ``counting``    -- count certificates (2XOR, kXOR, kSAT, kCSP) + reductions
 * ``geometry``    -- cluster and balance certificates
 * ``eigencount``  -- subspace counting, SK near-optima, independent sets
-* ``oracle``      -- exhaustive/gf2/branch-and-bound ground truth
+* ``oracle``      -- exhaustive/gf2/meet-in-the-middle ground truth
 * ``cli``         -- gen / certify / oracle / verify / sweep commands
 """
 

@@ -1,11 +1,12 @@
 """Exact ground-truth computations: exhaustive enumeration, GF(2)
-elimination, and branch-and-bound.  These validate certificates and are
-never on the certification path.
+elimination, and independent-set counts by size, meeting in the middle.
+These validate certificates and are never on the certification path.
 
 Enumeration encodes an assignment as an integer index whose bit i is set
 exactly when x_i == -1, so Hamming distances are popcounts of XORs.  The
 oracles read an instance's arrays; every violation profile, of a CSP or
 of an XOR instance, is one integer Walsh-Hadamard transform (n <= 24).
+The SK oracle enumerates the half x_{n-1} = +1 of the hypercube.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .instances import (
 from .jsonio import sha256_of
 
 _CHUNK = 1 << 16
+# ``violation_profile`` adds blocks of < 2^_TERMS_BITS Fourier terms (one T if m is larger)
+_TERMS_BITS = 18
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,9 @@ def violation_profile(
     With F the integer transform of 1 - P, 2^k (1 - P(z)) is the sum of
     F(T) chi_T(z); a clause (c, S) puts F(T) chi_T(c) at the mask of S
     restricted to T, and one transform of the sums is 2^k times the
-    profile."""
+    profile.  The masks and sign products of all T over the low columns
+    are built by doubling, once; each block of T shares its high columns'
+    mask and product."""
     if isinstance(I, XorInstance):
         I, P = I.to_signed(), Predicate.parity(I.k)
     elif P is None:
@@ -102,10 +107,18 @@ def violation_profile(
         raise ValueError("predicate arity does not match instance")
     F = _walsh_hadamard(1 - np.array(P.table, dtype=np.int64))
     terms = np.zeros(_enumerable(I.n), dtype=np.int64)
-    for T in np.flatnonzero(F).tolist():
-        cols = [i for i in range(I.k) if (T >> i) & 1]
-        masks = np.array(clause_masks(I.vars[:, cols]), dtype=np.int64)
-        np.add.at(terms, masks, F[T] * I.signs[:, cols].prod(axis=1, dtype=np.int64))
+    bits, signs = np.left_shift(1, I.vars, dtype=np.int64), I.signs.astype(np.int64)
+    low = min(I.k, max(0, _TERMS_BITS - I.m.bit_length()))
+    masks, products = np.zeros((1, I.m), dtype=np.int64), np.ones((1, I.m), dtype=np.int64)
+    for i in range(low):
+        masks = np.concatenate((masks, masks ^ bits[:, i]))
+        products = np.concatenate((products, products * signs[:, i]))
+    for block in range(1 << (I.k - low)):
+        high = [low + i for i in range(I.k - low) if block >> i & 1]
+        f = F[block << low:(block + 1) << low]
+        T = np.flatnonzero(f)
+        weights = f[T, None] * products[T] * signs[:, high].prod(axis=1)
+        np.add.at(terms, masks[T] ^ np.bitwise_xor.reduce(bits[:, high], axis=1), weights)
     return np.right_shift(_walsh_hadamard(terms), I.k, out=terms).astype(np.int32)
 
 
@@ -205,98 +218,85 @@ def brute_max_bias(
 
 def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
     """Exact max of x^T G x over the hypercube and the number of x
-    reaching 2 (1-eta) n^(3/2)."""
+    reaching 2 (1-eta) n^(3/2).
+
+    Only the x with x_{n-1} = +1 are enumerated, and their count doubled:
+    each entry of (-X) @ G is the exact negation of its entry in X @ G, so
+    the row products, and x^T G x, of -x equal those of x bit for bit.
+    The low min(n-1, 16) columns are the same in every chunk; a chunk
+    rewrites only the columns above them."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    if n > 18:
-        raise ValueError("SK enumeration limited to n <= 18")
+    if not 1 <= n <= 18:
+        raise ValueError("SK enumeration limited to 1 <= n <= 18")
     threshold = 2.0 * (1.0 - eta) * n**1.5
-    best = -math.inf
-    count = 0
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)
+    low = min(n - 1, _CHUNK.bit_length() - 1)
+    X = np.ones((1 << low, n))
+    for j in range(low):
+        X[1 << j:2 << j, :j] = X[:1 << j, :j]
+        X[1 << j:2 << j, j] = -1.0
+    best, count = -math.inf, 0
+    for chunk in range(1 << (n - 1 - low)):
+        X[:, low:] = 1.0 - 2.0 * ((chunk >> np.arange(n - low)) & 1)
         vals = np.einsum("ij,ij->i", X @ G, X)
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
-    return OracleResult("sk", {"opt": best, "count": count}, total,
+    return OracleResult("sk", {"opt": best, "count": 2 * count}, 1 << n,
                         instance_sha256=sha256_of(instance_doc(G)), eta=float(eta))
 
 
-def _neighbour_masks(G: MultiGraph) -> list[int]:
-    """Bit v of entry u is set when uv is an edge of G."""
-    nbr = [0] * G.n
-    for u, v in G.edge_array.tolist():
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-    return nbr
+def _subsets(nbr: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For every subset S of the vertices lo..hi-1, indexed by its bits
+    shifted down by lo: whether S is independent, |S|, and the union of
+    its members' neighbour masks ``nbr``; built by doubling."""
+    independent, size, union = np.ones(1, bool), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    for v in range(lo, hi):
+        independent = np.concatenate((independent, independent & (union >> v & 1 == 0)))
+        size = np.concatenate((size, size + 1))
+        union = np.concatenate((union, union | nbr[v]))
+    return independent, size, union
+
+
+def _size_distribution(G: MultiGraph) -> np.ndarray:
+    """The number of independent sets of G of each size 0..n, by meeting in
+    the middle: with f[M, s] the number of independent s-subsets of the
+    upper half inside M (one subset-sum transform), each independent S of
+    the lower half adds f[upper half minus N(S)], shifted by |S|.  A
+    repeated edge is one adjacency (``MultiGraph`` holds no loops)."""
+    n = G.n
+    if n > 26:
+        raise ValueError("independent-set enumeration limited to n <= 26")
+    u, v = G.edge_array.T
+    nbr = np.zeros(n, dtype=np.int64)
+    np.bitwise_or.at(nbr, np.concatenate((u, v)), np.left_shift(1, np.concatenate((v, u))))
+    a, b = n // 2, n - n // 2
+    low, low_size, low_nbr = _subsets(nbr, 0, a)
+    high, high_size, _ = _subsets(nbr, a, n)
+    f = np.zeros((1 << b, b + 1), dtype=np.int64)
+    f[np.flatnonzero(high), high_size[high]] = 1
+    for i in range(b):
+        pairs = f.reshape(-1, 2, 1 << i, b + 1)
+        pairs[:, 1] += pairs[:, 0]
+    rows = f[(~low_nbr[low] >> a) & ((1 << b) - 1)]  # the upper half minus N(S)
+    dist = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(dist, low_size[low, None] + np.arange(b + 1), rows)
+    return dist
 
 
 def independence_number(G: MultiGraph) -> int:
-    """Exact independence number by branch and bound with a greedy-coloring
-    upper bound for pruning."""
-    n = G.n
-    nbr = _neighbour_masks(G)
-
-    def clique_cover_bound(candidates: int) -> int:
-        # a partition of the candidates into cliques; an independent set
-        # meets each clique at most once, so the class count is a bound
-        classes: list[int] = []
-        c = candidates
-        while c:
-            v = (c & -c).bit_length() - 1
-            c &= c - 1
-            for i, cls in enumerate(classes):
-                if (nbr[v] & cls) == cls:
-                    classes[i] = cls | (1 << v)
-                    break
-            else:
-                classes.append(1 << v)
-        return len(classes)
-
-    best = 0
-
-    def expand(candidates: int, size: int) -> None:
-        nonlocal best
-        if size > best:
-            best = size
-        while candidates:
-            if size + clique_cover_bound(candidates) <= best:
-                return
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= ~(1 << v)
-            expand(candidates & ~nbr[v], size + 1)
-
-    expand((1 << n) - 1, 0)
-    return best
+    """Exact independence number, the largest size of an independent set."""
+    return int(np.flatnonzero(_size_distribution(G))[-1])
 
 
 def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
     """Independence number plus the exact count of independent sets of size
     at least ``size_threshold``."""
-    n = G.n
-    if n > 26:
-        raise ValueError("independent-set enumeration limited to n <= 26")
     if size_threshold <= 0:
         raise ValueError("size threshold must be positive")
-    nbr = _neighbour_masks(G)
-    alpha = independence_number(G)
-    count = 0
-
-    def enumerate_sets(start: int, size: int, banned: int) -> None:
-        nonlocal count
-        if size >= size_threshold:
-            count += 1
-        if size + (n - start) < size_threshold:
-            return
-        for v in range(start, n):
-            if not banned & (1 << v):
-                enumerate_sets(v + 1, size + 1, banned | (1 << v) | nbr[v])
-
-    enumerate_sets(0, 0, 0)
-    return OracleResult("indset", {"alpha": alpha, "count": count}, 1 << n,
-                        instance_sha256=G.sha256(), threshold_size=size_threshold)
+    dist = _size_distribution(G)
+    value = {"alpha": int(np.flatnonzero(dist)[-1]), "count": int(dist[size_threshold:].sum())}
+    return OracleResult("indset", value, 1 << G.n, instance_sha256=G.sha256(),
+                        threshold_size=size_threshold)
 
 
 def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:

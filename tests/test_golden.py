@@ -171,8 +171,12 @@ ORACLE_CASES = {
     "bias-none": (["--kind", "xor", "-k", "3", "-n", "10", "-m", "100", "--seed", "2"],
                   ["--kind", "bias", "--eta", "0.0"]),
     "sk": (["--kind", "goe", "-n", "10", "--seed", "1"], ["--kind", "sk", "--eta", "0.1"]),
+    # two chunks of 2^16 assignments
+    "sk-n18": (["--kind", "goe", "-n", "18", "--seed", "1"], ["--kind", "sk", "--eta", "0.1"]),
     "indset": (REGULAR16, ["--kind", "indset", "--eta", "0.2"]),
     "indset-threshold-size": (REGULAR16, ["--kind", "indset", "--threshold-size", "5"]),
+    "indset-n26": (["--kind", "regular", "-n", "26", "-d", "3", "--seed", "1"],
+                   ["--kind", "indset", "--eta", "0.2"]),
     "gauss": ([*XOR12, "--seed", "2"], ["--kind", "gauss"]),
 }
 
@@ -186,8 +190,10 @@ ORACLE_GOLDEN = {
     "count-xor": "a20e35e5f138d833f9dfad7dd08282237e7ea20f9020f36cc7f637a1d505f6f1",
     "gauss": "6403f5975212adcf28bade799d201e2f65cdf5bffd00de6d118cf73aa860641a",
     "indset": "af2fb0f20038de4da6c6d0c638e316b3d289ea9c1e53b2a24e39b6b077a52560",
+    "indset-n26": "f2c06accfe583bff88e0a498255bc373753d72137554e1d3a564b9094a5a90da",
     "indset-threshold-size": "4dae1449d3dc6437443c00ff812f2550862368791d6a4e03eb9d690da7959b9a",
     "sk": "af07522a128609d9405868e1cced667a27e53d4aa54fce1ea61cac3b1fc01d72",
+    "sk-n18": "e80328357b82b45c606d5c266f0a398bb20b9427a6c75d9e91f2af68b578d8d8",
 }
 
 

@@ -14,7 +14,6 @@ from solgeo.instances import (
     XorInstance,
     evaluate,
     sample_goe,
-    sample_regular_graph,
     sample_signed_hypergraph,
     signs_to_index,
     violation_budget,
@@ -117,21 +116,61 @@ def test_brute_sk_single_variable():
     assert res.exact_value["count"] == 2
 
 
+def reference_sk(G: np.ndarray, eta: float) -> tuple[str, int]:
+    """repr of the max of x^T G x and the count of x reaching the SK
+    threshold, over the full hypercube in chunks of 2^16 rows: the loop the
+    half-cube enumeration replaced."""
+    n = G.shape[0]
+    threshold = 2.0 * (1.0 - eta) * n**1.5
+    best, count = -math.inf, 0
+    for start in range(0, 1 << n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint32)
+        X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)
+        vals = np.einsum("ij,ij->i", X @ G, X)
+        best = max(best, float(vals.max()))
+        count += int((vals >= threshold - 1e-9).sum())
+    return repr(best), count
+
+
+@pytest.mark.parametrize("n", range(1, 19))
+def test_brute_sk_matches_the_full_hypercube(n):
+    for seed, eta in ((n, 0.1), (n + 100, 0.6), (n + 200, 0.9)):
+        G = sample_goe(n, seed)
+        res = brute_sk_opt_and_count(G, eta).exact_value
+        assert (repr(res["opt"]), res["count"]) == reference_sk(G, eta), (seed, eta)
+
+
 def test_brute_sk_count_is_even():
     G = sample_goe(10, seed=4)
     res = brute_sk_opt_and_count(G, 0.2)
     assert res.exact_value["count"] % 2 == 0
 
 
-def test_independence_number_matches_enumeration():
-    for seed in range(8):
-        G = sample_regular_graph(14, 3, seed=seed)
-        res = brute_independent_sets(G, 1)
-        # enumeration-based alpha: largest threshold with nonzero count
-        alpha = res.exact_value["alpha"]
-        assert brute_independent_sets(G, alpha).exact_value["count"] >= 1
-        assert brute_independent_sets(G, alpha + 1).exact_value["count"] == 0
-        assert independence_number(G) == alpha
+def reference_independent_sets(n: int, edges: np.ndarray, threshold: int) -> dict:
+    """alpha and the count of independent sets of size >= threshold, by a
+    plain scan of all 2^n vertex subsets.  A loop (v, v) does not bar v
+    (``MultiGraph.build`` drops it); a repeated edge bars its pair once."""
+    subsets = np.arange(1 << n)
+    independent = np.ones(1 << n, dtype=bool)
+    for u, v in edges.tolist():
+        if u != v:
+            independent &= ((subsets >> u) & (subsets >> v) & 1) == 0
+    sizes = np.bitwise_count(subsets)[independent]
+    return {"alpha": int(sizes.max()), "count": int((sizes >= threshold).sum())}
+
+
+def test_brute_independent_sets_matches_a_scan_of_all_subsets():
+    rng = np.random.default_rng(5)
+    for trial in range(60):
+        n = int(rng.integers(1, 15))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2))
+        # a self-loop and a repeated edge in every graph with an edge
+        edges = np.concatenate((edges, edges[:1, [0, 0]], edges[:1]))
+        G = MultiGraph.build(n, edges)
+        for threshold in range(1, n + 2):
+            expected = reference_independent_sets(n, edges, threshold)
+            assert brute_independent_sets(G, threshold).exact_value == expected, (trial, threshold)
+        assert independence_number(G) == expected["alpha"]
 
 
 def test_brute_independent_sets_k4_and_petersen():
@@ -146,9 +185,9 @@ def test_brute_independent_sets_k4_and_petersen():
 @pytest.mark.parametrize("threshold", [0, -1])
 def test_brute_independent_sets_refuses_a_threshold_before_searching(monkeypatch, threshold):
     def searched(G):
-        raise AssertionError("independence_number ran")
+        raise AssertionError("the size distribution was computed")
 
-    monkeypatch.setattr(oracle, "independence_number", searched)
+    monkeypatch.setattr(oracle, "_size_distribution", searched)
     with pytest.raises(ValueError, match="size threshold must be positive"):
         brute_independent_sets(petersen_graph(), threshold)
 
@@ -216,6 +255,27 @@ def test_violation_profile_matches_direct_evaluation():
             assert violation_profile(I, P).tolist() == direct, (seed, P.table)
         J = I.to_xor()
         assert violation_profile(J).tolist() == [xor_violations(J, x) for x in X], seed
+
+
+@pytest.mark.parametrize("terms_bits", [oracle._TERMS_BITS, 8])
+@pytest.mark.parametrize("k", range(2, 13))
+def test_violation_profile_matches_direct_evaluation_at_every_arity(k, terms_bits, monkeypatch):
+    # with 2^8 terms a block, every T of k >= 4 splits into low and high columns
+    monkeypatch.setattr(oracle, "_TERMS_BITS", terms_bits)
+    n = max(k, 6)
+    X = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    rng = np.random.default_rng(k)
+    repeats = SignedHypergraph(k, n, rng.integers(0, n, size=(5, k)),
+                               rng.choice([-1, 1], size=(5, k)))
+    for I in (sample_signed_hypergraph(k, n, 3 * n, seed=k), repeats):
+        # each assignment's sign pattern c o x_S at every clause, as a table index
+        patterns = ((I.signs * X[:, I.vars]) == -1) @ (1 << np.arange(k))
+        for P in (Predicate.ksat(k), Predicate.parity(k, -1), random_predicate(k, n)):
+            direct = (1 - np.array(P.table)[patterns]).sum(axis=1)
+            assert np.array_equal(violation_profile(I, P), direct), P.table
+        J = I.to_xor()
+        direct = (X[:, J.vars].prod(axis=2) != J.rhs).sum(axis=1)
+        assert np.array_equal(violation_profile(J), direct)
 
 
 # ---------------------------------------------------------------------------
