@@ -62,8 +62,8 @@ class EigenspaceWindow:
 
 
 def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> EigenspaceWindow:
-    """Fraction of eigenvalues lambda_i >= lambda_extremal * (1 - delta),
-    computed on -M when sign == "bottom"."""
+    """Fraction of eigenvalues in the window (``_window``) below the top
+    eigenvalue of M, or of -M when sign == "bottom"."""
     if sign not in ("top", "bottom"):
         raise ValueError("sign must be 'top' or 'bottom'")
     if not (0.0 <= delta <= 1.0):
@@ -71,12 +71,10 @@ def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> Eigensp
     work = np.asarray(M, dtype=float)
     if sign == "bottom":
         work = -work
-    vals = symmetric_spectrum(work)
+    vals = symmetric_spectrum(work, "max")
     n = work.shape[0]
-    lam_top = float(vals[-1])
-    slack = eig_slack(float(np.max(np.abs(vals))))
-    count = int(np.count_nonzero(vals >= lam_top * (1.0 - delta) - slack))
-    return EigenspaceWindow(delta, count / n, lam_top, n, count)
+    count = _window(vals, delta)[2]
+    return EigenspaceWindow(delta, count / n, float(vals[-1]), n, count)
 
 
 @dataclass(frozen=True)
@@ -86,6 +84,14 @@ class _MeasuredWindow:
     lam_hi: float
     eps: float
     alpha: float
+
+
+def _window(vals: np.ndarray, delta: float) -> tuple[float, float, int]:
+    """The one window rule: s = eig_slack(max |vals|), the threshold
+    t = (vals[-1] - s)(1 - delta) and the number of vals >= t - s."""
+    slack = eig_slack(float(np.max(np.abs(vals))))
+    threshold = (float(vals[-1]) - slack) * (1.0 - delta)
+    return slack, threshold, int(np.count_nonzero(vals >= threshold - slack))
 
 
 def _measured_window(vals: np.ndarray, delta: float, target: float) -> _MeasuredWindow:
@@ -99,15 +105,13 @@ def _measured_window(vals: np.ndarray, delta: float, target: float) -> _Measured
     eigenvalues above that threshold, less s.  Meaningful when lam_lo > 0.
     """
     lam1 = float(vals[-1])
-    slack = eig_slack(float(np.max(np.abs(vals))))
+    slack, threshold, count = _window(vals, delta)
     lam_lo, lam_hi = lam1 - slack, lam1 + slack
-    threshold = lam_lo * (1.0 - delta)
     eps_sq = 0.0
     for lam in (lam_lo, lam_hi):
         if lam > threshold:
             eps_sq = max(eps_sq, (lam - target) / (lam - threshold))
-    alpha = float(np.count_nonzero(vals >= threshold - slack)) / len(vals)
-    return _MeasuredWindow(lam1, lam_lo, lam_hi, math.sqrt(max(0.0, eps_sq)), alpha)
+    return _MeasuredWindow(lam1, lam_lo, lam_hi, math.sqrt(max(0.0, eps_sq)), count / len(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +133,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     n = G.shape[0]
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
-    win = _measured_window(symmetric_spectrum(G), delta, target)
+    win = _measured_window(symmetric_spectrum(G, "max"), delta, target)
     lam1 = win.lam1
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
@@ -205,7 +209,7 @@ def hoffman_bound(G: MultiGraph) -> int:
     """Certified bound floor(lambda n / (d + lambda)) on the independence
     number, lambda = -lambda_min of the adjacency matrix (measured)."""
     d = regular_degree(G)
-    vals = symmetric_spectrum(G.adjacency())
+    vals = symmetric_spectrum(G.adjacency(), "min")
     lam = -float(vals[0]) + eig_slack(float(np.max(np.abs(vals))))
     if lam <= 0:
         raise ValueError("nonpositive lambda: graph has no edges?")
@@ -234,7 +238,7 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     rayleigh = (d * s_min / n) / (1.0 - s_min / n)
 
     Abar, err = demeaned_adjacency(G)
-    vals = symmetric_spectrum(np.negative(Abar, out=Abar), err)  # (d/n) J - A
+    vals = symmetric_spectrum(np.negative(Abar, out=Abar), "max", err)  # (d/n) J - A
     win = _measured_window(vals, delta, rayleigh)
     lam1 = win.lam1
 

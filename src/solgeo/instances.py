@@ -667,6 +667,8 @@ def split_by_sign(I: SignedHypergraph) -> tuple[SignedHypergraph, SignedHypergra
 def _goe_from_json_dict(d: dict) -> np.ndarray:
     n, rows = d["n"], d["matrix"]
     _require_ints((n,), "n")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ValueError(f"matrix must be {n} x {n}")
     if not set(map(type, chain.from_iterable(rows))) <= {int, float}:

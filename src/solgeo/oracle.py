@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -216,28 +216,32 @@ def brute_max_bias(
     return OracleResult("max-bias", value, 1 << I.n, instance_sha256=I.sha256(), eta=float(eta))
 
 
-def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
-    """Exact max of x^T G x over the hypercube and the number of x
-    reaching 2 (1-eta) n^(3/2).
-
-    Only the x with x_{n-1} = +1 are enumerated, and their count doubled:
-    each entry of (-X) @ G is the exact negation of its entry in X @ G, so
-    the row products, and x^T G x, of -x equal those of x bit for bit.
-    The low min(n-1, 16) columns are the same in every chunk; a chunk
-    rewrites only the columns above them."""
-    G = np.asarray(G, dtype=float)
-    n = G.shape[0]
-    if not 1 <= n <= 18:
-        raise ValueError("SK enumeration limited to 1 <= n <= 18")
-    threshold = 2.0 * (1.0 - eta) * n**1.5
+def _half_cube(n: int) -> Iterator[np.ndarray]:
+    """The x in {-1, 1}^n with x_{n-1} = +1, n >= 1, as the rows of one
+    buffer of at most _CHUNK rows, rewritten in place per chunk: its low
+    min(n-1, 16) columns, built once by doubling, above them the chunk's
+    bits.  Each entry of (-X) @ M is the exact negation of that of X @ M."""
     low = min(n - 1, _CHUNK.bit_length() - 1)
     X = np.ones((1 << low, n))
     for j in range(low):
         X[1 << j:2 << j, :j] = X[:1 << j, :j]
         X[1 << j:2 << j, j] = -1.0
-    best, count = -math.inf, 0
     for chunk in range(1 << (n - 1 - low)):
         X[:, low:] = 1.0 - 2.0 * ((chunk >> np.arange(n - low)) & 1)
+        yield X
+
+
+def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
+    """Exact max of x^T G x over the hypercube and the number of x
+    reaching 2 (1-eta) n^(3/2): the half-cube's, whose count is doubled,
+    as x^T G x of -x equals that of x."""
+    G = np.asarray(G, dtype=float)
+    n = G.shape[0]
+    if not 1 <= n <= 18:
+        raise ValueError("SK enumeration limited to 1 <= n <= 18")
+    threshold = 2.0 * (1.0 - eta) * n**1.5
+    best, count = -math.inf, 0
+    for X in _half_cube(n):
         vals = np.einsum("ij,ij->i", X @ G, X)
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
@@ -301,11 +305,12 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
 
 def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
     """Exact count of vectors in {+-1/sqrt(n)}^n within eps of the span of
-    the given basis columns."""
+    the given basis columns: twice the half-cube's, as the projection of
+    -y is the exact negation of y's."""
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
-    if n > 20:
-        raise ValueError("subspace enumeration limited to n <= 20")
+    if not 1 <= n <= 20:
+        raise ValueError("subspace enumeration limited to 1 <= n <= 20")
     if basis.size == 0 or basis.shape[1] == 0:
         Q = np.zeros((n, 0))
     else:
@@ -313,16 +318,13 @@ def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
         # the span of a rank-deficient basis
         U, s, _ = np.linalg.svd(basis, full_matrices=False)
         Q = U[:, s > 1e-10 * s.max()]
-    total = 1 << n
     count = 0
     scale = 1.0 / math.sqrt(n)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.uint32)
-        Y = (1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)) * scale
-        proj = Y @ Q
+    for X in _half_cube(n):
+        proj = (X * scale) @ Q
         dist_sq = np.maximum(1.0 - np.einsum("ij,ij->i", proj, proj), 0.0)
         count += int((np.sqrt(dist_sq) <= eps + 1e-12).sum())
-    return OracleResult("subspace-count", count, total)
+    return OracleResult("subspace-count", 2 * count, 1 << n)
 
 
 # ---------------------------------------------------------------------------

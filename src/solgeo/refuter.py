@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SignedHypergraph
-from .spectral import UNIT_ROUNDOFF, prove_norm_below
+from .spectral import UNIT_ROUNDOFF, eigen_extremes, prove_side
 
 # Relative inflation applied to spectral branch values so LAPACK rounding
 # can never push a reported bound below the true maximum.
@@ -97,7 +97,7 @@ def _quadratic_norm_bound(p: SparsePolynomial) -> float:
     The relative slack is SPECTRAL_REL_SLACK up to n = 105 and 8n(n+1)u
     beyond.  The norm is proved at half of it, which leaves room for the
     Cholesky proof's own margin of at most about 2n(n+1)u |W| (see
-    ``spectral._prove_min_above``) and for the rounding of the product.
+    ``spectral.prove_side``) and for the rounding of the product.
     """
     W = np.zeros((p.n, p.n))
     a, b = p.keys.T
@@ -109,9 +109,9 @@ def _quadratic_norm_bound(p: SparsePolynomial) -> float:
         return 0.0
     u = UNIT_ROUNDOFF
     err = 2.0 * u * float(np.linalg.norm(W)) + underflows * math.ulp(0.0)
-    norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
+    norm = max(map(abs, eigen_extremes(W)))
     slack = max(SPECTRAL_REL_SLACK, 8.0 * p.n * (p.n + 1) * u)
-    prove_norm_below(W, norm * (1.0 + slack / 2.0), err)
+    prove_side(W, "norm", norm * (1.0 + slack / 2.0), err)
     return p.n * norm * (1.0 + slack)
 
 

@@ -5,41 +5,42 @@ these routines, never high-probability thresholds; the thresholds only
 gate whether a nontrivial bound is attempted.
 
 Each consumed number is an estimate that is then *proved*, shifted by
-``eig_slack`` in the direction its consumer uses it: a Cholesky
-factorization of the shifted matrix shows it positive definite
-(``_prove_min_above``), with a margin that covers the factorization's own
-rounding and the rounding made while forming the matrix.  The estimate
-comes from ``np.linalg.eigvalsh``, except that graphs with at least
-``ITERATIVE_MIN_N`` vertices take the estimates of lambda_2 and of the
-de-meaned norm from Lanczos on a sparse matrix-vector product
-(``_lanczos_extremes``) and fall back to ``eigvalsh`` only when that
-estimate fails its proof.  Where an estimate comes from never decides
-soundness: the proof does.  A failed proof of the ``eigvalsh`` value
-raises ``EigensolverError``; nothing is consumed unproved.
+``eig_slack`` in the direction its consumer reads it.  ``prove_side`` is
+the one proof: a Cholesky factorization of the shifted matrix, with a
+margin that covers its own rounding and the rounding made while forming
+the matrix.  ``proved_extreme`` is the one estimate-and-prove entry.  The
+estimate is the caller's or comes from ``np.linalg.eigvalsh``, except
+that graphs with at least ``ITERATIVE_MIN_N`` vertices take it from
+Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and
+fall back to ``eigvalsh`` only when that estimate fails its proof.  Where
+an estimate comes from never decides soundness: the proof does, and only
+of the side its consumer reads.  A failed proof of the caller's or the
+``eigvalsh`` value raises ``EigensolverError``.
 
-Consumers and the direction each one consumes:
+Consumers and the side each one proves:
 
-* ``SpectralReport.lambda2`` (``spectral_report``) is a lower bound:
-  lambda_2(L) > lambda2 - eig_slack(2), proved on L + 2 v0 v0^T / |v0|^2
-  with v0 = D^(1/2) 1.  Used only by ``edge_expansion_lower_bound``, the
-  Cheeger cut bound that the 2XOR base case of the 2XOR/kXOR/kSAT/kCSP
-  count certificates applies to ``spectral_report(G, demeaned=False)``.
-* ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``)
-  is an upper bound: |A - (2m/n^2) J| < nu + eig_slack(nu), proved from
-  both sides.  ``mixing_interval`` uses the report's for the cluster and
-  3CSP balance certificates; ``geometry.refute_biased_2xor_family`` calls
-  ``demeaned_norm`` for the kXOR and kCSP balance certificates.
-* ``symmetric_spectrum`` proves lambda_max < vals[-1] + s and
-  lambda_min > vals[0] - s with s = eig_slack(max |vals|).  The SK and
-  independent-set counts (through ``eigencount._measured_window``) and
-  ``eigenspace_window`` consume the first as an upper bound on the top
-  eigenvalue; ``hoffman_bound`` consumes the second.
-* ``refuter``'s quadratic-norm branch proves its norm with ``prove_norm_below``.
+* ``SpectralReport.lambda2`` (``spectral_report``), "min" within [0, 2]:
+  lambda_2(L) > lambda2 - eig_slack(2) when that is positive, proved on
+  L + 2 v0 v0^T / |v0|^2 with v0 = D^(1/2) 1.  Used only by the Cheeger
+  cut bound ``edge_expansion_lower_bound``, which the 2XOR base case of
+  the count certificates applies to ``spectral_report(G, demeaned=False)``.
+* ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``),
+  "norm": |A - (2m/n^2) J| < nu + eig_slack(nu).  ``mixing_interval``
+  uses the report's for the cluster and 3CSP balance certificates;
+  ``geometry.refute_biased_2xor_family`` calls ``demeaned_norm`` for the
+  kXOR and kCSP balance certificates.
+* ``symmetric_spectrum(M, side)`` returns the whole spectrum and proves
+  its caller's estimate of one extreme, with s = eig_slack(max |vals|):
+  "max", lambda_max < vals[-1] + s, for the SK and independent-set counts
+  (through ``eigencount._measured_window``) and ``eigenspace_window``;
+  "min", lambda_min > vals[0] - s, for ``hoffman_bound``.
+* ``refuter``'s quadratic-norm branch proves its ``eigen_extremes`` norm
+  with ``prove_side(W, "norm", ...)`` at its own relative margin.
 
 Not proved:
 
-* the window counts ``alpha`` in ``eigencount`` (how many eigenvalues lie
-  above a threshold) are taken from ``eigvalsh`` as computed;
+* the window counts ``alpha`` in ``eigencount`` and the extreme on the
+  side ``symmetric_spectrum`` leaves unproved are read off ``eigvalsh``;
 * ``lam_lo`` = vals[-1] - s in the SK and independent-set counts only
   places the window threshold, which the counting argument allows
   anywhere, so no lower bound on lambda_max is consumed;
@@ -133,18 +134,19 @@ def _check_dense(n: int) -> None:
         raise ValueError(f"dense eigensolve limited to n <= {MAX_DENSE_N}")
 
 
-def _prove_min_above(
-    B: np.ndarray, mu: float, err: float = 0.0, claim: str | None = None
-) -> None:
-    """Prove lambda_min(B0) > mu for every symmetric B0 with
-    |B0 - B|_2 <= err, or raise EigensolverError naming ``claim``.
+def prove_side(B: np.ndarray, side: str, t: float, err: float = 0.0) -> None:
+    """Prove lambda_min(B0) > t (``side`` "min"), lambda_max(B0) < t
+    ("max") or |B0|_2 < t ("norm", both of the others at t and -t) for
+    every symmetric B0 with |B0 - B|_2 <= err, or raise EigensolverError
+    naming the claim.
 
-    Only the lower triangle of ``B`` is read, as by ``eigvalsh``.  Its
-    diagonal is shifted in place and restored exactly before returning.
+    Only the lower triangle of ``B`` is read, as by ``eigvalsh``.  "max"
+    is "min" on -B at -t; B is negated and its diagonal shifted in place,
+    and both are undone exactly before returning.
 
-    Let X = fl(B - mu' I), with mu' exceeding mu + err by more than the
-    rounding of that diagonal subtraction, at most u |b_ii - mu'|.  Then
-    X > 0 gives lambda_min(B0) >= lambda_min(B) - err > mu.  X > 0 is
+    For "min", let X = fl(B - mu' I), with mu' exceeding t + err by more
+    than the rounding of that diagonal subtraction, at most u |b_ii - mu'|.
+    Then X > 0 gives lambda_min(B0) >= lambda_min(B) - err > t.  X > 0 is
     proved by the sufficient shift of S. M. Rump, "Verification of
     positive definiteness", BIT 46 (2006):
 
@@ -164,10 +166,16 @@ def _prove_min_above(
     ``np.linalg.cholesky``, which evaluates the same inner products in
     another order.
     """
+    if side == "norm":
+        prove_side(B, "max", t, err)
+        prove_side(B, "min", -t, err)
+        return
+    sign = {"min": 1.0, "max": -1.0}[side]
+    claim = f"lambda_{side} {'>' if sign > 0 else '<'} {float(t)!r}"
     n = B.shape[0]
     u = UNIT_ROUNDOFF
-    claim = claim or f"lambda_min > {float(mu)!r}"
-    diag = B.diagonal().copy()
+    mu = sign * t
+    diag = sign * B.diagonal()  # a copy, of -B's diagonal for "max"
     # 4u (...) covers the rounding of x below and of forming mu' itself
     shift = mu + (err + 4.0 * u * (float(np.max(np.abs(diag))) + abs(mu) + err))
     x = diag - shift
@@ -177,6 +185,8 @@ def _prove_min_above(
     c = (g / (1.0 - 2.0 * g) * math.fsum(x)
          + 4.0 * n * (2.0 * (n + 2) + float(x.max())) * _TINY) * (1.0 + 16.0 * u)
     idx = np.diag_indices(n)
+    if sign < 0:
+        np.negative(B, out=B)
     try:
         B[idx] = x - c
         R = np.linalg.cholesky(B)
@@ -184,26 +194,18 @@ def _prove_min_above(
         R = None
     finally:
         B[idx] = diag
+        if sign < 0:
+            np.negative(B, out=B)
     # a NaN pivot can slip past the factorization's own positivity test
     if R is None or not np.all(R.diagonal() > 0.0):
         raise EigensolverError(f"Cholesky proof of {claim} failed")
 
 
-def _prove_max_below(B: np.ndarray, t: float, err: float = 0.0) -> None:
-    """Prove lambda_max(B0) < t for every symmetric B0 with |B0 - B|_2 <= err,
-    via lambda_min(-B0) > -t; ``B`` is negated in place and back, exactly."""
-    np.negative(B, out=B)
-    try:
-        _prove_min_above(B, -t, err, f"lambda_max < {float(t)!r}")
-    finally:
-        np.negative(B, out=B)
-
-
-def prove_norm_below(B: np.ndarray, t: float, err: float = 0.0) -> None:
-    """Prove |B0|_2 < t for every symmetric B0 with |B0 - B|_2 <= err, or
-    raise EigensolverError; ``B`` is left as it was."""
-    _prove_max_below(B, t, err)
-    _prove_min_above(B, -t, err)
+def eigen_extremes(B: np.ndarray) -> tuple[float, float]:
+    """The smallest and largest eigenvalue of B's lower triangle as
+    ``eigvalsh`` computes them: estimates, not bounds."""
+    vals = np.linalg.eigvalsh(B)
+    return float(vals[0]), float(vals[-1])
 
 
 def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tuple[float, float]:
@@ -245,38 +247,47 @@ def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tup
     return lo, hi
 
 
-def _adjacency_matvec(G: MultiGraph) -> Callable[[np.ndarray], np.ndarray]:
+def _adjacency_matvec(G: MultiGraph) -> Callable[[np.ndarray], np.ndarray] | None:
     """x -> A x for G's adjacency matrix, parallel edges counted, from its
-    edge array."""
+    edge array; None below ITERATIVE_MIN_N vertices, where every estimate
+    comes from eigvalsh."""
+    if G.n < ITERATIVE_MIN_N:
+        return None
     u, v = G.edge_array.T.copy()  # each endpoint column contiguous
-    n = G.n
-    return lambda x: np.bincount(u, x[v], n) + np.bincount(v, x[u], n)
+    return lambda x: np.bincount(u, x[v], G.n) + np.bincount(v, x[u], G.n)
 
 
-def _proved_extreme(
-    B: np.ndarray,
-    matvec: Callable[[np.ndarray], np.ndarray] | None,
-    pick: Callable[[float, float], float],
-    prove: Callable[[float], None],
-) -> float:
-    """``pick`` of B's smallest and largest eigenvalue estimates, after
-    ``prove`` accepts it (it raises EigensolverError otherwise).
+def proved_extreme(B: np.ndarray, side: str, err: float = 0.0,
+                   matvec: Callable[[np.ndarray], np.ndarray] | None = None,
+                   estimate: tuple[float, float] | None = None,
+                   within: tuple[float, float] | None = None) -> float:
+    """B's lambda_min ("min"), lambda_max ("max") or spectral norm ("norm")
+    as estimated, once ``prove_side`` has shown lambda_min > value - s,
+    lambda_max < value + s or |B|_2 < value + s for every symmetric matrix
+    within ``err`` of B, s = eig_slack(max(|lo|, |hi|)).
 
-    The estimates come from Lanczos on ``matvec``, an operator equal to B
-    up to rounding, when one is given; from ``eigvalsh(B)`` when none is
-    or when ``prove`` refuses the Lanczos value.
+    (lo, hi) is the caller's ``estimate`` of B's extreme eigenvalues,
+    proved as given; without one, Lanczos on ``matvec`` (an operator equal
+    to B up to rounding) gives it, and ``eigvalsh(B)`` when there is no
+    matvec or that value fails its proof.  ``within`` = (a, b) states that
+    B's spectrum lies in [a, b]: (lo, hi) is clipped to it, s =
+    eig_slack(max(|a|, |b|)), and "min" is not proved where value - s <= a,
+    as lambda_min >= a >= value - s holds there.
     """
-    if matvec is not None:
-        value = pick(*_lanczos_extremes(matvec, B.shape[0]))
+    if estimate is None and matvec is not None:
         try:
-            prove(value)
-            return value
+            return proved_extreme(B, side, err, None, _lanczos_extremes(matvec, B.shape[0]), within)
         except EigensolverError:
             pass
-    vals = np.linalg.eigvalsh(B)
-    value = pick(float(vals[0]), float(vals[-1]))
-    prove(value)
-    return value
+    lo, hi = eigen_extremes(B) if estimate is None else estimate
+    if within is not None:
+        lo, hi = map(float, np.clip((lo, hi), *within))
+    s = eig_slack(max(map(abs, within or (lo, hi))))
+    value = {"min": lo, "max": hi, "norm": max(abs(lo), abs(hi))}[side]
+    t = value - s if side == "min" else value + s
+    if within is None or side != "min" or t > within[0]:
+        prove_side(B, side, t, err)
+    return float(value)
 
 
 def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
@@ -294,9 +305,9 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     eigenvalues move by at most 16u (sqrt(n) + 2) in all.
 
     v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
-    moves its eigenvalue to 2 and keeps lambda_2..lambda_n <= 2, so
-    lambda_2 is the smallest eigenvalue of L + 2 P0.  Below
-    ITERATIVE_MIN_N it is read off eigvalsh(L) as the second smallest.
+    moves its eigenvalue to 2 and keeps lambda_2..lambda_n <= 2, so the
+    spectrum of L + 2 P0 lies in [0, 2] with extremes lambda_2 and 2.
+    Without a matvec, lambda_2 is read off eigvalsh(L), second smallest.
     """
     n = A.shape[0]
     inv_sqrt = 1.0 / np.sqrt(degrees)
@@ -305,25 +316,15 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     L *= -inv_sqrt[None, :]
     np.fill_diagonal(L, 1.0)  # no self-loops: a_ii = 0
     w = np.sqrt(degrees) * math.sqrt(2.0 / float(degrees.sum()))
-
-    def prove(lam2: float) -> None:
-        mu = lam2 - eig_slack(2.0)
-        if mu > 0.0:  # otherwise lambda_2 >= 0 > mu holds for every Laplacian
-            _prove_min_above(L, mu, 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0))
-
-    def clip(lam2: float) -> float:
-        return float(np.clip(lam2, 0.0, 2.0))
-
-    lam2 = clip(np.linalg.eigvalsh(L)[min(1, n - 1)]) if n < ITERATIVE_MIN_N else None
+    adjacency = _adjacency_matvec(G)
+    if adjacency is None:
+        matvec, estimate = None, (np.linalg.eigvalsh(L)[min(1, n - 1)], 2.0)
+    else:
+        matvec, estimate = lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x), None
     for lo in range(0, n, _ROW_BLOCK):  # L += w w^T
         L[lo:lo + _ROW_BLOCK] += w[lo:lo + _ROW_BLOCK, None] * w
-    if lam2 is not None:
-        prove(lam2)
-        return lam2
-    adjacency = _adjacency_matvec(G)
-    return _proved_extreme(
-        L, lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x),
-        lambda lo, hi: clip(lo), prove)
+    return proved_extreme(L, "min", 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0),
+                          matvec, estimate, (0.0, 2.0))
 
 
 def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -350,13 +351,9 @@ def demeaned_norm(G: MultiGraph, A: np.ndarray | None = None) -> float:
         return 0.0
     _check_dense(G.n)
     Abar, err = demeaned_adjacency(G, A)
-    matvec = None
-    if G.n >= ITERATIVE_MIN_N:
-        adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
-        matvec = lambda x: adjacency(x) - q * x.sum()
-    return _proved_extreme(
-        Abar, matvec, lambda lo, hi: max(abs(lo), abs(hi)),
-        lambda nu: prove_norm_below(Abar, nu + eig_slack(nu), err))
+    adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
+    matvec = None if adjacency is None else lambda x: adjacency(x) - q * x.sum()
+    return proved_extreme(Abar, "norm", err, matvec)
 
 
 def spectral_report(
@@ -414,36 +411,27 @@ def mixing_interval(report: SpectralReport, s: float, t: float) -> tuple[float, 
     return (center - radius, center + radius)
 
 
-def _symmetric_copy(M: np.ndarray, err: float) -> tuple[np.ndarray, float]:
-    """A float copy of M to work in, and err grown by |M - M^T|_F, twice the
-    distance from the lower-triangle matrix the solvers read to M's
-    symmetric part; the factor 2 covers the rounding of computing it.
+def symmetric_spectrum(M: np.ndarray, side: str, err: float = 0.0) -> np.ndarray:
+    """All eigenvalues of a symmetric matrix, ascending, with the extreme
+    on ``side`` proved: lambda_max < vals[-1] + s ("max") or lambda_min >
+    vals[0] - s ("min"), s = eig_slack(max |vals|), for every symmetric
+    matrix within ``err`` (spectral norm) of M's symmetric part.
 
-    M is refused as not symmetric (ValueError) when |M - M^T|_F exceeds a
-    quarter of eig_slack(|M|_F / sqrt(n)).  As |M|_F / sqrt(n) <= |M|_2,
-    and the matrix the solvers read is within |M - M^T|_F of M, that is
-    at most about a quarter of the slack the extreme eigenvalues are
-    proved with, so what passes here the proofs can absorb.
+    The proof charges |M - M^T|_F more to ``err``: twice the distance from
+    the lower triangle the solvers read to M's symmetric part, the factor
+    2 covering the rounding of computing it.  M is refused as not
+    symmetric (ValueError) when |M - M^T|_F exceeds a quarter of
+    eig_slack(|M|_F / sqrt(n)).  As |M|_F / sqrt(n) <= |M|_2, that is at
+    most about a quarter of the slack s, so what passes the proof absorbs.
     """
-    M = np.array(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    B = np.array(M, dtype=float)
+    if B.ndim != 2 or B.shape[0] != B.shape[1]:
         raise ValueError("matrix must be square")
-    _check_dense(M.shape[0])
-    asym = float(np.linalg.norm(M - M.T))
-    limit = eig_slack(float(np.linalg.norm(M)) / math.sqrt(max(M.shape[0], 1))) / 4.0
+    _check_dense(B.shape[0])
+    asym = float(np.linalg.norm(B - B.T))
+    limit = eig_slack(float(np.linalg.norm(B)) / math.sqrt(max(B.shape[0], 1))) / 4.0
     if not asym <= limit:
         raise ValueError(f"matrix must be symmetric: |M - M^T|_F = {asym:.3g} exceeds {limit:.3g}")
-    return M, err + asym
-
-
-def symmetric_spectrum(M: np.ndarray, err: float = 0.0) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, with the extremes
-    proved: lambda_max < vals[-1] + s and lambda_min > vals[0] - s,
-    s = eig_slack(max |vals|), for every symmetric matrix within ``err``
-    (spectral norm) of M's symmetric part."""
-    B, err = _symmetric_copy(M, err)
     vals = np.linalg.eigvalsh(B)
-    s = eig_slack(float(np.max(np.abs(vals))))
-    _prove_max_below(B, vals[-1] + s, err)
-    _prove_min_above(B, vals[0] - s, err)
+    proved_extreme(B, side, err + asym, estimate=(vals[0], vals[-1]))
     return vals

@@ -363,6 +363,19 @@ def test_certify_rejects_asymmetric_goe(tmp_path, capsys):
     assert "symmetric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["certify", "oracle"])
+def test_empty_goe_file_is_refused(tmp_path, capsys, command):
+    # certify once exited 2 with "matrix must be square", oracle with the
+    # SK enumeration's size limit
+    inst, out = tmp_path / "g.json", tmp_path / "o.json"
+    inst.write_text(json.dumps({"kind": "goe", "n": 0, "matrix": []}))
+    capsys.readouterr()
+    assert run(command, "--kind", "sk", "--eta", "0.1", "--instance", str(inst),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: n must be >= 1\n"
+    assert not out.exists()
+
+
 XOR = ["--kind", "xor", "-k", "3", "-n", "10", "-m", "40"]
 CSP = ["--kind", "csp", "-k", "3", "-n", "10", "-m", "40"]
 REGULAR = ["--kind", "regular", "-n", "10", "-d", "3"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import from_clauses, poly_from_terms
+from solgeo import spectral
 from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
     MultiGraph,
@@ -36,7 +37,6 @@ from solgeo.instances import (
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import violation_profile
 from solgeo.refuter import _coefficient_polynomial, refute_polynomial
-from solgeo.spectral import _adjacency_matvec
 
 
 def random_xor(k, n, m, seed) -> XorInstance:
@@ -532,7 +532,9 @@ def _messy_edges(rng, n, m) -> list:
 
 
 @pytest.mark.parametrize("n, m", [(1, 0), (1, 4), (2, 3), (5, 0), (5, 12), (30, 80), (200, 900)])
-def test_array_graph_matches_reference_loops(n, m):
+def test_array_graph_matches_reference_loops(monkeypatch, n, m):
+    # the matvec is built only where Lanczos runs, so check it at these sizes too
+    monkeypatch.setattr(spectral, "ITERATIVE_MIN_N", 1)
     rng = np.random.default_rng(1000 * n + m)
     for _ in range(5):
         raw = _messy_edges(rng, n, m)
@@ -550,7 +552,7 @@ def test_array_graph_matches_reference_loops(n, m):
             assert G.simple().degrees == _reference_degrees(n, simple)
             assert np.array_equal(G.adjacency(), _reference_adjacency(n, want))
             x = rng.normal(size=n)
-            assert np.array_equal(_adjacency_matvec(G)(x), _reference_matvec(n, want, x))
+            assert np.array_equal(spectral._adjacency_matvec(G)(x), _reference_matvec(n, want, x))
             doc = {"n": n, "edges": [[u, v] for u, v in want]}
             assert G.to_json_dict() == doc
             assert canonical_json(G.to_json_dict()) == canonical_json(doc)

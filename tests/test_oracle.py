@@ -192,6 +192,42 @@ def test_brute_independent_sets_refuses_a_threshold_before_searching(monkeypatch
         brute_independent_sets(petersen_graph(), threshold)
 
 
+def reference_subspace_count(basis: np.ndarray, eps: float) -> int:
+    """The count over the full hypercube in chunks of 2^16 rows, each y
+    built from its index bits: the loop the half-cube enumeration
+    replaced."""
+    n = basis.shape[0]
+    if basis.size == 0 or basis.shape[1] == 0:
+        Q = np.zeros((n, 0))
+    else:
+        U, s, _ = np.linalg.svd(basis, full_matrices=False)
+        Q = U[:, s > 1e-10 * s.max()]
+    count = 0
+    for start in range(0, 1 << n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint32)
+        Y = (1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)) / math.sqrt(n)
+        proj = Y @ Q
+        dist_sq = np.maximum(1.0 - np.einsum("ij,ij->i", proj, proj), 0.0)
+        count += int((np.sqrt(dist_sq) <= eps + 1e-12).sum())
+    return count
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_brute_subspace_matches_the_full_hypercube(n):
+    rng = np.random.default_rng(n)
+    b = rng.normal(size=(n, 2))
+    bases = {
+        "random": rng.normal(size=(n, int(rng.integers(1, 4)))),
+        "rank-deficient": np.column_stack((b, b[:, 0] - 2.0 * b[:, 1], 3.0 * b[:, 0])),
+        "zero": np.zeros((n, 2)),
+        "empty": np.zeros((n, 0)),
+    }
+    for name, basis in bases.items():
+        for e in (0.3, 0.9) if n > 12 else (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            expected = reference_subspace_count(basis, e)
+            assert brute_subspace_count(basis, e).exact_value == expected, (name, e)
+
+
 def test_brute_subspace_full_and_zero():
     n = 8
     assert brute_subspace_count(np.eye(n), 0.1).exact_value == 2**n

@@ -19,7 +19,7 @@ from solgeo.refuter import (
     kxor_principle,
     refute_polynomial,
 )
-from solgeo.spectral import UNIT_ROUNDOFF, EigensolverError, prove_norm_below
+from solgeo.spectral import UNIT_ROUNDOFF, EigensolverError, prove_side
 
 
 def random_poly(n: int, degree: int, terms: int, seed: int) -> SparsePolynomial:
@@ -270,7 +270,7 @@ def _reference_quadratic_norm_bound(n: int, terms: dict) -> float:
     err = 2.0 * u * float(np.linalg.norm(W)) + underflows * math.ulp(0.0)
     norm = float(np.max(np.abs(np.linalg.eigvalsh(W))))
     slack = max(refuter.SPECTRAL_REL_SLACK, 8.0 * n * (n + 1) * u)
-    prove_norm_below(W, norm * (1.0 + slack / 2.0), err)
+    prove_side(W, "norm", norm * (1.0 + slack / 2.0), err)
     return n * norm * (1.0 + slack)
 
 

@@ -5,6 +5,12 @@ import numpy as np
 import pytest
 
 from solgeo import spectral
+from solgeo.eigencount import (
+    certify_count_indsets,
+    certify_count_sk,
+    eigenspace_window,
+    hoffman_bound,
+)
 from solgeo.instances import (
     MultiGraph,
     sample_goe,
@@ -238,48 +244,80 @@ def test_under_reported_demeaned_norm_is_caught(monkeypatch):
         spectral_report(G, laplacian=False)
 
 
-@pytest.mark.parametrize("end", [0, -1])
-def test_wrong_extreme_eigenvalue_is_caught(monkeypatch, end):
-    # lambda_max is consumed as an upper bound, lambda_min as a lower bound
-    M = sample_goe(40, seed=3)
-    s = eig_slack(float(np.max(np.abs(np.linalg.eigvalsh(M)))))
+def goe_window(M):
+    return eigenspace_window(M, 0.5, "top")
+
+
+# each consumer of symmetric_spectrum on a matrix of order 40, and the end
+# of the spectrum it reads: lambda_max as an upper bound (-1) or lambda_min
+# as a lower bound (0)
+SPECTRUM_CONSUMERS = {
+    "certify_count_sk": (lambda: sample_goe(40, seed=3), lambda M: certify_count_sk(M, 0.1), -1),
+    "certify_count_indsets": (lambda: sample_regular_graph(40, 3, seed=3),
+                              lambda G: certify_count_indsets(G, 0.2), -1),
+    "eigenspace_window": (lambda: sample_goe(40, seed=3), goe_window, -1),
+    "hoffman_bound": (lambda: sample_regular_graph(40, 3, seed=3), hoffman_bound, 0),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(SPECTRUM_CONSUMERS))
+def test_wrong_extreme_eigenvalue_is_caught(monkeypatch, consumer):
+    make, consume, end = SPECTRUM_CONSUMERS[consumer]
+    instance = make()
+    consume(instance)
 
     def edit(vals):
-        vals[end] += 10 * s if end == 0 else -10 * s
+        s = 10 * eig_slack(float(np.max(np.abs(vals))))
+        vals[end] += s if end == 0 else -s
 
     skewed_eigvalsh(monkeypatch, edit)
     with pytest.raises(EigensolverError):
-        symmetric_spectrum(M)
+        consume(instance)
+
+
+@pytest.mark.parametrize("consumer", sorted(SPECTRUM_CONSUMERS))
+def test_spectrum_consumer_factors_once(monkeypatch, consumer):
+    # the side a consumer does not read is not proved
+    make, consume, _ = SPECTRUM_CONSUMERS[consumer]
+    instance = make()
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B.shape) or real(B))
+    consume(instance)
+    assert calls == [(40, 40)]
 
 
 def test_proof_margin_on_known_spectrum():
-    # I + J has smallest eigenvalue exactly 1 (multiplicity n - 1)
+    # I + J has smallest eigenvalue exactly 1 (multiplicity n - 1) and
+    # largest n + 1; -(I + J) has norm n + 1 on its smallest side
     n = 50
     B = np.eye(n) + np.ones((n, n))
     before = B.copy()
-    spectral._prove_min_above(B, 1.0 - 1e-9)
-    assert np.array_equal(B, before)
-    with pytest.raises(EigensolverError):
-        spectral._prove_min_above(B, 1.0 + 1e-9)
-    assert np.array_equal(B, before)
-    # a true claim closer than the factorization's rounding margin (about
-    # 51u tr(B - I) ~ 3e-13 here) is refused, not waved through
-    with pytest.raises(EigensolverError):
-        spectral._prove_min_above(B, 1.0 - 1e-13)
-    # a perturbation of size err must be covered too
-    with pytest.raises(EigensolverError):
-        spectral._prove_min_above(B, 1.0 - 1e-9, err=2e-9)
-    spectral._prove_max_below(B, n + 1.0 + 1e-9)
-    with pytest.raises(EigensolverError):
-        spectral._prove_max_below(B, n + 1.0 - 1e-9)
-    assert np.array_equal(B, before)
+    for side, t, outward in [("min", 1.0, -1.0), ("max", n + 1.0, 1.0),
+                             ("norm", n + 1.0, 1.0)]:
+        for M in (B, -B) if side == "norm" else (B,):
+            spectral.prove_side(M, side, t + outward * 1e-9)
+            with pytest.raises(EigensolverError):
+                spectral.prove_side(M, side, t - outward * 1e-9)
+            # a true claim closer than the factorization's rounding margin
+            # (about 51u tr(X) ~ 3e-13 for "min") is refused, not waved through
+            with pytest.raises(EigensolverError):
+                spectral.prove_side(M, side, t + outward * 1e-13)
+            # a perturbation of size err must be covered too
+            with pytest.raises(EigensolverError):
+                spectral.prove_side(M, side, t + outward * 1e-9, err=2e-9)
+        assert np.array_equal(B, before)
 
 
 def test_nonfinite_matrix_fails_proof():
     B = np.eye(4)
     B[2, 1] = B[1, 2] = np.nan
-    with pytest.raises(EigensolverError):
-        spectral._prove_min_above(B, 0.5)
+    before = B.copy()
+    for side, t in [("min", 0.5), ("max", 1.5), ("norm", 1.5)]:
+        spectral.prove_side(np.eye(4), side, t)
+        with pytest.raises(EigensolverError):
+            spectral.prove_side(B, side, t)
+        assert np.array_equal(B, before, equal_nan=True)
 
 
 def test_asymmetry_is_charged_to_the_proof():
@@ -292,10 +330,11 @@ def test_asymmetry_is_charged_to_the_proof():
     s = eig_slack(float(np.max(np.abs(vals))))
     assert vals[-1] + s < np.linalg.eigvalsh((M + M.T) / 2)[-1]
     with pytest.raises(ValueError, match="symmetric"):
-        symmetric_spectrum(M)
+        symmetric_spectrum(M, "max")
     # asymmetry the check lets through is charged to the proofs, which pass
     M[1, 0] = 10.0 - s / 20
-    vals = symmetric_spectrum(M)
+    vals = symmetric_spectrum(M, "max")
+    assert np.array_equal(symmetric_spectrum(M, "min"), vals)
     assert vals[-1] + s > np.linalg.eigvalsh((M + M.T) / 2)[-1]
     assert vals[0] - s < np.linalg.eigvalsh((M + M.T) / 2)[0]
 
