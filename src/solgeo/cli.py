@@ -1,10 +1,10 @@
 """Command-line front end: instance generation, certification, oracle
 verification, and grid sweeps with persisted JSON artifacts.
 
-Exit codes: 0 success/sound, 2 usage error, 3 soundness violation,
-4 internal error.  All outputs are canonical JSON, reproducible byte for
-byte from the inputs and flags; seeds are mandatory, nothing draws
-entropy from the environment.
+Exit codes: 0 success/sound, 2 usage error or unusable path, 3 soundness
+violation, 4 internal error.  All outputs are canonical JSON, reproducible
+byte for byte from the inputs and flags; seeds are mandatory, nothing
+draws entropy from the environment.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    instance_doc,
     load_instance,
+    rendered_doc,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -198,9 +198,7 @@ def _verdict(cert, result: oracle.OracleResult) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    doc = instance_doc(_GENERATORS[args.kind](args))
-    doc["seed"] = args.seed
-    write_json(args.out, doc)
+    write_json(args.out, {**rendered_doc(_GENERATORS[args.kind](args)), "seed": args.seed})
     print(f"wrote {args.kind} instance to {args.out}")
     return EXIT_OK
 
@@ -474,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # pragma: no cover - defensive

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
-from .instances import MultiGraph, instance_doc
+from .instances import MultiGraph, rendered_doc
 from .jsonio import sha256_of
 from .spectral import demeaned_adjacency, eig_slack, symmetric_spectrum
 
@@ -162,7 +162,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     return CountCertificate(
         kind="sk-count", n=n, log2_bound=log2_bound, eta=eta,
         fallback=log2_bound >= n, checks=(goe_check,),
-        instance_sha256=sha256_of(instance_doc(G)), transcript=transcript,
+        instance_sha256=sha256_of(rendered_doc(G)), transcript=transcript,
     )
 
 

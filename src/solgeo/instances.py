@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field, fields
 from itertools import chain
@@ -18,7 +19,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonio import sha256_of
+from .jsonio import canonical_json, render, sha256_of
 
 # Samplers refuse parameter combinations whose index space exceeds this,
 # so that uniform index draws stay within exact int64 arithmetic.
@@ -199,12 +200,14 @@ def _tuples(A: np.ndarray) -> Iterable[tuple[int, ...]]:
 class _KUniform:
     """What the three k-uniform kinds share: k, n >= 1, and ``vars``, the
     variable tuple of each clause or edge as one row of a read-only int64
-    array of shape (m, k) with entries in [0, n); the file header, the
-    hash and equality.  Each kind adds its payload array and its clause
-    encoding, and reads its tuples off the arrays on each access."""
+    array of shape (m, k) with entries in [0, n); the file header and
+    body, the hash and equality.  Each kind adds its payload arrays, and
+    reads its tuples off the arrays on each access."""
 
     KIND: ClassVar[str]
     BODY: ClassVar[str] = "clauses"
+    # a clause record's fields beside "vars"; with none, bare tuples
+    PAYLOAD: ClassVar[tuple[str, ...]] = ()
 
     k: int
     n: int
@@ -240,10 +243,6 @@ class _KUniform:
     def hypergraph(self) -> "UnsignedHypergraph":
         return UnsignedHypergraph(self.k, self.n, self.vars)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.KIND, "k": self.k, "n": self.n, "index_base": 0,
-                self.BODY: self._encode()}
-
     @classmethod
     def from_json_dict(cls, d: dict):
         if d.get("kind") != cls.KIND:
@@ -252,10 +251,12 @@ class _KUniform:
         _require_ints((k, n, base), "k, n and index_base")
         if base != 0:
             raise ValueError(f"variable indices must be 0-based, not index_base {base}")
-        return cls(k, n, *cls._decode(d[cls.BODY]))
+        body, names = d[cls.BODY], ("vars", *cls.PAYLOAD)
+        columns = [[cl[name] for cl in body] for name in names] if cls.PAYLOAD else [body]
+        return cls(k, n, *columns)
 
     def sha256(self) -> str:
-        return sha256_of(self.to_json_dict())
+        return sha256_of(rendered_doc(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,6 +266,7 @@ class SignedHypergraph(_KUniform):
     c = ``signs[i]``, a row of a read-only int8 array of shape (m, k)."""
 
     KIND = "csp"
+    PAYLOAD = ("signs",)
     signs: np.ndarray
 
     def _check_payload(self) -> None:
@@ -273,13 +275,6 @@ class SignedHypergraph(_KUniform):
     @property
     def clauses(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
         return tuple(zip(_tuples(self.signs), _tuples(self.vars)))
-
-    def _encode(self) -> list:
-        return [{"vars": S, "signs": c} for S, c in zip(self.vars.tolist(), self.signs.tolist())]
-
-    @staticmethod
-    def _decode(body: list) -> tuple:
-        return [cl["vars"] for cl in body], [cl["signs"] for cl in body]
 
     def to_xor(self) -> "XorInstance":
         """Collapse each sign tuple to its product, yielding an XOR instance."""
@@ -293,24 +288,18 @@ class XorInstance(_KUniform):
     array of shape (m,)."""
 
     KIND = "xor"
+    PAYLOAD = ("rhs",)
     rhs: np.ndarray
 
     def _check_payload(self) -> None:
-        rhs = _sign_rows(np.reshape(self.rhs, (-1, 1)), 1, self.m, "rhs")
-        object.__setattr__(self, "rhs", rhs[:, 0])
+        # entries of a sequence are type-checked one by one: a bool is no sign
+        rhs = self.rhs
+        rhs = np.reshape(rhs, (-1, 1)) if isinstance(rhs, np.ndarray) else [(b,) for b in rhs]
+        object.__setattr__(self, "rhs", _sign_rows(rhs, 1, self.m, "rhs")[:, 0])
 
     @property
     def clauses(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         return tuple(zip(self.rhs.tolist(), _tuples(self.vars)))
-
-    def _encode(self) -> list:
-        return [{"vars": S, "rhs": b} for S, b in zip(self.vars.tolist(), self.rhs.tolist())]
-
-    @staticmethod
-    def _decode(body: list) -> tuple:
-        rhs = [cl["rhs"] for cl in body]
-        _require_ints(rhs, "rhs")
-        return [cl["vars"] for cl in body], rhs
 
     def to_signed(self) -> SignedHypergraph:
         """Embed as a signed hypergraph with the rhs on the first literal."""
@@ -330,13 +319,6 @@ class UnsignedHypergraph(_KUniform):
     @property
     def edges(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_tuples(self.vars))
-
-    def _encode(self) -> list:
-        return self.vars.tolist()
-
-    @staticmethod
-    def _decode(body: list) -> tuple:
-        return (body,)
 
     def without_repeats(self) -> "UnsignedHypergraph":
         """Drop hyperedges containing a repeated vertex."""
@@ -425,9 +407,6 @@ class MultiGraph:
     def is_regular(self) -> bool:
         return len(set(self.degrees)) <= 1
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "edges": self.edge_array.tolist()}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "MultiGraph":
         if "kind" in d:
@@ -436,7 +415,7 @@ class MultiGraph:
         return cls.build(d["n"], d["edges"])
 
     def sha256(self) -> str:
-        return sha256_of(self.to_json_dict())
+        return sha256_of(rendered_doc(self))
 
 
 @dataclass(frozen=True)
@@ -679,12 +658,22 @@ def _goe_from_json_dict(d: dict) -> np.ndarray:
     return M
 
 
-def instance_doc(instance) -> dict:
-    """The file document of any instance, a matrix included.  Certificates
-    and oracle results bind an instance by its hash."""
+def rendered_doc(instance) -> dict:
+    """The file document of any instance, a matrix included, its body
+    rendered from the arrays: what ``gen`` writes and every instance
+    hash reads."""
     if isinstance(instance, np.ndarray):
-        return {"kind": "goe", "n": int(instance.shape[0]), "matrix": instance.tolist()}
-    return instance.to_json_dict()
+        return {"kind": "goe", "n": int(instance.shape[0]), "matrix": render(instance)}
+    if isinstance(instance, MultiGraph):
+        return {"n": instance.n, "edges": render(instance.edge_array)}
+    records = {name: getattr(instance, name) for name in ("vars", *instance.PAYLOAD)}
+    return {"kind": instance.KIND, "k": instance.k, "n": instance.n, "index_base": 0,
+            instance.BODY: render(records if instance.PAYLOAD else instance.vars)}
+
+
+def instance_doc(instance) -> dict:
+    """The file document of any instance, as plain JSON values."""
+    return json.loads(canonical_json(rendered_doc(instance)))
 
 
 # Every instance file kind by its document's "kind", with the type it

@@ -4,6 +4,10 @@ Every artifact this package writes (instances, graphs, matrices,
 certificates, oracle results, sweep rows) goes through ``canonical_json``
 so that identical inputs produce byte-identical files: keys are sorted,
 floats are rendered with 17 significant digits, and no whitespace varies.
+
+Instance bodies skip ``_emit``'s value-by-value walk, which has no fast
+path for rows: ``render`` writes their text from the arrays with C-level
+``%``-templates, and ``canonical_json`` copies it verbatim.
 """
 
 from __future__ import annotations
@@ -11,8 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from itertools import chain
+from dataclasses import dataclass
 from typing import Any
+
+import numpy as np
 
 
 def format_float(x: float) -> str:
@@ -23,6 +29,14 @@ def format_float(x: float) -> str:
         # keep integral floats readable and unambiguous
         return f"{x:.1f}"
     return format(x, ".17g")
+
+
+@dataclass(frozen=True)
+class JsonText:
+    """Canonical JSON text as the pieces ``render`` made, joined only
+    with the document that holds it."""
+
+    pieces: list[str]
 
 
 def canonical_json(obj: Any) -> str:
@@ -39,6 +53,8 @@ def _emit(obj: Any, out: list[str]) -> None:
         out.append(str(obj))
     elif isinstance(obj, float):
         out.append(format_float(obj))
+    elif isinstance(obj, JsonText):
+        out.extend(obj.pieces)
     elif isinstance(obj, str):
         out.append(json.dumps(obj, ensure_ascii=False))
     elif isinstance(obj, dict):
@@ -53,10 +69,6 @@ def _emit(obj: Any, out: list[str]) -> None:
             _emit(obj[key], out)
         out.append("}")
     elif isinstance(obj, (list, tuple)):
-        if obj and isinstance(obj[0], float) and _emit_float_row(obj, out):
-            return
-        if obj and type(obj[0]) in (list, tuple) and _emit_int_row(obj, out):
-            return
         out.append("[")
         for i, item in enumerate(obj):
             if i:
@@ -71,45 +83,52 @@ def _emit(obj: Any, out: list[str]) -> None:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _emit_float_row(row: list | tuple, out: list[str]) -> bool:
-    """Encode a row of non-integral finite floats in one ``%.17g`` pass,
-    which renders them exactly as ``format_float`` does.  Return False,
-    having emitted nothing, for any other row: integral floats (-0.0
-    included) print as "3.0", and NaN and inf must raise."""
-    if not all(issubclass(t, float) for t in set(map(type, row))):
-        return False
-    if any(map(float.is_integer, row)):
-        return False
-    text = ("%.17g," * len(row)) % tuple(row)
-    if "n" in text:  # "nan" or "inf"
-        return False
-    out.append("[")
-    out.append(text[:-1])
-    out.append("]")
-    return True
+def render(value: np.ndarray | dict[str, np.ndarray]) -> JsonText:
+    """The canonical JSON text of ``value.tolist()``, from the arrays: a
+    2-d int or float array as its list of rows, or a dict of int columns
+    of one length (1-d for a number, 2-d for a list) as its list of
+    records.  TypeError or ValueError for any other input, ValueError for
+    a non-finite float."""
+    if isinstance(value, dict):
+        keys = sorted(value)
+        columns = [np.asarray(value[key]) for key in keys]
+        fields = ",".join(f"{json.dumps(key)}:{_int_template(c)}" for key, c in zip(keys, columns))
+        template, table = "{" + fields + "}", np.column_stack(columns)
+    else:
+        table = np.asarray(value)
+        if table.ndim != 2:
+            raise TypeError(f"cannot render a {table.ndim}-d array")
+        if table.dtype.kind == "f":
+            return _render_floats(table.astype(float, copy=False))
+        template = _int_template(table)
+    rows = "[" + ",".join([template] * len(table)) + "]"
+    return JsonText([rows % tuple(table.ravel().tolist())])
 
 
-# json.dumps(obj, separators=(",", ":")) without building an encoder per call
-_encode_compact = json.JSONEncoder(separators=(",", ":")).encode
+def _int_template(column: np.ndarray) -> str:
+    """The ``%d`` template of one row of an int column."""
+    if column.dtype.kind not in "iu" or column.ndim > 2:
+        raise TypeError(f"cannot render a {column.dtype} array of shape {column.shape} as ints")
+    return "%d" if column.ndim == 1 else "[" + ",".join(["%d"] * column.shape[1]) + "]"
 
 
-def _emit_int_row(row: list | tuple, out: list[str]) -> bool:
-    """Encode a row of lists and tuples of exact ints in one C-level
-    call, which renders them exactly as ``_emit`` does: ``str`` of an
-    exact int is its JSON text.  Return False, having emitted nothing, for
-    any other row: bools and numpy integers take ``_emit``, and so do flat
-    rows of ints.  The flat int rows of the package's documents are
-    clause tuples of a few entries, for which the check costs more than
-    the one call saves."""
-    if not set(map(type, row)) <= {list, tuple}:
-        return False
-    # a matrix of floats is turned away at its first entry
-    if type(next(chain.from_iterable(row), 0)) is not int:
-        return False
-    if not set(map(type, chain.from_iterable(row))) <= {int}:
-        return False
-    out.append(_encode_compact(row))
-    return True
+def _render_floats(M: np.ndarray) -> JsonText:
+    """A float matrix as its list of rows, each row one ``%`` pass:
+    ``%.1f`` for an integral entry below 1e16 (``format_float``'s "3.0"
+    and "-0.0"), ``%.17g`` for every other; no text if one is not finite."""
+    finite = np.isfinite(M)
+    if not finite.all():
+        raise ValueError(f"non-finite float {float(M[~finite][0])!r} cannot be serialized")
+    pieces: list[str] = []
+    for row in M:
+        values = row.tolist()
+        if any(map(float.is_integer, values)):
+            integral = (row == np.trunc(row)) & (np.abs(row) < 1e16)
+            template = ",".join(np.where(integral, "%.1f", "%.17g").tolist())
+        else:
+            template = ",".join(["%.17g"] * len(values))
+        pieces += (",", "[", template % tuple(values), "]")
+    return JsonText(["[", *pieces[1:], "]"])
 
 
 def sha256_of(obj: Any) -> str:
@@ -118,8 +137,11 @@ def sha256_of(obj: Any) -> str:
 
 
 def write_json(path: str, obj: Any) -> None:
+    """Write ``obj`` as canonical JSON and a newline, rendered first, so
+    that a failed render leaves no file and an existing one unchanged."""
+    text = canonical_json(obj)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(obj))
+        fh.write(text)
         fh.write("\n")
 
 

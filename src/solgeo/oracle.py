@@ -25,7 +25,7 @@ from .instances import (
     UnsignedHypergraph,
     XorInstance,
     _walsh_hadamard,
-    instance_doc,
+    rendered_doc,
     violation_budget,
 )
 from .jsonio import sha256_of
@@ -246,7 +246,7 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
         best = max(best, float(vals.max()))
         count += int((vals >= threshold - 1e-9).sum())
     return OracleResult("sk", {"opt": best, "count": 2 * count}, 1 << n,
-                        instance_sha256=sha256_of(instance_doc(G)), eta=float(eta))
+                        instance_sha256=sha256_of(rendered_doc(G)), eta=float(eta))
 
 
 def _subsets(nbr: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,13 +1,14 @@
 import json
 
 import jsonschema
+import numpy as np
 import pytest
 
 from solgeo import cli, schemas
 from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
 from solgeo.instances import MultiGraph, XorInstance, instance_doc
-from solgeo.jsonio import read_json, write_json
+from solgeo.jsonio import canonical_json, read_json, sha256_of, write_json
 
 
 def run(*argv) -> int:
@@ -33,6 +34,37 @@ def test_gen_is_deterministic_and_valid(tmp_path):
     doc = validate_file(a)
     assert doc["kind"] == "xor" and doc["n"] == 20
     assert doc["seed"] == 1  # generated files record their seed
+
+
+@pytest.mark.parametrize("kind", sorted(cli._GENERATORS))
+def test_gen_writes_the_text_the_certifiers_hash(tmp_path, kind):
+    argv = ["--kind", kind, "-k", "3", "-n", "12", "-m", "30", "-d", "3", "--seed", "4"]
+    out = gen(tmp_path, "i.json", *argv)
+    x = cli._GENERATORS[kind](cli._build_parser().parse_args(["gen", "--out", str(out), *argv]))
+    assert out.read_text() == canonical_json({**instance_doc(x), "seed": 4}) + "\n"
+    doc = read_json(str(out))
+    del doc["seed"]
+    assert sha256_of(doc) == (sha256_of(instance_doc(x)) if isinstance(x, np.ndarray) else x.sha256())
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--out", "--certificate"])
+def test_directory_path_is_a_usage_error(tmp_path, capsys, flag):
+    # each once exited 4 with "internal error: [Errno 21] Is a directory"
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "40", "--seed", "1")
+    cert, orc, folder = tmp_path / "c.json", tmp_path / "o.json", tmp_path / "folder"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    folder.mkdir()
+    paths = {"--instance": str(inst), "--out": str(tmp_path / "c2.json"), "--certificate": str(cert)}
+    paths[flag] = str(folder)
+    capsys.readouterr()
+    if flag == "--certificate":
+        code = run("verify", "--certificate", paths[flag], "--oracle", str(orc))
+    else:
+        code = run("certify", "--kind", "count", "--instance", paths["--instance"],
+                   "--out", paths["--out"])
+    assert code == 2
+    assert str(folder) in capsys.readouterr().err
 
 
 def test_gen_rejects_invalid_arity(tmp_path):

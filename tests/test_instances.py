@@ -402,13 +402,13 @@ def test_split_by_sign_density():
 
 def test_serialization_round_trips():
     I = sample_signed_hypergraph(3, 10, 30, seed=1)
-    assert SignedHypergraph.from_json_dict(I.to_json_dict()) == I
+    assert SignedHypergraph.from_json_dict(instance_doc(I)) == I
     xi = I.to_xor()
-    assert XorInstance.from_json_dict(xi.to_json_dict()) == xi
+    assert XorInstance.from_json_dict(instance_doc(xi)) == xi
     H = xi.hypergraph()
-    assert UnsignedHypergraph.from_json_dict(H.to_json_dict()) == H
+    assert UnsignedHypergraph.from_json_dict(instance_doc(H)) == H
     G = sample_regular_graph(10, 3, seed=0)
-    assert MultiGraph.from_json_dict(G.to_json_dict()) == G
+    assert MultiGraph.from_json_dict(instance_doc(G)) == G
     for obj in (I, xi, H, G):
         assert load_instance(instance_doc(obj)) == obj
     M = sample_goe(5, seed=2)
@@ -422,7 +422,7 @@ def test_documents_of_another_kind_are_refused():
         for other in instances:
             if type(other) is not cls:
                 with pytest.raises(ValueError, match="not a"):
-                    cls.from_json_dict(other.to_json_dict())
+                    cls.from_json_dict(instance_doc(other))
     for doc in ({"kind": "nope"}, {"kind": "graph", "n": 2, "edges": []}, {"kind": [1]}):
         with pytest.raises(ValueError, match="unrecognized"):
             load_instance(doc)
@@ -554,8 +554,8 @@ def test_array_graph_matches_reference_loops(monkeypatch, n, m):
             x = rng.normal(size=n)
             assert np.array_equal(spectral._adjacency_matvec(G)(x), _reference_matvec(n, want, x))
             doc = {"n": n, "edges": [[u, v] for u, v in want]}
-            assert G.to_json_dict() == doc
-            assert canonical_json(G.to_json_dict()) == canonical_json(doc)
+            assert instance_doc(G) == doc
+            assert canonical_json(instance_doc(G)) == canonical_json(doc)
             assert G == MultiGraph(n, want) == MultiGraph.from_json_dict(doc)
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from solgeo.jsonio import _emit_int_row, canonical_json, format_float, sha256_of
+from solgeo.instances import sample_signed_hypergraph
+from solgeo.jsonio import canonical_json, format_float, render, sha256_of, write_json
 
 
 def test_float_formatting_17_digits():
@@ -44,7 +45,8 @@ def test_non_string_keys_rejected():
 
 
 # ---------------------------------------------------------------------------
-# The float-row fast path against a frozen copy of the element-wise encoder
+# canonical_json and the array renderer against a frozen copy of the
+# element-wise encoder
 # ---------------------------------------------------------------------------
 
 def _reference_float(x: float) -> str:
@@ -97,6 +99,17 @@ EDGE_FLOATS = [
 ]
 
 
+def rendered(value) -> str:
+    return canonical_json(render(value))
+
+
+def symmetric(values) -> np.ndarray:
+    """An exactly symmetric matrix holding each of ``values``: entry
+    (i, j) is values[(i + j) % len(values)]."""
+    k = len(values)
+    return np.asarray(values, dtype=float)[np.add.outer(np.arange(k), np.arange(k)) % k]
+
+
 def test_float_rows_match_reference_encoder():
     rng = np.random.default_rng(7)
     rows = [
@@ -120,6 +133,10 @@ def test_float_rows_match_reference_encoder():
     for row in rows:
         doc = {"row": row, "matrix": [row, row]}
         assert canonical_json(doc) == reference_json(doc)
+    # the renderer: each float row as a row of a plain and of a symmetric matrix
+    for row in rows[:4] + rows[12:]:
+        for M in (np.array([row, row[::-1]]), symmetric(row), symmetric(row).T[:, ::-1]):
+            assert rendered(M) == reference_json(M.tolist())
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -128,13 +145,42 @@ def test_float_rows_reject_nonfinite(bad):
         canonical_json([0.5, bad, 0.25])
     with pytest.raises(ValueError):
         canonical_json([[0.5, 0.75], [0.1, bad]])
+    for M in ([[0.5, bad], [bad, 0.25]], [[0.5, 0.75], [0.1, bad]], [[bad]]):
+        with pytest.raises(ValueError, match="non-finite float"):
+            render(np.array(M))
+
+
+def test_float_matrix_edge_shapes():
+    for M in (np.empty((0, 0)), np.empty((0, 3)), np.empty((3, 0)),
+              np.array([[0.0]]), np.array([[-0.0]]), np.array([[0.1]]), np.array([[1e16]]),
+              np.array([[5e-324]]), np.float32([[0.1, 2.0], [2.0, 0.5]])):
+        assert rendered(M) == reference_json(M.tolist())
+
+
+@pytest.mark.parametrize("i, j, value", [
+    (None, None, None),  # exactly symmetric
+    (0, 1, None),        # one entry one ulp above its mirror
+    (4, 2, None),
+    (3, 3, None),        # a diagonal entry moves: still symmetric
+    (1, 5, -0.0),        # -0.0 against 0.0 compares equal but prints otherwise
+])
+def test_symmetric_and_near_symmetric_matrices(i, j, value):
+    rng = np.random.default_rng(5)
+    W = rng.normal(size=(7, 7))
+    M = W + W.T
+    if i is not None and value is None:
+        M[i, j] = np.nextafter(M[i, j], np.inf)
+    elif i is not None:
+        M[i, j], M[j, i] = value, 0.0
+    assert rendered(M) == reference_json(M.tolist())
 
 
 # ---------------------------------------------------------------------------
-# The int-row fast path against the same frozen encoder
+# Int rows and clause records against the same frozen encoder
 # ---------------------------------------------------------------------------
 
 BIG = [0, -1, 7, -2**31, 2**31, -2**63, 2**63 - 1, 2**64, -(10**30), 10**40]
+INT64 = [v for v in BIG if -2**63 <= v < 2**63]
 
 
 def test_int_rows_match_reference_encoder():
@@ -175,22 +221,71 @@ def test_int_rows_match_reference_encoder():
         assert canonical_json(doc) == reference_json(doc)
 
 
+def test_int_arrays_at_int64_extremes():
+    rng = np.random.default_rng(13)
+    for width in (1, 2, 3, 5):
+        A = rng.choice(np.array(INT64), size=(40, width))
+        assert rendered(A) == reference_json(A.tolist())
+        assert rendered({"rhs": A[:, 0], "vars": A}) == reference_json(
+            [{"rhs": b, "vars": S} for b, S in zip(A[:, 0].tolist(), A.tolist())])
+    U = np.array([[0, 2**64 - 1], [2**63, 1]], dtype=np.uint64)
+    assert rendered(U) == reference_json(U.tolist())
+    for A in (np.empty((0, 2), np.int64), np.empty((0, 0), np.int64), np.empty((3, 0), np.int8)):
+        assert rendered(A) == reference_json(A.tolist())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_clause_records_match_reference_encoder(k):
+    I = sample_signed_hypergraph(k, 9, 80, k)
+    xi = I.to_xor()
+    signs, vars_, rhs = I.signs.tolist(), I.vars.tolist(), xi.rhs.tolist()
+    assert rendered({"vars": I.vars, "signs": I.signs}) == reference_json(
+        [{"vars": S, "signs": c} for S, c in zip(vars_, signs)])
+    assert rendered({"vars": xi.vars, "rhs": xi.rhs}) == reference_json(
+        [{"vars": S, "rhs": b} for S, b in zip(vars_, rhs)])
+    assert rendered({"vars": I.vars[:0], "signs": I.signs[:0]}) == "[]"
+
+
 @pytest.mark.parametrize("row, fast", [
-    ([[1, 2, 3]], True),
-    ([(1, -2)], True),
-    ([[1, 2], (3, 4), []], True),
-    ([1, True], False),
-    ([np.int64(1), 2], False),
-    ([[1, 2], [np.int64(3), 4]], False),
-    ([1, 2.0], False),
-    ([[0.5, 1.5], [1, 2]], False),
-    ([[1, 2], 3], False),
-    ([1, 2, 3], False),
-    ((1, -2), False),
+    (np.array([[1, 2, 3]]), True),
+    (np.array([[1, -2], [-128, 127]], dtype=np.int8), True),
+    ({"signs": np.array([[1, -1]], dtype=np.int8), "vars": np.array([[0, 4]])}, True),
+    (np.array([[True, False]]), False),
+    (np.array([[1, 2]], dtype=object), False),
+    (np.array([1, 2, 3]), False),
+    (np.zeros((2, 2, 2), dtype=np.int64), False),
+    (np.array([["1", "2"]]), False),
+    ({"signs": np.array([[1.0, -1.0]]), "vars": np.array([[0, 4]])}, False),
+    ({"rhs": np.array([1, -1]), "vars": np.array([[0, 4]])}, False),
+    ({"rhs": np.zeros((1, 1, 1), dtype=np.int64), "vars": np.array([[0, 4]])}, False),
 ])
 def test_int_row_gate(row, fast):
-    # only rows of lists and tuples of exact ints take the one-call path;
-    # a flat row of ints is encoded element by element
-    out: list = []
-    assert _emit_int_row(row, out) is fast
-    assert out == ([json.dumps(row, separators=(",", ":"))] if fast else [])
+    # only integer arrays, and records of integer columns of one length,
+    # are rendered with %d templates; bools, objects, strings and other
+    # shapes are refused rather than printed as numbers
+    if fast:
+        plain = ([dict(zip(row, values)) for values in zip(*(c.tolist() for c in row.values()))]
+                 if isinstance(row, dict) else row.tolist())
+        assert rendered(row) == reference_json(plain)
+    else:
+        with pytest.raises((TypeError, ValueError)):
+            render(row)
+
+
+# ---------------------------------------------------------------------------
+# write_json renders before it opens the file
+# ---------------------------------------------------------------------------
+
+def test_failed_render_leaves_no_file(tmp_path):
+    path = tmp_path / "x.json"
+    with pytest.raises(ValueError):
+        write_json(str(path), {"matrix": [[0.5, float("nan")]]})
+    assert not path.exists()
+
+
+def test_failed_render_keeps_an_existing_file(tmp_path):
+    path = tmp_path / "x.json"
+    write_json(str(path), {"a": 1})
+    with pytest.raises(ValueError):
+        write_json(str(path), {"a": float("inf")})
+    assert path.read_text() == '{"a":1}\n'
