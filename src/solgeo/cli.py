@@ -10,6 +10,7 @@ draws entropy from the environment.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import os
@@ -17,7 +18,6 @@ import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import Callable
 
 import numpy as np
@@ -340,11 +340,19 @@ def _sweep_worker(job: tuple) -> dict:
 
 
 def _worker_count() -> int:
+    """The sweep's pool size: ``SOLGEO_THREADS`` if set, at most the CPU
+    count; ValueError if it is set to anything but an integer >= 1."""
     cap = os.environ.get("SOLGEO_THREADS")
     available = os.cpu_count() or 1
-    if cap:
-        return max(1, min(int(cap), available))
-    return max(1, min(available, 8))
+    if not cap:
+        return max(1, min(available, 8))
+    try:
+        workers = int(cap)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"SOLGEO_THREADS holds {cap!r:.40}, not an integer >= 1")
+    return min(workers, available)
 
 
 def _read_rows(jsonl_path: str) -> list[dict]:
@@ -353,6 +361,8 @@ def _read_rows(jsonl_path: str) -> list[dict]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from multiprocessing import Pool
+
     config = read_json(args.config)
     out_path = args.out or config.get("out")
     if not out_path:
@@ -371,7 +381,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     ]
 
     violations = 0
-    workers = _worker_count() if len(jobs) > 1 else 1
+    workers = min(_worker_count(), len(jobs))
     with open(out_path, "a", encoding="utf-8") as fh, \
             (Pool(workers) if workers > 1 else nullcontext()) as pool:
         rows = pool.imap(_sweep_worker, jobs, chunksize=1) if pool else map(_sweep_worker, jobs)
@@ -413,7 +423,10 @@ def _export_csv(jsonl_path: str, csv_path: str) -> None:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The `solgeo` parser, built once per process: nothing in it depends
+    on argv, and `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="solgeo",
         description="certified bounds on the solution geometry of random CSPs",

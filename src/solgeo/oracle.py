@@ -30,6 +30,10 @@ from .instances import (
 )
 from .jsonio import sha256_of
 
+# The half-cube enumerations' rows per matmul.  It is part of the SK
+# oracle's bytes: `opt` is x^T G x as the chunked X @ G rounds it, and
+# another chunk size moves its last digit on some seeds (the `sk-n18`
+# golden digest pins it).
 _CHUNK = 1 << 16
 # ``violation_profile`` adds blocks of < 2^_TERMS_BITS Fourier terms (one T if m is larger)
 _TERMS_BITS = 18
@@ -232,9 +236,11 @@ def _half_cube(n: int) -> Iterator[np.ndarray]:
 
 
 def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
-    """Exact max of x^T G x over the hypercube and the number of x
+    """The max of x^T G x over the hypercube and the exact number of x
     reaching 2 (1-eta) n^(3/2): the half-cube's, whose count is doubled,
-    as x^T G x of -x equals that of x."""
+    as x^T G x of -x equals that of x.  ``opt`` is a float64: the largest
+    x^T G x as the chunked X @ G product rounds it, so another ``_CHUNK``
+    can change its last digit."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if not 1 <= n <= 18:

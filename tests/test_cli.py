@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import jsonschema
@@ -45,6 +46,44 @@ def test_gen_writes_the_text_the_certifiers_hash(tmp_path, kind):
     doc = read_json(str(out))
     del doc["seed"]
     assert sha256_of(doc) == (sha256_of(instance_doc(x)) if isinstance(x, np.ndarray) else x.sha256())
+
+
+def test_one_parser_tree_serves_every_command(tmp_path, monkeypatch):
+    # each `main` call once built the whole parser tree again
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    cli._build_parser.cache_clear()
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 0
+    assert run("gen", "--kind", "goe", "-n", "3", "--seed", "1", "--out", str(tmp_path / "g.json")) == 0
+    commands = ["gen", "certify", "oracle", "verify", "sweep"]
+    assert built == ["solgeo"] + [f"solgeo {c}" for c in commands]
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(tmp_path):
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
+    timed, plain, again = tmp_path / "t.json", tmp_path / "o.json", tmp_path / "o2.json"
+    misses = cli._build_parser.cache_info().misses
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(timed),
+               "--eta", "0.25", "--timing") == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(plain)) == 0
+    doc = validate_file(plain)
+    assert "runtime_ms" not in doc and doc["eta"] == 0.0
+    with pytest.raises(SystemExit) as exc:
+        run("oracle", "--kind", "nope", "--instance", str(inst), "--out", str(again))
+    assert exc.value.code == 2
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(again)) == 0
+    assert again.read_bytes() == plain.read_bytes()
+    assert cli._build_parser.cache_info().misses == misses  # one parser served them all
 
 
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--certificate"])
@@ -379,6 +418,18 @@ def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):
     config = sweep_config(tmp_path, grid=grid, seeds=1, c0=3, eps_exponent=0)
     assert run("sweep", "--config", str(config), "--out", str(out)) == 0
     assert len(out.read_text().splitlines()) == 1
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_malformed_solgeo_threads_is_usage_error(tmp_path, capsys, monkeypatch, threads):
+    # "abc" once exited with int()'s message, and -3 meant one worker
+    monkeypatch.setenv("SOLGEO_THREADS", threads)
+    cfg, out = sweep_config(tmp_path), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: SOLGEO_THREADS holds {threads!r}, not an integer >= 1\n")
+    assert not out.exists()
 
 
 def test_certify_rejects_asymmetric_goe(tmp_path, capsys):

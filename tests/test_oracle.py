@@ -140,6 +140,20 @@ def test_brute_sk_matches_the_full_hypercube(n):
         assert (repr(res["opt"]), res["count"]) == reference_sk(G, eta), (seed, eta)
 
 
+@pytest.mark.parametrize("n", [1, 2, 7, 12])
+def test_brute_sk_opt_is_the_exact_maximum_to_rounding(n):
+    # opt is x^T G x as the chunked X @ G rounds it; each x_i G_ij x_j is
+    # exact, so fsum of them is the correctly rounded x^T G x
+    idx = np.arange(1 << n)
+    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    for seed in range(n, n + 5):
+        G = sample_goe(n, seed)
+        terms = (X[:, :, None] * G * X[:, None, :]).reshape(1 << n, -1)
+        exact = max(math.fsum(row) for row in terms.tolist())
+        assert math.isclose(brute_sk_opt_and_count(G, 0.5).exact_value["opt"], exact,
+                            rel_tol=1e-12), seed
+
+
 def test_brute_sk_count_is_even():
     G = sample_goe(10, seed=4)
     res = brute_sk_opt_and_count(G, 0.2)
