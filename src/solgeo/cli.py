@@ -63,6 +63,13 @@ def _predicate(args, instance: SignedHypergraph) -> Predicate:
     return _PREDICATES[args.predicate](instance.k)
 
 
+def finite_float(text: str) -> float:
+    """A float flag's value; argparse exits 2 on all but a finite number."""
+    if not np.isfinite(value := float(text)):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _required(args, name: str):
     value = getattr(args, name)
     if value is None:
@@ -254,9 +261,9 @@ def _sweep_cells(config: dict) -> list[dict]:
     if not isinstance(grid, dict):
         raise ValueError(f"sweep config 'grid' holds {grid!r:.40}, not an object of axes")
     for axis, values in grid.items():
-        types, expected = (int, "integers") if axis in _INT_AXES else ((int, float), "numbers")
-        if not isinstance(values, list) or any(
-                isinstance(v, bool) or not isinstance(v, types) for v in values):
+        types, expected = (int, "integers") if axis in _INT_AXES else ((int, float), "finite numbers")
+        if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, types)
+                                               or not -np.inf < v < np.inf for v in values):
             raise ValueError(f"sweep grid axis {axis!r} holds {values!r:.40}, "
                              f"not a list of {expected}")
     axes = sorted(grid)
@@ -271,9 +278,10 @@ def _effective_config(config: dict) -> dict:
     for key, value in effective.items():
         default = _CONFIG_DEFAULTS[key]
         types = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, "
-                             f"not a {type(default).__name__}")
+        expected = "finite number" if isinstance(default, float) else type(default).__name__
+        if (isinstance(value, bool) or not isinstance(value, types)
+                or isinstance(value, float) and not np.isfinite(value)):
+            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, not a {expected}")
     effective["kind"] = config.get("kind")
     for key, choices in _CONFIG_CHOICES.items():
         # the kinds are a list, so an unhashable kind is refused here too
@@ -447,20 +455,20 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--kind", required=True, choices=_CERTIFIABLE)
     cert.add_argument("--instance", required=True)
     cert.add_argument("--out", required=True)
-    cert.add_argument("--eta", type=float, default=0.0)
-    cert.add_argument("--rho", type=float, default=None)
-    cert.add_argument("--eps-exponent", type=float, default=_DEFAULTS["eps_exponent"],
+    cert.add_argument("--eta", type=finite_float, default=0.0)
+    cert.add_argument("--rho", type=finite_float, default=None)
+    cert.add_argument("--eps-exponent", type=finite_float, default=_DEFAULTS["eps_exponent"],
                       dest="eps_exponent")
     cert.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
-    cert.add_argument("--c0", type=float, default=_DEFAULTS["c0"])
+    cert.add_argument("--c0", type=finite_float, default=_DEFAULTS["c0"])
     cert.set_defaults(func=cmd_certify)
 
     orc = sub.add_parser("oracle", help="exact ground truth for an instance file")
     orc.add_argument("--kind", required=True, choices=list(_ORACLE_KINDS))
     orc.add_argument("--instance", required=True)
     orc.add_argument("--out", required=True)
-    orc.add_argument("--eta", type=float, default=0.0)
-    orc.add_argument("--theta", type=float, default=None)
+    orc.add_argument("--eta", type=finite_float, default=0.0)
+    orc.add_argument("--theta", type=finite_float, default=None)
     orc.add_argument("--threshold-size", type=int, default=None, dest="threshold_size")
     orc.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
     orc.add_argument("--timing", action="store_true")

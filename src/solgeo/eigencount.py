@@ -71,7 +71,7 @@ def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> Eigensp
     work = np.asarray(M, dtype=float)
     if sign == "bottom":
         work = -work
-    vals = symmetric_spectrum(work, "max")
+    vals = symmetric_spectrum(work, "max")[0]
     n = work.shape[0]
     count = _window(vals, delta)[2]
     return EigenspaceWindow(delta, count / n, float(vals[-1]), n, count)
@@ -94,19 +94,20 @@ def _window(vals: np.ndarray, delta: float) -> tuple[float, float, int]:
     return slack, threshold, int(np.count_nonzero(vals >= threshold - slack))
 
 
-def _measured_window(vals: np.ndarray, delta: float, target: float) -> _MeasuredWindow:
-    """The window both counts rest on, from the proved spectrum ``vals``.
+def _measured_window(vals: np.ndarray, lam_hi: float, delta: float, target: float) -> _MeasuredWindow:
+    """The window both counts rest on, from ``symmetric_spectrum``'s
+    spectrum ``vals`` and proved bound ``lam_hi`` > lambda_max.
 
-    lambda_max lies in [lam_lo, lam_hi] = vals[-1] -/+ s, s = eig_slack(max
-    |vals|).  A unit vector with Rayleigh quotient at least ``target`` lies
-    within eps of the span of the eigenvectors above lam_lo (1 - delta),
+    lambda_max lies in [lam_lo, lam_hi], lam_lo = vals[-1] - s, s the
+    window's slack.  A unit vector with Rayleigh quotient at least ``target``
+    lies within eps of the span of the eigenvectors above lam_lo (1 - delta),
     eps^2 <= (lambda_max - target) / (lambda_max - lam_lo (1 - delta)),
     taken at the worse end of the interval; alpha is the fraction of
     eigenvalues above that threshold, less s.  Meaningful when lam_lo > 0.
     """
     lam1 = float(vals[-1])
     slack, threshold, count = _window(vals, delta)
-    lam_lo, lam_hi = lam1 - slack, lam1 + slack
+    lam_lo = lam1 - slack
     eps_sq = 0.0
     for lam in (lam_lo, lam_hi):
         if lam > threshold:
@@ -133,7 +134,7 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     n = G.shape[0]
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
-    win = _measured_window(symmetric_spectrum(G, "max"), delta, target)
+    win = _measured_window(*symmetric_spectrum(G, "max"), delta, target)
     lam1 = win.lam1
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
@@ -209,8 +210,7 @@ def hoffman_bound(G: MultiGraph) -> int:
     """Certified bound floor(lambda n / (d + lambda)) on the independence
     number, lambda = -lambda_min of the adjacency matrix (measured)."""
     d = regular_degree(G)
-    vals = symmetric_spectrum(G.adjacency(), "min")
-    lam = -float(vals[0]) + eig_slack(float(np.max(np.abs(vals))))
+    lam = -symmetric_spectrum(G.adjacency(), "min")[1]
     if lam <= 0:
         raise ValueError("nonpositive lambda: graph has no edges?")
     return int(math.floor(lam * G.n / (d + lam) + 1e-9))
@@ -238,8 +238,8 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     rayleigh = (d * s_min / n) / (1.0 - s_min / n)
 
     Abar, err = demeaned_adjacency(G)
-    vals = symmetric_spectrum(np.negative(Abar, out=Abar), "max", err)  # (d/n) J - A
-    win = _measured_window(vals, delta, rayleigh)
+    vals, lam_hi = symmetric_spectrum(np.negative(Abar, out=Abar), "max", err)  # (d/n) J - A
+    win = _measured_window(vals, lam_hi, delta, rayleigh)
     lam1 = win.lam1
 
     friedman_gap = abs(lam1 - 2.0 * math.sqrt(d - 1.0))

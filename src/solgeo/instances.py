@@ -47,8 +47,8 @@ def violation_budget(eta: float, m: int) -> int:
     while still being (1-eta)-satisfying: floor(eta * m), with a small
     nudge so exact integer products do not round down.
     """
-    if eta < 0:
-        raise ValueError(f"eta must be nonnegative, got {eta}")
+    if not 0 <= eta < math.inf:
+        raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     return int(math.floor(eta * m + 1e-9))
 
 

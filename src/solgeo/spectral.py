@@ -4,45 +4,39 @@ Every certificate downstream consumes *measured* spectral quantities from
 these routines, never high-probability thresholds; the thresholds only
 gate whether a nontrivial bound is attempted.
 
-Each consumed number is an estimate that is then *proved*, shifted by
-``eig_slack`` in the direction its consumer reads it.  ``prove_side`` is
-the one proof: a Cholesky factorization of the shifted matrix, with a
-margin that covers its own rounding and the rounding made while forming
-the matrix.  ``proved_extreme`` is the one estimate-and-prove entry.  The
-estimate is the caller's or comes from ``np.linalg.eigvalsh``, except
-that graphs with at least ``ITERATIVE_MIN_N`` vertices take it from
-Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and
-fall back to ``eigvalsh`` only when that estimate fails its proof.  Where
-an estimate comes from never decides soundness: the proof does, and only
-of the side its consumer reads.  A failed proof of the caller's or the
+Each consumed number is ``proved_bound``: an estimate shifted by
+``eig_slack`` in the direction its consumer reads it, then *proved*.
+``prove_side`` is the one proof: a Cholesky factorization of the shifted
+matrix, with a margin that covers its own rounding and the rounding made
+while forming the matrix.  ``proved_extreme`` is the one estimate-and-prove
+entry.  The estimate is the caller's or comes from ``np.linalg.eigvalsh``,
+except that graphs with at least ``ITERATIVE_MIN_N`` vertices take it from
+Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and fall
+back to ``eigvalsh`` only when that estimate fails its proof.  Where an
+estimate comes from never decides soundness: the proof does, and only of
+the side its consumer reads.  A failed proof of the caller's or the
 ``eigvalsh`` value raises ``EigensolverError``.
 
 Consumers and the side each one proves:
 
-* ``SpectralReport.lambda2`` (``spectral_report``), "min" within [0, 2]:
-  lambda_2(L) > lambda2 - eig_slack(2) when that is positive, proved on
-  L + 2 v0 v0^T / |v0|^2 with v0 = D^(1/2) 1.  Used only by the Cheeger
-  cut bound ``edge_expansion_lower_bound``, which the 2XOR base case of
-  the count certificates applies to ``spectral_report(G, demeaned=False)``.
-* ``SpectralReport.demeaned_norm`` (``spectral_report``, ``demeaned_norm``),
-  "norm": |A - (2m/n^2) J| < nu + eig_slack(nu).  ``mixing_interval``
-  uses the report's for the cluster and 3CSP balance certificates;
-  ``geometry.refute_biased_2xor_family`` calls ``demeaned_norm`` for the
-  kXOR and kCSP balance certificates.
-* ``symmetric_spectrum(M, side)`` returns the whole spectrum and proves
-  its caller's estimate of one extreme, with s = eig_slack(max |vals|):
-  "max", lambda_max < vals[-1] + s, for the SK and independent-set counts
-  (through ``eigencount._measured_window``) and ``eigenspace_window``;
-  "min", lambda_min > vals[0] - s, for ``hoffman_bound``.
-* ``refuter``'s quadratic-norm branch proves its ``eigen_extremes`` norm
-  with ``prove_side(W, "norm", ...)`` at its own relative margin.
+* ``SpectralReport.lambda2_bound``, "min" within ``LAPLACIAN_RANGE`` on
+  L + 2 v0 v0^T / |v0|^2, v0 = D^(1/2) 1: the Cheeger cut bound
+  ``edge_expansion_lower_bound`` of the 2XOR count base case;
+* ``SpectralReport.norm_bound``, "norm" on A - (2m/n^2) J:
+  ``mixing_interval`` (cluster and 3CSP balance certificates) and
+  ``geometry.refute_biased_2xor_family`` (kXOR and kCSP balance);
+* ``symmetric_spectrum(M, side)``'s bound, "max" for the SK and
+  independent-set counts and ``eigenspace_window``, "min" for
+  ``hoffman_bound``;
+* ``refuter``'s quadratic-norm branch, ``prove_side(W, "norm", ...)`` at
+  its own relative margin.
 
 Not proved:
 
 * the window counts ``alpha`` in ``eigencount`` and the extreme on the
   side ``symmetric_spectrum`` leaves unproved are read off ``eigvalsh``;
-* ``lam_lo`` = vals[-1] - s in the SK and independent-set counts only
-  places the window threshold, which the counting argument allows
+* ``lam_lo`` in the SK and independent-set counts only places the window
+  threshold (``eigencount._window``), which the counting argument allows
   anywhere, so no lower bound on lambda_max is consumed;
 * interior eigenvalues; no eigenvector or Ritz vector is consumed;
 * the SVD branch of the refuter's flattening bound.
@@ -86,6 +80,7 @@ LANCZOS_SEED = 0
 # Rows per step of the in-place rank-one update in _lambda2_value: a
 # temporary of this many rows replaces one of n.
 _ROW_BLOCK = 64
+LAPLACIAN_RANGE = (0.0, 2.0)  # the spectrum of L + 2 P0 in _lambda2_value
 
 # Unit roundoff of IEEE double precision and the smallest positive normal
 # number: the constants of the Cholesky margin.
@@ -100,6 +95,12 @@ class EigensolverError(RuntimeError):
 def eig_slack(scale: float) -> float:
     """Additive slack covering eigensolver error at the given norm scale."""
     return SLACK_FACTOR * EIG_TOL * max(scale, 1.0)
+
+
+def proved_bound(value: float, side: str, span: tuple[float, ...]) -> float:
+    """The one slack rule: value - s ("min"), else value + s, s = eig_slack(max |span|)."""
+    s = eig_slack(max(map(abs, span)))
+    return float(value - s if side == "min" else value + s)
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,18 @@ class SpectralReport(JsonRecord):
             raise ValueError("normalized Laplacian eigenvalue out of [0, 2]")
         if self.demeaned_norm is not None and self.demeaned_norm < 0:
             raise ValueError("operator norm must be nonnegative")
+
+    @property
+    def lambda2_bound(self) -> float:  # floored at 0
+        if self.lambda2 is None:
+            raise ValueError("report does not carry lambda2")
+        return max(0.0, proved_bound(self.lambda2, "min", LAPLACIAN_RANGE))
+
+    @property
+    def norm_bound(self) -> float:
+        if self.demeaned_norm is None:
+            raise ValueError("report does not carry the de-meaned norm")
+        return proved_bound(self.demeaned_norm, "norm", (self.demeaned_norm,))
 
 
 def _check_dense(n: int) -> None:
@@ -262,17 +275,17 @@ def proved_extreme(B: np.ndarray, side: str, err: float = 0.0,
                    estimate: tuple[float, float] | None = None,
                    within: tuple[float, float] | None = None) -> float:
     """B's lambda_min ("min"), lambda_max ("max") or spectral norm ("norm")
-    as estimated, once ``prove_side`` has shown lambda_min > value - s,
-    lambda_max < value + s or |B|_2 < value + s for every symmetric matrix
-    within ``err`` of B, s = eig_slack(max(|lo|, |hi|)).
+    as estimated, once ``prove_side`` has shown lambda_min > t, lambda_max
+    < t or |B|_2 < t for every symmetric matrix within ``err`` of B, t =
+    proved_bound(value, side, (lo, hi)).
 
     (lo, hi) is the caller's ``estimate`` of B's extreme eigenvalues,
     proved as given; without one, Lanczos on ``matvec`` (an operator equal
     to B up to rounding) gives it, and ``eigvalsh(B)`` when there is no
     matvec or that value fails its proof.  ``within`` = (a, b) states that
-    B's spectrum lies in [a, b]: (lo, hi) is clipped to it, s =
-    eig_slack(max(|a|, |b|)), and "min" is not proved where value - s <= a,
-    as lambda_min >= a >= value - s holds there.
+    B's spectrum lies in [a, b]: (lo, hi) is clipped to it, the span is
+    (a, b), and "min" is not proved where t <= a, as lambda_min >= a >= t
+    holds there.
     """
     if estimate is None and matvec is not None:
         try:
@@ -282,9 +295,8 @@ def proved_extreme(B: np.ndarray, side: str, err: float = 0.0,
     lo, hi = eigen_extremes(B) if estimate is None else estimate
     if within is not None:
         lo, hi = map(float, np.clip((lo, hi), *within))
-    s = eig_slack(max(map(abs, within or (lo, hi))))
     value = {"min": lo, "max": hi, "norm": max(abs(lo), abs(hi))}[side]
-    t = value - s if side == "min" else value + s
+    t = proved_bound(value, side, within or (lo, hi))
     if within is None or side != "min" or t > within[0]:
         prove_side(B, side, t, err)
     return float(value)
@@ -324,7 +336,7 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     for lo in range(0, n, _ROW_BLOCK):  # L += w w^T
         L[lo:lo + _ROW_BLOCK] += w[lo:lo + _ROW_BLOCK, None] * w
     return proved_extreme(L, "min", 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0),
-                          matvec, estimate, (0.0, 2.0))
+                          matvec, estimate, LAPLACIAN_RANGE)
 
 
 def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.ndarray, float]:
@@ -375,9 +387,7 @@ def spectral_report(
         A = G.adjacency()
         lam2 = _lambda2_value(G, A.copy() if demeaned else A, degrees)
 
-    norm: float | None = None
-    if demeaned:
-        norm = demeaned_norm(G, A)
+    norm = demeaned_norm(G, A) if demeaned else None
 
     return SpectralReport(n, G.m, d_min, d_max, d_avg, lam2, norm)
 
@@ -386,36 +396,29 @@ def edge_expansion_lower_bound(report: SpectralReport, s: int) -> float:
     """Certified lower bound on e(S, S-complement) valid for every vertex
     set S with |S| = s whose volume is at most half the total volume,
     via the easy direction of the Cheeger inequality."""
-    if report.lambda2 is None:
-        raise ValueError("report does not carry lambda2")
     if s < 0:
         raise ValueError("set size must be nonnegative")
-    if s == 0:
-        return 0.0
-    lam2 = max(0.0, report.lambda2 - eig_slack(2.0))
-    return 0.5 * lam2 * report.d_min * s
+    return 0.5 * report.lambda2_bound * report.d_min * s
 
 
 def mixing_interval(report: SpectralReport, s: float, t: float) -> tuple[float, float]:
     """Certified interval for e(S, T) over all |S| = s, |T| = t, from the
     expander mixing lemma with the measured de-meaned norm."""
-    if report.demeaned_norm is None:
-        raise ValueError("report does not carry the de-meaned norm")
+    nu = report.norm_bound
     if s < 0 or t < 0:
         raise ValueError("set sizes must be nonnegative")
     if s == 0 or t == 0:
         return (0.0, 0.0)
     center = report.d_avg / report.n * s * t
-    nu = report.demeaned_norm + eig_slack(report.demeaned_norm)
     radius = nu * math.sqrt(s * t)
     return (center - radius, center + radius)
 
 
-def symmetric_spectrum(M: np.ndarray, side: str, err: float = 0.0) -> np.ndarray:
-    """All eigenvalues of a symmetric matrix, ascending, with the extreme
-    on ``side`` proved: lambda_max < vals[-1] + s ("max") or lambda_min >
-    vals[0] - s ("min"), s = eig_slack(max |vals|), for every symmetric
-    matrix within ``err`` (spectral norm) of M's symmetric part.
+def symmetric_spectrum(M: np.ndarray, side: str, err: float = 0.0) -> tuple[np.ndarray, float]:
+    """All eigenvalues of a symmetric matrix, ascending, and the bound
+    ``proved_extreme`` proved on the extreme on ``side``: lambda_max <
+    bound ("max") or lambda_min > bound ("min") for every symmetric matrix
+    within ``err`` (spectral norm) of M's symmetric part.
 
     The proof charges |M - M^T|_F more to ``err``: twice the distance from
     the lower triangle the solvers read to M's symmetric part, the factor
@@ -433,5 +436,5 @@ def symmetric_spectrum(M: np.ndarray, side: str, err: float = 0.0) -> np.ndarray
     if not asym <= limit:
         raise ValueError(f"matrix must be symmetric: |M - M^T|_F = {asym:.3g} exceeds {limit:.3g}")
     vals = np.linalg.eigvalsh(B)
-    proved_extreme(B, side, err + asym, estimate=(vals[0], vals[-1]))
-    return vals
+    span = (vals[0], vals[-1])
+    return vals, proved_bound(proved_extreme(B, side, err + asym, estimate=span), side, span)

@@ -1,10 +1,10 @@
 import itertools
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from solgeo.cli import _worker_count
 from solgeo.instances import (
     MultiGraph,
     SignedHypergraph,
@@ -16,9 +16,9 @@ from solgeo.refuter import SparsePolynomial
 
 def thread_map(fn, items):
     """Map across seeds/cells on a small thread pool; numpy eigensolves
-    release the GIL so this parallelizes the heavy sweeps."""
-    cap = os.environ.get("SOLGEO_THREADS")
-    workers = max(1, min(int(cap) if cap else (os.cpu_count() or 1), 8))
+    release the GIL so this parallelizes the heavy sweeps.  The pool size
+    is `solgeo sweep`'s (``SOLGEO_THREADS``, ValueError if malformed)."""
+    workers = _worker_count()
     if workers == 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(workers) as pool:

@@ -1,10 +1,12 @@
 import argparse
 import json
+import math
 
 import jsonschema
 import numpy as np
 import pytest
 
+from conftest import thread_map
 from solgeo import cli, schemas
 from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
@@ -430,6 +432,55 @@ def test_malformed_solgeo_threads_is_usage_error(tmp_path, capsys, monkeypatch, 
     assert capsys.readouterr().err == (
         f"error: SOLGEO_THREADS holds {threads!r}, not an integer >= 1\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("command, flag", [
+    ("certify", "--eta"), ("certify", "--rho"), ("certify", "--c0"),
+    ("certify", "--eps-exponent"), ("oracle", "--eta"), ("oracle", "--theta"),
+])
+def test_nonfinite_float_flag_is_usage_error(tmp_path, capsys, command, flag, value):
+    # --eta inf once exited 4 ("cannot convert float infinity to integer"),
+    # --eps-exponent nan wrote a certificate, and --c0 nan exited 2 only
+    # after all the work, with the serializer's message
+    inst = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "12", "-m", "60", "--seed", "1")
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--kind", "count", "--instance", str(inst), "--out", str(out), f"{flag}={value}")
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value!r} is not a finite number" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, config", [
+    ("eta", {"grid": {"n": [10], "k": [3], "delta": [4], "eta": [0.05, math.inf]}}),
+    ("rho", {"grid": {"n": [10], "k": [3], "delta": [4], "rho": [math.nan]}}),
+    ("c0", {"c0": math.inf}),
+    ("eps_exponent", {"eps_exponent": -math.inf}),
+    ("eps_exponent", {"eps_exponent": math.nan}),
+], ids=["grid-eta-inf", "grid-rho-nan", "c0-inf", "eps-exponent-minus-inf", "eps-exponent-nan"])
+def test_nonfinite_sweep_number_is_usage_error(tmp_path, capsys, key, config):
+    # a grid "eta": [Infinity] once exited 2 with only the serializer's
+    # message, after the jobs had run
+    cfg, out = sweep_config(tmp_path, **config), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{key}'" in err and "finite" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["abc", "-3"])
+def test_test_thread_pool_shares_the_sweep_rule(monkeypatch, threads):
+    # the tests' thread_map once read SOLGEO_THREADS with a bare int():
+    # "abc" failed with int()'s message, and -3 meant one thread
+    monkeypatch.setenv("SOLGEO_THREADS", threads)
+    with pytest.raises(ValueError) as exc:
+        thread_map(abs, [-1, 2])
+    assert str(exc.value) == f"SOLGEO_THREADS holds {threads!r}, not an integer >= 1"
+    monkeypatch.setenv("SOLGEO_THREADS", "1")
+    assert thread_map(abs, [-1, 2]) == [1, 2]
 
 
 def test_certify_rejects_asymmetric_goe(tmp_path, capsys):

@@ -600,6 +600,14 @@ def test_violation_budget_boundaries():
         violation_budget(-0.1, 10)
 
 
+@pytest.mark.parametrize("eta", [math.inf, math.nan, -math.inf])
+def test_violation_budget_refuses_nonfinite_eta(eta):
+    # inf once raised OverflowError ("cannot convert float infinity to
+    # integer") and nan once gave a ValueError from int(), not one naming eta
+    with pytest.raises(ValueError, match="eta must be finite and nonnegative"):
+        violation_budget(eta, 10)
+
+
 def test_xor_violation_helpers():
     I = XorInstance(2, 3, [(0, 1), (1, 2)], [1, -1])
     assert xor_violations(I, np.array([1, 1, 1])) == 1

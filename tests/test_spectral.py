@@ -4,13 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from solgeo import spectral
+from conftest import petersen_graph
+from solgeo import eigencount, spectral
 from solgeo.eigencount import (
     certify_count_indsets,
     certify_count_sk,
     eigenspace_window,
     hoffman_bound,
 )
+from solgeo.geometry import refute_biased_2xor_family
 from solgeo.instances import (
     MultiGraph,
     sample_goe,
@@ -333,10 +335,107 @@ def test_asymmetry_is_charged_to_the_proof():
         symmetric_spectrum(M, "max")
     # asymmetry the check lets through is charged to the proofs, which pass
     M[1, 0] = 10.0 - s / 20
-    vals = symmetric_spectrum(M, "max")
-    assert np.array_equal(symmetric_spectrum(M, "min"), vals)
+    vals, hi = symmetric_spectrum(M, "max")
+    low_vals, lo = symmetric_spectrum(M, "min")
+    assert np.array_equal(low_vals, vals)
     assert vals[-1] + s > np.linalg.eigvalsh((M + M.T) / 2)[-1]
     assert vals[0] - s < np.linalg.eigvalsh((M + M.T) / 2)[0]
+    # the bounds returned are the ones proved, and they hold for M's symmetric part
+    s = eig_slack(float(np.max(np.abs(vals))))
+    assert (lo, hi) == (vals[0] - s, vals[-1] + s)
+    assert lo < np.linalg.eigvalsh((M + M.T) / 2)[0]
+    assert hi > np.linalg.eigvalsh((M + M.T) / 2)[-1]
+
+
+# ---------------------------------------------------------------------------
+# Every consumer reads the bound its proof established
+# ---------------------------------------------------------------------------
+
+def dense_graph() -> MultiGraph:
+    # 60 vertices of average degree 39.6: lambda_2 near 0.78, de-meaned norm near 10
+    return random_graph(60, 1200, seed=2)
+
+
+def edge_expansion_case(_):
+    report = spectral_report(dense_graph(), demeaned=False)
+    loaded = SpectralReport.from_json_dict(report.to_json_dict())
+    assert loaded.lambda2_bound == report.lambda2_bound > 0
+    return edge_expansion_lower_bound(loaded, 7), lambda t: 0.5 * t * report.d_min * 7
+
+
+def mixing_case(_):
+    report = spectral_report(dense_graph(), laplacian=False)
+    loaded = SpectralReport.from_json_dict(report.to_json_dict())
+    assert loaded.norm_bound == report.norm_bound
+    center = report.d_avg / report.n * 20 * 30
+    return (mixing_interval(loaded, 20, 30),
+            lambda t: (center - t * math.sqrt(20 * 30), center + t * math.sqrt(20 * 30)))
+
+
+def biased_family_case(_):
+    G = dense_graph()
+    n, davg, eps, rho = G.n, G.average_degree(), 0.1, 1.0
+
+    def expected(nu):
+        gamma_frac = (davg * n / 2.0 * (1.0 + rho**2) - nu * n - davg) / (2.0 * G.m)
+        assert gamma_frac - (0.5 + eps) > 0  # not hidden by the floor at 0
+        return max(0.0, gamma_frac - (0.5 + eps))
+
+    return refute_biased_2xor_family(G, eps, rho), expected
+
+
+def hoffman_case(_):
+    # lambda_min = -2 gives floor(2 * 10 / 5) = 4; the widened slack of 1.5
+    # moves the floor to 5
+    G = petersen_graph()
+
+    def expected(t):
+        lam = -t
+        assert math.floor(lam * G.n / (3 + lam) + 1e-9) == 5
+        return math.floor(lam * G.n / (3 + lam) + 1e-9)
+
+    return hoffman_bound(G), expected
+
+
+def window_case(certify, make):
+    def run(monkeypatch):
+        windows = []
+        measured = eigencount._measured_window
+        monkeypatch.setattr(eigencount, "_measured_window",
+                            lambda *a: windows.append(measured(*a)) or windows[-1])
+        certify(make())
+        (window,) = windows
+        return window.lam_hi, lambda t: t
+    return run
+
+
+# consumer: (slack factor, side proved, case); a case runs the consumer and
+# returns its bound and the bound expected from the proved threshold
+BOUND_CONSUMERS = {
+    "edge_expansion_lower_bound": (1e5, "min", edge_expansion_case),
+    "mixing_interval": (1e5, "norm", mixing_case),
+    "refute_biased_2xor_family": (1e5, "norm", biased_family_case),
+    "hoffman_bound": (5e6, "min", hoffman_case),
+    "certify_count_sk": (1e5, "max", window_case(
+        lambda M: certify_count_sk(M, 0.1), lambda: sample_goe(40, seed=3))),
+    "certify_count_indsets": (1e5, "max", window_case(
+        lambda G: certify_count_indsets(G, 0.2), lambda: sample_regular_graph(40, 3, seed=3))),
+}
+
+
+@pytest.mark.parametrize("consumer", sorted(BOUND_CONSUMERS))
+def test_consumers_read_the_proved_bound(monkeypatch, consumer):
+    # with a much wider slack, a consumer that works its bound out again
+    # (from its own copy of the slack rule) no longer matches the proof
+    factor, side, case = BOUND_CONSUMERS[consumer]
+    slack, prove = spectral.eig_slack, spectral.prove_side
+    monkeypatch.setattr(spectral, "eig_slack", lambda scale: factor * slack(scale))
+    proved = []
+    monkeypatch.setattr(spectral, "prove_side", lambda B, claim, t, err=0.0:
+                        proved.append((claim, t)) or prove(B, claim, t, err))
+    got, expected = case(monkeypatch)
+    assert proved[0][0] == side  # "norm" goes on to prove "max" and "min"
+    assert got == expected(proved[0][1])
 
 
 def test_report_builds_adjacency_once(monkeypatch):
