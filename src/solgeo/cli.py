@@ -46,7 +46,8 @@ EXIT_VIOLATED = 3
 EXIT_INTERNAL = 4
 
 # Defaults shared by the certify flags and the sweep config keys.
-_DEFAULTS = {"predicate": "ksat", "eps_exponent": 0.05, "c0": geometry.PRIMAL_NORM_C0}
+_DEFAULTS = {"predicate": "ksat", "eps_exponent": counting.EPS_EXPONENT,
+             "c0": geometry.PRIMAL_NORM_C0}
 _PREDICATES = {"ksat": Predicate.ksat, "xor": Predicate.parity}
 
 _GENERATORS = {
@@ -273,7 +274,8 @@ def _sweep_cells(config: dict) -> list[dict]:
 def _effective_config(config: dict) -> dict:
     """The config's kind and every `_CONFIG_DEFAULTS` key; ValueError
     naming a key whose value lacks its default's type (an int will do for
-    a float) or names no certifiable kind, generator or predicate."""
+    a float, and becomes one) or names no certifiable kind, generator
+    or predicate."""
     effective = {key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}
     for key, value in effective.items():
         default = _CONFIG_DEFAULTS[key]
@@ -282,6 +284,8 @@ def _effective_config(config: dict) -> dict:
         if (isinstance(value, bool) or not isinstance(value, types)
                 or isinstance(value, float) and not np.isfinite(value)):
             raise ValueError(f"sweep config {key!r} holds {value!r:.40}, not a {expected}")
+        if isinstance(default, float):
+            effective[key] = float(value)  # 3 and 3.0 are one resume key
     effective["kind"] = config.get("kind")
     for key, choices in _CONFIG_CHOICES.items():
         # the kinds are a list, so an unhashable kind is refused here too
@@ -291,28 +295,35 @@ def _effective_config(config: dict) -> dict:
     return effective
 
 
-def _cell_hash(config: dict, cell: dict) -> str:
-    """The resume key of a cell: the cell and the full effective config."""
-    return sha256_of({**_effective_config(config), "cell": cell})[:16]
+def _cell_hash(effective: dict, cell: dict) -> str:
+    """The resume key of a cell: the cell and the effective config."""
+    return sha256_of({**effective, "cell": cell})[:16]
 
 
-def _job_args(config: dict, cell: dict, seed: int) -> argparse.Namespace:
-    """The gen/certify/oracle arguments of one sweep job."""
-    merged = dict(_AXIS_DEFAULTS)
-    merged.update(cell)
-    if merged.get("m") is None and merged.get("delta") is not None:
-        merged["m"] = int(round(merged["delta"] * merged["n"]))
-    if merged.get("m") is None and merged.get("delta_exp") is not None:
-        # density exponent axis: m = n^(1 + delta_exp)
-        merged["m"] = int(round(merged["n"] ** (1.0 + merged["delta_exp"])))
+# The density axes, each giving the edge count m from the cell when m is unset.
+_DENSITY_AXES = {
+    "delta": lambda c: c["delta"] * c["n"],
+    "delta_exp": lambda c: c["n"] ** (1.0 + c["delta_exp"]),
+}
+
+
+def _job_args(effective: dict, cell: dict) -> dict:
+    """The gen/certify/oracle arguments of a cell's jobs, all but the seed;
+    ValueError naming a density axis that gives no edge count."""
+    merged = {**_AXIS_DEFAULTS, **cell}
+    for axis, edges in _DENSITY_AXES.items():
+        if merged.get("m") is None and merged.get(axis) is not None:
+            try:
+                merged["m"] = int(round(edges(merged)))
+            except (ArithmeticError, TypeError):  # overflow, 0 ** -x, or complex
+                raise ValueError(f"sweep grid axis {axis!r} holds {merged[axis]!r:.40}, "
+                                 f"which gives no edge count at n = {merged['n']!r:.40}") from None
     merged["m"] = merged["m"] or 0
-    return argparse.Namespace(**{**merged, **_effective_config(config), "seed": seed,
-                                 "theta": None, "threshold_size": None})
+    return {**merged, **effective, "theta": None, "threshold_size": None}
 
 
 def _sweep_worker(job: tuple) -> dict:
-    config, cell, seed = job
-    args = _job_args(config, cell, seed)
+    cell, cell_hash, args = job
     instance = _GENERATORS[args.instance](args)
     cert = _certify(args.kind, instance, args)
     doc = _certificate_doc(cert, instance, args)
@@ -339,11 +350,11 @@ def _sweep_worker(job: tuple) -> dict:
 
     return {
         "cell": cell,
-        "seed": seed,
+        "seed": args.seed,
         "result": result,
         "oracle": oracle_value,
         "sound": sound,
-        "cell_hash": _cell_hash(config, cell),
+        "cell_hash": cell_hash,
     }
 
 
@@ -381,12 +392,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     seeds = config.get("seeds", 1)
     if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
         raise ValueError(f"sweep config 'seeds' holds {seeds!r:.40}, not a count")
-    jobs = [
-        (config, cell, seed)
-        for cell in _sweep_cells(config)
-        for seed in range(seeds)
-        if (_cell_hash(config, cell), seed) not in done
-    ]
+    # the whole config is checked here, once, before the output file opens
+    effective = _effective_config(config)
+    cells = [(cell, _cell_hash(effective, cell), _job_args(effective, cell))
+             for cell in _sweep_cells(config)]
+    jobs = [(cell, key, argparse.Namespace(**{**job_args, "seed": seed}))
+            for cell, key, job_args in cells for seed in range(seeds) if (key, seed) not in done]
 
     violations = 0
     workers = min(_worker_count(), len(jobs))

@@ -36,6 +36,10 @@ from .spectral import edge_expansion_lower_bound, spectral_report
 # attempted).
 DEGREE_WINDOW_C = 2.5
 
+# Default margin added to the block-size exponent c of the kXOR recursion
+# (``--eps-exponent``): blocks of n^c vertices, c = 1 - delta/(k-2) + eps.
+EPS_EXPONENT = 0.05
+
 
 def log2_binomial_tail(n: int, radius: int) -> float:
     """log2 of sum_{l <= radius} C(n, l); exact integer arithmetic up to
@@ -244,7 +248,7 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
 
 
 def certify_count_kxor(
-    H: UnsignedHypergraph, eta: float, eps: float = 0.05
+    H: UnsignedHypergraph, eta: float, eps: float = EPS_EXPONENT
 ) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
     violating at most an eta fraction of the hyperedges of H."""
@@ -275,7 +279,7 @@ def _ksat_bound(I: SignedHypergraph, eta: float, eps: float) -> _BoundResult:
 
 
 def certify_count_ksat(
-    I: SignedHypergraph, eta: float, eps: float = 0.05
+    I: SignedHypergraph, eta: float, eps: float = EPS_EXPONENT
 ) -> CountCertificate:
     """Certificate on the number of (1-eta)-satisfying assignments of I as
     a kSAT instance: the XOR principle converts the SAT slack into an XOR
@@ -284,7 +288,7 @@ def certify_count_ksat(
 
 
 def certify_count_kcsp(
-    I: SignedHypergraph, P: Predicate, eta: float, eps: float = 0.05
+    I: SignedHypergraph, P: Predicate, eta: float, eps: float = EPS_EXPONENT
 ) -> CountCertificate:
     """Certificate on (1-eta)-satisfiers of I under an arbitrary predicate,
     via composition with a fixed non-satisfying string of P."""

@@ -18,7 +18,7 @@ import numpy as np
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import MultiGraph, rendered_doc
 from .jsonio import sha256_of
-from .spectral import demeaned_adjacency, eig_slack, symmetric_spectrum
+from .spectral import demeaned_adjacency, proved_bound, symmetric_spectrum
 
 # Net resolutions below this are floored; a larger radius only grows the
 # counted superset, so the floor never costs soundness.
@@ -47,23 +47,46 @@ def subspace_count_bound(alpha: float, eps: float, n: int) -> float:
 
 @dataclass(frozen=True)
 class EigenspaceWindow:
-    """Measured fraction of eigenvalues within (1-delta) of the extremal
-    eigenvalue."""
+    """The eigenvalue window both counts rest on, below the top eigenvalue
+    ``lambda_top`` of a symmetric matrix.
+
+    lambda_max lies in [lam_lo, lam_hi]: ``lam_hi`` is the bound proved
+    above it and lam_lo = proved_bound(lambda_top, "min", span), which
+    only places the window.  ``count`` eigenvalues lie at or above
+    proved_bound(threshold, "min", span), threshold = lam_lo (1 - delta),
+    a fraction ``alpha`` of the ``n``.
+    """
 
     delta: float
     alpha: float
     lambda_top: float
     n: int
     count: int
+    lam_lo: float
+    lam_hi: float
+    threshold: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.alpha <= 1.0):
             raise ValueError("alpha must lie in [0, 1]")
 
+    def eps(self, target: float) -> float:
+        """A unit vector with Rayleigh quotient at least ``target`` lies
+        within eps of the span of the eigenvectors above the threshold,
+        eps^2 <= (lambda_max - target) / (lambda_max - threshold), taken at
+        the worse end of [lam_lo, lam_hi].  Meaningful when lam_lo > 0."""
+        eps_sq = 0.0
+        for lam in (self.lam_lo, self.lam_hi):
+            if lam > self.threshold:
+                eps_sq = max(eps_sq, (lam - target) / (lam - self.threshold))
+        return math.sqrt(max(0.0, eps_sq))
 
-def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> EigenspaceWindow:
-    """Fraction of eigenvalues in the window (``_window``) below the top
-    eigenvalue of M, or of -M when sign == "bottom"."""
+
+def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top",
+                      err: float = 0.0) -> EigenspaceWindow:
+    """The window below the top eigenvalue of M, or of -M when sign ==
+    "bottom", with lambda_max proved below ``lam_hi`` for every symmetric
+    matrix within ``err`` of it (``symmetric_spectrum``)."""
     if sign not in ("top", "bottom"):
         raise ValueError("sign must be 'top' or 'bottom'")
     if not (0.0 <= delta <= 1.0):
@@ -71,48 +94,13 @@ def eigenspace_window(M: np.ndarray, delta: float, sign: str = "top") -> Eigensp
     work = np.asarray(M, dtype=float)
     if sign == "bottom":
         work = -work
-    vals = symmetric_spectrum(work, "max")[0]
-    n = work.shape[0]
-    count = _window(vals, delta)[2]
-    return EigenspaceWindow(delta, count / n, float(vals[-1]), n, count)
-
-
-@dataclass(frozen=True)
-class _MeasuredWindow:
-    lam1: float
-    lam_lo: float
-    lam_hi: float
-    eps: float
-    alpha: float
-
-
-def _window(vals: np.ndarray, delta: float) -> tuple[float, float, int]:
-    """The one window rule: s = eig_slack(max |vals|), the threshold
-    t = (vals[-1] - s)(1 - delta) and the number of vals >= t - s."""
-    slack = eig_slack(float(np.max(np.abs(vals))))
-    threshold = (float(vals[-1]) - slack) * (1.0 - delta)
-    return slack, threshold, int(np.count_nonzero(vals >= threshold - slack))
-
-
-def _measured_window(vals: np.ndarray, lam_hi: float, delta: float, target: float) -> _MeasuredWindow:
-    """The window both counts rest on, from ``symmetric_spectrum``'s
-    spectrum ``vals`` and proved bound ``lam_hi`` > lambda_max.
-
-    lambda_max lies in [lam_lo, lam_hi], lam_lo = vals[-1] - s, s the
-    window's slack.  A unit vector with Rayleigh quotient at least ``target``
-    lies within eps of the span of the eigenvectors above lam_lo (1 - delta),
-    eps^2 <= (lambda_max - target) / (lambda_max - lam_lo (1 - delta)),
-    taken at the worse end of the interval; alpha is the fraction of
-    eigenvalues above that threshold, less s.  Meaningful when lam_lo > 0.
-    """
-    lam1 = float(vals[-1])
-    slack, threshold, count = _window(vals, delta)
-    lam_lo = lam1 - slack
-    eps_sq = 0.0
-    for lam in (lam_lo, lam_hi):
-        if lam > threshold:
-            eps_sq = max(eps_sq, (lam - target) / (lam - threshold))
-    return _MeasuredWindow(lam1, lam_lo, lam_hi, math.sqrt(max(0.0, eps_sq)), count / len(vals))
+    vals, lam_hi = symmetric_spectrum(work, "max", err)
+    span = (vals[0], vals[-1])
+    lam_lo = proved_bound(vals[-1], "min", span)
+    threshold = lam_lo * (1.0 - delta)
+    count = int(np.count_nonzero(vals >= proved_bound(threshold, "min", span)))
+    return EigenspaceWindow(delta, count / len(vals), float(vals[-1]), len(vals), count,
+                            lam_lo, lam_hi, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +122,8 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     n = G.shape[0]
     target = 2.0 * (1.0 - eta) * math.sqrt(n)
     delta = eta ** (2.0 / 5.0)
-    win = _measured_window(*symmetric_spectrum(G, "max"), delta, target)
-    lam1 = win.lam1
+    win = eigenspace_window(G, delta)
+    lam1 = win.lambda_top
     goe_check = CheckRecord(
         "goe-top-eigenvalue", abs(lam1 / math.sqrt(n) - 2.0), n ** -0.25,
         abs(lam1 / math.sqrt(n) - 2.0) < n ** -0.25,
@@ -155,10 +143,9 @@ def certify_count_sk(G: np.ndarray, eta: float) -> CountCertificate:
     elif win.lam_lo <= 0:
         log2_bound = float(n)
     else:
-        eps_used = max(2.0 * win.eps, EPS_FLOOR)
-        transcript.update(
-            {"eps_measured": win.eps, "eps_used": eps_used, "alpha": win.alpha}
-        )
+        eps = win.eps(target)
+        eps_used = max(2.0 * eps, EPS_FLOOR)
+        transcript.update({"eps_measured": eps, "eps_used": eps_used, "alpha": win.alpha})
         log2_bound = subspace_count_bound(win.alpha, eps_used, n) if eps_used < 0.25 else float(n)
     return CountCertificate(
         kind="sk-count", n=n, log2_bound=log2_bound, eta=eta,
@@ -238,9 +225,8 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
     rayleigh = (d * s_min / n) / (1.0 - s_min / n)
 
     Abar, err = demeaned_adjacency(G)
-    vals, lam_hi = symmetric_spectrum(np.negative(Abar, out=Abar), "max", err)  # (d/n) J - A
-    win = _measured_window(vals, lam_hi, delta, rayleigh)
-    lam1 = win.lam1
+    win = eigenspace_window(np.negative(Abar, out=Abar), delta, err=err)  # (d/n) J - A
+    lam1 = win.lambda_top
 
     friedman_gap = abs(lam1 - 2.0 * math.sqrt(d - 1.0))
     friedman_threshold = math.log(math.log(max(n, 3))) / math.log(max(n, 3))
@@ -271,12 +257,13 @@ def certify_count_indsets(G: MultiGraph, eta: float) -> CountCertificate:
             log2_bound = 0.0
         else:
             c_y_meas = math.sqrt(c_lam * (1.0 - c_lam))
-            eps_net = max(win.eps, EPS_FLOOR)
+            eps = win.eps(rayleigh)
+            eps_net = max(eps, EPS_FLOOR)
             eps_prime = 2.0 * eps_net * c_y_meas
             transcript.update(
                 {
                     "alpha": win.alpha,
-                    "eps_measured": win.eps,
+                    "eps_measured": eps,
                     "eps_net": eps_net,
                     "eps_prime": eps_prime,
                     "c_y_measured": c_y_meas,

@@ -38,6 +38,9 @@ from .spectral import SpectralReport, mixing_interval, spectral_report
 # where nontrivial cluster/balance bounds are attempted.
 PRIMAL_NORM_C0 = 3.0
 
+# balanced_code_bound tries the Hadamard powers k = 1..BALANCED_CODE_K_MAX.
+BALANCED_CODE_K_MAX = 200
+
 # Tiny strictness margin for "certified count exceeds budget" comparisons.
 _MARGIN = 1e-9
 
@@ -106,7 +109,7 @@ def hyperedge_split_bounds(
 # Balanced-code bound
 # ---------------------------------------------------------------------------
 
-def balanced_code_bound(eps: float, n: int, k_max: int = 200) -> float:
+def balanced_code_bound(eps: float, n: int) -> float:
     """log2 upper bound on the size of any eps-balanced code of length n.
 
     For code vectors with pairwise inner products at most eps*n in absolute
@@ -121,7 +124,7 @@ def balanced_code_bound(eps: float, n: int, k_max: int = 200) -> float:
         raise ValueError("n must be positive")
     best = float(n)
     log_eps = math.log(eps) if eps > 0 else float("-inf")
-    for k in range(1, k_max + 1):
+    for k in range(1, BALANCED_CODE_K_MAX + 1):
         rank_cap = math.comb(n + k - 1, k)
         feasible = math.log(rank_cap) + 2 * k * log_eps < math.log(0.5)
         if feasible:

@@ -25,9 +25,9 @@ Consumers and the side each one proves:
 * ``SpectralReport.norm_bound``, "norm" on A - (2m/n^2) J:
   ``mixing_interval`` (cluster and 3CSP balance certificates) and
   ``geometry.refute_biased_2xor_family`` (kXOR and kCSP balance);
-* ``symmetric_spectrum(M, side)``'s bound, "max" for the SK and
-  independent-set counts and ``eigenspace_window``, "min" for
-  ``hoffman_bound``;
+* ``symmetric_spectrum(M, side)``'s bound, "max" for
+  ``eigenspace_window``, the window of the SK and independent-set counts,
+  "min" for ``hoffman_bound``;
 * ``refuter``'s quadratic-norm branch, ``prove_side(W, "norm", ...)`` at
   its own relative margin.
 
@@ -35,9 +35,10 @@ Not proved:
 
 * the window counts ``alpha`` in ``eigencount`` and the extreme on the
   side ``symmetric_spectrum`` leaves unproved are read off ``eigvalsh``;
-* ``lam_lo`` in the SK and independent-set counts only places the window
-  threshold (``eigencount._window``), which the counting argument allows
-  anywhere, so no lower bound on lambda_max is consumed;
+* ``EigenspaceWindow.lam_lo``, ``proved_bound`` of the top eigenvalue on
+  the "min" side, only places the window threshold of the SK and
+  independent-set counts, which the counting argument allows anywhere,
+  so no lower bound on lambda_max is consumed;
 * interior eigenvalues; no eigenvector or Ritz vector is consumed;
 * the SVD branch of the refuter's flattening bound.
 """
@@ -302,15 +303,14 @@ def proved_extreme(B: np.ndarray, side: str, err: float = 0.0,
     return float(value)
 
 
-def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
-    """lambda_2 of G's normalized Laplacian, proved from below.  ``A`` is
-    the adjacency matrix and is overwritten.
+def _lambda2_value(G: MultiGraph) -> float:
+    """lambda_2 of G's normalized Laplacian, proved from below.
 
-    L is formed in place as 1 on the diagonal and -(a_ij s_i) s_j off it,
-    s = 1/sqrt(d); only its lower triangle is read.  2 P0 = w w^T is added
-    in place a block of rows at a time, each entry as fl(l_ij + fl(w_i w_j)),
-    the rounding an added np.outer(w, w) would make, without its n x n
-    temporary.  Against the exact L, each entry is off by at most 6.1u
+    L is formed in place in a fresh adjacency matrix, as 1 on the diagonal
+    and -(a_ij s_i) s_j off it, s = 1/sqrt(d); only its lower triangle is
+    read.  2 P0 = w w^T is added in place a block of rows at a time, each
+    entry as fl(l_ij + fl(w_i w_j)), the rounding an added np.outer(w, w)
+    would make, without its n x n temporary.  Against the exact L, each entry is off by at most 6.1u
     relatively, and |D^-1/2 A D^-1/2|_F <= sqrt(n); the entries of 2 w w^T
     by at most 7.3u relatively, |2 P0|_F = 2; adding the two rounds by at
     most u (|L|_F + 2) <= u (2 sqrt(n) + 2).  By Weyl's inequality the
@@ -321,9 +321,13 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
     spectrum of L + 2 P0 lies in [0, 2] with extremes lambda_2 and 2.
     Without a matvec, lambda_2 is read off eigvalsh(L), second smallest.
     """
-    n = A.shape[0]
+    degrees = np.array(G.degrees, dtype=float)
+    if degrees.min() == 0:
+        raise ValueError("normalized Laplacian requires no isolated vertices")
+    n = G.n
+    _check_dense(n)
     inv_sqrt = 1.0 / np.sqrt(degrees)
-    L = A
+    L = G.adjacency()
     L *= inv_sqrt[:, None]
     L *= -inv_sqrt[None, :]
     np.fill_diagonal(L, 1.0)  # no self-loops: a_ii = 0
@@ -339,30 +343,27 @@ def _lambda2_value(G: MultiGraph, A: np.ndarray, degrees: np.ndarray) -> float:
                           matvec, estimate, LAPLACIAN_RANGE)
 
 
-def demeaned_adjacency(G: MultiGraph, A: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """A - (d_avg/n) J, formed in place in ``A`` (by default a fresh
-    adjacency matrix of G), with a bound on its spectral-norm distance from
-    the exact A - (2m/n^2) J.
+def demeaned_adjacency(G: MultiGraph) -> tuple[np.ndarray, float]:
+    """A - (d_avg/n) J, formed in place in a fresh adjacency matrix of G,
+    with a bound on its spectral-norm distance from the exact
+    A - (2m/n^2) J.
 
     The float q = d_avg/n is off by at most 2u q and each entry
     fl(a_ij - q) by at most u |a_ij - q|, so each row of the error sums to
     at most u (d_max + 3 d_avg); for a symmetric error that bounds its
     spectral norm.  fl(a_ij - q) is exactly symmetric.
     """
-    if A is None:
-        A = G.adjacency()
+    A = G.adjacency()
     A -= G.average_degree() / G.n
     return A, 4.0 * UNIT_ROUNDOFF * (max(G.degrees) + G.average_degree())
 
 
-def demeaned_norm(G: MultiGraph, A: np.ndarray | None = None) -> float:
-    """Operator norm of A - (d_avg/n) J, multiplicities counted.  A caller
-    that has built G's adjacency matrix passes it as ``A``, which is
-    overwritten."""
+def demeaned_norm(G: MultiGraph) -> float:
+    """Operator norm of A - (d_avg/n) J, multiplicities counted."""
     if G.m == 0:
         return 0.0
     _check_dense(G.n)
-    Abar, err = demeaned_adjacency(G, A)
+    Abar, err = demeaned_adjacency(G)
     adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
     matvec = None if adjacency is None else lambda x: adjacency(x) - q * x.sum()
     return proved_extreme(Abar, "norm", err, matvec)
@@ -372,24 +373,9 @@ def spectral_report(
     G: MultiGraph, laplacian: bool = True, demeaned: bool = True
 ) -> SpectralReport:
     """Measure degree statistics plus the requested spectral quantities."""
-    n = G.n
-    degrees = np.array(G.degrees, dtype=float)
-    d_min = int(degrees.min()) if n else 0
-    d_max = int(degrees.max()) if n else 0
-    d_avg = G.average_degree()
-
-    lam2: float | None = None
-    A = None
-    if laplacian:
-        if d_min == 0:
-            raise ValueError("normalized Laplacian requires no isolated vertices")
-        _check_dense(n)
-        A = G.adjacency()
-        lam2 = _lambda2_value(G, A.copy() if demeaned else A, degrees)
-
-    norm = demeaned_norm(G, A) if demeaned else None
-
-    return SpectralReport(n, G.m, d_min, d_max, d_avg, lam2, norm)
+    lam2 = _lambda2_value(G) if laplacian else None
+    norm = demeaned_norm(G) if demeaned else None
+    return SpectralReport(G.n, G.m, min(G.degrees), max(G.degrees), G.average_degree(), lam2, norm)
 
 
 def edge_expansion_lower_bound(report: SpectralReport, s: int) -> float:

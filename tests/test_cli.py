@@ -350,10 +350,11 @@ def test_sweep_resume_keys_on_effective_config(tmp_path):
     rows = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(rows) == 2 and rows[0]["cell_hash"] != rows[1]["cell_hash"]
     # spelling out the defaults changes nothing
-    explicit = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", predicate="ksat",
-                            eps_exponent=0.05, c0=3.0)
-    assert run("sweep", "--config", str(explicit), "--out", str(out)) == 0
-    assert len(out.read_text().splitlines()) == 2
+    for c0 in (3.0, 3):
+        explicit = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", predicate="ksat",
+                                eps_exponent=0.05, c0=c0)
+        assert run("sweep", "--config", str(explicit), "--out", str(out)) == 0
+        assert len(out.read_text().splitlines()) == 2, c0
     for key, value in [("predicate", "xor"), ("eps_exponent", 0.1), ("c0", 4.0),
                        ("oracle_max_n", 0)]:
         config = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", **{key: value})
@@ -409,9 +410,32 @@ def test_sweep_resume_hashes_are_unchanged():
     # recorded before the kind joined the config checks
     config = {"kind": "count", "instance": "xor", "oracle_max_n": 12,
               "grid": {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}}
-    assert cli._cell_hash(config, {"n": 10, "k": 3, "delta": 4, "eta": 0.05}) == "a7ff39db31771168"
+    cell = {"n": 10, "k": 3, "delta": 4, "eta": 0.05}
+    assert cli._cell_hash(cli._effective_config(config), cell) == "a7ff39db31771168"
     config = {"kind": "clusters", "instance": "csp", "predicate": "xor", "c0": 4.0, "grid": {}}
-    assert cli._cell_hash(config, {}) == "171d54d732f3c2d5"
+    assert cli._cell_hash(cli._effective_config(config), {}) == "171d54d732f3c2d5"
+
+
+@pytest.mark.parametrize("key, value", [("c0", 3), ("eps_exponent", 0)])
+def test_sweep_resume_key_holds_an_int_float_key_as_a_float(key, value):
+    # an int once hashed as an int: "c0": 3 was another sweep than the
+    # default 3.0, and "eps_exponent": 0 another than 0.0
+    config = {"kind": "count", "grid": {}}
+    as_float = cli._cell_hash(cli._effective_config({**config, key: float(value)}), {})
+    assert cli._cell_hash(cli._effective_config({**config, key: value}), {}) == as_float
+
+
+@pytest.mark.parametrize("axis, value", [("delta_exp", 400), ("delta", 1e308)])
+def test_sweep_density_axis_without_an_edge_count_is_usage_error(tmp_path, capsys, axis, value):
+    # delta_exp = 400 once exited 4 on an OverflowError, after the output
+    # file was created
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], axis: [value]})
+    out = tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"'{axis}'" in err
+    assert not out.exists()
 
 
 def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):

@@ -22,6 +22,7 @@ from solgeo.oracle import (
     brute_subspace_count,
     verify_certificate,
 )
+from solgeo.spectral import demeaned_adjacency
 
 
 def two_k4s() -> MultiGraph:
@@ -72,6 +73,21 @@ def test_eigenspace_window_bottom_negates():
     win = eigenspace_window(M, 0.1, "bottom")
     assert win.lambda_top == pytest.approx(5.0)
     assert win.count == 1
+
+
+def test_counts_record_the_eigenspace_window():
+    # both counts rest on the one window: the alpha and lambda_1 each
+    # records are eigenspace_window's fields on the matrix it reads
+    M = sample_goe(40, seed=3)
+    sk = certify_count_sk(M, 0.1).transcript
+    win = eigenspace_window(M, sk["delta"])
+    assert (sk["alpha"], sk["lambda_1"]) == (win.alpha, win.lambda_top)
+    assert sk["eps_measured"] == win.eps(sk["target_rayleigh"])
+    G = sample_regular_graph(40, 3, seed=3)
+    indset = certify_count_indsets(G, 0.2).transcript
+    Abar, err = demeaned_adjacency(G)  # A - (d/n) J; the count reads its negation
+    win = eigenspace_window(Abar, indset["delta"], "bottom", err)
+    assert (indset["alpha"], indset["lambda_1"]) == (win.alpha, win.lambda_top)
 
 
 def test_sk_signature_hashes_the_matrix_as_before():

@@ -400,9 +400,9 @@ def hoffman_case(_):
 def window_case(certify, make):
     def run(monkeypatch):
         windows = []
-        measured = eigencount._measured_window
-        monkeypatch.setattr(eigencount, "_measured_window",
-                            lambda *a: windows.append(measured(*a)) or windows[-1])
+        window_of = eigencount.eigenspace_window
+        monkeypatch.setattr(eigencount, "eigenspace_window",
+                            lambda *a, **kw: windows.append(window_of(*a, **kw)) or windows[-1])
         certify(make())
         (window,) = windows
         return window.lam_hi, lambda t: t
@@ -438,13 +438,17 @@ def test_consumers_read_the_proved_bound(monkeypatch, consumer):
     assert got == expected(proved[0][1])
 
 
-def test_report_builds_adjacency_once(monkeypatch):
+def test_report_builds_adjacency_once_per_quantity(monkeypatch):
+    # the package asks a report for one quantity at a time; each quantity
+    # builds G's adjacency matrix once, and no copy of it is shared
     G = connected_graph(12, 20, seed=5)
     calls = []
     real = MultiGraph.adjacency
     monkeypatch.setattr(MultiGraph, "adjacency", lambda self: calls.append(1) or real(self))
-    spectral_report(G)
-    assert len(calls) == 1
+    for quantities, builds in [({"demeaned": False}, 1), ({"laplacian": False}, 1), ({}, 2)]:
+        calls.clear()
+        spectral_report(G, **quantities)
+        assert len(calls) == builds, quantities
 
 
 # ---------------------------------------------------------------------------
