@@ -2,14 +2,17 @@
 
 Library layout:
 
-* ``instances``   -- hypergraph/XOR/predicate types, samplers, constructions
-* ``spectral``    -- eigenvalue measurements and graph-spectrum certificates
-* ``refuter``     -- polynomial refutation, quasirandomness, XOR principle
-* ``counting``    -- count certificates (2XOR, kXOR, kSAT, kCSP) + reductions
-* ``geometry``    -- cluster and balance certificates
-* ``eigencount``  -- subspace counting, SK near-optima, independent sets
-* ``oracle``      -- exhaustive/gf2/meet-in-the-middle ground truth
-* ``cli``         -- gen / certify / oracle / verify / sweep commands
+* ``instances``    -- hypergraph/XOR/predicate types, samplers, constructions
+* ``jsonio``       -- canonical JSON: rendering, hashing, reading and writing files
+* ``certificates`` -- certificate records and their JSON codec
+* ``spectral``     -- eigenvalue measurements and graph-spectrum certificates
+* ``refuter``      -- polynomial refutation, quasirandomness, XOR principle
+* ``counting``     -- count certificates (2XOR, kXOR, kSAT, kCSP) + reductions
+* ``geometry``     -- cluster and balance certificates
+* ``eigencount``   -- subspace counting, SK near-optima, independent sets
+* ``oracle``       -- exhaustive/gf2/meet-in-the-middle ground truth
+* ``schemas``      -- JSON schemas of every file format, derived from the records
+* ``cli``          -- gen / certify / oracle / verify / sweep commands
 """
 
 from .certificates import (

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from .instances import (
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
 )
-from .jsonio import canonical_json, read_json, sha256_of, write_json
+from .jsonio import canonical_json, read_json, read_json_lines, sha256_of, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -374,11 +373,6 @@ def _worker_count() -> int:
     return min(workers, available)
 
 
-def _read_rows(jsonl_path: str) -> list[dict]:
-    with open(jsonl_path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     from multiprocessing import Pool
 
@@ -388,7 +382,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("sweep needs an output path (--out or config 'out')")
     done = set()
     if os.path.exists(out_path):
-        done = {(row["cell_hash"], row["seed"]) for row in _read_rows(out_path)}
+        done = {(row["cell_hash"], row["seed"]) for row in read_json_lines(out_path)}
     seeds = config.get("seeds", 1)
     if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
         raise ValueError(f"sweep config 'seeds' holds {seeds!r:.40}, not a count")
@@ -401,13 +395,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     violations = 0
     workers = min(_worker_count(), len(jobs))
-    with open(out_path, "a", encoding="utf-8") as fh, \
-            (Pool(workers) if workers > 1 else nullcontext()) as pool:
+    with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         rows = pool.imap(_sweep_worker, jobs, chunksize=1) if pool else map(_sweep_worker, jobs)
-        for row in rows:
-            violations += row["sound"] is False
-            fh.write(canonical_json(row) + "\n")
-            fh.flush()
+        # a cell refused before the first row leaves no file and an existing one unchanged
+        first = next(rows, None)
+        with open(out_path, "a", encoding="utf-8") as fh:
+            for row in itertools.chain([first] if first else [], rows):
+                violations += row["sound"] is False
+                fh.write(canonical_json(row) + "\n")
+                fh.flush()
 
     if args.csv:
         _export_csv(out_path, args.csv)
@@ -420,7 +416,7 @@ def _export_csv(jsonl_path: str, csv_path: str) -> None:
     """Secondary flat export of a sweep's JSONL rows."""
     import csv
 
-    rows = _read_rows(jsonl_path)
+    rows = read_json_lines(jsonl_path)
     if not rows:
         return
     cell_keys = sorted({k for row in rows for k in row["cell"]})

@@ -145,10 +145,49 @@ def write_json(path: str, obj: Any) -> None:
         fh.write("\n")
 
 
+def _parse(text: str, source: str):
+    """The JSON value in ``text``.  ``json`` reads the tokens NaN,
+    Infinity and -Infinity as floats, but JSON has no number for them:
+    ValueError naming ``source`` and the key path of the first."""
+    constants: list[tuple[str, object]] = []
+
+    def constant(name: str) -> object:
+        constants.append((name, object()))
+        return constants[-1][1]
+
+    doc = json.loads(text, parse_constant=constant)
+    if constants:
+        name, marker = constants[0]
+        where = _key_path(doc, marker) or "top level"
+        raise ValueError(f"{source} holds {name} at {where}, not a finite JSON number")
+    return doc
+
+
+def _key_path(value, target) -> str | None:
+    """The subscripts that lead from ``value`` to ``target``, as text."""
+    if value is target:
+        return ""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            rest = _key_path(item, target)
+            if rest is not None:
+                return f"[{key!r}]{rest}"
+    return None
+
+
 def read_json(path: str) -> dict:
-    """The JSON object in a file; every file the package reads holds one."""
+    """The JSON object in a file; every file the package reads holds one.
+    ValueError naming ``path`` if it holds another value, or NaN or
+    +-Infinity anywhere."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = _parse(fh.read(), path)
     if not isinstance(doc, dict):
         raise ValueError(f"{path} does not hold a JSON object")
     return doc
+
+
+def read_json_lines(path: str) -> list:
+    """The JSON value on each non-blank line of a file, NaN and
+    +-Infinity refused as ``read_json`` refuses them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return [_parse(line, f"{path} line {i}") for i, line in enumerate(fh, 1) if line.strip()]

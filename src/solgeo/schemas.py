@@ -1,82 +1,119 @@
-"""JSON schemas for every file format the CLI reads or writes."""
+"""JSON schemas for every file format the CLI reads or writes.
+
+A format that a package type reads is described by that type alone: the
+certificate and oracle-result schemas are built from the records'
+fields and type hints, and the csp, xor and hypergraph schemas from
+their classes' ``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only
+what no type states: the limits of a value (``_LIMITS``), a clause's
+entry of each instance array (``_ENTRIES``), the oracle kinds, and the
+formats no type reads: graphs, GOE matrices, declined balance notes and
+sweep rows.
+"""
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
+from types import UnionType
+from typing import get_args, get_origin
+
+from .certificates import CERTIFICATE_CLASSES, JsonRecord, _hints
+from .instances import SignedHypergraph, UnsignedHypergraph, XorInstance
+from .oracle import OracleResult
+
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
+# The limits of a value that its type does not state, by field name.
+_LIMITS = {
+    "k": {"minimum": 1},
+    "n": {"minimum": 1},
+    "eta": {"minimum": 0},
+    "eta_refuted": {"minimum": 0},
+    "log2_bound": {"minimum": 0},
+    "log2_cluster_bound": {"minimum": 0},
+    "violated_fraction_bound": {"minimum": 0},
+    "theta": {"minimum": 0, "maximum": 0.5},
+    "rho": {"exclusiveMinimum": 0, "maximum": 1},
+    "instance_sha256": {"pattern": "^[0-9a-f]{64}$"},
+    "enumeration_size": {"minimum": 0},
+    "threshold_size": {"minimum": 1},
+    "runtime_ms": {"minimum": 0},
+}
+# Fields that every file of a record holding them carries, default or not.
+_CARRIED = ("kind", "instance_sha256", "tool_version")
+# The kinds of oracle result; they overlap the certificate kinds.
+_ORACLE_KINDS = ["count", "gauss-count", "clusters", "max-bias", "sk", "indset", "subspace-count"]
+
+
+def _schema(hint) -> dict:
+    """The schema of a value of type ``hint``: a tuple as an array (of
+    fixed length if not ``tuple[X, ...]``), ``X | None`` as X, a record
+    as its object, ``object`` as any value."""
+    args = get_args(hint)
+    if hint is object:
+        return {}
+    if get_origin(hint) is UnionType:
+        (hint,) = set(args) - {type(None)}
+        return _schema(hint)
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return {"type": "array", "items": _schema(args[0])}
+        (item,) = set(args)
+        return {"type": "array", "items": _schema(item),
+                "minItems": len(args), "maxItems": len(args)}
+    if issubclass(hint, JsonRecord):
+        return _record(hint)
+    return {"type": _JSON_TYPES[hint]}
+
+
+def _property(name: str, hint) -> dict:
+    return {**_schema(hint), **_LIMITS.get(name, {})}
+
+
+def _record(cls: type, kinds: list[str] | None = None) -> dict:
+    """The schema of a record's JSON: a field is required unless it has a
+    default or is carried anyway; ``kinds`` are the values of ``kind``."""
+    hints = _hints(cls)
+    properties = {f.name: _property(f.name, hints[f.name]) for f in fields(cls)}
+    if kinds:
+        properties["kind"] = {"const": kinds[0]} if len(kinds) == 1 else {"enum": kinds}
+    required = [f.name for f in fields(cls)
+                if f.name in _CARRIED or (f.default is MISSING and f.default_factory is MISSING)]
+    return {"type": "object", "required": required, "properties": properties}
+
+
 _SIGN = {"type": "integer", "enum": [-1, 1]}
-_CHECK = {
-    "type": "object",
-    "required": ["name", "measured", "threshold", "passed"],
-    "properties": {
-        "name": {"type": "string"},
-        "measured": {"type": "number"},
-        "threshold": {"type": "number"},
-        "passed": {"type": "boolean"},
-    },
+# One clause's entry of each array of a k-uniform instance, by array name.
+_ENTRIES = {
+    "vars": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+    "signs": {"type": "array", "items": _SIGN},
+    "rhs": _SIGN,
 }
 
-CSP_INSTANCE = {
-    "type": "object",
-    "required": ["kind", "k", "n", "clauses"],
-    "properties": {
-        "kind": {"const": "csp"},
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "index_base": {"const": 0},
-        "clauses": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["vars", "signs"],
-                "properties": {
-                    "vars": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "signs": {"type": "array", "items": _SIGN},
-                },
-            },
-        },
-    },
-}
 
-XOR_INSTANCE = {
-    "type": "object",
-    "required": ["kind", "k", "n", "clauses"],
-    "properties": {
-        "kind": {"const": "xor"},
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "index_base": {"const": 0},
-        "clauses": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["vars", "rhs"],
-                "properties": {
-                    "vars": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                    "rhs": _SIGN,
-                },
-            },
+def _k_uniform(cls: type) -> dict:
+    """The schema of a k-uniform instance file: a body of records of
+    ``vars`` and the payload arrays, or of bare variable tuples."""
+    names = ["vars", *cls.PAYLOAD]
+    entry = ({"type": "object", "required": names,
+              "properties": {name: _ENTRIES[name] for name in names}}
+             if cls.PAYLOAD else _ENTRIES["vars"])
+    return {
+        "type": "object",
+        "required": ["kind", "k", "n", cls.BODY],
+        "properties": {
+            "kind": {"const": cls.KIND},
+            "k": _property("k", int),
+            "n": _property("n", int),
+            "index_base": {"const": 0},
+            cls.BODY: {"type": "array", "items": entry},
         },
-    },
-}
+    }
 
-HYPERGRAPH = {
-    "type": "object",
-    "required": ["kind", "k", "n", "edges"],
-    "properties": {
-        "kind": {"const": "hypergraph"},
-        "k": {"type": "integer", "minimum": 1},
-        "n": {"type": "integer", "minimum": 1},
-        "edges": {
-            "type": "array",
-            "items": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-        },
-    },
-}
 
 GRAPH = {
     "type": "object",
     "required": ["n", "edges"],
     "properties": {
-        "n": {"type": "integer", "minimum": 1},
+        "n": _property("n", int),
         "edges": {
             "type": "array",
             "items": {
@@ -94,72 +131,8 @@ MATRIX = {
     "required": ["kind", "n", "matrix"],
     "properties": {
         "kind": {"const": "goe"},
-        "n": {"type": "integer", "minimum": 1},
+        "n": _property("n", int),
         "matrix": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
-    },
-}
-
-COUNT_CERTIFICATE = {
-    "type": "object",
-    "required": [
-        "kind", "n", "log2_bound", "eta", "fallback", "checks",
-        "instance_sha256", "tool_version",
-    ],
-    "properties": {
-        "kind": {"enum": ["count", "sk-count", "indset-count"]},
-        "n": {"type": "integer", "minimum": 1},
-        "log2_bound": {"type": "number", "minimum": 0},
-        "eta": {"type": "number", "minimum": 0},
-        "fallback": {"type": "boolean"},
-        "checks": {"type": "array", "items": _CHECK},
-        "recursion_trace": {"type": "array"},
-        "transcript": {"type": "object"},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "tool_version": {"type": "string"},
-    },
-}
-
-CLUSTER_CERTIFICATE = {
-    "type": "object",
-    "required": [
-        "kind", "n", "eta", "theta", "log2_cluster_bound", "gap_interval",
-        "fallback", "checks", "instance_sha256", "tool_version",
-    ],
-    "properties": {
-        "kind": {"const": "clusters"},
-        "n": {"type": "integer", "minimum": 1},
-        "eta": {"type": "number", "minimum": 0},
-        "theta": {"type": "number", "minimum": 0, "maximum": 0.5},
-        "log2_cluster_bound": {"type": "number", "minimum": 0},
-        "gap_interval": {
-            "type": "array", "items": {"type": "number"},
-            "minItems": 2, "maxItems": 2,
-        },
-        "primal_report": {"type": "object"},
-        "fallback": {"type": "boolean"},
-        "checks": {"type": "array", "items": _CHECK},
-        "transcript": {"type": "object"},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "tool_version": {"type": "string"},
-    },
-}
-
-BALANCE_CERTIFICATE = {
-    "type": "object",
-    "required": [
-        "kind", "n", "rho", "eta", "violated_fraction_bound", "checks",
-        "instance_sha256", "tool_version",
-    ],
-    "properties": {
-        "kind": {"const": "balance"},
-        "n": {"type": "integer", "minimum": 1},
-        "rho": {"type": "number", "exclusiveMinimum": 0, "maximum": 1},
-        "eta": {"type": "number", "minimum": 0},
-        "violated_fraction_bound": {"type": "number", "minimum": 0},
-        "checks": {"type": "array", "items": _CHECK},
-        "transcript": {"type": "object"},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "tool_version": {"type": "string"},
     },
 }
 
@@ -169,37 +142,7 @@ BALANCE_DECLINED = {
     "properties": {
         "kind": {"const": "balance-declined"},
         "rho": {"type": "number"},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-    },
-}
-
-REFUTATION_CERTIFICATE = {
-    "type": "object",
-    "required": ["kind", "n", "eta_refuted", "evidence", "instance_sha256", "tool_version"],
-    "properties": {
-        "kind": {"enum": ["refutation", "indset-refutation"]},
-        "n": {"type": "integer", "minimum": 1},
-        "eta_refuted": {"type": "number", "minimum": 0},
-        "evidence": {"type": "object"},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "tool_version": {"type": "string"},
-    },
-}
-
-ORACLE_RESULT = {
-    "type": "object",
-    "required": ["kind", "exact_value", "enumeration_size", "instance_sha256"],
-    "properties": {
-        "kind": {
-            "enum": ["count", "gauss-count", "clusters", "max-bias", "sk",
-                     "indset", "subspace-count"],
-        },
-        "enumeration_size": {"type": "integer", "minimum": 0},
-        "instance_sha256": {"type": "string", "pattern": "^[0-9a-f]{64}$"},
-        "eta": {"type": "number", "minimum": 0},
-        "theta": {"type": "number", "minimum": 0, "maximum": 0.5},
-        "threshold_size": {"type": "integer", "minimum": 1},
-        "runtime_ms": {"type": "number", "minimum": 0},
+        "instance_sha256": _property("instance_sha256", str),
     },
 }
 
@@ -216,21 +159,17 @@ SWEEP_ROW = {
     },
 }
 
+ORACLE_RESULT = _record(OracleResult, _ORACLE_KINDS)
+
+_BY_CLASS = {cls: _record(cls, [kind for kind, c in CERTIFICATE_CLASSES.items() if c is cls])
+             for cls in CERTIFICATE_CLASSES.values()}
 CERTIFICATES_BY_KIND = {
-    "count": COUNT_CERTIFICATE,
-    "sk-count": COUNT_CERTIFICATE,
-    "indset-count": COUNT_CERTIFICATE,
-    "clusters": CLUSTER_CERTIFICATE,
-    "balance": BALANCE_CERTIFICATE,
+    **{kind: _BY_CLASS[cls] for kind, cls in CERTIFICATE_CLASSES.items()},
     "balance-declined": BALANCE_DECLINED,
-    "refutation": REFUTATION_CERTIFICATE,
-    "indset-refutation": REFUTATION_CERTIFICATE,
 }
 
 INSTANCES_BY_KIND = {
-    "csp": CSP_INSTANCE,
-    "xor": XOR_INSTANCE,
-    "hypergraph": HYPERGRAPH,
+    **{cls.KIND: _k_uniform(cls) for cls in (SignedHypergraph, XorInstance, UnsignedHypergraph)},
     "goe": MATRIX,
 }
 
@@ -242,7 +181,7 @@ def schema_for(document: dict) -> dict:
     their kind namespace overlaps with the certificate kinds.
     """
     kind = document.get("kind")
-    if "enumeration_size" in document and kind in ORACLE_RESULT["properties"]["kind"]["enum"]:
+    if "enumeration_size" in document and kind in _ORACLE_KINDS:
         return ORACLE_RESULT
     if kind in CERTIFICATES_BY_KIND:
         return CERTIFICATES_BY_KIND[kind]

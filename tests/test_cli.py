@@ -446,6 +446,59 @@ def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):
     assert len(out.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize("grid", [{"n": [2], "k": [3], "delta": [4]},
+                                  {"n": [10], "k": [3], "delta": [4], "eta": [-0.5]}],
+                         ids=["n-below-k", "eta-negative"])
+def test_sweep_refused_at_its_first_cell_leaves_the_output_as_it_was(tmp_path, capsys, grid):
+    # each once exited 2 and left an empty rows file behind
+    out, csv_out = tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+    bad = sweep_config(tmp_path, grid=grid, seeds=1).rename(tmp_path / "bad.json")
+    good = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=1)
+    capsys.readouterr()
+    assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+    assert run("sweep", "--config", str(good), "--out", str(out)) == 0
+    rows = out.read_bytes()
+    assert run("sweep", "--config", str(bad), "--out", str(out)) == 2
+    assert out.read_bytes() == rows
+    # a sweep with no new rows still exits 0 and exports the rows there are
+    assert run("sweep", "--config", str(good), "--out", str(out), "--csv", str(csv_out)) == 0
+    assert out.read_bytes() == rows and len(csv_out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_json_number_in_a_certificate_is_usage_error(tmp_path, capsys, value):
+    # json.dumps writes NaN, Infinity and -Infinity, which JSON has no number for;
+    # a NaN bound once verified as violated (exit 3) and an infinite one as sound
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "14", "-m", "30", "--seed", "3")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    for command, out in (("certify", cert), ("oracle", orc)):
+        assert run(command, "--kind", "count", "--eta", "0.3", "--instance", str(inst),
+                   "--out", str(out)) == 0
+    doc = read_json(str(cert))
+    doc.update(fallback=False, log2_bound=value)
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cert} holds {json.dumps(value)} at ['log2_bound'], not a finite JSON number\n")
+
+
+def test_non_json_number_in_sweep_rows_is_usage_error(tmp_path, capsys):
+    # a NaN in a rows file was once read back and exported to the CSV as "nan"
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=1)
+    out = tmp_path / "rows.jsonl"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    row = json.loads(out.read_text())
+    out.write_text(json.dumps({**row, "oracle": math.nan}) + "\n")
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out),
+               "--csv", str(tmp_path / "rows.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} line 1 holds NaN at ['oracle'], not a finite JSON number\n")
+
+
 @pytest.mark.parametrize("threads", ["abc", "-3"])
 def test_malformed_solgeo_threads_is_usage_error(tmp_path, capsys, monkeypatch, threads):
     # "abc" once exited with int()'s message, and -3 meant one worker

@@ -1,11 +1,20 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from solgeo.instances import sample_signed_hypergraph
-from solgeo.jsonio import canonical_json, format_float, render, sha256_of, write_json
+from solgeo.jsonio import (
+    canonical_json,
+    format_float,
+    read_json,
+    read_json_lines,
+    render,
+    sha256_of,
+    write_json,
+)
 
 
 def test_float_formatting_17_digits():
@@ -289,3 +298,18 @@ def test_failed_render_keeps_an_existing_file(tmp_path):
     with pytest.raises(ValueError):
         write_json(str(path), {"a": float("inf")})
     assert path.read_text() == '{"a":1}\n'
+
+
+# ---------------------------------------------------------------------------
+# the readers refuse the tokens NaN, Infinity and -Infinity
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_readers_refuse_non_json_numbers(tmp_path, token):
+    path = tmp_path / "x.json"
+    path.write_text('{"a": [1, {"b": %s}]}\n' % token)
+    where = f" holds {token} at ['a'][1]['b'], not a finite JSON number"
+    with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
+        read_json(str(path))
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 1{where}")):
+        read_json_lines(str(path))
