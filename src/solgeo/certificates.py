@@ -10,6 +10,7 @@ computed from and the tool version, and serialize canonically.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from types import UnionType
@@ -41,8 +42,9 @@ def _encode(value, hint):
 
 def _decode(value, hint, where: str):
     """``value`` read as ``hint``: lists as tuples of the hinted length,
-    ints as floats where floats belong, bool as neither; ValueError naming
-    ``where`` for a value of another type; ``object`` takes any value."""
+    ints as floats where floats belong, bool as neither, a float only if
+    finite (``json`` reads 1e400 as inf); ValueError naming ``where`` for
+    a value of another type; ``object`` takes any value."""
     origin = get_origin(hint)
     if hint is object:
         return value
@@ -62,11 +64,13 @@ def _decode(value, hint, where: str):
         if isinstance(value, dict):
             return hint.from_json_dict(value)
     elif isinstance(value, bool) is (hint is bool):  # isinstance(True, int) holds
-        if hint is float and isinstance(value, int):
-            return float(value)
-        if isinstance(value, hint):
+        if hint is float and isinstance(value, (int, float)):
+            if abs(value) <= sys.float_info.max:  # exact for ints, false for nan
+                return float(value)
+        elif isinstance(value, hint):
             return value
-    expected = hint.__name__ if isinstance(hint, type) else str(hint).replace(f"{__name__}.", "")
+    expected = ("finite float" if hint is float else hint.__name__ if isinstance(hint, type)
+                else str(hint).replace(f"{__name__}.", ""))
     raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
 
 

@@ -6,8 +6,12 @@ so that identical inputs produce byte-identical files: keys are sorted,
 floats are rendered with 17 significant digits, and no whitespace varies.
 
 Instance bodies skip ``_emit``'s value-by-value walk, which has no fast
-path for rows: ``render`` writes their text from the arrays with C-level
-``%``-templates, and ``canonical_json`` copies it verbatim.
+path for rows: ``render`` writes their text from the arrays, and
+``canonical_json`` copies it verbatim.  Int rows take C-level
+``%``-templates.  Float matrices take ``format_float``'s bytes from one
+numpy kernel: an entry in 1e-4 <= |x| < 10 gets its 17 digits from the
+exact product of |x| and a power of ten (Dekker's two-product), rounded
+half to even as ``%.17g`` rounds; all others go through ``format_float``.
 """
 
 from __future__ import annotations
@@ -112,23 +116,69 @@ def _int_template(column: np.ndarray) -> str:
     return "%d" if column.ndim == 1 else "[" + ",".join(["%d"] * column.shape[1]) + "]"
 
 
+# An entry's text is 32 NUL-padded bytes: a prefix ("[-]D." or "[-]0.0..0D"), four
+# 4-digit groups (_GROUPS[10000 + g]: g's trailing zeros blanked) and a separator.
+_FLOAT_BLOCK = 32
+_GROUPS = np.stack(np.meshgrid([0, 1], *[np.uint8(range(48, 58))] * 4, indexing="ij")[1:], -1)
+_GROUPS[1, ..., 0, 3:] = _GROUPS[1, ..., 0, 0, 2:] = 0  # where the last 1, 2, 3 or 4 digits are 0
+_GROUPS[1, ..., 0, 0, 0, 1:] = _GROUPS[1, 0, 0, 0, 0] = 0
+_GROUPS = _GROUPS.view(np.uint32).ravel()
+_PREFIXES = np.array([sign + (f"{lead}." if d == 0 else f"0.{'0' * (-1 - d)}{lead}") for sign in ("", "-")
+                      for d in range(-4, 1) for lead in range(10)], "S8").view(np.uint64)
+_COMMA, _ROW_END, _MATRIX_END = np.array([",", "],[", "]]"], "S8").view(np.uint64)
+_SCALES = np.array([1e20, 1e19, 1e18, 1e17, 1e16])  # 10^(16-d), d = -4..0: exact doubles
+
+
 def _render_floats(M: np.ndarray) -> JsonText:
-    """A float matrix as its list of rows, each row one ``%`` pass:
-    ``%.1f`` for an integral entry below 1e16 (``format_float``'s "3.0"
-    and "-0.0"), ``%.17g`` for every other; no text if one is not finite."""
+    """A float matrix as its list of rows, ``_FLOAT_BLOCK`` rows to a piece,
+    each entry as ``format_float`` prints it; no text if one is not finite.
+
+    A finite, non-integral x with 1e-4 <= |x| < 10 has d = floor(log10|x|)
+    in [-4, 0], and s = 10^(16-d) is an exact double.  Dekker's two-product
+    gives p + e = |x|*s exactly; p is an even integer, as p >= 10^16 > 2^53,
+    so N = p + rint(e) is |x|*s rounded half to even: the 17 digits that the
+    correctly rounded ``%.17g`` prints, in fixed notation, trailing zeros
+    stripped.  Every other entry, and every N outside [10^16, 10^17) (log10
+    one off, a rounding that carries), ``format_float`` prints."""
     finite = np.isfinite(M)
     if not finite.all():
         raise ValueError(f"non-finite float {float(M[~finite][0])!r} cannot be serialized")
-    pieces: list[str] = []
-    for row in M:
-        values = row.tolist()
-        if any(map(float.is_integer, values)):
-            integral = (row == np.trunc(row)) & (np.abs(row) < 1e16)
-            template = ",".join(np.where(integral, "%.1f", "%.17g").tolist())
-        else:
-            template = ",".join(["%.17g"] * len(values))
-        pieces += (",", "[", template % tuple(values), "]")
-    return JsonText(["[", *pieces[1:], "]"])
+    if not M.size:
+        return JsonText(["[" + ",".join(["[]"] * len(M)) + "]"])
+    pieces = ["[["]
+    for r in range(0, len(M), _FLOAT_BLOCK):
+        x = M[r:r + _FLOAT_BLOCK].reshape(-1)
+        a = np.abs(x)
+        kernel = (a >= 1e-4) & (a < 10.0) & (x != np.trunc(x))
+        a = np.where(kernel, a, 1.0)  # no warning from the entries left out
+        d = np.clip(np.floor(np.log10(a)), -4, 0).astype(np.intp) + 4  # the docstring's d, + 4
+        s = _SCALES[d]
+        p = a * s
+        c, k = a * 134217729.0, s * 134217729.0  # Veltkamp's split into 26-bit halves
+        a_hi, s_hi = c - (c - a), k - (k - s)
+        a_lo, s_lo = a - a_hi, s - s_hi
+        e = ((a_hi * s_hi - p) + a_hi * s_lo + a_lo * s_hi) + a_lo * s_lo
+        N = p.astype(np.int64) + np.rint(e).astype(np.int64)
+        kernel &= (N >= 10**16) & (N < 10**17)
+        high, low = np.divmod(np.where(kernel, N, 10**16), 10**8)
+        lead, high = np.divmod(high, 10**8)
+        g0, g1 = np.divmod(high, 10**4)
+        g2, g3 = np.divmod(low, 10**4)
+        out = np.empty((x.size, 4), np.uint64)
+        out[:, 0] = _PREFIXES[50 * (x < 0) + 10 * d + lead]
+        groups = out.view(np.uint32)
+        groups[:, 2] = _GROUPS[g0 + 10000 * ((low == 0) & (g1 == 0))]
+        groups[:, 3] = _GROUPS[g1 + 10000 * (low == 0)]
+        groups[:, 4] = _GROUPS[g2 + 10000 * (g3 == 0)]
+        groups[:, 5] = _GROUPS[g3 + 10000]
+        out[:, 3] = _COMMA
+        out.reshape(-1, M.shape[1], 4)[:, -1, 3] = _ROW_END
+        if r + _FLOAT_BLOCK >= len(M):
+            out[-1, 3] = _MATRIX_END
+        texts = np.array(list(map(format_float, x[~kernel].tolist())), "S24")
+        out.view(np.uint8)[~kernel, :24] = texts.view(np.uint8).reshape(-1, 24)
+        pieces.append(out.tobytes().translate(None, b"\0").decode("ascii"))
+    return JsonText(pieces)
 
 
 def sha256_of(obj: Any) -> str:
@@ -146,16 +196,19 @@ def write_json(path: str, obj: Any) -> None:
 
 
 def _parse(text: str, source: str):
-    """The JSON value in ``text``.  ``json`` reads the tokens NaN,
-    Infinity and -Infinity as floats, but JSON has no number for them:
-    ValueError naming ``source`` and the key path of the first."""
+    """The JSON value in ``text``; ValueError naming ``source`` if it is
+    not JSON, or holds a token NaN, Infinity or -Infinity (which ``json``
+    reads as floats, but JSON has no number for), with the first's key path."""
     constants: list[tuple[str, object]] = []
 
     def constant(name: str) -> object:
         constants.append((name, object()))
         return constants[-1][1]
 
-    doc = json.loads(text, parse_constant=constant)
+    try:
+        doc = json.loads(text, parse_constant=constant)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{source} is not JSON: {exc}") from None
     if constants:
         name, marker = constants[0]
         where = _key_path(doc, marker) or "top level"

@@ -499,6 +499,44 @@ def test_non_json_number_in_sweep_rows_is_usage_error(tmp_path, capsys):
         f"error: {out} line 1 holds NaN at ['oracle'], not a finite JSON number\n")
 
 
+@pytest.mark.parametrize("literal, shown", [
+    ("1e400", "float inf"),  # json reads it as inf: once verified as sound
+    # once "internal error: int too large to convert to float" (exit 4)
+    pytest.param("1" + "0" * 400, "int 1" + "0" * 39, id="401-digit-int"),
+])
+def test_certificate_number_beyond_a_float_is_usage_error(tmp_path, capsys, literal, shown):
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "14", "-m", "30", "--seed", "3")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    for command, out in (("certify", cert), ("oracle", orc)):
+        assert run(command, "--kind", "count", "--eta", "0.3", "--instance", str(inst),
+                   "--out", str(out)) == 0
+    doc = read_json(str(cert))
+    doc.update(fallback=False, log2_bound=0.5)
+    cert.write_text(json.dumps(doc).replace('"log2_bound": 0.5', f'"log2_bound": {literal}'))
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    assert capsys.readouterr().err == (
+        f"error: CountCertificate field 'log2_bound' holds {shown}, not finite float\n")
+
+
+def test_file_that_is_not_json_is_named(tmp_path, capsys):
+    # json's bare "Expecting value: line 1 column 1 (char 0)" once named no file
+    cert = tmp_path / "nj.json"
+    cert.write_text("not json")
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(cert)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cert} is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=1)
+    out = tmp_path / "rows.jsonl"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    out.write_text(out.read_text() + "not json\n")
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} line 2 is not JSON: Expecting value: line 1 column 1 (char 0)\n")
+
+
 @pytest.mark.parametrize("threads", ["abc", "-3"])
 def test_malformed_solgeo_threads_is_usage_error(tmp_path, capsys, monkeypatch, threads):
     # "abc" once exited with int()'s message, and -3 meant one worker

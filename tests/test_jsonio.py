@@ -1,12 +1,15 @@
+import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
-from solgeo.instances import sample_signed_hypergraph
+from solgeo.instances import rendered_doc, sample_goe, sample_signed_hypergraph
 from solgeo.jsonio import (
+    _FLOAT_BLOCK,
     canonical_json,
     format_float,
     read_json,
@@ -312,4 +315,101 @@ def test_readers_refuse_non_json_numbers(tmp_path, token):
     with pytest.raises(ValueError, match=re.escape(f"{path}{where}")):
         read_json(str(path))
     with pytest.raises(ValueError, match=re.escape(f"{path} line 1{where}")):
+        read_json_lines(str(path))
+
+
+# ---------------------------------------------------------------------------
+# the float-matrix kernel: exact 17-digit rounding, fallbacks, block edges
+# ---------------------------------------------------------------------------
+
+def mismatch(M: np.ndarray):
+    """None if ``render`` gives the reference text of ``M``, else the
+    first differing offset with 30 characters of each text from there
+    (a short report where pytest would diff megabytes)."""
+    text, expected = rendered(M), reference_json(M.tolist())
+    if text == expected:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+    return i, text[i:i + 30], expected[i:i + 30]
+
+
+def _kernel_matrix(values, width: int = 41) -> np.ndarray:
+    """``values`` as the rows of a ``width``-column matrix, the last row
+    filled up with 0.5."""
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.full(-len(values) % width, 0.5)]).reshape(-1, width)
+
+
+def test_float_kernel_rounds_exact_ties_half_to_even():
+    # x = j / 2^(17 - d), j odd, in [10^d, 10^(d+1)): x * 10^(16 - d) is
+    # j * 5^(16 - d) / 2, an exact tie at the 17th significant digit
+    rng = np.random.default_rng(17)
+    ties = []
+    for d in range(0, -5, -1):
+        lo, hi = 10.0**d * 2.0 ** (17 - d), 10.0 ** (d + 1) * 2.0 ** (17 - d)
+        j = 2 * rng.integers(lo // 2, hi // 2, size=40000) + 1
+        ties.append(j[(j >= lo) & (j < hi)] / 2.0 ** (17 - d))
+    ties = np.concatenate(ties)
+    assert len(ties) > 190000
+    for values in (ties, -ties):
+        M = _kernel_matrix(values)
+        assert mismatch(M) is None
+
+
+def test_float_kernel_range_edges_and_fallbacks():
+    powers = 10.0 ** np.arange(-4, 2)
+    below, above = np.nextafter(powers, 0), np.nextafter(powers, np.inf)
+    values = np.concatenate([powers, below, above, -powers, -below, -above])
+    ends = [1e-4, np.nextafter(1e-4, 0), 9.999999999999998, 10.0, 1.5, 0.25, 0.125, -0.125]
+    fallbacks = [3.0, -0.0, 0.0, 1e-300, 1e22, 5e-324, -7.0, 1e16, 12.5, -2e-5]
+    rng = np.random.default_rng(19)
+    mixed = rng.permutation(np.concatenate([rng.normal(size=60), fallbacks * 3]))
+    for M in (_kernel_matrix(values), _kernel_matrix(ends, 4), _kernel_matrix(mixed, 9),
+              np.array([fallbacks]), np.array([fallbacks]).T, -np.array([ends]).T):
+        assert mismatch(M) is None
+
+
+def test_float_kernel_block_edges():
+    rng = np.random.default_rng(23)
+    for rows in (1, _FLOAT_BLOCK - 1, _FLOAT_BLOCK, _FLOAT_BLOCK + 1, 2 * _FLOAT_BLOCK + 1):
+        for cols in (1, 3):
+            M = rng.normal(size=(rows, cols))
+            assert mismatch(M) is None
+    for n in (1, _FLOAT_BLOCK - 1, _FLOAT_BLOCK, _FLOAT_BLOCK + 1):
+        G = sample_goe(n, n)
+        assert mismatch(G) is None
+
+
+def test_float_kernel_random_normal_entries():
+    rng = np.random.default_rng(29)
+    for scale in (1.0, 1e-3, 3.0):
+        M = rng.normal(size=(400, 500)) * scale
+        assert mismatch(M) is None
+
+
+def test_float_kernel_raises_no_warnings():
+    M = np.array([[0.0, -0.0, 5e-324, 1.7976931348623157e308, -1e-300, 0.5, 9.99, 1e-4, 10.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mismatch(M) is None
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_goe_instance_hash_matches_reference_encoder(seed):
+    G = sample_goe(300, seed)
+    doc = {"kind": "goe", "n": 300, "matrix": G.tolist()}
+    assert sha256_of(rendered_doc(G)) == hashlib.sha256(reference_json(doc).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the readers name the file that is not JSON
+# ---------------------------------------------------------------------------
+
+def test_readers_name_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "x.json"
+    path.write_text("not json\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path} is not JSON: Expecting value")):
+        read_json(str(path))
+    path.write_text('{"a": 1}\n{"a": \n')
+    with pytest.raises(ValueError, match=re.escape(f"{path} line 2 is not JSON: Expecting value")):
         read_json_lines(str(path))
