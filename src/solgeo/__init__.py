@@ -3,8 +3,9 @@
 Library layout:
 
 * ``instances``    -- hypergraph/XOR/predicate types, samplers, constructions
-* ``jsonio``       -- canonical JSON: rendering, hashing, reading and writing files
-* ``certificates`` -- certificate records and their JSON codec
+* ``jsonio``       -- canonical JSON: rendering, hashing, reading and writing files;
+                      ``decode``, the one typed reader, and the ``JsonRecord`` codec
+* ``certificates`` -- certificate records
 * ``spectral``     -- eigenvalue measurements and graph-spectrum certificates
 * ``refuter``      -- polynomial refutation, quasirandomness, XOR principle
 * ``counting``     -- count certificates (2XOR, kXOR, kSAT, kCSP) + reductions

@@ -5,96 +5,17 @@ A certificate is a tagged, serializable transcript: the numeric claim (in
 log2 where it is a count), the named checks that were run with their
 measured values and thresholds, and a fallback flag marking the trivial
 2^n bound.  Certificates embed the SHA-256 of the instance they were
-computed from and the tool version, and serialize canonically.
+computed from and the tool version, and serialize canonically through
+``jsonio.JsonRecord``, the codec derived from their fields.
 """
 
 from __future__ import annotations
 
-import sys
-from dataclasses import MISSING, dataclass, field, fields
-from functools import cache
-from types import UnionType
-from typing import get_args, get_origin, get_type_hints
+from dataclasses import dataclass, field
+
+from .jsonio import JsonRecord
 
 TOOL_VERSION = "0.5.0"
-
-
-@cache
-def _hints(cls: type) -> dict:
-    return get_type_hints(cls)
-
-
-def _item_hints(hint, n: int) -> tuple:
-    args = get_args(hint)
-    return args[:1] * n if args[-1] is Ellipsis else args
-
-
-def _encode(value, hint):
-    """Floats through float(), tuples as lists, records as their JSON."""
-    if hint is float:
-        return float(value)
-    if isinstance(value, tuple):
-        return [_encode(v, h) for v, h in zip(value, _item_hints(hint, len(value)))]
-    if isinstance(value, JsonRecord):
-        return value.to_json_dict()
-    return value
-
-
-def _decode(value, hint, where: str):
-    """``value`` read as ``hint``: lists as tuples of the hinted length,
-    ints as floats where floats belong, bool as neither, a float only if
-    finite (``json`` reads 1e400 as inf); ValueError naming ``where`` for
-    a value of another type; ``object`` takes any value."""
-    origin = get_origin(hint)
-    if hint is object:
-        return value
-    if origin is tuple:
-        if isinstance(value, (list, tuple)):
-            hints = _item_hints(hint, len(value))
-            if len(hints) == len(value):
-                return tuple(_decode(v, h, f"{where}[{i}]")
-                             for i, (v, h) in enumerate(zip(value, hints)))
-    elif origin is UnionType:
-        for arm in get_args(hint):
-            try:
-                return _decode(value, arm, where)
-            except ValueError:
-                pass
-    elif isinstance(hint, type) and issubclass(hint, JsonRecord):
-        if isinstance(value, dict):
-            return hint.from_json_dict(value)
-    elif isinstance(value, bool) is (hint is bool):  # isinstance(True, int) holds
-        if hint is float and isinstance(value, (int, float)):
-            if abs(value) <= sys.float_info.max:  # exact for ints, false for nan
-                return float(value)
-        elif isinstance(value, hint):
-            return value
-    expected = ("finite float" if hint is float else hint.__name__ if isinstance(hint, type)
-                else str(hint).replace(f"{__name__}.", ""))
-    raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
-
-
-class JsonRecord:
-    """JSON codec of a dataclass, derived from its fields.  A field with a
-    default may be missing from the JSON; one without may not.  A field
-    whose default is None is left out while it holds None."""
-
-    def to_json_dict(self) -> dict:
-        hints = _hints(type(self))
-        return {
-            f.name: _encode(getattr(self, f.name), hints[f.name])
-            for f in fields(self)
-            if not (f.default is None and getattr(self, f.name) is None)
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict):
-        hints = _hints(cls)
-        kwargs = {}
-        for f in fields(cls):
-            if f.name in d or (f.default is MISSING and f.default_factory is MISSING):
-                kwargs[f.name] = _decode(d[f.name], hints[f.name], f"{cls.__name__} field {f.name!r}")
-        return cls(**kwargs)
 
 
 @dataclass(frozen=True)

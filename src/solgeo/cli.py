@@ -37,7 +37,8 @@ from .instances import (
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
 )
-from .jsonio import canonical_json, read_json, read_json_lines, sha256_of, write_json
+from .jsonio import (canonical_json, decode, decode_field, read_json, read_json_lines,
+                     sha256_of, write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -255,36 +256,22 @@ _CONFIG_CHOICES = {"kind": _CERTIFIABLE, "instance": _GENERATORS, "predicate": _
 
 
 def _sweep_cells(config: dict) -> list[dict]:
-    """The grid's cells; ValueError naming an axis that is not a list of
-    numbers, or of integers where the instance size and shape belong."""
-    grid = config["grid"]
-    if not isinstance(grid, dict):
-        raise ValueError(f"sweep config 'grid' holds {grid!r:.40}, not an object of axes")
+    """The grid's cells, values as written; ValueError naming an axis not a
+    list of finite numbers, or of integers where size and shape belong."""
+    grid = decode_field(config, "grid", dict, "sweep config")
     for axis, values in grid.items():
-        types, expected = (int, "integers") if axis in _INT_AXES else ((int, float), "finite numbers")
-        if not isinstance(values, list) or any(isinstance(v, bool) or not isinstance(v, types)
-                                               or not -np.inf < v < np.inf for v in values):
-            raise ValueError(f"sweep grid axis {axis!r} holds {values!r:.40}, "
-                             f"not a list of {expected}")
+        decode(values, tuple[int, ...] if axis in _INT_AXES else tuple[float, ...],
+               f"sweep grid axis {axis!r}")
     axes = sorted(grid)
     return [dict(zip(axes, combo)) for combo in itertools.product(*(grid[a] for a in axes))]
 
 
 def _effective_config(config: dict) -> dict:
-    """The config's kind and every `_CONFIG_DEFAULTS` key; ValueError
-    naming a key whose value lacks its default's type (an int will do for
-    a float, and becomes one) or names no certifiable kind, generator
-    or predicate."""
-    effective = {key: config.get(key, default) for key, default in _CONFIG_DEFAULTS.items()}
-    for key, value in effective.items():
-        default = _CONFIG_DEFAULTS[key]
-        types = (int, float) if isinstance(default, float) else type(default)
-        expected = "finite number" if isinstance(default, float) else type(default).__name__
-        if (isinstance(value, bool) or not isinstance(value, types)
-                or isinstance(value, float) and not np.isfinite(value)):
-            raise ValueError(f"sweep config {key!r} holds {value!r:.40}, not a {expected}")
-        if isinstance(default, float):
-            effective[key] = float(value)  # 3 and 3.0 are one resume key
+    """The config's kind and every `_CONFIG_DEFAULTS` key read as its
+    default's type (so 3 and 3.0 are one resume key); ValueError naming a
+    key of another type or naming no certifiable kind, generator or predicate."""
+    effective = {key: decode(config.get(key, default), type(default), f"sweep config {key!r}")
+                 for key, default in _CONFIG_DEFAULTS.items()}
     effective["kind"] = config.get("kind")
     for key, choices in _CONFIG_CHOICES.items():
         # the kinds are a list, so an unhashable kind is refused here too
@@ -377,14 +364,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from multiprocessing import Pool
 
     config = read_json(args.config)
-    out_path = args.out or config.get("out")
+    config_out = decode(config.get("out"), str | None, "sweep config 'out'")
+    out_path = args.out or config_out
     if not out_path:
         raise ValueError("sweep needs an output path (--out or config 'out')")
     done = set()
     if os.path.exists(out_path):
-        done = {(row["cell_hash"], row["seed"]) for row in read_json_lines(out_path)}
-    seeds = config.get("seeds", 1)
-    if isinstance(seeds, bool) or not isinstance(seeds, int) or seeds < 0:
+        done = {(decode_field(row, "cell_hash", str, where), decode_field(row, "seed", int, where))
+                for where, row in read_json_lines(out_path)}
+    seeds = decode(config.get("seeds", 1), int, "sweep config 'seeds'")
+    if seeds < 0:
         raise ValueError(f"sweep config 'seeds' holds {seeds!r:.40}, not a count")
     # the whole config is checked here, once, before the output file opens
     effective = _effective_config(config)
@@ -416,7 +405,7 @@ def _export_csv(jsonl_path: str, csv_path: str) -> None:
     """Secondary flat export of a sweep's JSONL rows."""
     import csv
 
-    rows = read_json_lines(jsonl_path)
+    rows = [row for _, row in read_json_lines(jsonl_path)]
     if not rows:
         return
     cell_keys = sorted({k for row in rows for k in row["cell"]})

@@ -19,7 +19,7 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonio import canonical_json, render, sha256_of
+from .jsonio import canonical_json, decode, decode_field, render, sha256_of
 
 # Samplers refuse parameter combinations whose index space exceeds this,
 # so that uniform index draws stay within exact int64 arithmetic.
@@ -50,16 +50,6 @@ def violation_budget(eta: float, m: int) -> int:
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
     return int(math.floor(eta * m + 1e-9))
-
-
-def _require_ints(values: Iterable, what: str) -> None:
-    """Reject a decoded JSON field holding anything but integers.  Decoded
-    JSON holds only int, float, bool and str, and bool and float would
-    pass a range check."""
-    bad = set(map(type, values)) - {int}
-    if bad:
-        names = ", ".join(sorted(t.__name__ for t in bad))
-        raise ValueError(f"{what} must be JSON integers, not {names}")
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +237,8 @@ class _KUniform:
     def from_json_dict(cls, d: dict):
         if d.get("kind") != cls.KIND:
             raise ValueError(f"not a {cls.KIND} instance file")
-        k, n, base = d["k"], d["n"], d.get("index_base", 0)
-        _require_ints((k, n, base), "k, n and index_base")
+        k, n = (decode_field(d, key, int, "instance file") for key in ("k", "n"))
+        base = decode(d.get("index_base", 0), int, "instance file field 'index_base'")
         if base != 0:
             raise ValueError(f"variable indices must be 0-based, not index_base {base}")
         body, names = d[cls.BODY], ("vars", *cls.PAYLOAD)
@@ -411,8 +401,7 @@ class MultiGraph:
     def from_json_dict(cls, d: dict) -> "MultiGraph":
         if "kind" in d:
             raise ValueError("not a graph file")
-        _require_ints((d["n"],), "n")
-        return cls.build(d["n"], d["edges"])
+        return cls.build(decode_field(d, "n", int, "instance file"), d["edges"])
 
     def sha256(self) -> str:
         return sha256_of(rendered_doc(self))
@@ -644,8 +633,7 @@ def split_by_sign(I: SignedHypergraph) -> tuple[SignedHypergraph, SignedHypergra
 
 
 def _goe_from_json_dict(d: dict) -> np.ndarray:
-    n, rows = d["n"], d["matrix"]
-    _require_ints((n,), "n")
+    n, rows = decode_field(d, "n", int, "instance file"), d["matrix"]
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(rows) != n or any(len(row) != n for row in rows):
@@ -693,5 +681,5 @@ def load_instance(d: dict):
         return _goe_from_json_dict(d) if cls is np.ndarray else cls.from_json_dict(d)
     except KeyError as exc:
         raise ValueError(f"instance file lacks the field {exc}") from None
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int beyond a float
         raise ValueError(f"malformed instance file: {exc}") from None

@@ -12,6 +12,10 @@ path for rows: ``render`` writes their text from the arrays, and
 numpy kernel: an entry in 1e-4 <= |x| < 10 gets its 17 digits from the
 exact product of |x| and a power of ten (Dekker's two-product), rounded
 half to even as ``%.17g`` rounds; all others go through ``format_float``.
+
+``decode`` is the one reader of a typed JSON value: ``bool`` is no number,
+an int does where a float belongs, a float must be finite.  ``JsonRecord``
+is the codec of a record file, derived from its dataclass's fields.
 """
 
 from __future__ import annotations
@@ -19,8 +23,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
-from typing import Any
+import re
+import sys
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
+from types import UnionType
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -239,8 +247,97 @@ def read_json(path: str) -> dict:
     return doc
 
 
-def read_json_lines(path: str) -> list:
-    """The JSON value on each non-blank line of a file, NaN and
-    +-Infinity refused as ``read_json`` refuses them."""
+def read_json_lines(path: str) -> list[tuple[str, Any]]:
+    """Each non-blank line of a file as its name (``<path> line <i>``) and
+    its JSON value, NaN and +-Infinity refused as ``read_json`` refuses them."""
     with open(path, "r", encoding="utf-8") as fh:
-        return [_parse(line, f"{path} line {i}") for i, line in enumerate(fh, 1) if line.strip()]
+        lines = [(f"{path} line {i}", line) for i, line in enumerate(fh, 1) if line.strip()]
+    return [(where, _parse(line, where)) for where, line in lines]
+
+
+_hints = cache(get_type_hints)  # a record's field types, by name
+
+
+def _item_hints(hint, n: int) -> tuple:
+    args = get_args(hint)
+    return args[:1] * n if args[-1] is Ellipsis else args
+
+
+def _encode(value, hint):
+    """Floats through float(), tuples as lists, records as their JSON."""
+    if hint is float:
+        return float(value)
+    if isinstance(value, tuple):
+        return [_encode(v, h) for v, h in zip(value, _item_hints(hint, len(value)))]
+    if isinstance(value, JsonRecord):
+        return value.to_json_dict()
+    return value
+
+
+def decode(value, hint, where: str):
+    """``value`` read as ``hint``: lists as tuples of the hinted length,
+    objects as ``dict[str, X]`` entry by entry, ints as floats where
+    floats belong, bool as neither, a float only if finite (``json``
+    reads 1e400 as inf); ValueError naming ``where`` for a value of
+    another type; ``object`` takes any value."""
+    origin = get_origin(hint)
+    if hint is object:
+        return value
+    if origin is tuple:
+        if isinstance(value, (list, tuple)):
+            hints = _item_hints(hint, len(value))
+            if len(hints) == len(value):
+                return tuple(decode(v, h, f"{where}[{i}]")
+                             for i, (v, h) in enumerate(zip(value, hints)))
+    elif origin is dict:
+        if isinstance(value, dict):
+            return {k: decode(v, get_args(hint)[1], f"{where}[{k!r}]") for k, v in value.items()}
+    elif origin is UnionType:
+        for arm in get_args(hint):
+            try:
+                return decode(value, arm, where)
+            except ValueError:
+                pass
+    elif isinstance(hint, type) and issubclass(hint, JsonRecord):
+        if isinstance(value, dict):
+            return hint.from_json_dict(value)
+    elif isinstance(value, bool) is (hint is bool):  # isinstance(True, int) holds
+        if hint is float and isinstance(value, (int, float)):
+            if abs(value) <= sys.float_info.max:  # exact for ints, false for nan
+                return float(value)
+        elif isinstance(value, hint):
+            return value
+    expected = ("finite float" if hint is float else hint.__name__ if isinstance(hint, type)
+                else re.sub(r"\w+\.(?=\w)", "", str(hint)))  # no module prefixes
+    raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
+
+
+def decode_field(d, key: str, hint, where: str):
+    """The entry ``key`` of the JSON object ``d`` read as ``hint``; ValueError
+    naming ``where`` if ``d`` is no object or lacks it, the field if mistyped."""
+    if key not in decode(d, dict, where):
+        raise ValueError(f"{where} lacks the field {key!r}")
+    return decode(d[key], hint, f"{where} field {key!r}")
+
+
+class JsonRecord:
+    """JSON codec of a dataclass, derived from its fields.  A field with a
+    default may be missing from the JSON; one without may not.  A field
+    whose default is None is left out while it holds None."""
+
+    def to_json_dict(self) -> dict:
+        hints = _hints(type(self))
+        return {
+            f.name: _encode(getattr(self, f.name), hints[f.name])
+            for f in fields(self)
+            if not (f.default is None and getattr(self, f.name) is None)
+        }
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        hints = _hints(cls)
+        kwargs = {}
+        for f in fields(cls):
+            if f.name in d or (f.default is MISSING and f.default_factory is MISSING):
+                kwargs[f.name] = decode_field(d, f.name, hints[f.name], cls.__name__)
+        return cls(**kwargs)

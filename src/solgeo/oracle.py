@@ -17,7 +17,6 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .certificates import JsonRecord
 from .instances import (
     MultiGraph,
     Predicate,
@@ -28,7 +27,7 @@ from .instances import (
     rendered_doc,
     violation_budget,
 )
-from .jsonio import sha256_of
+from .jsonio import JsonRecord, decode, decode_field, sha256_of
 
 # The half-cube enumerations' rows per matmul.  It is part of the SK
 # oracle's bytes: `opt` is x^T G x as the chunked X @ G rounds it, and
@@ -342,28 +341,10 @@ VIOLATED = "violated"
 INAPPLICABLE = "inapplicable"
 
 
-def _exact(value, key: str | None, accepts: Callable[[object], bool], expected: str,
-           where: str = "oracle exact_value"):
+def _exact(value, hint, key: str | None = None, where: str = "oracle exact_value"):
     """``value``, the field named ``where`` (its entry ``key``, if given),
-    when ``accepts`` takes it; ValueError naming it and ``expected``
-    otherwise."""
-    if key is not None:
-        value = value.get(key) if isinstance(value, dict) else None
-        where += f"[{key!r}]"
-    if not accepts(value):
-        raise ValueError(f"{where} holds {type(value).__name__} {value!r:.40}, not {expected}")
-    return value
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _exact_int(value, key: str | None = None, where: str = "oracle exact_value") -> int:
-    """The integer an oracle's exact value, or the field named ``where``,
-    holds (its entry ``key``, if given); ValueError if it holds anything
-    else."""
-    return _exact(value, key, _is_int, "int", where)
+    read as ``hint``; ValueError naming it otherwise."""
+    return decode(value, hint, where) if key is None else decode_field(value, key, hint, where)
 
 
 def _count_verdict(log2_bound: float, count: int) -> str:
@@ -372,15 +353,12 @@ def _count_verdict(log2_bound: float, count: int) -> str:
     return SOUND if math.log2(count) <= log2_bound + 1e-9 else VIOLATED
 
 
-def _is_histogram(value) -> bool:
-    return isinstance(value, dict) and all(
-        d.isdecimal() and _is_int(cnt) for d, cnt in value.items())
-
-
 def _cluster_verdict(cert, data) -> str:
-    histogram = _exact(data, "distance_histogram", _is_histogram,
-                       "an object of int counts keyed by distance")
-    cover_count = _exact_int(data, "cover_count")
+    histogram = _exact(data, dict[str, int], "distance_histogram")
+    if not all(map(str.isdecimal, histogram)):
+        raise ValueError(f"oracle exact_value field 'distance_histogram' holds "
+                         f"{histogram!r:.40}, not counts keyed by distance")
+    cover_count = _exact(data, int, "cover_count")
     if cert.fallback:
         return SOUND
     theta_n = cert.theta * cert.n
@@ -394,13 +372,8 @@ def _cluster_verdict(cert, data) -> str:
     return SOUND
 
 
-def _is_max_bias(value) -> bool:
-    return value is None or (isinstance(value, (int, float)) and not isinstance(value, bool)
-                             and math.isfinite(value))
-
-
 def _balance_verdict(cert, max_bias) -> str:
-    max_bias = _exact(max_bias, None, _is_max_bias, "a finite number or null")
+    max_bias = _exact(max_bias, float | None)
     if max_bias is None:
         return SOUND
     return SOUND if max_bias < cert.rho - 1e-12 else VIOLATED
@@ -422,23 +395,23 @@ def _eta(cert) -> dict:
 
 
 PAIRINGS = {
-    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact_int(v))),
+    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact(v, int))),
     "sk-count": Pairing(
-        "sk", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact_int(v, "count"))),
+        "sk", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact(v, int, "count"))),
     "indset-count": Pairing(
         "indset", lambda c: {"threshold_size": c.transcript["threshold_size"]},
-        lambda c, v: _count_verdict(c.log2_bound, _exact_int(v, "count")),
+        lambda c, v: _count_verdict(c.log2_bound, _exact(v, int, "count")),
     ),
     "clusters": Pairing("clusters", lambda c: {"eta": c.eta, "theta": c.theta}, _cluster_verdict),
     "balance": Pairing("max-bias", _eta, _balance_verdict),
     "refutation": Pairing(
         "count", lambda c: {"eta": c.eta_refuted},
-        lambda c, v: SOUND if _exact_int(v) == 0 else VIOLATED,
+        lambda c, v: SOUND if _exact(v, int) == 0 else VIOLATED,
     ),
     "indset-refutation": Pairing(
         "indset", lambda c: {},
-        lambda c, v: SOUND if _exact_int(v, "alpha") < _exact_int(
-            c.evidence, "refuted_size", "certificate evidence") else VIOLATED,
+        lambda c, v: SOUND if _exact(v, int, "alpha") < _exact(
+            c.evidence, int, "refuted_size", "certificate evidence") else VIOLATED,
     ),
 }
 

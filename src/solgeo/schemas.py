@@ -16,8 +16,9 @@ from dataclasses import MISSING, fields
 from types import UnionType
 from typing import get_args, get_origin
 
-from .certificates import CERTIFICATE_CLASSES, JsonRecord, _hints
+from .certificates import CERTIFICATE_CLASSES
 from .instances import SignedHypergraph, UnsignedHypergraph, XorInstance
+from .jsonio import JsonRecord, _hints
 from .oracle import OracleResult
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}

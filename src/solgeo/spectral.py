@@ -51,8 +51,8 @@ from typing import Callable
 
 import numpy as np
 
-from .certificates import JsonRecord
 from .instances import MultiGraph
+from .jsonio import JsonRecord
 
 # EIG_TOL scales the additive slack budgeted into every certified
 # inequality (see eig_slack).  The Cholesky proofs spend about

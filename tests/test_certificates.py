@@ -152,7 +152,8 @@ def test_decoder_defaults_and_required_keys():
     cert = certificate_from_json(doc)
     assert cert.recursion_trace == () and cert.transcript == {}
     del doc["instance_sha256"]
-    with pytest.raises(KeyError):
+    # a missing field once raised a bare KeyError, printed as `error: 'instance_sha256'`
+    with pytest.raises(ValueError, match="CountCertificate lacks the field 'instance_sha256'"):
         certificate_from_json(doc)
     with pytest.raises(ValueError, match="unrecognized"):
         certificate_from_json({"kind": "nope"})

@@ -796,3 +796,72 @@ def test_indset_oracle_needs_a_threshold_on_an_irregular_graph(tmp_path, capsys)
     assert run("oracle", "--kind", "indset", "--threshold-size", "2", "--instance", str(inst),
                "--out", str(orc)) == 0
     assert validate_file(orc)["exact_value"] == {"alpha": 2, "count": 15}
+
+
+@pytest.mark.parametrize("flag", [False, True], ids=["config-only", "with-out-flag"])
+@pytest.mark.parametrize("value", [7, True, ["rows.jsonl"]], ids=["int", "bool", "list"])
+def test_sweep_config_out_that_is_no_string_is_usage_error(tmp_path, capsys, value, flag):
+    # 7 and true were once used as file descriptors (7 printed EBADF, true is
+    # stdout), and the list exited 4 with os.stat's "path should be string"
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=1, out=value)
+    argv = ["--out", str(tmp_path / "rows.jsonl")] if flag else []
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), *argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sweep config 'out' holds {type(value).__name__} {value!r}, not str | None\n"
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+@pytest.mark.parametrize("line, message", [
+    # once "internal error: list indices must be integers or slices, not str" (exit 4)
+    ("[1, 2]", "line 1 holds list [1, 2], not dict"),
+    # once "internal error: unhashable type: 'list'" (exit 4)
+    ('{"cell_hash": ["x"], "seed": 0}', "line 1 field 'cell_hash' holds list ['x'], not str"),
+    # once only "error: 'seed'"
+    ('{"cell_hash": "x"}', "line 1 lacks the field 'seed'"),
+    ('{"cell_hash": "x", "seed": 0.0}', "line 1 field 'seed' holds float 0.0, not int"),
+], ids=["list", "hash-list", "no-seed", "seed-float"])
+def test_malformed_resume_row_is_usage_error(tmp_path, capsys, line, message):
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=1)
+    out = tmp_path / "rows.jsonl"
+    out.write_text(line + "\n")
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {out} {message}\n"
+    assert out.read_text() == line + "\n"
+
+
+def test_sweep_axis_number_beyond_a_float_is_usage_error(tmp_path, capsys):
+    # once "internal error: int too large to convert to float" (exit 4)
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4], "eta": [0.0, 10**400]})
+    out = tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: sweep grid axis 'eta'[1] holds int {str(10**400)[:40]}, not finite float\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which, field, record", [
+    ("certificate", "n", "CountCertificate"),
+    ("oracle", "exact_value", "OracleResult"),
+    ("config", "grid", "sweep config"),
+])
+def test_missing_field_is_named_with_its_record(tmp_path, capsys, which, field, record):
+    # each once printed only the key, as `error: 'n'`
+    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    files = {"certificate": tmp_path / "c.json", "oracle": tmp_path / "o.json",
+             "config": sweep_config(tmp_path, seeds=1)}
+    assert run("certify", "--kind", "count", "--instance", str(inst),
+               "--out", str(files["certificate"])) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst),
+               "--out", str(files["oracle"])) == 0
+    doc = read_json(str(files[which]))
+    del doc[field]
+    files[which].write_text(json.dumps(doc))
+    argv = (["sweep", "--config", str(files["config"]), "--out", str(tmp_path / "rows.jsonl")]
+            if which == "config" else
+            ["verify", "--certificate", str(files["certificate"]), "--oracle", str(files["oracle"])])
+    capsys.readouterr()
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == f"error: {record} lacks the field '{field}'\n"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -452,6 +453,20 @@ def test_documents_of_another_kind_are_refused():
         "rhs-beyond-int64"])
 def test_malformed_documents_raise_value_error(doc):
     with pytest.raises(ValueError):
+        load_instance(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "xor", "k": 2, "n": True, "clauses": []}, "instance file field 'n' holds bool True"),
+    ({"kind": "hypergraph", "k": 2, "n": 3, "index_base": 0.0, "edges": []},
+     "instance file field 'index_base' holds float 0.0"),
+    ({"kind": "csp", "n": 3, "clauses": []}, "instance file lacks the field 'k'"),
+    ({"n": "3", "edges": []}, "instance file field 'n' holds str '3'"),
+    # once "internal error: int too large to convert to float" (exit 4)
+    ({"kind": "goe", "n": 1, "matrix": [[10**400]]}, "int too large to convert to float"),
+], ids=["n-bool", "index-base-float", "no-k", "graph-n-string", "matrix-int-beyond-a-float"])
+def test_malformed_header_is_named(doc, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
         load_instance(doc)
 
 

@@ -7,10 +7,13 @@ import warnings
 import numpy as np
 import pytest
 
+from solgeo.certificates import CheckRecord
 from solgeo.instances import rendered_doc, sample_goe, sample_signed_hypergraph
 from solgeo.jsonio import (
     _FLOAT_BLOCK,
     canonical_json,
+    decode,
+    decode_field,
     format_float,
     read_json,
     read_json_lines,
@@ -413,3 +416,50 @@ def test_readers_name_a_file_that_is_not_json(tmp_path):
     path.write_text('{"a": 1}\n{"a": \n')
     with pytest.raises(ValueError, match=re.escape(f"{path} line 2 is not JSON: Expecting value")):
         read_json_lines(str(path))
+
+
+# ---------------------------------------------------------------------------
+# decode: one rule for a JSON value against its type hint
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, hint, expected", [
+    ({"3": 1, "4": 0}, dict[str, int], {"3": 1, "4": 0}),
+    ({"a": 2, "b": 0.5}, dict[str, float], {"a": 2.0, "b": 0.5}),
+    ([1, 2], tuple[int, ...], (1, 2)),
+    ([0, 12], tuple[float, float], (0.0, 12.0)),
+    (None, float | None, None),
+    (3, float | None, 3.0),
+    ("x", str | None, "x"),
+    ({"a": [1]}, dict, {"a": [1]}),
+])
+def test_decode_reads_a_value_of_its_type(value, hint, expected):
+    # repr tells 2 from 2.0 and a tuple from a list
+    assert repr(decode(value, hint, "v")) == repr(expected)
+
+
+@pytest.mark.parametrize("value, hint, message", [
+    ({"3": 1.5}, dict[str, int], "v['3'] holds float 1.5, not int"),
+    ({"3": True}, dict[str, int], "v['3'] holds bool True, not int"),
+    ([1, 2], dict[str, int], "v holds list [1, 2], not dict[str, int]"),
+    (True, int, "v holds bool True, not int"),
+    (1, bool, "v holds int 1, not bool"),
+    (False, float, "v holds bool False, not finite float"),
+    (math.inf, float, "v holds float inf, not finite float"),
+    (10**400, float, f"v holds int {str(10**400)[:40]}, not finite float"),
+    ([1, 2.5], tuple[int, ...], "v[1] holds float 2.5, not int"),
+    ([1], tuple[float, float], "v holds list [1], not tuple[float, float]"),
+    (7, str | None, "v holds int 7, not str | None"),
+    (5, tuple[CheckRecord, ...], "v holds int 5, not tuple[CheckRecord, ...]"),
+])
+def test_decode_refuses_a_value_of_another_type(value, hint, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        decode(value, hint, "v")
+
+
+def test_decode_field_names_the_object_and_the_field():
+    assert decode_field({"a": 1}, "a", float, "rec") == 1.0
+    for d, message in [({"a": 1}, "rec lacks the field 'b'"),
+                       ({"b": "1"}, "rec field 'b' holds str '1', not int"),
+                       ([], "rec holds list [], not dict")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            decode_field(d, "b", int, "rec")
