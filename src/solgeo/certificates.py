@@ -6,7 +6,9 @@ log2 where it is a count), the named checks that were run with their
 measured values and thresholds, and a fallback flag marking the trivial
 2^n bound.  Certificates embed the SHA-256 of the instance they were
 computed from and the tool version, and serialize canonically through
-``jsonio.JsonRecord``, the codec derived from their fields.
+``jsonio.JsonRecord``, the codec derived from their fields.  A balance
+run that declines leaves a ``DeclinedBalance`` note instead.  Which
+record reads which kind is ``oracle.PAIRINGS``.
 """
 
 from __future__ import annotations
@@ -116,21 +118,11 @@ class BalanceCertificate(JsonRecord):
             )
 
 
-CERTIFICATE_CLASSES = {
-    "count": CountCertificate,
-    "sk-count": CountCertificate,
-    "indset-count": CountCertificate,
-    "refutation": RefutationCertificate,
-    "indset-refutation": RefutationCertificate,
-    "clusters": ClusterCertificate,
-    "balance": BalanceCertificate,
-}
+@dataclass(frozen=True)
+class DeclinedBalance(JsonRecord):
+    """A balance run that declined: the bias asked about and the instance
+    it was asked of.  It carries no claim, so no oracle checks it."""
 
-
-def certificate_from_json(d: dict):
-    """Load any certificate JSON dict into its dataclass."""
-    kind = d.get("kind")
-    cls = CERTIFICATE_CLASSES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unrecognized certificate kind {kind!r}")
-    return cls.from_json_dict(d)
+    rho: float
+    instance_sha256: str
+    kind: str = "balance-declined"

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import counting, eigencount, geometry, oracle
-from .certificates import certificate_from_json
+from .certificates import DeclinedBalance
 from .instances import (
     FILE_KINDS,
     MultiGraph,
@@ -106,14 +106,13 @@ def _indset_threshold(G: MultiGraph, a) -> int:
 @dataclass(frozen=True)
 class Kind:
     """What `--kind` means to the commands: the certifier and the oracle
-    for each accepted instance type, each called as f(instance, args),
-    and the number a sweep row records from the oracle's exact value.
-    The pairing of certificate with oracle result, and the verdict, are
-    ``oracle.PAIRINGS``."""
+    for each accepted instance type, each called as f(instance, args).
+    Everything about the certificate a certifier returns (its record,
+    the oracle result it pairs with, the verdict and the number a sweep
+    row records) is its kind's row of ``oracle.PAIRINGS``."""
 
     certifiers: dict
     oracles: dict
-    value: Callable = lambda v: v
     oracle_name: str | None = None  # the `oracle --kind`, if not the row's key
 
 
@@ -142,7 +141,6 @@ KINDS = {
         oracles={
             XorInstance: lambda I, a: oracle.brute_clusters(I, a.eta, _required(a, "theta")),
         },
-        value=lambda v: v["num_solutions"],
     ),
     "balance": Kind(
         certifiers={SignedHypergraph: _balance_csp, XorInstance: _balance_xor},
@@ -155,12 +153,10 @@ KINDS = {
     "sk": Kind(
         certifiers={np.ndarray: lambda M, a: eigencount.certify_count_sk(M, a.eta)},
         oracles={np.ndarray: lambda M, a: oracle.brute_sk_opt_and_count(M, a.eta)},
-        value=lambda v: v["count"],
     ),
     "indset": Kind(
         certifiers={MultiGraph: lambda G, a: eigencount.certify_count_indsets(G, a.eta)},
         oracles={MultiGraph: lambda G, a: oracle.brute_independent_sets(G, _indset_threshold(G, a))},
-        value=lambda v: v["count"],
     ),
     "gauss": Kind(certifiers={}, oracles={XorInstance: lambda I, a: oracle.gaussian_count(I)}),
 }
@@ -181,14 +177,9 @@ def _lookup(command: str, kind: str, table: dict, instance) -> Callable:
 
 
 def _certify(kind: str, instance, args):
-    """The certificate, or None where a balance run declines."""
-    return _lookup("certify", kind, KINDS[kind].certifiers, instance)(instance, args)
-
-
-def _certificate_doc(cert, instance, args) -> dict:
-    if cert is None:
-        return {"kind": "balance-declined", "rho": args.rho, "instance_sha256": instance.sha256()}
-    return cert.to_json_dict()
+    """The certificate, or the note of a balance run that declines."""
+    cert = _lookup("certify", kind, KINDS[kind].certifiers, instance)(instance, args)
+    return cert or DeclinedBalance(args.rho, instance.sha256())
 
 
 def _verdict(cert, result: oracle.OracleResult) -> str:
@@ -212,10 +203,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    instance = load_instance(read_json(args.instance))
-    doc = _certificate_doc(_certify(args.kind, instance, args), instance, args)
-    write_json(args.out, doc)
-    print(f"wrote {doc['kind']} certificate to {args.out}")
+    cert = _certify(args.kind, load_instance(read_json(args.instance)), args)
+    write_json(args.out, cert.to_json_dict())
+    print(f"wrote {cert.kind} certificate to {args.out}")
     return EXIT_OK
 
 
@@ -232,11 +222,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cert_doc = read_json(args.certificate)
-    if cert_doc.get("kind") == "balance-declined":
-        print("inapplicable: declined balance runs carry no claim")
-        return EXIT_USAGE
-    cert = certificate_from_json(cert_doc)
+    cert = oracle.certificate_from_json(read_json(args.certificate))
     verdict = _verdict(cert, oracle.OracleResult.from_json_dict(read_json(args.oracle)))
     print(verdict)
     return {oracle.SOUND: EXIT_OK, oracle.VIOLATED: EXIT_VIOLATED}.get(verdict, EXIT_USAGE)
@@ -312,7 +298,7 @@ def _sweep_worker(job: tuple) -> dict:
     cell, cell_hash, args = job
     instance = _GENERATORS[args.instance](args)
     cert = _certify(args.kind, instance, args)
-    doc = _certificate_doc(cert, instance, args)
+    doc = cert.to_json_dict()
     result = {
         key: doc[key]
         for key in ("kind", "log2_bound", "theta", "log2_cluster_bound",
@@ -325,13 +311,13 @@ def _sweep_worker(job: tuple) -> dict:
 
     oracle_value = None
     sound = None
-    row = KINDS[args.kind]
-    run = row.oracles.get(type(instance))
-    if cert is not None and run is not None and args.n <= args.oracle_max_n:
+    pairing = oracle.PAIRINGS[cert.kind]
+    run = KINDS[args.kind].oracles.get(type(instance))
+    if pairing.oracle_kind and run is not None and args.n <= args.oracle_max_n:
         # the oracle runs at the parameters the certificate is bound to
-        vars(args).update(oracle.PAIRINGS[cert.kind].parameters(cert))
+        vars(args).update(pairing.parameters(cert))
         res = run(instance, args)
-        oracle_value = row.value(res.exact_value)
+        oracle_value = pairing.value(res.exact_value)
         sound = _verdict(cert, res) == oracle.SOUND
 
     return {
@@ -401,11 +387,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_VIOLATED if violations else EXIT_OK
 
 
+# The fields of a sweep row, read as these types by the CSV export.
+_ROW_FIELDS = {"cell": dict, "seed": int, "result": dict, "oracle": object, "sound": object,
+               "cell_hash": str}
+
+
 def _export_csv(jsonl_path: str, csv_path: str) -> None:
-    """Secondary flat export of a sweep's JSONL rows."""
+    """Secondary flat export of a sweep's JSONL rows; ValueError naming the
+    line of a row that lacks a field or holds one of another type, before
+    the CSV opens."""
     import csv
 
-    rows = [row for _, row in read_json_lines(jsonl_path)]
+    rows = [{key: decode_field(row, key, hint, where) for key, hint in _ROW_FIELDS.items()}
+            for where, row in read_json_lines(jsonl_path)]
     if not rows:
         return
     cell_keys = sorted({k for row in rows for k in row["cell"]})

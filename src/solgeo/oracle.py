@@ -7,16 +7,23 @@ exactly when x_i == -1, so Hamming distances are popcounts of XORs.  The
 oracles read an instance's arrays; every violation profile, of a CSP or
 of an XOR instance, is one integer Walsh-Hadamard transform (n <= 24).
 The SK oracle enumerates the half x_{n-1} = +1 of the hypercube.
+
+``PAIRINGS`` is the one table of certificate kinds: for each, the record
+that reads it, the oracle that checks it, the verdict and the number a
+sweep row records; ``certificate_from_json`` reads a file through it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Iterator
 
 import numpy as np
 
+from .certificates import (BalanceCertificate, ClusterCertificate, CountCertificate,
+                           DeclinedBalance, RefutationCertificate)
 from .instances import (
     MultiGraph,
     Predicate,
@@ -347,10 +354,13 @@ def _exact(value, hint, key: str | None = None, where: str = "oracle exact_value
     return decode(value, hint, where) if key is None else decode_field(value, key, hint, where)
 
 
-def _count_verdict(log2_bound: float, count: int) -> str:
-    if count <= 0:
-        return SOUND
-    return SOUND if math.log2(count) <= log2_bound + 1e-9 else VIOLATED
+def _count_verdict(key: str | None = None) -> Callable[[object, object], str]:
+    """The verdict on a count bound: sound unless the oracle's count (its
+    entry ``key``) exceeds 2^log2_bound."""
+    def verdict(cert, value) -> str:
+        count = _exact(value, int, key)
+        return SOUND if count <= 0 or math.log2(count) <= cert.log2_bound + 1e-9 else VIOLATED
+    return verdict
 
 
 def _cluster_verdict(cert, data) -> str:
@@ -381,13 +391,16 @@ def _balance_verdict(cert, max_bias) -> str:
 
 @dataclass(frozen=True)
 class Pairing:
-    """How one certificate kind is checked: the kind of oracle result that
-    holds its ground truth, the parameters the two must share, and the
-    verdict on the oracle's exact value."""
+    """One certificate kind: the record that reads it, the kind of oracle
+    result that holds its ground truth (None for a kind that carries no
+    claim), the parameters the two must share, the verdict on the
+    oracle's exact value, and the number a sweep row records from it."""
 
-    oracle_kind: str
-    parameters: Callable[[object], dict]
-    verdict: Callable[[object, object], str]
+    record: type
+    oracle_kind: str | None = None
+    parameters: Callable[[object], dict] = lambda cert: {}
+    verdict: Callable[[object, object], str] | None = None
+    value: Callable[[object], object] = lambda exact_value: exact_value
 
 
 def _eta(cert) -> dict:
@@ -395,25 +408,37 @@ def _eta(cert) -> dict:
 
 
 PAIRINGS = {
-    "count": Pairing("count", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact(v, int))),
-    "sk-count": Pairing(
-        "sk", _eta, lambda c, v: _count_verdict(c.log2_bound, _exact(v, int, "count"))),
+    "count": Pairing(CountCertificate, "count", _eta, _count_verdict()),
+    "sk-count": Pairing(CountCertificate, "sk", _eta, _count_verdict("count"), itemgetter("count")),
     "indset-count": Pairing(
-        "indset", lambda c: {"threshold_size": c.transcript["threshold_size"]},
-        lambda c, v: _count_verdict(c.log2_bound, _exact(v, int, "count")),
+        CountCertificate, "indset",
+        lambda c: {"threshold_size": _exact(c.transcript, int, "threshold_size",
+                                            "certificate transcript")},
+        _count_verdict("count"), itemgetter("count"),
     ),
-    "clusters": Pairing("clusters", lambda c: {"eta": c.eta, "theta": c.theta}, _cluster_verdict),
-    "balance": Pairing("max-bias", _eta, _balance_verdict),
+    "clusters": Pairing(ClusterCertificate, "clusters", lambda c: {"eta": c.eta, "theta": c.theta},
+                        _cluster_verdict, itemgetter("num_solutions")),
+    "balance": Pairing(BalanceCertificate, "max-bias", _eta, _balance_verdict),
+    DeclinedBalance.kind: Pairing(DeclinedBalance),
     "refutation": Pairing(
-        "count", lambda c: {"eta": c.eta_refuted},
+        RefutationCertificate, "count", lambda c: {"eta": c.eta_refuted},
         lambda c, v: SOUND if _exact(v, int) == 0 else VIOLATED,
     ),
     "indset-refutation": Pairing(
-        "indset", lambda c: {},
+        RefutationCertificate, "indset", lambda c: {},
         lambda c, v: SOUND if _exact(v, int, "alpha") < _exact(
             c.evidence, int, "refuted_size", "certificate evidence") else VIOLATED,
     ),
 }
+
+
+def certificate_from_json(d: dict):
+    """Load any certificate JSON dict into the record of its kind."""
+    kind = d.get("kind")
+    pairing = PAIRINGS.get(kind) if isinstance(kind, str) else None
+    if pairing is None:
+        raise ValueError(f"unrecognized certificate kind {kind!r}")
+    return pairing.record.from_json_dict(d)
 
 
 def verify_certificate(cert, oracle: OracleResult) -> str:

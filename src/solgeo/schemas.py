@@ -1,13 +1,14 @@
 """JSON schemas for every file format the CLI reads or writes.
 
 A format that a package type reads is described by that type alone: the
-certificate and oracle-result schemas are built from the records'
-fields and type hints, and the csp, xor and hypergraph schemas from
-their classes' ``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only
-what no type states: the limits of a value (``_LIMITS``), a clause's
-entry of each instance array (``_ENTRIES``), the oracle kinds, and the
-formats no type reads: graphs, GOE matrices, declined balance notes and
-sweep rows.
+certificate schemas are built from the records of ``oracle.PAIRINGS``,
+one per certificate kind (the declined balance note among them), and
+the oracle-result schema from its record, each from the fields and type
+hints; the csp, xor and hypergraph schemas come from their classes'
+``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only what no type
+states: the limits of a value (``_LIMITS``), a clause's entry of each
+instance array (``_ENTRIES``), the oracle kinds, and the formats no type
+reads: graphs, GOE matrices and sweep rows.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from dataclasses import MISSING, fields
 from types import UnionType
 from typing import get_args, get_origin
 
-from .certificates import CERTIFICATE_CLASSES
 from .instances import SignedHypergraph, UnsignedHypergraph, XorInstance
 from .jsonio import JsonRecord, _hints
-from .oracle import OracleResult
+from .oracle import PAIRINGS, OracleResult
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
 # The limits of a value that its type does not state, by field name.
@@ -137,16 +137,6 @@ MATRIX = {
     },
 }
 
-BALANCE_DECLINED = {
-    "type": "object",
-    "required": ["kind", "rho", "instance_sha256"],
-    "properties": {
-        "kind": {"const": "balance-declined"},
-        "rho": {"type": "number"},
-        "instance_sha256": _property("instance_sha256", str),
-    },
-}
-
 SWEEP_ROW = {
     "type": "object",
     "required": ["cell", "seed", "result", "cell_hash"],
@@ -162,12 +152,10 @@ SWEEP_ROW = {
 
 ORACLE_RESULT = _record(OracleResult, _ORACLE_KINDS)
 
-_BY_CLASS = {cls: _record(cls, [kind for kind, c in CERTIFICATE_CLASSES.items() if c is cls])
-             for cls in CERTIFICATE_CLASSES.values()}
-CERTIFICATES_BY_KIND = {
-    **{kind: _BY_CLASS[cls] for kind, cls in CERTIFICATE_CLASSES.items()},
-    "balance-declined": BALANCE_DECLINED,
-}
+_BY_RECORD = {row.record: _record(row.record, [kind for kind, r in PAIRINGS.items()
+                                                 if r.record is row.record])
+              for row in PAIRINGS.values()}
+CERTIFICATES_BY_KIND = {kind: _BY_RECORD[row.record] for kind, row in PAIRINGS.items()}
 
 INSTANCES_BY_KIND = {
     **{cls.KIND: _k_uniform(cls) for cls in (SignedHypergraph, XorInstance, UnsignedHypergraph)},

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from conftest import brute_poly_max, petersen_graph, planted_3sat, poly_from_terms, thread_map
-from solgeo.certificates import certificate_from_json
 from solgeo.counting import (
     certify_count_2xor,
     certify_count_ksat,
@@ -51,6 +50,7 @@ from solgeo.instances import (
 from solgeo.oracle import (
     brute_independent_sets,
     brute_subspace_count,
+    certificate_from_json,
     gaussian_count,
     independence_number,
     violation_profile,

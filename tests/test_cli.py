@@ -163,7 +163,7 @@ def test_certify_rerun_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_balance_decline_writes_marker(tmp_path):
+def test_balance_decline_writes_marker(tmp_path, capsys):
     inst = gen(tmp_path, "i.json", "--kind", "csp", "-k", "3", "-n", "12", "-m", "48", "--seed", "4")
     out = tmp_path / "bal.json"
     assert run("certify", "--kind", "balance", "--instance", str(inst),
@@ -174,7 +174,51 @@ def test_balance_decline_writes_marker(tmp_path):
     orc = tmp_path / "o.json"
     assert run("oracle", "--kind", "bias", "--instance", str(inst),
                "--eta", "0.01", "--out", str(orc)) == 0
+    capsys.readouterr()
     assert run("verify", "--certificate", str(out), "--oracle", str(orc)) == 2
+    assert capsys.readouterr().out == "inapplicable\n"
+
+
+def test_sweep_row_of_a_declined_balance_run(tmp_path):
+    # the rows as the sweep wrote them when it built the declined note by
+    # hand: the declined cell records no oracle value and no verdict, while
+    # the certified one runs the oracle
+    config = {"kind": "balance", "instance": "csp", "seeds": 1, "oracle_max_n": 10,
+              "grid": {"n": [10], "k": [3], "m": [1000], "rho": [0.05, 0.8], "eta": [0.02]}}
+    cfg, out = tmp_path / "cfg.json", tmp_path / "rows.jsonl"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    assert out.read_text().splitlines() == [
+        '{"cell":{"eta":0.02,"k":3,"m":1000,"n":10,"rho":0.050000000000000003},'
+        '"cell_hash":"fc040df1b962630e","oracle":null,"result":{"kind":"balance-declined",'
+        '"rho":0.050000000000000003},"seed":0,"sound":null}',
+        '{"cell":{"eta":0.02,"k":3,"m":1000,"n":10,"rho":0.80000000000000004},'
+        '"cell_hash":"3bb76d00e0f74192","oracle":null,"result":{"checks_passed":0.0,"eta":0.02,'
+        '"kind":"balance","rho":0.80000000000000004,"violated_fraction_bound":0.030700145202494721},'
+        '"seed":0,"sound":true}',
+    ]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # once only "error: 'threshold_size'"
+    (lambda t: t.pop("threshold_size"), "certificate transcript lacks the field 'threshold_size'"),
+    # once verified as sound: 6.0 == 6
+    (lambda t: t.update(threshold_size=float(t["threshold_size"])),
+     "certificate transcript field 'threshold_size' holds float 6.0, not int"),
+], ids=["missing", "float"])
+def test_indset_threshold_of_another_type_is_usage_error(tmp_path, capsys, edit, message):
+    inst = gen(tmp_path, "g.json", "--kind", "regular", "-n", "14", "-d", "3", "--seed", "7")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    for command, out in (("certify", cert), ("oracle", orc)):
+        assert run(command, "--kind", "indset", "--eta", "0.2", "--instance", str(inst),
+                   "--out", str(out)) == 0
+    doc = read_json(str(cert))
+    assert doc["transcript"]["threshold_size"] == 6
+    edit(doc["transcript"])
+    cert.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_indset_pipeline(tmp_path):
@@ -829,6 +873,24 @@ def test_malformed_resume_row_is_usage_error(tmp_path, capsys, line, message):
     assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
     assert capsys.readouterr().err == f"error: {out} {message}\n"
     assert out.read_text() == line + "\n"
+
+
+@pytest.mark.parametrize("edit, message", [
+    # once "internal error: '<' not supported between instances of 'str' and 'int'" (exit 4)
+    (lambda row: {**row, "cell": [1]}, "line 2 field 'cell' holds list [1], not dict"),
+    # once only "error: 'cell'"
+    (lambda row: {k: v for k, v in row.items() if k != "cell"}, "line 2 lacks the field 'cell'"),
+], ids=["cell-list", "no-cell"])
+def test_malformed_row_in_csv_export_is_usage_error(tmp_path, capsys, edit, message):
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4]}, seeds=2)
+    out, csv_out = tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    first, second = out.read_text().splitlines()
+    out.write_text(first + "\n" + json.dumps(edit(json.loads(second))) + "\n")
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)) == 2
+    assert capsys.readouterr().err == f"error: {out} {message}\n"
+    assert not csv_out.exists()
 
 
 def test_sweep_axis_number_beyond_a_float_is_usage_error(tmp_path, capsys):
