@@ -294,7 +294,7 @@ def _job_args(effective: dict, cell: dict) -> dict:
     return {**merged, **effective, "theta": None, "threshold_size": None}
 
 
-def _sweep_worker(job: tuple) -> dict:
+def _sweep_worker(job: tuple) -> oracle.SweepRow:
     cell, cell_hash, args = job
     instance = _GENERATORS[args.instance](args)
     cert = _certify(args.kind, instance, args)
@@ -320,14 +320,7 @@ def _sweep_worker(job: tuple) -> dict:
         oracle_value = pairing.value(res.exact_value)
         sound = _verdict(cert, res) == oracle.SOUND
 
-    return {
-        "cell": cell,
-        "seed": args.seed,
-        "result": result,
-        "oracle": oracle_value,
-        "sound": sound,
-        "cell_hash": cell_hash,
-    }
+    return oracle.SweepRow(cell, args.seed, result, oracle_value, sound, cell_hash)
 
 
 def _worker_count() -> int:
@@ -376,8 +369,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         first = next(rows, None)
         with open(out_path, "a", encoding="utf-8") as fh:
             for row in itertools.chain([first] if first else [], rows):
-                violations += row["sound"] is False
-                fh.write(canonical_json(row) + "\n")
+                violations += row.sound is False
+                fh.write(canonical_json(row.to_json_dict()) + "\n")
                 fh.flush()
 
     if args.csv:
@@ -387,33 +380,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_VIOLATED if violations else EXIT_OK
 
 
-# The fields of a sweep row, read as these types by the CSV export.
-_ROW_FIELDS = {"cell": dict, "seed": int, "result": dict, "oracle": object, "sound": object,
-               "cell_hash": str}
-
-
 def _export_csv(jsonl_path: str, csv_path: str) -> None:
     """Secondary flat export of a sweep's JSONL rows; ValueError naming the
     line of a row that lacks a field or holds one of another type, before
     the CSV opens."""
     import csv
 
-    rows = [{key: decode_field(row, key, hint, where) for key, hint in _ROW_FIELDS.items()}
+    rows = [oracle.SweepRow.from_json_dict(row, where)
             for where, row in read_json_lines(jsonl_path)]
     if not rows:
         return
-    cell_keys = sorted({k for row in rows for k in row["cell"]})
-    result_keys = sorted({k for row in rows for k in row["result"]})
+    cell_keys = sorted({k for row in rows for k in row.cell})
+    result_keys = sorted({k for row in rows for k in row.result})
     header = cell_keys + ["seed"] + result_keys + ["oracle", "sound", "cell_hash"]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [row["cell"].get(k, "") for k in cell_keys]
-                + [row["seed"]]
-                + [row["result"].get(k, "") for k in result_keys]
-                + [row["oracle"], row["sound"], row["cell_hash"]]
+                [row.cell.get(k, "") for k in cell_keys]
+                + [row.seed]
+                + [row.result.get(k, "") for k in result_keys]
+                + [row.oracle, row.sound, row.cell_hash]
             )
 
 

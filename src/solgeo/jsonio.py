@@ -334,10 +334,12 @@ class JsonRecord:
         }
 
     @classmethod
-    def from_json_dict(cls, d: dict):
-        hints = _hints(cls)
+    def from_json_dict(cls, d: dict, where: str | None = None):
+        """The record of ``d``; ValueError naming ``where``, by default the
+        class, for a missing or mistyped field."""
+        hints, where = _hints(cls), where or cls.__name__
         kwargs = {}
         for f in fields(cls):
             if f.name in d or (f.default is MISSING and f.default_factory is MISSING):
-                kwargs[f.name] = decode_field(d, f.name, hints[f.name], cls.__name__)
+                kwargs[f.name] = decode_field(d, f.name, hints[f.name], where)
         return cls(**kwargs)

@@ -6,11 +6,14 @@ Enumeration encodes an assignment as an integer index whose bit i is set
 exactly when x_i == -1, so Hamming distances are popcounts of XORs.  The
 oracles read an instance's arrays; every violation profile, of a CSP or
 of an XOR instance, is one integer Walsh-Hadamard transform (n <= 24).
-The SK oracle enumerates the half x_{n-1} = +1 of the hypercube.
+The SK oracle screens the half x_{n-1} = +1 of the hypercube at once,
+meeting in the middle from two small sign tables, and recomputes with
+``math.fsum`` only the x whose screened value is too close to call.
 
 ``PAIRINGS`` is the one table of certificate kinds: for each, the record
 that reads it, the oracle that checks it, the verdict and the number a
 sweep row records; ``certificate_from_json`` reads a file through it.
+``SweepRow`` is the record of a sweep's output line.
 """
 
 from __future__ import annotations
@@ -36,10 +39,8 @@ from .instances import (
 )
 from .jsonio import JsonRecord, decode, decode_field, sha256_of
 
-# The half-cube enumerations' rows per matmul.  It is part of the SK
-# oracle's bytes: `opt` is x^T G x as the chunked X @ G rounds it, and
-# another chunk size moves its last digit on some seeds (the `sk-n18`
-# golden digest pins it).
+# Rows per matmul of ``_half_cube``, which only ``brute_subspace_count``
+# reads; no oracle-file byte depends on it.
 _CHUNK = 1 << 16
 # ``violation_profile`` adds blocks of < 2^_TERMS_BITS Fourier terms (one T if m is larger)
 _TERMS_BITS = 18
@@ -226,37 +227,105 @@ def brute_max_bias(
     return OracleResult("max-bias", value, 1 << I.n, instance_sha256=I.sha256(), eta=float(eta))
 
 
+def _signs(rows: int, cols: int) -> np.ndarray:
+    """The (rows x cols) table of x_j = 1 - 2 (bit j of the row index)."""
+    return 1.0 - 2.0 * ((np.arange(rows)[:, None] >> np.arange(cols)) & 1)
+
+
 def _half_cube(n: int) -> Iterator[np.ndarray]:
-    """The x in {-1, 1}^n with x_{n-1} = +1, n >= 1, as the rows of one
-    buffer of at most _CHUNK rows, rewritten in place per chunk: its low
-    min(n-1, 16) columns, built once by doubling, above them the chunk's
-    bits.  Each entry of (-X) @ M is the exact negation of that of X @ M."""
+    """The x in {-1, 1}^n with x_{n-1} = +1, n >= 1, for
+    ``brute_subspace_count``, as the rows of one buffer of at most _CHUNK
+    rows, rewritten in place per chunk: its low min(n-1, 16) columns, the
+    row's bits, built once, above them the chunk's bits.  Each entry of
+    (-X) @ M is the exact negation of that of X @ M."""
     low = min(n - 1, _CHUNK.bit_length() - 1)
-    X = np.ones((1 << low, n))
-    for j in range(low):
-        X[1 << j:2 << j, :j] = X[:1 << j, :j]
-        X[1 << j:2 << j, j] = -1.0
+    X = _signs(1 << low, n)
     for chunk in range(1 << (n - 1 - low)):
         X[:, low:] = 1.0 - 2.0 * ((chunk >> np.arange(n - low)) & 1)
         yield X
 
 
+def _grid_parts(G: np.ndarray) -> list[np.ndarray]:
+    """G as a sum of parts, each of multiples of one power of two 2^e whose
+    |entries| sum below 2^(e+53), so that any signed sum of a part's
+    entries, added in any order, is exact.  Each part rounds what is left
+    of G to multiples of 2^e, about 2^-52 sum|rest|; the remainder is exact
+    and at most 2^(e-1) an entry, so a part adds about 43 bits at n = 18.
+    One part suffices when G is itself such a grid (an integer G with
+    sum|G_ij| < 2^52, say); a GOE matrix takes two."""
+    parts, rest = [], G
+    while not parts or rest.any():
+        e = max(math.frexp(float(np.abs(rest).sum()))[1] - 52, -1074)
+        parts.append(np.ldexp(np.rint(np.ldexp(rest, -e)), e))
+        rest = rest - parts[-1]
+    return parts
+
+
 def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
-    """The max of x^T G x over the hypercube and the exact number of x
-    reaching 2 (1-eta) n^(3/2): the half-cube's, whose count is doubled,
-    as x^T G x of -x equals that of x.  ``opt`` is a float64: the largest
-    x^T G x as the chunked X @ G product rounds it, so another ``_CHUNK``
-    can change its last digit."""
+    """The max of x^T G x over the hypercube and the exact number of x with
+    x^T G x >= T = 2 (1-eta) n^(3/2) - 1e-9: the half-cube's, x_{n-1} = +1,
+    whose count is doubled, as x^T G x of -x equals that of x.  ``opt`` is
+    the correctly rounded maximum of x^T G x; neither value depends on how
+    a BLAS kernel orders its sums.
+
+    A screen V meets in the middle: with A the low p = (n-1)//2 variables
+    and B the rest (x_{n-1} among them), V[a, b] = a^T G_AA a + b^T G_BB b
+    + a^T (G_AB + G_BA^T) b for all 2^(n-1) x at once, from two sign tables,
+    four small matrix products and two broadcast adds; x's index is
+    a + (b << p).  Only the x whose V lies within w of the level it is
+    compared with are recomputed exactly.
+
+    The bound w.  V adds the n^2 terms +-G_ij through a tree of float
+    additions, in whatever order BLAS takes (a product with +-1 is exact,
+    fused or not).  A term meets at most d = n + 2 roundings: a sum of k
+    values meets at most k - 1, so at most 2(n-p-1) <= n inside a
+    quadratic form (n - 2 inside the cross term, plus one forming
+    G_AB + G_BA^T), and two adding the three forms.  Each rounding is a
+    factor (1 + delta), |delta| <= u = 2^-53, so |V - x^T G x| <= gamma_d
+    sum|G_ij| with gamma_d = d u / (1 - d u) (Higham, Lemma 3.1).
+    w = 2^-52 (n+2) sum|G_ij| is about twice that; the spare half covers
+    the rounding of the sum, of w, and of the levels opt - w and T +- w
+    (|opt| <= sum|G_ij|, and a T beyond 2 sum|G_ij| is far from every V).
+    So an x with V <= opt - w cannot beat opt, and the sign of
+    x^T G x - T is V's outside [T - w, T + w].  When G is one grid part
+    (``_grid_parts``; an integer G, say) no addition rounds and w = 0.
+
+    The recheck.  x^T P x of each grid part P is computed exactly, so the
+    ``math.fsum`` of the parts' values is the correctly rounded x^T G x.
+    The x with equal part values share one fsum: x tied by G's structure
+    (every x under a diagonal G) cost one fsum together."""
     G = np.asarray(G, dtype=float)
     n = G.shape[0]
     if not 1 <= n <= 18:
         raise ValueError("SK enumeration limited to 1 <= n <= 18")
-    threshold = 2.0 * (1.0 - eta) * n**1.5
-    best, count = -math.inf, 0
-    for X in _half_cube(n):
-        vals = np.einsum("ij,ij->i", X @ G, X)
-        best = max(best, float(vals.max()))
-        count += int((vals >= threshold - 1e-9).sum())
+    total = float(np.abs(G).sum())
+    if not math.isfinite(total):
+        raise ValueError("SK enumeration needs finite entries")
+    parts = _grid_parts(G)
+    w = 0.0 if len(parts) == 1 else 2.0**-52 * (n + 2) * total
+    p = (n - 1) // 2
+    SA, SB = _signs(1 << p, p), _signs(1 << (n - 1 - p), n - p)
+    GAA, GAB, GBA, GBB = G[:p, :p], G[:p, p:], G[p:, :p], G[p:, p:]
+    qa = np.einsum("ij,ij->i", SA @ GAA, SA)
+    qb = np.einsum("ij,ij->i", SB @ GBB, SB)
+    V = (SB @ (GAB.T + GBA)) @ SA.T
+    V += qb[:, None]  # in place: a fresh 2^(n-1) temporary costs more than the product
+    V += qa
+    V = V.ravel()
+
+    def exact(index: np.ndarray, shift: float = 0.0) -> np.ndarray:
+        X = 1.0 - 2.0 * ((index[:, None] >> np.arange(n)) & 1)
+        values = np.stack([np.einsum("ij,ij->i", X @ P, X) for P in parts], axis=1)
+        distinct, inverse = np.unique(values, axis=0, return_inverse=True)
+        sums = [math.fsum([*row, shift]) for row in distinct.tolist()]
+        return np.array(sums)[inverse.reshape(-1)]
+
+    best = float(exact(V.argmax(keepdims=True))[0])
+    best = max(best, float(exact(np.flatnonzero(V > best - w)).max(initial=best)))
+    T = 2.0 * (1.0 - eta) * n**1.5 - 1e-9
+    above = V > T + w
+    near = np.flatnonzero((V >= T - w) & ~above)
+    count = int(np.count_nonzero(above)) + int(np.count_nonzero(exact(near, -T) >= 0.0))
     return OracleResult("sk", {"opt": best, "count": 2 * count}, 1 << n,
                         instance_sha256=sha256_of(rendered_doc(G)), eta=float(eta))
 
@@ -430,6 +499,22 @@ PAIRINGS = {
             c.evidence, int, "refuted_size", "certificate evidence") else VIOLATED,
     ),
 }
+
+
+@dataclass(frozen=True)
+class SweepRow(JsonRecord):
+    """One line of a sweep's rows file: the grid cell and seed, the
+    certificate's summary, the number its pairing records from the oracle
+    and whether the verdict was sound (both None where no oracle ran), and
+    the cell's resume key.  Every field is required; ``sweep --csv`` reads
+    the rows through it and ``schemas.SWEEP_ROW`` is derived from it."""
+
+    cell: dict
+    seed: int
+    result: dict
+    oracle: object
+    sound: object
+    cell_hash: str
 
 
 def certificate_from_json(d: dict):

@@ -3,12 +3,12 @@
 A format that a package type reads is described by that type alone: the
 certificate schemas are built from the records of ``oracle.PAIRINGS``,
 one per certificate kind (the declined balance note among them), and
-the oracle-result schema from its record, each from the fields and type
-hints; the csp, xor and hypergraph schemas come from their classes'
-``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only what no type
-states: the limits of a value (``_LIMITS``), a clause's entry of each
-instance array (``_ENTRIES``), the oracle kinds, and the formats no type
-reads: graphs, GOE matrices and sweep rows.
+the oracle-result and sweep-row schemas from their records, each from
+the fields and type hints; the csp, xor and hypergraph schemas come from
+their classes' ``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only
+what no type states: the limits of a value (``_LIMITS``), a clause's
+entry of each instance array (``_ENTRIES``), the oracle kinds, and the
+formats no type reads: graphs and GOE matrices.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import get_args, get_origin
 
 from .instances import SignedHypergraph, UnsignedHypergraph, XorInstance
 from .jsonio import JsonRecord, _hints
-from .oracle import PAIRINGS, OracleResult
+from .oracle import PAIRINGS, OracleResult, SweepRow
 
 _JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
 # The limits of a value that its type does not state, by field name.
@@ -37,6 +37,7 @@ _LIMITS = {
     "enumeration_size": {"minimum": 0},
     "threshold_size": {"minimum": 1},
     "runtime_ms": {"minimum": 0},
+    "seed": {"minimum": 0},
 }
 # Fields that every file of a record holding them carries, default or not.
 _CARRIED = ("kind", "instance_sha256", "tool_version")
@@ -137,18 +138,7 @@ MATRIX = {
     },
 }
 
-SWEEP_ROW = {
-    "type": "object",
-    "required": ["cell", "seed", "result", "cell_hash"],
-    "properties": {
-        "cell": {"type": "object"},
-        "seed": {"type": "integer", "minimum": 0},
-        "result": {"type": "object"},
-        "oracle": {},
-        "sound": {},
-        "cell_hash": {"type": "string"},
-    },
-}
+SWEEP_ROW = _record(SweepRow)
 
 ORACLE_RESULT = _record(OracleResult, _ORACLE_KINDS)
 

@@ -199,6 +199,29 @@ def test_sweep_row_of_a_declined_balance_run(tmp_path):
     ]
 
 
+def test_sweep_rows_and_their_schema_are_one_record(tmp_path, capsys):
+    # schemas.SWEEP_ROW once required only cell, seed, result and
+    # cell_hash, while `sweep --csv` refused a row without oracle or sound
+    config = {"kind": "balance", "instance": "csp", "seeds": 1, "oracle_max_n": 10,
+              "grid": {"n": [10], "k": [3], "m": [1000], "rho": [0.05, 0.8], "eta": [0.02]}}
+    cfg, out, csv_out = tmp_path / "cfg.json", tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)) == 0
+    declined, certified = [json.loads(line) for line in out.read_text().splitlines()]
+    assert declined["result"]["kind"] == "balance-declined"
+    assert declined["oracle"] is None and declined["sound"] is None
+    for row in (declined, certified):
+        jsonschema.validate(row, schemas.SWEEP_ROW)
+    for field in ("oracle", "sound"):
+        row = {k: v for k, v in declined.items() if k != field}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(row, schemas.SWEEP_ROW)
+        out.write_text(json.dumps(row) + "\n")
+        capsys.readouterr()
+        assert run("sweep", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)) == 2
+        assert capsys.readouterr().err == f"error: {out} line 1 lacks the field '{field}'\n"
+
+
 @pytest.mark.parametrize("edit, message", [
     # once only "error: 'threshold_size'"
     (lambda t: t.pop("threshold_size"), "certificate transcript lacks the field 'threshold_size'"),

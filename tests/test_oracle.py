@@ -116,20 +116,31 @@ def test_brute_sk_single_variable():
     assert res.exact_value["count"] == 2
 
 
-def reference_sk(G: np.ndarray, eta: float) -> tuple[str, int]:
-    """repr of the max of x^T G x and the count of x reaching the SK
-    threshold, over the full hypercube in chunks of 2^16 rows: the loop the
-    half-cube enumeration replaced."""
+def sk_terms(G: np.ndarray, idx: np.ndarray) -> list[list[float]]:
+    """The n^2 exact products x_i G_ij x_j of each x with index in ``idx``
+    (bit i set when x_i = -1), as lists for math.fsum."""
+    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(G.shape[0])) & 1)
+    return (X[:, :, None] * G * X[:, None, :]).reshape(len(idx), -1).tolist()
+
+
+def reference_sk(G: np.ndarray, eta: float) -> tuple[float, int]:
+    """The correctly rounded max of x^T G x and the count of x reaching the
+    SK threshold, over the full hypercube in chunks of 2^16 rows.  The
+    count is the GEMM loop's that the half-cube enumeration replaced; the
+    max is the largest fsum of exact products, over every x for n <= 12
+    and over the x within 1e-9 sum|G_ij| of the GEMM maximum above that."""
     n = G.shape[0]
     threshold = 2.0 * (1.0 - eta) * n**1.5
-    best, count = -math.inf, 0
+    vals = []
     for start in range(0, 1 << n, 1 << 16):
         idx = np.arange(start, min(start + (1 << 16), 1 << n), dtype=np.uint32)
         X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n, dtype=np.uint32)) & 1)
-        vals = np.einsum("ij,ij->i", X @ G, X)
-        best = max(best, float(vals.max()))
-        count += int((vals >= threshold - 1e-9).sum())
-    return repr(best), count
+        vals.append(np.einsum("ij,ij->i", X @ G, X))
+    vals = np.concatenate(vals)
+    count = int((vals >= threshold - 1e-9).sum())
+    near = vals >= vals.max() - 1e-9 * np.abs(G).sum()
+    idx = np.arange(1 << n) if n <= 12 else np.flatnonzero(near)
+    return max(map(math.fsum, sk_terms(G, idx))), count
 
 
 @pytest.mark.parametrize("n", range(1, 19))
@@ -137,21 +148,96 @@ def test_brute_sk_matches_the_full_hypercube(n):
     for seed, eta in ((n, 0.1), (n + 100, 0.6), (n + 200, 0.9)):
         G = sample_goe(n, seed)
         res = brute_sk_opt_and_count(G, eta).exact_value
-        assert (repr(res["opt"]), res["count"]) == reference_sk(G, eta), (seed, eta)
+        assert (res["opt"], res["count"]) == reference_sk(G, eta), (seed, eta)
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 12])
 def test_brute_sk_opt_is_the_exact_maximum_to_rounding(n):
-    # opt is x^T G x as the chunked X @ G rounds it; each x_i G_ij x_j is
-    # exact, so fsum of them is the correctly rounded x^T G x
-    idx = np.arange(1 << n)
-    X = 1.0 - 2.0 * ((idx[:, None] >> np.arange(n)) & 1)
+    # each x_i G_ij x_j is exact, so fsum of them is the correctly rounded
+    # x^T G x, and opt is the largest of these
     for seed in range(n, n + 5):
         G = sample_goe(n, seed)
-        terms = (X[:, :, None] * G * X[:, None, :]).reshape(1 << n, -1)
-        exact = max(math.fsum(row) for row in terms.tolist())
-        assert math.isclose(brute_sk_opt_and_count(G, 0.5).exact_value["opt"], exact,
-                            rel_tol=1e-12), seed
+        exact = max(map(math.fsum, sk_terms(G, np.arange(1 << n))))
+        assert brute_sk_opt_and_count(G, 0.5).exact_value["opt"] == exact, seed
+
+
+def int_sk_values(K: np.ndarray) -> np.ndarray:
+    """x^T K x of an integer matrix for every x in {-1, 1}^n, in int64."""
+    n = K.shape[0]
+    vals = []
+    for start in range(0, 1 << n, 1 << 16):
+        idx = np.arange(start, min(start + (1 << 16), 1 << n))
+        X = 1 - 2 * ((idx[:, None] >> np.arange(n)) & 1)
+        vals.append(((X @ K) * X).sum(axis=1))
+    return np.concatenate(vals)
+
+
+def sk_level(n: int, eta: float) -> float:
+    """The level T that brute_sk_opt_and_count counts x^T G x against."""
+    return 2.0 * (1.0 - eta) * n**1.5 - 1e-9
+
+
+def integer_matrices(n: int) -> dict[str, np.ndarray]:
+    """Small-integer n x n matrices, by name."""
+    rng = np.random.default_rng(n)
+    A = rng.integers(-3, 4, (n, n))
+    pair = np.zeros((n, n), dtype=np.int64)  # x^T G x = 2 x_0 x_1 (or 2) ties half the cube
+    pair[0, min(1, n - 1)] += 1
+    pair[min(1, n - 1), 0] += 1
+    return {"zero": np.zeros((n, n), dtype=np.int64), "ones": np.ones((n, n), dtype=np.int64),
+            "random": A + A.T, "asymmetric": A, "pair": pair}
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 18])
+def test_brute_sk_is_exact_on_integer_matrices(n):
+    for name, K in integer_matrices(n).items():
+        vals = int_sk_values(K)
+        for eta in (0.1, 0.5, 1.0):
+            res = brute_sk_opt_and_count(K.astype(float), eta).exact_value
+            expected = {"opt": float(vals.max()), "count": int((vals >= sk_level(n, eta)).sum())}
+            assert res == expected, (name, eta)
+    assert brute_sk_opt_and_count(np.zeros((n, n)), 1.0).exact_value["count"] == 1 << n
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 18])
+def test_brute_sk_counts_a_value_at_the_level_exactly(n):
+    # K sums to 0 and K_00 = 0, so G = K + L e_0 e_0^T gives x^T G x =
+    # L + x^T K x exactly, and the all-ones x lands on L: the level T, the
+    # float above it or the float below it.  For n > 1, G is off one
+    # grid (two ``_grid_parts``), so the near-ties go to the exact recheck.
+    K = integer_matrices(n)["random"]
+    K[0, 0] = 0
+    K[-1, -1] -= K.sum()
+    vals = int_sk_values(K)
+    eta = 0.5
+    T = sk_level(n, eta)
+    for level, least in ((T, 0), (np.nextafter(T, math.inf), 0), (np.nextafter(T, -math.inf), 1)):
+        G = K.astype(float)
+        G[0, 0] = level
+        res = brute_sk_opt_and_count(G, eta).exact_value
+        expected = {"opt": float(level) + float(vals.max()), "count": int((vals >= least).sum())}
+        assert res == expected, level - T
+
+
+def test_brute_sk_rechecks_few_rows_on_degenerate_matrices(monkeypatch):
+    # every x ties under the zero and the diagonal matrices, and many under
+    # the others; one fsum per x within w of the best took seconds at n = 18
+    calls = []
+    fsum = math.fsum
+    monkeypatch.setattr(math, "fsum", lambda terms: calls.append(1) or fsum(terms))
+    n = 18
+    for G in (np.zeros((n, n)), np.ones((n, n)), np.full((n, n), 0.1),
+              np.diag(np.arange(1.0, n + 1)), np.diag(np.linspace(0.1, 1.7, n))):
+        for eta in (0.1, 1.0):
+            calls.clear()
+            brute_sk_opt_and_count(G, eta)
+            assert len(calls) <= 64, (G[0, :2], eta, len(calls))
+
+
+def test_brute_sk_refuses_non_finite_entries():
+    for bad in (math.nan, math.inf, 1e308):  # 1e308: the sum of |G_ij| overflows
+        with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
+            brute_sk_opt_and_count(np.full((3, 3), bad), 0.1)
 
 
 def test_brute_sk_count_is_even():
