@@ -554,11 +554,6 @@ def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> Density
     return DensityTable(k, values, fourier)
 
 
-def xor_violations(I: XorInstance, x: Sequence[int] | np.ndarray) -> int:
-    """Number of clauses of an XOR instance violated by x."""
-    return int((np.asarray(x)[I.vars].prod(axis=1) != I.rhs).sum())
-
-
 # ---------------------------------------------------------------------------
 # Induced / truncated / primal constructions
 # ---------------------------------------------------------------------------

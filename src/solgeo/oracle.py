@@ -6,9 +6,9 @@ Enumeration encodes an assignment as an integer index whose bit i is set
 exactly when x_i == -1, so Hamming distances are popcounts of XORs.  The
 oracles read an instance's arrays; every violation profile, of a CSP or
 of an XOR instance, is one integer Walsh-Hadamard transform (n <= 24).
-The SK oracle screens the half x_{n-1} = +1 of the hypercube at once,
-meeting in the middle from two small sign tables, and recomputes with
-``math.fsum`` only the x whose screened value is too close to call.
+Both quadratic-form oracles, SK and subspace, screen the half x_{n-1} = +1
+of the hypercube at once, meeting in the middle from two small sign
+tables, and recompute with ``math.fsum`` only the x too close to call.
 
 ``PAIRINGS`` is the one table of certificate kinds: for each, the record
 that reads it, the oracle that checks it, the verdict and the number a
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .instances import (
     MultiGraph,
     Predicate,
     SignedHypergraph,
-    UnsignedHypergraph,
     XorInstance,
     _walsh_hadamard,
     rendered_doc,
@@ -39,9 +38,6 @@ from .instances import (
 )
 from .jsonio import JsonRecord, decode, decode_field, sha256_of
 
-# Rows per matmul of ``_half_cube``, which only ``brute_subspace_count``
-# reads; no oracle-file byte depends on it.
-_CHUNK = 1 << 16
 # ``violation_profile`` adds blocks of < 2^_TERMS_BITS Fourier terms (one T if m is larger)
 _TERMS_BITS = 18
 
@@ -75,26 +71,6 @@ def _enumerable(n: int) -> int:
     if n > 24:
         raise ValueError("enumeration limited to n <= 24")
     return 1 << n
-
-
-def xor_sign_table(H: UnsignedHypergraph) -> np.ndarray:
-    """(2^n x m) matrix of prod(x[S]) over all assignments, as int8."""
-    idx = np.arange(_enumerable(H.n), dtype=np.uint64)
-    table = np.empty((len(idx), H.m), dtype=np.int8)
-    for j, mask in enumerate(np.array(clause_masks(H.vars), dtype=np.uint64)):
-        table[:, j] = 1 - 2 * (np.bitwise_count(idx & mask).astype(np.int8) & 1)
-    return table
-
-
-def batch_xor_counts(
-    table: np.ndarray, signings: np.ndarray, budget: int
-) -> np.ndarray:
-    """Number of assignments violating at most ``budget`` clauses, for each
-    signing (rows of ``signings``, entries +-1)."""
-    m = table.shape[1]
-    sat = (table.astype(np.float32) @ signings.astype(np.float32).T + m) / 2.0
-    violations = m - np.rint(sat)
-    return (violations <= budget).sum(axis=0).astype(np.int64)
 
 
 def violation_profile(
@@ -227,22 +203,9 @@ def brute_max_bias(
     return OracleResult("max-bias", value, 1 << I.n, instance_sha256=I.sha256(), eta=float(eta))
 
 
-def _signs(rows: int, cols: int) -> np.ndarray:
-    """The (rows x cols) table of x_j = 1 - 2 (bit j of the row index)."""
-    return 1.0 - 2.0 * ((np.arange(rows)[:, None] >> np.arange(cols)) & 1)
-
-
-def _half_cube(n: int) -> Iterator[np.ndarray]:
-    """The x in {-1, 1}^n with x_{n-1} = +1, n >= 1, for
-    ``brute_subspace_count``, as the rows of one buffer of at most _CHUNK
-    rows, rewritten in place per chunk: its low min(n-1, 16) columns, the
-    row's bits, built once, above them the chunk's bits.  Each entry of
-    (-X) @ M is the exact negation of that of X @ M."""
-    low = min(n - 1, _CHUNK.bit_length() - 1)
-    X = _signs(1 << low, n)
-    for chunk in range(1 << (n - 1 - low)):
-        X[:, low:] = 1.0 - 2.0 * ((chunk >> np.arange(n - low)) & 1)
-        yield X
+def _signs(index: np.ndarray, cols: int) -> np.ndarray:
+    """The rows x_j = 1 - 2 (bit j of each index), j < cols, as floats."""
+    return 1.0 - 2.0 * ((index[:, None] >> np.arange(cols)) & 1)
 
 
 def _grid_parts(G: np.ndarray) -> list[np.ndarray]:
@@ -261,19 +224,16 @@ def _grid_parts(G: np.ndarray) -> list[np.ndarray]:
     return parts
 
 
-def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
-    """The max of x^T G x over the hypercube and the exact number of x with
-    x^T G x >= T = 2 (1-eta) n^(3/2) - 1e-9: the half-cube's, x_{n-1} = +1,
-    whose count is doubled, as x^T G x of -x equals that of x.  ``opt`` is
-    the correctly rounded maximum of x^T G x; neither value depends on how
-    a BLAS kernel orders its sums.
+def _screen(G: np.ndarray) -> tuple[np.ndarray, float, Callable[..., np.ndarray]]:
+    """A screen V of x^T G x over the half-cube x_{n-1} = +1 (G finite,
+    n >= 1), its error bound w, and ``exact(index, shift)``: each indexed
+    x's correctly rounded x^T G x + shift, grouped by value, not in order.
 
-    A screen V meets in the middle: with A the low p = (n-1)//2 variables
-    and B the rest (x_{n-1} among them), V[a, b] = a^T G_AA a + b^T G_BB b
+    V meets in the middle: with A the low p = (n-1)//2 variables and B the
+    rest (x_{n-1} among them), V[a, b] = a^T G_AA a + b^T G_BB b
     + a^T (G_AB + G_BA^T) b for all 2^(n-1) x at once, from two sign tables,
     four small matrix products and two broadcast adds; x's index is
-    a + (b << p).  Only the x whose V lies within w of the level it is
-    compared with are recomputed exactly.
+    a + (b << p).
 
     The bound w.  V adds the n^2 terms +-G_ij through a tree of float
     additions, in whatever order BLAS takes (a product with +-1 is exact,
@@ -284,48 +244,63 @@ def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
     factor (1 + delta), |delta| <= u = 2^-53, so |V - x^T G x| <= gamma_d
     sum|G_ij| with gamma_d = d u / (1 - d u) (Higham, Lemma 3.1).
     w = 2^-52 (n+2) sum|G_ij| is about twice that; the spare half covers
-    the rounding of the sum, of w, and of the levels opt - w and T +- w
-    (|opt| <= sum|G_ij|, and a T beyond 2 sum|G_ij| is far from every V).
-    So an x with V <= opt - w cannot beat opt, and the sign of
-    x^T G x - T is V's outside [T - w, T + w].  When G is one grid part
-    (``_grid_parts``; an integer G, say) no addition rounds and w = 0.
+    the rounding of the sum, of w, and of a level L +- w (|opt| <=
+    sum|G_ij|, and an L beyond 2 sum|G_ij| is far from every V).  So an x
+    with V <= opt - w cannot beat opt, and the sign of x^T G x - L is V's
+    outside [L - w, L + w].  When G is one grid part (``_grid_parts``; an
+    integer G, say) no addition rounds and w = 0.
 
     The recheck.  x^T P x of each grid part P is computed exactly, so the
     ``math.fsum`` of the parts' values is the correctly rounded x^T G x.
     The x with equal part values share one fsum: x tied by G's structure
     (every x under a diagonal G) cost one fsum together."""
-    G = np.asarray(G, dtype=float)
     n = G.shape[0]
-    if not 1 <= n <= 18:
-        raise ValueError("SK enumeration limited to 1 <= n <= 18")
-    total = float(np.abs(G).sum())
-    if not math.isfinite(total):
-        raise ValueError("SK enumeration needs finite entries")
     parts = _grid_parts(G)
-    w = 0.0 if len(parts) == 1 else 2.0**-52 * (n + 2) * total
+    w = 0.0 if len(parts) == 1 else 2.0**-52 * (n + 2) * float(np.abs(G).sum())
     p = (n - 1) // 2
-    SA, SB = _signs(1 << p, p), _signs(1 << (n - 1 - p), n - p)
+    SA, SB = _signs(np.arange(1 << p), p), _signs(np.arange(1 << (n - 1 - p)), n - p)
     GAA, GAB, GBA, GBB = G[:p, :p], G[:p, p:], G[p:, :p], G[p:, p:]
     qa = np.einsum("ij,ij->i", SA @ GAA, SA)
     qb = np.einsum("ij,ij->i", SB @ GBB, SB)
     V = (SB @ (GAB.T + GBA)) @ SA.T
     V += qb[:, None]  # in place: a fresh 2^(n-1) temporary costs more than the product
     V += qa
-    V = V.ravel()
 
     def exact(index: np.ndarray, shift: float = 0.0) -> np.ndarray:
-        X = 1.0 - 2.0 * ((index[:, None] >> np.arange(n)) & 1)
+        X = _signs(index, n)
         values = np.stack([np.einsum("ij,ij->i", X @ P, X) for P in parts], axis=1)
-        distinct, inverse = np.unique(values, axis=0, return_inverse=True)
-        sums = [math.fsum([*row, shift]) for row in distinct.tolist()]
-        return np.array(sums)[inverse.reshape(-1)]
+        ranked = values[np.lexsort(values.T)]  # np.unique(axis=0) sorts void records, 20x slower
+        first = np.ones(len(ranked), dtype=bool)
+        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+        sums = [math.fsum([*row, shift]) for row in ranked[first].tolist()]
+        return np.array(sums)[np.cumsum(first) - 1]
 
+    return V.ravel(), w, exact
+
+
+def _count_at_least(V: np.ndarray, w: float, exact: Callable[..., np.ndarray], L: float) -> int:
+    """The exact number of half-cube x with x^T G x >= L, from ``_screen(G)``."""
+    above = V > L + w
+    near = np.flatnonzero((V >= L - w) & ~above)
+    return int(np.count_nonzero(above)) + int(np.count_nonzero(exact(near, -L) >= 0.0))
+
+
+def brute_sk_opt_and_count(G: np.ndarray, eta: float) -> OracleResult:
+    """The max of x^T G x over the hypercube and the exact number of x with
+    x^T G x >= T = 2 (1-eta) n^(3/2) - 1e-9: the half-cube's, x_{n-1} = +1,
+    whose count is doubled, as x^T G x of -x equals that of x.  ``opt`` is
+    the correctly rounded maximum of x^T G x; neither value depends on how
+    a BLAS kernel orders its sums (``_screen``)."""
+    G = np.asarray(G, dtype=float)
+    n = G.shape[0]
+    if not 1 <= n <= 18:
+        raise ValueError("SK enumeration limited to 1 <= n <= 18")
+    if not math.isfinite(float(np.abs(G).sum())):
+        raise ValueError("SK enumeration needs finite entries")
+    V, w, exact = _screen(G)
     best = float(exact(V.argmax(keepdims=True))[0])
     best = max(best, float(exact(np.flatnonzero(V > best - w)).max(initial=best)))
-    T = 2.0 * (1.0 - eta) * n**1.5 - 1e-9
-    above = V > T + w
-    near = np.flatnonzero((V >= T - w) & ~above)
-    count = int(np.count_nonzero(above)) + int(np.count_nonzero(exact(near, -T) >= 0.0))
+    count = _count_at_least(V, w, exact, 2.0 * (1.0 - eta) * n**1.5 - 1e-9)
     return OracleResult("sk", {"opt": best, "count": 2 * count}, 1 << n,
                         instance_sha256=sha256_of(rendered_doc(G)), eta=float(eta))
 
@@ -368,11 +343,6 @@ def _size_distribution(G: MultiGraph) -> np.ndarray:
     return dist
 
 
-def independence_number(G: MultiGraph) -> int:
-    """Exact independence number, the largest size of an independent set."""
-    return int(np.flatnonzero(_size_distribution(G))[-1])
-
-
 def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
     """Independence number plus the exact count of independent sets of size
     at least ``size_threshold``."""
@@ -385,13 +355,20 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
 
 
 def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
-    """Exact count of vectors in {+-1/sqrt(n)}^n within eps of the span of
-    the given basis columns: twice the half-cube's, as the projection of
-    -y is the exact negation of y's."""
+    """Exact count of the y = x / sqrt(n), x in {-1, 1}^n, at squared
+    distance at most eps^2 + 2e-12 from the span of the basis columns:
+    with Q an orthonormal basis of it (a rank-revealing SVD), the x with
+    x^T P x >= n (1 - eps^2) - 2e-12 n for P = fl(Q Q^T), by ``_screen``
+    over the half-cube, doubled.  The tolerance was once 1e-12 on the
+    distance, 2e-12 eps + 1e-24 squared; for every eps >= 0 this set holds
+    that one in exact arithmetic, the safe side for an upper bound (and a
+    float square root had made 1e-16 of rounding 1e-8: 0 of 256 at eps = 0)."""
     basis = np.asarray(basis, dtype=float)
     n = basis.shape[0]
     if not 1 <= n <= 20:
         raise ValueError("subspace enumeration limited to 1 <= n <= 20")
+    if not eps >= 0:
+        raise ValueError(f"eps must be a distance, at least 0, got {eps!r}")
     if basis.size == 0 or basis.shape[1] == 0:
         Q = np.zeros((n, 0))
     else:
@@ -399,12 +376,7 @@ def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
         # the span of a rank-deficient basis
         U, s, _ = np.linalg.svd(basis, full_matrices=False)
         Q = U[:, s > 1e-10 * s.max()]
-    count = 0
-    scale = 1.0 / math.sqrt(n)
-    for X in _half_cube(n):
-        proj = (X * scale) @ Q
-        dist_sq = np.maximum(1.0 - np.einsum("ij,ij->i", proj, proj), 0.0)
-        count += int((np.sqrt(dist_sq) <= eps + 1e-12).sum())
+    count = _count_at_least(*_screen(Q @ Q.T), n * (1.0 - eps * eps) - 2e-12 * n)
     return OracleResult("subspace-count", 2 * count, 1 << n)
 
 

@@ -8,9 +8,11 @@ from solgeo.cli import _worker_count
 from solgeo.instances import (
     MultiGraph,
     SignedHypergraph,
+    UnsignedHypergraph,
     XorInstance,
     sample_signed_hypergraph,
 )
+from solgeo.oracle import clause_masks
 from solgeo.refuter import SparsePolynomial
 
 
@@ -56,6 +58,29 @@ def brute_poly_max(p: SparsePolynomial) -> float:
         parity = (np.bitwise_count(idx & np.uint64(mask)) & 1).astype(np.float64)
         total += w * (1.0 - 2.0 * parity)
     return float(total.max())
+
+
+def xor_sign_table(H: UnsignedHypergraph) -> np.ndarray:
+    """(2^n x m) matrix of prod(x[S]) over all assignments, as int8."""
+    idx = np.arange(1 << H.n, dtype=np.uint64)
+    table = np.empty((len(idx), H.m), dtype=np.int8)
+    for j, mask in enumerate(np.array(clause_masks(H.vars), dtype=np.uint64)):
+        table[:, j] = 1 - 2 * (np.bitwise_count(idx & mask).astype(np.int8) & 1)
+    return table
+
+
+def batch_xor_counts(table: np.ndarray, signings: np.ndarray, budget: int) -> np.ndarray:
+    """Number of assignments violating at most ``budget`` clauses, for each
+    signing (rows of ``signings``, entries +-1)."""
+    m = table.shape[1]
+    sat = (table.astype(np.float32) @ signings.astype(np.float32).T + m) / 2.0
+    violations = m - np.rint(sat)
+    return (violations <= budget).sum(axis=0).astype(np.int64)
+
+
+def xor_violations(I: XorInstance, x) -> int:
+    """Number of clauses of an XOR instance violated by x."""
+    return int((np.asarray(x)[I.vars].prod(axis=1) != I.rhs).sum())
 
 
 def planted_xor_signs(table: np.ndarray, indices) -> np.ndarray:

@@ -13,7 +13,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_poly_max, petersen_graph, planted_3sat, poly_from_terms, thread_map
+from conftest import (brute_poly_max, petersen_graph, planted_3sat, poly_from_terms, thread_map,
+                      xor_sign_table)
 from solgeo.counting import (
     certify_count_2xor,
     certify_count_ksat,
@@ -52,9 +53,7 @@ from solgeo.oracle import (
     brute_subspace_count,
     certificate_from_json,
     gaussian_count,
-    independence_number,
     violation_profile,
-    xor_sign_table,
 )
 from solgeo.refuter import refute_polynomial
 from solgeo.spectral import demeaned_norm
@@ -512,7 +511,7 @@ def test_criterion_8_sk_and_independent_sets():
         hoffman_failures += h
 
     pet = petersen_graph()
-    petersen_ok = hoffman_bound(pet) == 4 == independence_number(pet)
+    petersen_ok = hoffman_bound(pet) == 4 == brute_independent_sets(pet, 1).exact_value["alpha"]
 
     ok = sk_violations == 0 and ind_violations == 0 and hoffman_failures == 0 and petersen_ok
     report(
@@ -598,9 +597,8 @@ def test_criterion_10_reductions_and_code_bound():
         for seed in range(20):
             G = sample_regular_graph(16, 3, seed=seed)
             cert = certify_count_indsets(G, eta=0.2)
-            indset_log.append(
-                (independence_number(G), refute_indset_from_count(G, cert, 0.2))
-            )
+            alpha = brute_independent_sets(G, 1).exact_value["alpha"]
+            indset_log.append((alpha, refute_indset_from_count(G, cert, 0.2)))
     emitted_indset = 0
     for alpha, ref in indset_log:
         if ref is None:
@@ -614,7 +612,8 @@ def test_criterion_10_reductions_and_code_bound():
     cliques = MultiGraph.build(8, block + [(u + 4, v + 4) for u, v in block])
     cert = certify_count_indsets(cliques, eta=0.4)
     ref = refute_indset_from_count(cliques, cert, 0.4)
-    hand_emitted = ref is not None and independence_number(cliques) < ref.evidence["refuted_size"]
+    cliques_alpha = brute_independent_sets(cliques, 1).exact_value["alpha"]
+    hand_emitted = ref is not None and cliques_alpha < ref.evidence["refuted_size"]
 
     # code bound dominates every greedy balanced-code witness
     rng = np.random.default_rng(10)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import from_clauses
+from conftest import batch_xor_counts, from_clauses, xor_sign_table
 from solgeo.certificates import CountCertificate
 from solgeo.counting import (
     aggregate_partition,
@@ -29,13 +29,11 @@ from solgeo.instances import (
 )
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import (
-    batch_xor_counts,
     binding_mismatch,
     brute_count,
     gaussian_count,
     verify_certificate,
     violation_profile,
-    xor_sign_table,
 )
 
 

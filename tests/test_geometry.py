@@ -31,11 +31,10 @@ from solgeo.oracle import (
     brute_clusters,
     brute_max_bias,
     verify_certificate,
-    xor_sign_table,
 )
 from solgeo.spectral import SpectralReport
 
-from conftest import from_clauses, planted_3sat, sign_cube_k4, synthetic_balanced_k4
+from conftest import from_clauses, planted_3sat, sign_cube_k4, synthetic_balanced_k4, xor_sign_table
 
 
 # ---------------------------------------------------------------------------

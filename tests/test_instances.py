@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import from_clauses, poly_from_terms
+from conftest import from_clauses, poly_from_terms, xor_violations
 from solgeo import spectral
 from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
@@ -33,7 +33,6 @@ from solgeo.instances import (
     split_by_sign,
     truncated_xor,
     violation_budget,
-    xor_violations,
 )
 from solgeo.jsonio import canonical_json
 from solgeo.oracle import violation_profile

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import petersen_graph
+from conftest import batch_xor_counts, petersen_graph, xor_sign_table, xor_violations
 from solgeo import oracle
 from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificate
 from solgeo.instances import (
@@ -17,11 +17,9 @@ from solgeo.instances import (
     sample_signed_hypergraph,
     signs_to_index,
     violation_budget,
-    xor_violations,
 )
 from solgeo.oracle import (
     OracleResult,
-    batch_xor_counts,
     brute_clusters,
     brute_count,
     brute_independent_sets,
@@ -29,10 +27,8 @@ from solgeo.oracle import (
     brute_sk_opt_and_count,
     brute_subspace_count,
     gaussian_count,
-    independence_number,
     verify_certificate,
     violation_profile,
-    xor_sign_table,
 )
 
 
@@ -234,6 +230,16 @@ def test_brute_sk_rechecks_few_rows_on_degenerate_matrices(monkeypatch):
             assert len(calls) <= 64, (G[0, :2], eta, len(calls))
 
 
+def test_brute_sk_rechecks_a_whole_half_cube_of_ties():
+    # every x ties at trace(G) under a diagonal G, so the whole half-cube is
+    # rechecked and grouped into one fsum
+    G = np.diag(np.linspace(0.1, 1.7, 18))
+    for eta, count in ((0.1, 0), (1.0, 1 << 18)):
+        res = brute_sk_opt_and_count(G, eta).exact_value
+        assert res == {"opt": float.fromhex("0x1.0333333333333p+4"), "count": count}, eta
+        assert res["opt"] == math.fsum(np.diag(G))
+
+
 def test_brute_sk_refuses_non_finite_entries():
     for bad in (math.nan, math.inf, 1e308):  # 1e308: the sum of |G_ij| overflows
         with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore"):
@@ -270,7 +276,7 @@ def test_brute_independent_sets_matches_a_scan_of_all_subsets():
         for threshold in range(1, n + 2):
             expected = reference_independent_sets(n, edges, threshold)
             assert brute_independent_sets(G, threshold).exact_value == expected, (trial, threshold)
-        assert independence_number(G) == expected["alpha"]
+        assert brute_independent_sets(G, 1).exact_value["alpha"] == expected["alpha"]
 
 
 def test_brute_independent_sets_k4_and_petersen():
@@ -294,8 +300,9 @@ def test_brute_independent_sets_refuses_a_threshold_before_searching(monkeypatch
 
 def reference_subspace_count(basis: np.ndarray, eps: float) -> int:
     """The count over the full hypercube in chunks of 2^16 rows, each y
-    built from its index bits: the loop the half-cube enumeration
-    replaced."""
+    built from its index bits, by a float test of the distance itself:
+    sqrt(max(1 - |Q^T y|^2, 0)) <= eps + 1e-12.  Off the distances at
+    which y lie, it agrees with the oracle's exact squared-distance rule."""
     n = basis.shape[0]
     if basis.size == 0 or basis.shape[1] == 0:
         Q = np.zeros((n, 0))
@@ -326,6 +333,29 @@ def test_brute_subspace_matches_the_full_hypercube(n):
         for e in (0.3, 0.9) if n > 12 else (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             expected = reference_subspace_count(basis, e)
             assert brute_subspace_count(basis, e).exact_value == expected, (name, e)
+
+
+def test_brute_subspace_is_exact_at_the_distances_of_coordinate_and_sign_bases():
+    # y = x / sqrt(n) lies at squared distance (n - r)/n from the span of r
+    # coordinate vectors, and at 4 j (n - j)/n^2 from the span of a +-1
+    # vector x0 it disagrees with in j places; with eps at one of these
+    # distances, membership is an exact integer comparison
+    for n in range(1, 21):
+        for r in range(1, n + 1):
+            for k in range(max(r - 1, 0), min(r + 1, n) + 1):
+                res = brute_subspace_count(np.eye(n)[:, :r], math.sqrt((n - k) / n))
+                assert res.exact_value == (2**n if k <= r else 0), (n, r, k)
+        x0 = np.random.default_rng(n).choice([-1.0, 1.0], size=(n, 1))
+        for k in range(n + 1):
+            expected = sum(math.comb(n, j) for j in range(n + 1) if j * (n - j) <= k * (n - k))
+            res = brute_subspace_count(x0, 2.0 * math.sqrt(k * (n - k)) / n)
+            assert res.exact_value == expected, (n, k)
+
+
+def test_brute_subspace_refuses_a_negative_eps():
+    for eps in (-0.1, math.nan):
+        with pytest.raises(ValueError, match="eps must be a distance"):
+            brute_subspace_count(np.eye(4), eps)
 
 
 def test_brute_subspace_full_and_zero():
