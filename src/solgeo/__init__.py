@@ -1,6 +1,7 @@
 """Certified bounds on the solution geometry of random CSPs.
 
-Library layout:
+The package re-exports nothing: import from its modules, as in
+``from solgeo.instances import sample_signed_hypergraph``.  Library layout:
 
 * ``instances``    -- hypergraph/XOR/predicate types, samplers, constructions
 * ``jsonio``       -- canonical JSON: rendering, hashing, reading and writing files;
@@ -16,65 +17,6 @@ Library layout:
 * ``cli``          -- gen / certify / oracle / verify / sweep commands
 """
 
-from .certificates import (
-    BalanceCertificate,
-    CheckRecord,
-    ClusterCertificate,
-    CountCertificate,
-    RefutationCertificate,
-    TOOL_VERSION,
-)
-from .instances import (
-    Assignment,
-    DensityTable,
-    MultiGraph,
-    Predicate,
-    SamplerError,
-    SignedHypergraph,
-    UnsignedHypergraph,
-    XorInstance,
-    bias,
-    csp_to_ksat,
-    density_table,
-    evaluate,
-    induced_xor,
-    primal_graph,
-    sample_goe,
-    sample_regular_graph,
-    sample_signed_hypergraph,
-    sample_unsigned_hypergraph,
-    split_by_sign,
-    truncated_xor,
-    violation_budget,
-)
+from .certificates import TOOL_VERSION
 
 __version__ = TOOL_VERSION
-
-__all__ = [
-    "Assignment",
-    "BalanceCertificate",
-    "CheckRecord",
-    "ClusterCertificate",
-    "CountCertificate",
-    "DensityTable",
-    "MultiGraph",
-    "Predicate",
-    "RefutationCertificate",
-    "SamplerError",
-    "SignedHypergraph",
-    "UnsignedHypergraph",
-    "XorInstance",
-    "bias",
-    "csp_to_ksat",
-    "density_table",
-    "evaluate",
-    "induced_xor",
-    "primal_graph",
-    "sample_goe",
-    "sample_regular_graph",
-    "sample_signed_hypergraph",
-    "sample_unsigned_hypergraph",
-    "split_by_sign",
-    "truncated_xor",
-    "violation_budget",
-]

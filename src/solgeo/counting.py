@@ -117,7 +117,7 @@ def _count_2xor_budget(G: MultiGraph, budget: int) -> _BoundResult:
     n = G.n
     simple = G.simple()
     transcript: dict = {"m_given": G.m, "m_simple": simple.m, "budget": budget}
-    if simple.m == 0 or n < 2:
+    if simple.m == 0:
         checks = (CheckRecord("nonempty", float(simple.m), 1.0, False),)
         return _fallback(n, checks, transcript)
 
@@ -176,10 +176,8 @@ def _partition_blocks(n: int, c: float) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
-def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> _BoundResult:
+def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float) -> _BoundResult:
     n, k = H.n, H.k
-    if depth > H.k:
-        raise RuntimeError("recursion exceeded the clause arity")
     if k == 2:
         return _count_2xor_budget(MultiGraph.build(n, H.vars), budget)
 
@@ -187,12 +185,12 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
     transcript: dict = {
         "k": k, "m_given": H.m, "m_clean": clean.m, "budget": budget,
     }
-    if clean.m == 0 or n < 2:
+    if clean.m == 0:
         checks = (CheckRecord("nonempty", float(clean.m), 1.0, False),)
         return _fallback(n, checks, transcript)
 
     density = clean.m / n
-    delta_exp = math.log(density) / math.log(n) if density > 0 else float("-inf")
+    delta_exp = math.log(density) / math.log(n)
     if delta_exp >= k - 2:
         c = 0.0
     else:
@@ -228,7 +226,7 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float, depth: int) -> 
         _, _, out_part = clause_split(clean.vars, block, 1)
         sub_H = UnsignedHypergraph(k - 1, n - size,
                                    np.where(out_part < block.start, out_part, out_part - size))
-        sub = _kxor_budget(sub_H, block_budget, eps, depth + 1)
+        sub = _kxor_budget(sub_H, block_budget, eps)
         sizes.append(size)
         bounds.append(sub.log2_bound)
         trace.append({
@@ -252,7 +250,7 @@ def certify_count_kxor(
 ) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
     violating at most an eta fraction of the hyperedges of H."""
-    return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps, 0))
+    return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps))
 
 
 def _ksat_bound(I: SignedHypergraph, eta: float, eps: float) -> _BoundResult:
@@ -273,7 +271,7 @@ def _ksat_bound(I: SignedHypergraph, eta: float, eps: float) -> _BoundResult:
     }
     if not principle_check.passed:
         return _fallback(I.n, (principle_check,), transcript)
-    res = _kxor_budget(I.hypergraph(), violation_budget(principle.eta_x, I.m), eps, 0)
+    res = _kxor_budget(I.hypergraph(), violation_budget(principle.eta_x, I.m), eps)
     return _BoundResult(res.log2_bound, (principle_check,) + res.checks, res.trace,
                         {**transcript, **res.transcript})
 

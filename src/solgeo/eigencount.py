@@ -17,7 +17,7 @@ import numpy as np
 
 from .certificates import CheckRecord, CountCertificate, RefutationCertificate
 from .instances import MultiGraph, rendered_doc
-from .jsonio import sha256_of
+from .jsonio import decode_field, sha256_of
 from .spectral import demeaned_adjacency, proved_bound, symmetric_spectrum
 
 # Net resolutions below this are floored; a larger radius only grows the
@@ -295,9 +295,7 @@ def refute_indset_from_count(
         raise ValueError("certificate does not match the instance")
     d = regular_degree(G)
     consts = IndSetConstants.for_degree(d)
-    s_small = count_cert.transcript.get("threshold_size")
-    if s_small is None:
-        raise ValueError("certificate transcript lacks the threshold size")
+    s_small = decode_field(count_cert.transcript, "threshold_size", int, "certificate transcript")
     s_big = math.ceil((1.0 - eta / 2.0) * consts.C_d * G.n - 1e-9)
     if s_big <= s_small:
         return None

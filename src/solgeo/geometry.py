@@ -59,7 +59,6 @@ class HyperedgeSplit:
     (1/2 + gamma) n simultaneously, on the number of hyperedges with two
     vertices in S and one outside (lb2) and fully inside S (lb3)."""
 
-    gamma: float
     lb2: float
     lb3: float
 
@@ -102,7 +101,7 @@ def hyperedge_split_bounds(
 
     lb2 = max(0.0, 0.5 * e_cross_lb - 0.5 * e_comp_comp_ub)
     lb3 = max(0.0, (e_in_s_lb - e_cross_ub) / 6.0)
-    return HyperedgeSplit(gamma, lb2, lb3)
+    return HyperedgeSplit(lb2, lb3)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def _cluster_step(H: UnsignedHypergraph, eta: float, c0: float) -> tuple[int | N
     budget = violation_budget(eta, H.m)
     clean = H.without_repeats().dedup()
     primal = certify_primal_expansion(clean, c0)
-    density = clean.m / n if n else 0.0
+    density = clean.m / n
     theta_rule = max(
         2 * eta, density ** -0.5 * math.log(max(n, 2)) if density > 0 else 1.0
     )
@@ -325,7 +324,6 @@ class InducedPositiveFraction:
     instance is (1/2 + eps)-positive."""
 
     eps: float
-    m_truncated: int
     bound: PolynomialBound
 
 
@@ -337,7 +335,7 @@ def _positive_fraction(S: Iterable[int], truncated: XorInstance) -> InducedPosit
     keys = np.searchsorted(S, truncated.vars)
     bound = refute_polynomial(SparsePolynomial(len(S), keys, truncated.rhs))
     eps = min(0.5, bound.value / (2.0 * truncated.m))
-    return InducedPositiveFraction(eps, truncated.m, bound)
+    return InducedPositiveFraction(eps, bound)
 
 
 def refute_biased_2xor_family(G: MultiGraph, eps: float, rho: float) -> float:

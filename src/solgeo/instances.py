@@ -30,10 +30,6 @@ class SamplerError(RuntimeError):
     """Raised when a rejection sampler exhausts its attempt budget."""
 
 
-# Assignments are plain numpy vectors with entries in {-1, +1}.
-Assignment = np.ndarray
-
-
 def bias(x: Sequence[int] | np.ndarray) -> float:
     """|sum(x)| / n for a +-1 assignment."""
     x = np.asarray(x)

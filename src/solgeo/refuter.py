@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .instances import SignedHypergraph
+from .jsonio import JsonRecord
 from .spectral import UNIT_ROUNDOFF, eigen_extremes, prove_side
 
 # Relative inflation applied to spectral branch values so LAPACK rounding
@@ -159,32 +160,21 @@ def refute_polynomial(p: SparsePolynomial) -> PolynomialBound:
 
 
 @dataclass(frozen=True)
-class QuasirandomnessCertificate:
+class QuasirandomnessCertificate(JsonRecord):
     """Certified bounds on |D_hat(T)| of the local distribution, holding
-    simultaneously for every assignment, for all nonempty T with |T| <= t."""
+    simultaneously for every assignment, for all nonempty T with |T| <= t.
+    Both maps are keyed by T's clause positions joined by commas, as "0,2"."""
 
     t: int
     eps: float
-    per_T_bounds: dict[tuple[int, ...], float] = field(compare=False)
-    branches: dict[tuple[int, ...], str] = field(compare=False)
+    per_T_bounds: dict[str, float] = field(compare=False)
+    branches: dict[str, str] = field(compare=False)
 
     def __post_init__(self) -> None:
         if self.per_T_bounds:
             worst = max(self.per_T_bounds.values())
             if abs(worst - self.eps) > 1e-12:
                 raise ValueError("eps must equal the worst per-T bound")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "eps": self.eps,
-            "per_T_bounds": {
-                ",".join(map(str, T)): b for T, b in sorted(self.per_T_bounds.items())
-            },
-            "branches": {
-                ",".join(map(str, T)): b for T, b in sorted(self.branches.items())
-            },
-        }
 
 
 def _coefficient_polynomial(
@@ -203,8 +193,8 @@ def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertifica
         raise ValueError("cannot certify an empty instance")
     if not (1 <= t <= I.k - 1):
         raise ValueError(f"t must be in [1, k-1], got {t}")
-    per_T: dict[tuple[int, ...], float] = {}
-    branches: dict[tuple[int, ...], str] = {}
+    per_T: dict[str, float] = {}
+    branches: dict[str, str] = {}
     for mask in range(1, 1 << I.k):
         T = tuple(i for i in range(I.k) if (mask >> i) & 1)
         if len(T) > t:
@@ -212,8 +202,9 @@ def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertifica
         poly = _coefficient_polynomial(I, T)
         bound = refute_polynomial(poly)
         # |D_hat(T)| <= 1 unconditionally, so the trivial bound caps it
-        per_T[T] = min(1.0, bound.value)
-        branches[T] = bound.branch
+        key = ",".join(map(str, T))
+        per_T[key] = min(1.0, bound.value)
+        branches[key] = bound.branch
     eps = max(per_T.values())
     return QuasirandomnessCertificate(t, eps, per_T, branches)
 

@@ -129,6 +129,16 @@ def test_certify_count_pipeline(tmp_path):
     assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 0
 
 
+def test_certify_count_pipeline_at_k5(tmp_path):
+    # deep enough for the kXOR recursion to reach 2XOR at depth 3
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "5", "-n", "12", "-m", "3000", "--seed", "1")
+    cert, orc = tmp_path / "cert.json", tmp_path / "oracle.json"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert validate_file(cert)["kind"] == "count"
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 0
+
+
 def test_certify_kind_mismatch_is_usage_error(tmp_path):
     inst = gen(tmp_path, "g.json", "--kind", "regular", "-n", "10", "-d", "3", "--seed", "1")
     assert run("certify", "--kind", "sk", "--instance", str(inst),

@@ -197,6 +197,22 @@ def test_kxor_soundness_sweep_small(delta, eta):
         assert counts.max() <= 2.0**cert.log2_bound + 1e-6
 
 
+@pytest.mark.parametrize("k, n, m", [(5, 12, 3000), (6, 14, 1000)])
+def test_kxor_recursion_past_half_the_arity_is_sound(k, n, m):
+    # the recursion reaches 2XOR at depth k - 2, more than half the arity
+    rng = np.random.default_rng(k)
+    for seed in range(2):
+        H = sample_unsigned_hypergraph(k, n, m, seed=seed)
+        planted = rng.choice(np.array([-1, 1], dtype=np.int8), size=n)
+        signings = [*rng.choice(np.array([-1, 1], dtype=np.int8), size=(3, H.m)),
+                    planted[H.vars].prod(axis=1)]
+        for eta in (0.0, 0.05):
+            cert = certify_count_kxor(H, eta)
+            for rhs in signings:
+                count = brute_count(XorInstance(k, n, H.vars, rhs), None, eta).exact_value
+                assert count <= 2.0**cert.log2_bound
+
+
 # ---------------------------------------------------------------------------
 # kSAT / kCSP
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +280,23 @@ def test_refute_indset_emission_on_disjoint_cliques():
     res = brute_independent_sets(G, 1)
     assert res.exact_value["alpha"] < ref.evidence["refuted_size"]
     assert verify_certificate(ref, res) == "sound"
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "field 'threshold_size' holds bool True, not int"),
+    (3.0, "field 'threshold_size' holds float 3.0, not int"),
+    ("3", "field 'threshold_size' holds str '3', not int"),
+    (None, "certificate transcript lacks the field 'threshold_size'"),
+], ids=["bool", "float", "str", "missing"])
+def test_refute_indset_reads_an_int_threshold_size(value, message):
+    # the threshold size becomes the evidence's counted size: a JSON int only
+    G = two_k4s()
+    cert = certify_count_indsets(G, 0.4)
+    transcript = {**cert.transcript, "threshold_size": value}
+    if value is None:
+        del transcript["threshold_size"]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        refute_indset_from_count(G, dataclasses.replace(cert, transcript=transcript), 0.4)
 
 
 def test_refute_indset_refuses_certificate_of_another_graph():

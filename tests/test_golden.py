@@ -80,6 +80,8 @@ CASES = {
     "count-kxor-seed1": lambda: _kxor(1),
     "count-kxor-seed3": lambda: _kxor(3),
     "count-kxor-seed5": lambda: _kxor(5),
+    # k = 5: the recursion reaches 2XOR at depth 3, and the bound is below n
+    "count-kxor-k5": lambda: certify_count_kxor(sample_unsigned_hypergraph(5, 16, 50000, 1), 0.0),
     "count-ksat": lambda: certify_count_ksat(
         sample_signed_hypergraph(3, 60, 1800, seed=2), 0.0),
     "count-kcsp-parity": lambda: certify_count_kcsp(
@@ -139,6 +141,7 @@ GOLDEN = {
     "count-kcsp-xor-principle": "92e93f30713d4816ddbbba32e0f5374f255278452a0b09b20dfce3ab08b11c01",
     "count-ksat": "ef47326de47111be16adc54cd0c005f1004902fcdce2577ca879e1216ae23aaf",
     "count-ksat-xor-principle": "2f8499ca87bc2619dce905303d2d53e39b16cd3a24253e6bce69c2e0f1b92a9b",
+    "count-kxor-k5": "4931025543172932e7e9a35a8a8fb72e58550500c368552e63d0eceb8be022ae",
     "count-kxor-seed1": "81c3ed61b352b9f8cb7797b547c0220dd968e9fe52611f006171a591be711a28",
     "count-kxor-seed3": "917af7478121b261779c5aa768ce0eeded1097c7029a16eac43fb57201da04fd",
     "count-kxor-seed5": "ff917134fda589b374e31f23dd38333db4705a2ad634cc81beeb9002bc115317",
