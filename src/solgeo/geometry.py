@@ -53,16 +53,6 @@ class PrimalExpansion:
     check: CheckRecord
 
 
-@dataclass(frozen=True)
-class HyperedgeSplit:
-    """Certified lower bounds, valid for every vertex set S of size
-    (1/2 + gamma) n simultaneously, on the number of hyperedges with two
-    vertices in S and one outside (lb2) and fully inside S (lb3)."""
-
-    lb2: float
-    lb3: float
-
-
 def certify_primal_expansion(
     H: UnsignedHypergraph, c0: float = PRIMAL_NORM_C0
 ) -> PrimalExpansion:
@@ -81,27 +71,29 @@ def certify_primal_expansion(
 
 
 def hyperedge_split_bounds(
-    H: UnsignedHypergraph, report: SpectralReport, gamma: float
-) -> HyperedgeSplit:
-    """Instantiate the T2/T3 lower bounds at split parameter gamma from the
-    mixing intervals of the measured primal norm.
+    H: UnsignedHypergraph, report: SpectralReport, gamma: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays of T2/T3 lower bounds (lb2, lb3), one per split parameter in
+    gamma, from the mixing intervals of the measured primal norm: valid for
+    every vertex set S of size s = (1/2 + gamma) n at once, on hyperedges
+    with two vertices in S and one outside (lb2) and fully inside S (lb3).
 
-    With s = (1/2 + gamma) n: crossing edges come from T1 and T2 hyperedges
-    (two each) and edges inside the complement from T0 and T1, giving
+    Crossing edges come from T1 and T2 hyperedges (two each) and edges
+    inside the complement from T0 and T1, giving
     |T2| >= e(S, comp)/2 - e(comp, comp)/2; edges inside S come from T3
     (three each) and T2 (one each), giving |T3| >= (e(S,S) - e(S,comp))/6.
     """
-    if not (0.0 <= gamma <= 0.5 + 1e-12):
+    if not np.all((0.0 <= gamma) & (gamma <= 0.5 + 1e-12)):
         raise ValueError("gamma must lie in [0, 1/2]")
     s = (0.5 + gamma) * H.n
-    comp = max(H.n - s, 0.0)  # gamma may pass 1/2 by the rounding allowed above
+    comp = np.maximum(H.n - s, 0.0)  # gamma may pass 1/2 by the rounding allowed above
     e_cross_lb, e_cross_ub = mixing_interval(report, s, comp)
     e_comp_comp_ub = mixing_interval(report, comp, comp)[1]
     e_in_s_lb = mixing_interval(report, s, s)[0]
-
-    lb2 = max(0.0, 0.5 * e_cross_lb - 0.5 * e_comp_comp_ub)
-    lb3 = max(0.0, (e_in_s_lb - e_cross_ub) / 6.0)
-    return HyperedgeSplit(lb2, lb3)
+    lb2 = 0.5 * e_cross_lb - 0.5 * e_comp_comp_ub
+    lb3 = (e_in_s_lb - e_cross_ub) / 6.0
+    # clamped as Python's max(0.0, x) does; np.maximum(0.0, x) keeps NaN and -0.0
+    return np.where(lb2 > 0.0, lb2, 0.0), np.where(lb3 > 0.0, lb3, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,14 +113,13 @@ def balanced_code_bound(eps: float, n: int) -> float:
         raise ValueError("eps must lie in [0, 1/2)")
     if n < 1:
         raise ValueError("n must be positive")
-    best = float(n)
     log_eps = math.log(eps) if eps > 0 else float("-inf")
     for k in range(1, BALANCED_CODE_K_MAX + 1):
         rank_cap = math.comb(n + k - 1, k)
-        feasible = math.log(rank_cap) + 2 * k * log_eps < math.log(0.5)
-        if feasible:
-            best = min(best, math.log2(2 * rank_cap))
-    return best
+        # the cap grows with k, so the first feasible power gives the least bound
+        if math.log(rank_cap) + 2 * k * log_eps < math.log(0.5):
+            return min(float(n), math.log2(2 * rank_cap))
+    return float(n)
 
 
 # ---------------------------------------------------------------------------
@@ -170,23 +161,15 @@ def _cluster_step(H: UnsignedHypergraph, eta: float, c0: float) -> tuple[int | N
         return None, evidence
 
     need = 2.0 * budget + _MARGIN
-    ok2 = {}
-    ok3 = {}
-    for s in range(n // 2 + 1, n + 1):
-        split = hyperedge_split_bounds(clean, primal.report, s / n - 0.5)
-        ok2[s] = split.lb2 > need
-        ok3[s] = split.lb3 > need
-
-    for t in range(0, n // 4 + 1):
-        if t / n >= 0.25:
-            break
+    # verdicts by split size s = 0..n; sizes up to n/2 sit at gamma = 0, unread
+    lb2, lb3 = hyperedge_split_bounds(
+        clean, primal.report, np.maximum(np.arange(n + 1) / n - 0.5, 0.0))
+    ok2, ok3 = lb2 > need, lb3 > need
+    for t in range((n + 3) // 4):  # t < n/4
         # distances d in (t, n/2 - t) are excluded via T2 at s = n - d
-        lo2 = t + 1
-        hi2 = math.ceil(n / 2.0 - t) - 1
-        t2_ok = all(ok2[n - d] for d in range(lo2, hi2 + 1))
+        t2_ok = ok2[n + 1 - math.ceil(n / 2.0 - t) : n - t].all()
         # distances d above n/2 + t are excluded via T3 at s = d
-        lo3 = math.floor(n / 2.0 + t) + 1
-        t3_ok = all(ok3[d] for d in range(lo3, n + 1))
+        t3_ok = ok3[math.floor(n / 2.0 + t) + 1 :].all()
         if t2_ok and t3_ok:
             transcript["theta_steps"] = t
             return t, evidence
@@ -258,13 +241,8 @@ def _lb3_at_bias(
     n = part.n
     s_min = math.ceil((1.0 + rho) / 2.0 * n - 1e-9)
     expansion = certify_primal_expansion(part)
-    if s_min < n / 2 or s_min > n:
-        return 0.0, expansion.report, expansion.check
-    worst = math.inf
-    for s in range(s_min, n + 1):
-        split = hyperedge_split_bounds(part, expansion.report, s / n - 0.5)
-        worst = min(worst, split.lb3)
-    return worst, expansion.report, expansion.check
+    _, lb3 = hyperedge_split_bounds(part, expansion.report, np.arange(s_min, n + 1) / n - 0.5)
+    return float(lb3.min()), expansion.report, expansion.check
 
 
 def certify_balance_3csp(

@@ -45,6 +45,8 @@ def violation_budget(eta: float, m: int) -> int:
     """
     if not 0 <= eta < math.inf:
         raise ValueError(f"eta must be finite and nonnegative, got {eta}")
+    if not math.isfinite(eta * m):
+        raise ValueError(f"eta = {eta:g} times {m} clauses is beyond a float")
     return int(math.floor(eta * m + 1e-9))
 
 

@@ -387,16 +387,17 @@ def edge_expansion_lower_bound(report: SpectralReport, s: int) -> float:
     return 0.5 * report.lambda2_bound * report.d_min * s
 
 
-def mixing_interval(report: SpectralReport, s: float, t: float) -> tuple[float, float]:
+def mixing_interval(
+    report: SpectralReport, s: float | np.ndarray, t: float | np.ndarray
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Certified interval for e(S, T) over all |S| = s, |T| = t, from the
-    expander mixing lemma with the measured de-meaned norm."""
+    expander mixing lemma with the measured de-meaned norm; s and t may be
+    arrays of sizes, giving arrays of bounds.  An empty S or T gets (0, 0)."""
     nu = report.norm_bound
-    if s < 0 or t < 0:
+    if np.any(s < 0) or np.any(t < 0):
         raise ValueError("set sizes must be nonnegative")
-    if s == 0 or t == 0:
-        return (0.0, 0.0)
     center = report.d_avg / report.n * s * t
-    radius = nu * math.sqrt(s * t)
+    radius = nu * np.sqrt(s * t)
     return (center - radius, center + radius)
 
 

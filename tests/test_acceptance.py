@@ -308,8 +308,8 @@ def test_criterion_5_structural_exhaustive():
             s = sizes[mask]
             if s <= n / 2:
                 continue
-            split = split_by_size[s]
-            if t2[mask] < split.lb2 - 1e-9 or t3[mask] < split.lb3 - 1e-9:
+            lb2, lb3 = split_by_size[s]
+            if t2[mask] < lb2 - 1e-9 or t3[mask] < lb3 - 1e-9:
                 local += 1
 
         # mixing over every ordered pair of subsets, in row blocks

@@ -960,3 +960,28 @@ def test_missing_field_is_named_with_its_record(tmp_path, capsys, which, field, 
     capsys.readouterr()
     assert run(*argv) == 2
     assert capsys.readouterr().err == f"error: {record} lacks the field '{field}'\n"
+
+
+@pytest.mark.parametrize("command, kind", [
+    ("certify", "count"), ("certify", "clusters"), ("oracle", "count"), ("oracle", "bias"),
+])
+def test_slack_whose_budget_overflows_is_usage_error(tmp_path, capsys, command, kind):
+    # eta * m = inf once reached math.floor: "internal error: cannot
+    # convert float infinity to integer" (exit 4)
+    inst = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "14", "-m", "112", "--seed", "1")
+    out = tmp_path / "out.json"
+    capsys.readouterr()
+    assert run(command, "--kind", kind, "--eta", "1e308", "--instance", str(inst),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == "error: eta = 1e+308 times 111 clauses is beyond a float\n"
+    assert not out.exists()
+
+
+def test_sweep_slack_whose_budget_overflows_is_usage_error(tmp_path, capsys):
+    cfg = sweep_config(tmp_path, grid={"n": [10], "k": [3], "delta": [4], "eta": [1e308]}, seeds=1)
+    out = tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: eta = 1e+308 times ") and err.endswith(" is beyond a float\n")
+    assert not out.exists()

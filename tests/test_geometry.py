@@ -78,9 +78,9 @@ def test_split_bounds_zero_norm_limit():
     H = sample_unsigned_hypergraph(3, n, m, seed=1).without_repeats()
     report = SpectralReport(n, 3 * H.m, 0, 10**9, 6 * H.m / n, None, 0.0)
     for gamma in (0.1, 0.25, 0.4):
-        split = hyperedge_split_bounds(H, report, gamma)
-        assert split.lb2 == pytest.approx(3 * H.m * (gamma - 2 * gamma**2), rel=1e-4)
-        assert split.lb3 == pytest.approx(H.m * (gamma + 2 * gamma**2), rel=1e-4)
+        lb2, lb3 = hyperedge_split_bounds(H, report, gamma)
+        assert lb2 == pytest.approx(3 * H.m * (gamma - 2 * gamma**2), rel=1e-4)
+        assert lb3 == pytest.approx(H.m * (gamma + 2 * gamma**2), rel=1e-4)
 
 
 def test_split_bounds_monotone_in_measured_norm():
@@ -90,19 +90,19 @@ def test_split_bounds_monotone_in_measured_norm():
     previous = None
     for nu in (0.0, 2.0, 5.0, 11.0):
         report = SpectralReport(n, 3 * H.m, 0, 10**9, davg, None, nu)
-        split = hyperedge_split_bounds(H, report, 0.3)
+        lb2, lb3 = hyperedge_split_bounds(H, report, 0.3)
         if previous is not None:
-            assert split.lb2 <= previous.lb2 + 1e-12
-            assert split.lb3 <= previous.lb3 + 1e-12
-        previous = split
+            assert lb2 <= previous[0] + 1e-12
+            assert lb3 <= previous[1] + 1e-12
+        previous = lb2, lb3
 
 
 def test_split_bounds_sign_sanity_at_zero_gamma():
     H = sample_unsigned_hypergraph(3, 12, 60, seed=2).without_repeats()
     pe = certify_primal_expansion(H)
-    split = hyperedge_split_bounds(H, pe.report, 0.0)
-    assert split.lb2 >= 0.0
-    assert split.lb3 >= 0.0
+    lb2, lb3 = hyperedge_split_bounds(H, pe.report, 0.0)
+    assert lb2 >= 0.0
+    assert lb3 >= 0.0
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -120,14 +120,48 @@ def test_split_bounds_exhaustive_small(seed):
         in_set = set(inside)
         t2 = sum(1 for S in H.edges if sum(v in in_set for v in S) == 2)
         t3 = sum(1 for S in H.edges if sum(v in in_set for v in S) == 3)
-        split = hyperedge_split_bounds(H, pe.report, s / n - 0.5)
-        assert t2 >= split.lb2 - 1e-9
-        assert t3 >= split.lb3 - 1e-9
+        lb2, lb3 = hyperedge_split_bounds(H, pe.report, s / n - 0.5)
+        assert t2 >= lb2 - 1e-9
+        assert t3 >= lb3 - 1e-9
+
+
+def test_split_bounds_of_an_array_are_the_scalar_calls():
+    # an array of gammas once raised "truth value of an array is ambiguous"
+    n = 14
+    H = sample_unsigned_hypergraph(3, n, 300, seed=3).without_repeats().dedup()
+    report = certify_primal_expansion(H).report
+    gamma = np.concatenate([np.arange(n // 2, n + 1) / n - 0.5, [0.0, 0.5 + 1e-12]])
+    lb2, lb3 = hyperedge_split_bounds(H, report, gamma)
+    assert lb2.shape == lb3.shape == gamma.shape
+    for g, a, b in zip(gamma.tolist(), lb2.tolist(), lb3.tolist()):
+        want = hyperedge_split_bounds(H, report, g)
+        assert (a.hex(), b.hex()) == (float(want[0]).hex(), float(want[1]).hex())
+    assert not np.signbit(lb2).any() and not np.signbit(lb3).any()
+    assert lb2[-1] == 0.0 and lb3[-1] > 0.0  # at s = n nothing crosses; every edge is inside
+    with pytest.raises(ValueError, match="gamma"):
+        hyperedge_split_bounds(H, report, np.array([0.1, -0.01]))
 
 
 # ---------------------------------------------------------------------------
 # balanced-code bound
 # ---------------------------------------------------------------------------
+
+def _code_bound_by_exhaustive_minimum(eps: float, n: int) -> float:
+    # the least bound over every feasible Hadamard power k = 1..200
+    best = float(n)
+    log_eps = math.log(eps) if eps > 0 else float("-inf")
+    for k in range(1, 201):
+        rank_cap = math.comb(n + k - 1, k)
+        if math.log(rank_cap) + 2 * k * log_eps < math.log(0.5):
+            best = min(best, math.log2(2 * rank_cap))
+    return best
+
+
+def test_code_bound_is_the_exhaustive_minimum():
+    for n in [*range(1, 31), 100, 400]:
+        for eps in np.linspace(0.0, 0.4999, 25).tolist():
+            assert balanced_code_bound(eps, n) == _code_bound_by_exhaustive_minimum(eps, n)
+
 
 def test_code_bound_at_least_2n():
     for eps in (0.0, 0.1, 0.3, 0.45):

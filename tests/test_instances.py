@@ -612,6 +612,9 @@ def test_violation_budget_boundaries():
     assert violation_budget(0.1, 30) == 3  # exact product stays inclusive
     with pytest.raises(ValueError):
         violation_budget(-0.1, 10)
+    # a finite eta whose product overflows once raised OverflowError from math.floor
+    with pytest.raises(ValueError, match=r"eta = 1e\+308 times 10 clauses is beyond a float"):
+        violation_budget(1e308, 10)
 
 
 @pytest.mark.parametrize("eta", [math.inf, math.nan, -math.inf])

@@ -115,6 +115,20 @@ def test_mixing_interval_empty_set():
     assert mixing_interval(report, 0, 3) == (0.0, 0.0)
 
 
+def test_mixing_interval_of_arrays_is_the_scalar_calls():
+    # an array of sizes once raised "truth value of an array is ambiguous"
+    report = spectral_report(random_graph(12, 40, seed=1), laplacian=False)
+    s = np.array([0, 0, 3, 7.5, 12, 5])
+    t = np.array([0, 4, 0, 2.25, 12, 5])
+    lo, hi = mixing_interval(report, s, t)
+    for i in range(len(s)):
+        want = mixing_interval(report, float(s[i]), float(t[i]))
+        assert (lo[i].hex(), hi[i].hex()) == (want[0].hex(), want[1].hex())
+    assert [lo[0].hex(), hi[0].hex(), lo[1].hex(), hi[2].hex()] == [(0.0).hex()] * 4
+    with pytest.raises(ValueError, match="nonnegative"):
+        mixing_interval(report, np.array([1.0, -1.0]), 2.0)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_mixing_and_expansion_exhaustive_small(seed):
     # every subset of an n=8 multigraph respects both certificates
