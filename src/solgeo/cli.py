@@ -30,7 +30,7 @@ from .instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    load_instance,
+    read_instance,
     rendered_doc,
     sample_goe,
     sample_regular_graph,
@@ -203,14 +203,14 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    cert = _certify(args.kind, load_instance(read_json(args.instance)), args)
+    cert = _certify(args.kind, read_instance(args.instance), args)
     write_json(args.out, cert.to_json_dict())
     print(f"wrote {cert.kind} certificate to {args.out}")
     return EXIT_OK
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    instance = load_instance(read_json(args.instance))
+    instance = read_instance(args.instance)
     run = _lookup("oracle", args.kind, KINDS[_ORACLE_KINDS[args.kind]].oracles, instance)
     t0 = time.perf_counter()
     res = run(instance, args)

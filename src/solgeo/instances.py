@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .jsonio import canonical_json, decode, decode_field, render, sha256_of
+from .jsonio import canonical_json, decode, decode_field, read_json, render, sha256_of
 
 # Samplers refuse parameter combinations whose index space exceeds this,
 # so that uniform index draws stay within exact int64 arithmetic.
@@ -194,8 +195,9 @@ class _KUniform:
 
     KIND: ClassVar[str]
     BODY: ClassVar[str] = "clauses"
-    # a clause record's fields beside "vars"; with none, bare tuples
-    PAYLOAD: ClassVar[tuple[str, ...]] = ()
+    # a clause record's fields beside "vars", each with the ndim of its
+    # array: 1 for a number per clause, 2 for k of them; with none, bare tuples
+    PAYLOAD: ClassVar[dict[str, int]] = {}
 
     k: int
     n: int
@@ -232,16 +234,41 @@ class _KUniform:
         return UnsignedHypergraph(self.k, self.n, self.vars)
 
     @classmethod
-    def from_json_dict(cls, d: dict):
+    def decode_header(cls, d: dict) -> tuple[int, int]:
+        """k and n of a file document of this kind; ValueError for another
+        kind, a mistyped field or variable indices that are not 0-based."""
         if d.get("kind") != cls.KIND:
             raise ValueError(f"not a {cls.KIND} instance file")
         k, n = (decode_field(d, key, int, "instance file") for key in ("k", "n"))
         base = decode(d.get("index_base", 0), int, "instance file field 'index_base'")
         if base != 0:
             raise ValueError(f"variable indices must be 0-based, not index_base {base}")
+        return k, n
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        k, n = cls.decode_header(d)
         body, names = d[cls.BODY], ("vars", *cls.PAYLOAD)
         columns = [[cl[name] for cl in body] for name in names] if cls.PAYLOAD else [body]
         return cls(k, n, *columns)
+
+    @classmethod
+    def from_rendered_body(cls, d: dict, body: str):
+        """The instance of the document ``d`` whose body has the text
+        ``body``, if ``render`` gives that text back from the numbers in it;
+        None otherwise.  The numbers of a record are its fields' in
+        sorted-key order."""
+        k, n = cls.decode_header(d)
+        ndims = {"vars": 2, **cls.PAYLOAD}
+        names = sorted(ndims)
+        widths = [k if ndims[name] == 2 else 1 for name in names]
+        table = _int_table(body, sum(widths))
+        parts = np.split(table, np.cumsum(widths)[:-1], axis=1)
+        columns = {name: part if ndims[name] == 2 else part[:, 0]
+                   for name, part in zip(names, parts)}
+        if render(columns if cls.PAYLOAD else table).pieces != [body]:
+            return None
+        return cls(k, n, *(columns[name] for name in ndims))
 
     def sha256(self) -> str:
         return sha256_of(rendered_doc(self))
@@ -254,7 +281,7 @@ class SignedHypergraph(_KUniform):
     c = ``signs[i]``, a row of a read-only int8 array of shape (m, k)."""
 
     KIND = "csp"
-    PAYLOAD = ("signs",)
+    PAYLOAD = {"signs": 2}
     signs: np.ndarray
 
     def _check_payload(self) -> None:
@@ -276,7 +303,7 @@ class XorInstance(_KUniform):
     array of shape (m,)."""
 
     KIND = "xor"
-    PAYLOAD = ("rhs",)
+    PAYLOAD = {"rhs": 1}
     rhs: np.ndarray
 
     def _check_payload(self) -> None:
@@ -314,8 +341,28 @@ class UnsignedHypergraph(_KUniform):
 
     def dedup(self) -> "UnsignedHypergraph":
         """Keep the first occurrence of each tuple."""
-        _, first = np.unique(self.vars, axis=0, return_index=True)
-        return UnsignedHypergraph(self.k, self.n, self.vars[np.sort(first)])
+        V = self.vars
+        # a stable sort puts each group of equal rows in row order
+        order = np.lexsort(V.T[::-1])
+        first = np.ones(len(V), dtype=bool)
+        first[1:] = (V[order[1:]] != V[order[:-1]]).any(axis=1)
+        return UnsignedHypergraph(self.k, self.n, V[np.sort(order[first])])
+
+
+_INT_BYTES = bytes(b if chr(b) in "-0123456789" else 32 for b in range(256))
+
+
+def _int_table(body: str, width: int) -> np.ndarray:
+    """The integers in the text ``body``, whatever separates them, as the
+    rows of an int64 array of ``width`` columns; an exception if the text
+    does not read that way.  What is read from text that ``render`` would
+    not write, such as "01", "-0" or a number beyond int64, is undefined:
+    callers keep the table only if rendering it gives ``body`` back."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy 2.0 warns on text where 2.4 raises
+        numbers = np.fromstring(body.encode("ascii").translate(_INT_BYTES).strip(),
+                                dtype=np.int64, sep=" ")
+    return numbers.reshape(-1, width)
 
 
 def distinct_rows(V: np.ndarray) -> np.ndarray:
@@ -333,6 +380,8 @@ class MultiGraph:
     stored form.  ``degrees`` is counted from it on construction, and
     ``edges`` is read off it as a tuple of pairs on each access.
     """
+
+    BODY: ClassVar[str] = "edges"
 
     n: int
     edge_array: np.ndarray
@@ -395,11 +444,24 @@ class MultiGraph:
     def is_regular(self) -> bool:
         return len(set(self.degrees)) <= 1
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "MultiGraph":
+    @staticmethod
+    def decode_header(d: dict) -> int:
+        """n of a graph file document; ValueError for a document with a
+        kind or a mistyped n."""
         if "kind" in d:
             raise ValueError("not a graph file")
-        return cls.build(decode_field(d, "n", int, "instance file"), d["edges"])
+        return decode_field(d, "n", int, "instance file")
+
+    @classmethod
+    def from_json_dict(cls, d: dict) -> "MultiGraph":
+        return cls.build(cls.decode_header(d), d["edges"])
+
+    @classmethod
+    def from_rendered_body(cls, d: dict, body: str) -> "MultiGraph | None":
+        """As ``_KUniform.from_rendered_body``, for a graph."""
+        n = cls.decode_header(d)
+        table = _int_table(body, 2)
+        return cls.build(n, table) if render(table).pieces == [body] else None
 
     def sha256(self) -> str:
         return sha256_of(rendered_doc(self))
@@ -463,13 +525,23 @@ def _sample_tuples(k: int, n: int, m: int, seed: int, signed: bool) -> tuple[np.
     return c_bits, S
 
 
+def _digits_key(columns: np.ndarray, base: int, key: np.ndarray | int = 0) -> np.ndarray:
+    """``key`` followed by the rows of ``columns`` as base-``base`` digits,
+    most significant first: rows in lexicographic order get increasing
+    keys, exact while the result stays below 2^63."""
+    for column in columns.T:
+        key = key * base + column
+    return key
+
+
 def sample_signed_hypergraph(k: int, n: int, m: int, seed: int) -> SignedHypergraph:
     """Include each of the 2^k * n^k potential (c, S) pairs independently
     with probability m / (2^k * n^k)."""
     c_bits, S = _sample_tuples(k, n, m, seed, True)
     signs = 1 - 2 * ((c_bits[:, None] >> np.arange(k)) & 1)
-    # clauses sorted by variable tuple, then by sign tuple
-    order = np.lexsort(np.hstack((S, signs)).T[::-1])
+    # clauses sorted by variable tuple, then by sign tuple, -1 before +1:
+    # the pairs are distinct, and the key is below 2^k * n^k < 2^62
+    order = np.argsort(_digits_key(signs > 0, 2, _digits_key(S, n)), kind="stable")
     return SignedHypergraph(k, n, S[order], signs[order])
 
 
@@ -477,7 +549,7 @@ def sample_unsigned_hypergraph(k: int, n: int, m: int, seed: int) -> UnsignedHyp
     """Include each of the n^k variable tuples independently with
     probability m / n^k."""
     _, S = _sample_tuples(k, n, m, seed, False)
-    return UnsignedHypergraph(k, n, S[np.lexsort(S.T[::-1])])
+    return UnsignedHypergraph(k, n, S[np.argsort(_digits_key(S, n), kind="stable")])
 
 
 def sample_goe(n: int, seed: int) -> np.ndarray:
@@ -661,6 +733,58 @@ def instance_doc(instance) -> dict:
 # loads as.  A graph document is the one without a kind.
 FILE_KINDS = {"csp": SignedHypergraph, "xor": XorInstance, "hypergraph": UnsignedHypergraph,
               "goe": np.ndarray, None: MultiGraph}
+
+
+def _unique_keys(pairs: list) -> dict:
+    d = dict(pairs)
+    if len(d) < len(pairs):
+        raise ValueError("a key repeats")
+    return d
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is no JSON number")
+
+
+def _read_rendered(text: str):
+    """The instance in the text of an instance file whose first key is its
+    body, if the body's text is exactly what ``render`` gives back from
+    the numbers in it, as in every file ``gen`` writes of any kind but
+    goe; None, or an exception, for any other text.
+
+    The rest of the file, the body replaced by ``[]``, is parsed as JSON
+    and must repeat no key and hold no NaN or +-Infinity.  Then the file
+    is JSON, and ``read_json`` reads it as that header with the body's
+    numbers, which ``render``, writing them back, shows to be exactly
+    the integers read."""
+    for key, last in (("clauses", "}]"), ("edges", "]]")):
+        if text.startswith(f'{{"{key}":['):
+            break
+    else:
+        return None
+    start = len(key) + 4  # the body's "[", after '{"key":'
+    stop = start + 2 if text.startswith("[]", start) else text.find(last, start) + 2
+    if stop < start + 2:
+        return None
+    header = json.loads(text[:start] + "[]" + text[stop:],
+                        object_pairs_hook=_unique_keys, parse_constant=_refuse_constant)
+    cls = FILE_KINDS[header.get("kind")]
+    if cls is np.ndarray or cls.BODY != key:
+        return None
+    return cls.from_rendered_body(header, text[start:stop])
+
+
+def read_instance(path: str):
+    """The instance in the file at ``path``, as ``load_instance(read_json(
+    path))`` gives it, with the same error for a file that is not one.
+    A file whose body is exactly as ``render`` writes it, as ``gen``
+    writes it, is read without building a JSON value per record."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            instance = _read_rendered(fh.read())
+    except Exception:  # the JSON path raises the file's error, or reads what this cannot
+        instance = None
+    return load_instance(read_json(path)) if instance is None else instance
 
 
 def load_instance(d: dict):

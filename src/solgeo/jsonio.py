@@ -27,6 +27,7 @@ import re
 import sys
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
+from json.encoder import encode_basestring  # what json.dumps(s, ensure_ascii=False) returns
 from types import UnionType
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -68,7 +69,7 @@ def _emit(obj: Any, out: list[str]) -> None:
     elif isinstance(obj, JsonText):
         out.extend(obj.pieces)
     elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
+        out.append(encode_basestring(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, key in enumerate(sorted(obj)):
@@ -76,7 +77,7 @@ def _emit(obj: Any, out: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be str, got {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key, ensure_ascii=False))
+            out.append(encode_basestring(key))
             out.append(":")
             _emit(obj[key], out)
         out.append("}")

@@ -1,16 +1,17 @@
 import argparse
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
 import pytest
 
 from conftest import thread_map
-from solgeo import cli, schemas
+from solgeo import cli, instances, schemas
 from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
-from solgeo.instances import MultiGraph, XorInstance, instance_doc
+from solgeo.instances import MultiGraph, XorInstance, instance_doc, load_instance, read_instance
 from solgeo.jsonio import canonical_json, read_json, sha256_of, write_json
 
 
@@ -733,6 +734,80 @@ def test_malformed_instance_is_usage_error(tmp_path, capsys, case):
         assert run(command, "--kind", kind, "--eta", "0.2", "--instance", str(inst),
                    "--out", str(tmp_path / "out.json")) == 2, command
         assert capsys.readouterr().err.startswith("error: "), command
+
+
+# gen arguments of instance files of every kind the reader parses as arrays
+GEN_FILES = [[*kind, "-k", str(k), "-n", "50", "-m", str(m), "--seed", str(seed)]
+             for kind in (["--kind", "xor"], ["--kind", "csp"], ["--kind", "hypergraph"])
+             for k in (2, 3, 4, 5) for m, seed in ((0, 1), (1, 2), (37, 3), (2000, 4))
+             ] + [["--kind", "graph", "-n", "50", "-m", str(m), "--seed", "5"]
+                  for m in (0, 1, 37, 2000)]
+
+
+def test_gen_files_are_read_as_the_json_path_reads_them(tmp_path, monkeypatch):
+    def refused(path):
+        raise AssertionError("a file as gen writes it went through the JSON path")
+
+    expected = []
+    for i, argv in enumerate(GEN_FILES):
+        path = str(gen(tmp_path, f"{i}.json", *argv))
+        expected.append((path, load_instance(read_json(path))))
+    monkeypatch.setattr(instances, "read_json", refused)
+    for path, want in expected:
+        got = read_instance(path)
+        assert type(got) is type(want) and got == want, path
+        assert got.sha256() == want.sha256(), path
+
+
+def _first_vars(value: str):
+    return lambda text: re.sub(r'"vars":\[[^]]*\]', '"vars":' + value, text, count=1)
+
+
+# edits of the text of a generated 3XOR file, and a part of the message
+# certify and oracle exit 2 with, or None where both read the file
+EDITED_FILES = {
+    "indented": (lambda text: json.dumps(json.loads(text), indent=1), None),
+    "leading-zero": (_first_vars("[0,01,2]"), "is not JSON: Expecting ',' delimiter"),
+    "minus-zero": (_first_vars("[0,-0,2]"), None),
+    "float": (_first_vars("[0,1.0,2]"), "must hold integers"),
+    "exponent": (_first_vars("[0,1e0,2]"), "must hold integers"),
+    "bool": (_first_vars("[0,true,2]"), "must hold integers"),
+    "beyond-int64": (_first_vars(f"[0,{2**63},2]"), "must hold integers within int64"),
+    "number-outside-records": (lambda text: text.replace('{"rhs"', '5,{"rhs"', 1),
+                               "malformed instance file"),
+    # read_json keeps the later body, of one clause
+    "body-repeated": (lambda text: text.rstrip()[:-1] + ',"clauses":[{"rhs":1,"vars":[0,1,2]}]}',
+                      None),
+    "index-base": (lambda text: text.replace('"index_base":0', '"index_base":1'),
+                   "not index_base 1"),
+    "text-after-brace": (lambda text: text + "x", "is not JSON: Extra data"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDITED_FILES))
+def test_edited_instance_file_is_read_as_the_json_path_reads_it(tmp_path, capsys, case):
+    edit, message = EDITED_FILES[case]
+    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    edited = tmp_path / "edited.json"
+    edited.write_text(edit(inst.read_text()))
+    if message is None:
+        assert read_instance(str(edited)) == load_instance(read_json(str(edited)))
+    else:
+        with pytest.raises(ValueError) as exc:
+            load_instance(read_json(str(edited)))
+        assert message in str(exc.value)
+    for command in ("certify", "oracle"):
+        outs = [tmp_path / f"{command}-{name}.json" for name in ("i", "edited")]
+        assert run(command, "--kind", "count", "--instance", str(inst), "--out", str(outs[0])) == 0
+        capsys.readouterr()
+        code = run(command, "--kind", "count", "--instance", str(edited), "--out", str(outs[1]))
+        err = capsys.readouterr().err
+        if message is None:
+            assert (code, err) == (0, ""), command
+        else:
+            assert (code, err) == (2, f"error: {exc.value}\n"), command
+        if case == "indented":
+            assert outs[1].read_bytes() == outs[0].read_bytes(), command
 
 
 @pytest.mark.parametrize("position", ["certify", "oracle", "verify-certificate",

@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import from_clauses, poly_from_terms, xor_violations
-from solgeo import spectral
+from solgeo import instances, spectral
 from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
     MultiGraph,
@@ -15,6 +16,7 @@ from solgeo.instances import (
     UnsignedHypergraph,
     XorInstance,
     _sample_distinct_indices,
+    _sample_tuples,
     bias,
     clause_split,
     csp_to_ksat,
@@ -26,6 +28,7 @@ from solgeo.instances import (
     instance_doc,
     load_instance,
     primal_graph,
+    read_instance,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -34,7 +37,7 @@ from solgeo.instances import (
     truncated_xor,
     violation_budget,
 )
-from solgeo.jsonio import canonical_json
+from solgeo.jsonio import canonical_json, write_json
 from solgeo.oracle import violation_profile
 from solgeo.refuter import _coefficient_polynomial, refute_polynomial
 
@@ -125,6 +128,24 @@ def test_samplers_match_digit_loop(k, n, m, seed):
     edges = sample_unsigned_hypergraph(k, n, m, seed).edges
     assert edges == tuple(sorted(S for _, S in drawn(n**k)))
     assert {type(v) for S in edges for v in S} == {int}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sampler_sort_keys_order_as_a_lexsort(k):
+    # the samplers once sorted with np.lexsort over the variable columns,
+    # then the sign columns
+    rng = np.random.default_rng(k)
+    for seed in range(30):
+        n = int(rng.integers(k, k + 8))
+        m = int(rng.integers(0, min(n**k, 2000)))
+        c_bits, S = _sample_tuples(k, n, m, seed, True)
+        signs = 1 - 2 * ((c_bits[:, None] >> np.arange(k)) & 1)
+        order = np.lexsort(np.hstack((S, signs)).T[::-1])
+        I = sample_signed_hypergraph(k, n, m, seed)
+        assert np.array_equal(I.vars, S[order]) and np.array_equal(I.signs, signs[order])
+        _, S = _sample_tuples(k, n, m, seed, False)
+        assert np.array_equal(sample_unsigned_hypergraph(k, n, m, seed).vars,
+                              S[np.lexsort(S.T[::-1])])
 
 
 def test_regular_sampler_degrees():
@@ -428,7 +449,7 @@ def test_documents_of_another_kind_are_refused():
             load_instance(doc)
 
 
-@pytest.mark.parametrize("doc", [
+MALFORMED_DOCS = [
     {"kind": "xor", "k": 2, "n": 3.0, "clauses": []},
     {"kind": "xor", "k": 2, "n": 3, "index_base": 1, "clauses": []},
     {"kind": "hypergraph", "k": 2, "n": 3, "edges": [[0, 1.5]]},
@@ -446,16 +467,20 @@ def test_documents_of_another_kind_are_refused():
     {"kind": "csp", "k": 2, "n": 3, "clauses": [{"vars": [0, 3], "signs": [1, 1]}]},
     {"kind": "csp", "k": 2, "n": 3, "clauses": [[0, 1]]},
     {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "rhs": 2**64 - 1}]},
-], ids=["float-n", "index-base", "float-vertex", "edges-not-a-list", "no-edges",
-        "edge-arity", "string-entry", "matrix-shape", "rhs-zero", "rhs-bool", "clause-arity",
-        "sign-zero", "sign-arity", "bool-vertex", "vertex-out-of-range", "clause-not-an-object",
-        "rhs-beyond-int64"])
+]
+MALFORMED_DOC_IDS = [
+    "float-n", "index-base", "float-vertex", "edges-not-a-list", "no-edges", "edge-arity",
+    "string-entry", "matrix-shape", "rhs-zero", "rhs-bool", "clause-arity", "sign-zero",
+    "sign-arity", "bool-vertex", "vertex-out-of-range", "clause-not-an-object", "rhs-beyond-int64"]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCS, ids=MALFORMED_DOC_IDS)
 def test_malformed_documents_raise_value_error(doc):
     with pytest.raises(ValueError):
         load_instance(doc)
 
 
-@pytest.mark.parametrize("doc, message", [
+MALFORMED_HEADERS = [
     ({"kind": "xor", "k": 2, "n": True, "clauses": []}, "instance file field 'n' holds bool True"),
     ({"kind": "hypergraph", "k": 2, "n": 3, "index_base": 0.0, "edges": []},
      "instance file field 'index_base' holds float 0.0"),
@@ -463,10 +488,41 @@ def test_malformed_documents_raise_value_error(doc):
     ({"n": "3", "edges": []}, "instance file field 'n' holds str '3'"),
     # once "internal error: int too large to convert to float" (exit 4)
     ({"kind": "goe", "n": 1, "matrix": [[10**400]]}, "int too large to convert to float"),
-], ids=["n-bool", "index-base-float", "no-k", "graph-n-string", "matrix-int-beyond-a-float"])
+]
+MALFORMED_HEADER_IDS = ["n-bool", "index-base-float", "no-k", "graph-n-string",
+                        "matrix-int-beyond-a-float"]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_HEADERS, ids=MALFORMED_HEADER_IDS)
 def test_malformed_header_is_named(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         load_instance(doc)
+
+
+@pytest.mark.parametrize("doc", MALFORMED_DOCS + [doc for doc, _ in MALFORMED_HEADERS],
+                         ids=MALFORMED_DOC_IDS + MALFORMED_HEADER_IDS)
+def test_malformed_file_raises_what_its_document_raises(tmp_path, doc):
+    # canonical_json puts the body first, where the array reader looks for it
+    path = str(tmp_path / "doc.json")
+    write_json(path, doc)
+    with pytest.raises(ValueError) as expected:
+        load_instance(doc)
+    with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+        read_instance(path)
+
+
+@pytest.mark.parametrize("text", [
+    '{"edges":[[1,0],[2,2],[0,3]],"n":4}', '{"edges":[],"n":4}', '{"edges":[[0,1]],"n":2}',
+    '{"clauses":[],"index_base":0,"k":2,"kind":"csp","n":3}',
+    '{"clauses":[{"signs":[1,-1],"vars":[2,2]}],"k":2,"kind":"csp","n":3}',
+    '{"edges":[[0]],"index_base":0,"k":1,"kind":"hypergraph","n":1,"x":{"edges":[[0]]}}',
+])
+def test_rendered_file_reads_as_its_document_without_the_json_path(tmp_path, monkeypatch, text):
+    # each body is as render writes it; a graph's edges are cleaned on both paths
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    monkeypatch.setattr(instances, "read_json", None)
+    assert read_instance(str(path)) == load_instance(json.loads(text))
 
 
 def test_multigraph_cleaning_and_cache():

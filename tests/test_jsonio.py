@@ -48,6 +48,15 @@ def test_keys_sorted_and_stable():
     assert json.loads(a) == {"b": 1, "a": [1.5, {"z": True, "y": None}]}
 
 
+@pytest.mark.parametrize("text", ["", "plain", "é ü 中文 🙂", 'a "quote"', "back\\slash",
+                                  "\x00\x01\x1f\x7f", "tab\tnew\nline\r\b\f", "\u2028\u2029",
+                                  "\ud800"])
+def test_strings_and_keys_are_encoded_as_json_dumps_encodes_them(text):
+    encoded = json.dumps(text, ensure_ascii=False)
+    assert canonical_json(text) == encoded
+    assert canonical_json({text: [text]}) == "{" + encoded + ":[" + encoded + "]}"
+
+
 def test_hash_stability():
     doc = {"kind": "xor", "k": 2, "n": 3, "clauses": [{"vars": [0, 1], "rhs": 1}]}
     assert sha256_of(doc) == sha256_of(dict(reversed(list(doc.items()))))
