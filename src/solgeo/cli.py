@@ -427,7 +427,6 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-d", type=int, default=3)
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", required=True)
-    gen.set_defaults(func=cmd_gen)
 
     cert = sub.add_parser("certify", help="emit a certificate for an instance file")
     cert.add_argument("--kind", required=True, choices=_CERTIFIABLE)
@@ -439,7 +438,6 @@ def _build_parser() -> argparse.ArgumentParser:
                       dest="eps_exponent")
     cert.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
     cert.add_argument("--c0", type=finite_float, default=_DEFAULTS["c0"])
-    cert.set_defaults(func=cmd_certify)
 
     orc = sub.add_parser("oracle", help="exact ground truth for an instance file")
     orc.add_argument("--kind", required=True, choices=list(_ORACLE_KINDS))
@@ -450,18 +448,15 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--threshold-size", type=int, default=None, dest="threshold_size")
     orc.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
     orc.add_argument("--timing", action="store_true")
-    orc.set_defaults(func=cmd_oracle)
 
     ver = sub.add_parser("verify", help="compare a certificate with an oracle result")
     ver.add_argument("--certificate", required=True)
     ver.add_argument("--oracle", required=True)
-    ver.set_defaults(func=cmd_verify)
 
     swp = sub.add_parser("sweep", help="run a grid of certifications to JSONL")
     swp.add_argument("--config", required=True)
     swp.add_argument("--out", default=None)
     swp.add_argument("--csv", default=None, help="also export a flat CSV")
-    swp.set_defaults(func=cmd_sweep)
 
     return parser
 
@@ -470,7 +465,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # looked up on each call: a wrapper set over a cmd_* after the parser is built runs
+        return globals()[f"cmd_{args.command}"](args)
     except (ValueError, OSError, KeyError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

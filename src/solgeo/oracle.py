@@ -34,6 +34,7 @@ from .instances import (
     XorInstance,
     _walsh_hadamard,
     rendered_doc,
+    row_groups,
     violation_budget,
 )
 from .jsonio import JsonRecord, decode, decode_field, sha256_of
@@ -151,12 +152,10 @@ def gaussian_count(I: XorInstance) -> OracleResult:
 def _pairwise_distance_histogram(solutions: np.ndarray) -> dict[str, int]:
     """Number of solution pairs at each Hamming distance, keyed by the
     distance in decimal, in increasing order."""
-    hist: dict[int, int] = {}
+    hist = np.zeros(65, dtype=np.int64)  # an int64 word differs in at most 64 bits
     for i in range(len(solutions)):
-        d = np.bitwise_count(solutions[i + 1:] ^ solutions[i])
-        for dist, cnt in zip(*np.unique(d, return_counts=True)):
-            hist[int(dist)] = hist.get(int(dist), 0) + int(cnt)
-    return {str(dist): cnt for dist, cnt in sorted(hist.items())}
+        hist += np.bincount(np.bitwise_count(solutions[i + 1:] ^ solutions[i]), minlength=65)
+    return {str(dist): int(hist[dist]) for dist in np.flatnonzero(hist)}
 
 
 def _greedy_cover(solutions: np.ndarray, radius: float) -> int:
@@ -227,7 +226,7 @@ def _grid_parts(G: np.ndarray) -> list[np.ndarray]:
 def _screen(G: np.ndarray) -> tuple[np.ndarray, float, Callable[..., np.ndarray]]:
     """A screen V of x^T G x over the half-cube x_{n-1} = +1 (G finite,
     n >= 1), its error bound w, and ``exact(index, shift)``: each indexed
-    x's correctly rounded x^T G x + shift, grouped by value, not in order.
+    x's correctly rounded x^T G x + shift, in the order of ``index``.
 
     V meets in the middle: with A the low p = (n-1)//2 variables and B the
     rest (x_{n-1} among them), V[a, b] = a^T G_AA a + b^T G_BB b
@@ -269,11 +268,9 @@ def _screen(G: np.ndarray) -> tuple[np.ndarray, float, Callable[..., np.ndarray]
     def exact(index: np.ndarray, shift: float = 0.0) -> np.ndarray:
         X = _signs(index, n)
         values = np.stack([np.einsum("ij,ij->i", X @ P, X) for P in parts], axis=1)
-        ranked = values[np.lexsort(values.T)]  # np.unique(axis=0) sorts void records, 20x slower
-        first = np.ones(len(ranked), dtype=bool)
-        first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-        sums = [math.fsum([*row, shift]) for row in ranked[first].tolist()]
-        return np.array(sums)[np.cumsum(first) - 1]
+        first, group = row_groups(values)
+        sums = [math.fsum([*row, shift]) for row in values[first].tolist()]
+        return np.array(sums)[group]
 
     return V.ravel(), w, exact
 

@@ -89,6 +89,15 @@ def test_the_shared_parser_keeps_no_state_between_calls(tmp_path):
     assert cli._build_parser.cache_info().misses == misses  # one parser served them all
 
 
+def test_command_is_looked_up_when_it_runs(tmp_path, monkeypatch):
+    # the parser is built by the first call; a wrapper set over cmd_verify later still runs
+    gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda args: calls.append(args) or 0)
+    assert run("verify", "--certificate", "c.json", "--oracle", "o.json") == 0
+    assert [(args.certificate, args.oracle) for args in calls] == [("c.json", "o.json")]
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--certificate"])
 def test_directory_path_is_a_usage_error(tmp_path, capsys, flag):
     # each once exited 4 with "internal error: [Errno 21] Is a directory"
@@ -808,6 +817,33 @@ def test_edited_instance_file_is_read_as_the_json_path_reads_it(tmp_path, capsys
             assert (code, err) == (2, f"error: {exc.value}\n"), command
         if case == "indented":
             assert outs[1].read_bytes() == outs[0].read_bytes(), command
+
+
+# edits of a generated 3XOR file's header that keep its document
+HEADER_EDITS = {
+    "space-after-colon": lambda text: text.replace('"k":3', '"k": 3', 1),
+    "keys-out-of-order": lambda text: text.replace('"k":3,"kind":"xor"', '"kind":"xor","k":3', 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_EDITS))
+def test_header_not_as_written_is_read_by_the_json_path(tmp_path, monkeypatch, case):
+    inst = gen(tmp_path, "i.json", *XOR, "--seed", "1")
+    edited = tmp_path / "edited.json"
+    edited.write_text(HEADER_EDITS[case](inst.read_text()))
+    assert edited.read_text() != inst.read_text()
+    calls = []
+
+    def counted(path):
+        calls.append(path)
+        return read_json(path)
+
+    monkeypatch.setattr(instances, "read_json", counted)
+    want = read_instance(str(inst))
+    assert calls == []
+    got = read_instance(str(edited))
+    assert calls == [str(edited)]
+    assert type(got) is type(want) and got == want and got.sha256() == want.sha256()
 
 
 @pytest.mark.parametrize("position", ["certify", "oracle", "verify-certificate",

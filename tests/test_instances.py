@@ -17,7 +17,6 @@ from solgeo.instances import (
     XorInstance,
     _sample_distinct_indices,
     _sample_tuples,
-    bias,
     clause_split,
     csp_to_ksat,
     density_table,
@@ -29,6 +28,7 @@ from solgeo.instances import (
     load_instance,
     primal_graph,
     read_instance,
+    row_groups,
     sample_goe,
     sample_regular_graph,
     sample_signed_hypergraph,
@@ -656,10 +656,23 @@ def test_er_2xor_instance_digests_pinned():
     assert G.simple().sha256() == "85e883eb6f5825c271efbbc3e1a37a9ffc02f02b2860a3f2e1c591809b2199c7"
 
 
-def test_bias():
-    assert bias(np.array([1, 1, 1, 1])) == 1.0
-    assert bias(np.array([1, -1, 1, -1])) == 0.0
-    assert bias(np.array([1, 1, 1, -1])) == pytest.approx(0.5)
+@pytest.mark.parametrize("A", [
+    np.zeros((0, 3), dtype=np.int64), np.array([[7]]), np.array([[2], [1], [2], [2], [0], [1]]),
+    np.random.default_rng(1).integers(0, 3, size=(500, 3)),
+    np.random.default_rng(2).integers(-2, 2, size=(300, 1)),
+    np.random.default_rng(3).choice([-0.0, 0.0, 0.5, -1.25], size=(400, 2)),
+    np.random.default_rng(4).normal(size=(50, 4)),
+], ids=["empty", "one-row", "one-column", "int", "negative", "float-signed-zero", "float-distinct"])
+def test_row_groups_match_a_dict_of_rows(A):
+    groups: dict[tuple, int] = {}  # each row's value to its group, numbered by first row
+    first, group = [], []
+    for i, row in enumerate(A.tolist()):
+        if tuple(row) not in groups:
+            groups[tuple(row)] = len(first)
+            first.append(i)
+        group.append(groups[tuple(row)])
+    got_first, got_group = row_groups(A)
+    assert got_first.tolist() == first and got_group.tolist() == group
 
 
 def test_violation_budget_boundaries():
