@@ -9,10 +9,12 @@ Each consumed number is ``proved_bound``: an estimate shifted by
 ``prove_side`` is the one proof: a Cholesky factorization of the shifted
 matrix, with a margin that covers its own rounding and the rounding made
 while forming the matrix.  ``proved_extreme`` is the one estimate-and-prove
-entry.  The estimate is the caller's or comes from ``np.linalg.eigvalsh``,
-except that graphs with at least ``ITERATIVE_MIN_N`` vertices take it from
-Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and fall
-back to ``eigvalsh`` only when that estimate fails its proof.  Where an
+entry; ``demeaned_norm`` takes its estimate by the same rule when it proves
+a sparse graph's norm on the square.  The estimate is the caller's or
+comes from ``np.linalg.eigvalsh``, except that graphs with at least
+``ITERATIVE_MIN_N`` vertices take it from Lanczos on a sparse
+matrix-vector product (``_lanczos_extremes``) and fall back to
+``eigvalsh`` only when that estimate fails its proof.  Where an
 estimate comes from never decides soundness: the proof does, and only of
 the side its consumer reads.  A failed proof of the caller's or the
 ``eigvalsh`` value raises ``EigensolverError``.
@@ -22,9 +24,11 @@ Consumers and the side each one proves:
 * ``SpectralReport.lambda2_bound``, "min" within ``LAPLACIAN_RANGE`` on
   L + 2 v0 v0^T / |v0|^2, v0 = D^(1/2) 1: the Cheeger cut bound
   ``edge_expansion_lower_bound`` of the 2XOR count base case;
-* ``SpectralReport.norm_bound``, "norm" on A - (2m/n^2) J:
-  ``mixing_interval`` (cluster and 3CSP balance certificates) and
-  ``geometry.refute_biased_2xor_family`` (kXOR and kCSP balance);
+* ``SpectralReport.norm_bound`` t, "max" at fl(t t) on (A - (2m/n^2) J)^2
+  for a graph with at most n^2 neighbour pairs (the sum of d_v^2), else
+  "norm" at t on A - (2m/n^2) J: ``mixing_interval`` (cluster and 3CSP
+  balance certificates) and ``geometry.refute_biased_2xor_family`` (kXOR
+  and kCSP balance);
 * ``symmetric_spectrum(M, side)``'s bound, "max" for
   ``eigenspace_window``, the window of the SK and independent-set counts,
   "min" for ``hoffman_bound``;
@@ -203,7 +207,8 @@ def prove_side(B: np.ndarray, side: str, t: float, err: float = 0.0) -> None:
         np.negative(B, out=B)
     try:
         B[idx] = x - c
-        R = np.linalg.cholesky(B)
+        # B.T's upper triangle is B's lower one, read through a contiguous copy
+        R = np.linalg.cholesky(B.T, upper=True)
     except np.linalg.LinAlgError:
         R = None
     finally:
@@ -358,15 +363,81 @@ def demeaned_adjacency(G: MultiGraph) -> tuple[np.ndarray, float]:
     return A, 4.0 * UNIT_ROUNDOFF * (max(G.degrees) + G.average_degree())
 
 
+def _adjacency_square(G: MultiGraph) -> np.ndarray:
+    """A^2 for G's adjacency matrix A, parallel edges counted, exactly:
+    each vertex v adds a_iv a_vj at (i, j) for every pair (i, j) of its
+    distinct neighbours, the multiplicities as integer weights summed
+    straight into a float64 matrix."""
+    n, E = G.n, G.edge_array
+    keys, mult = np.unique(np.concatenate((E[:, 0] * n + E[:, 1], E[:, 1] * n + E[:, 0])),
+                           return_counts=True)
+    vertex, nbr = np.divmod(keys, n)  # each vertex's distinct neighbours, one run
+    k = np.bincount(vertex, minlength=n)
+    run, start = k[vertex], (np.cumsum(k) - k)[vertex]  # of each entry's run
+    left = np.repeat(np.arange(len(keys)), run)  # entry e once per entry of its run
+    right = np.arange(len(left)) - np.repeat(np.cumsum(run) - run - start, run)
+    weights = (mult[left] * mult[right]).astype(float)
+    # an empty bincount is int64 whatever its weights; no other is copied
+    square = np.bincount(nbr[left] * n + nbr[right], weights, n * n).astype(float, copy=False)
+    return square.reshape(n, n)
+
+
+def demeaned_square(G: MultiGraph) -> tuple[np.ndarray, float]:
+    """(A - (d_avg/n) J)^2 = A^2 - w 1^T - 1 w^T, w = q (d - d_avg/2),
+    q = d_avg/n, with a bound on its spectral-norm distance from the
+    exact square at q = 2m/n^2.
+
+    A^2 is exact, and each entry is fl(a2_ij - fl(w_i + w_j)), exactly
+    symmetric.  w_i is off by at most 5u q (d_i + d_avg), so with the
+    rounding of the sum and the difference each entry is off by at most
+    u (a2_ij + 8 q (d_i + d_j + 2 d_avg)).  A row of A^2 sums to
+    sum_k a_ik d_k <= d_i d_max, so each row of the error sums to at most
+    u (d_i d_max + 8 d_avg (d_i + 3 d_avg)) <= u d_max (d_max + 32 d_avg);
+    for a symmetric error that bounds its spectral norm.
+    """
+    n, d_avg = G.n, G.average_degree()
+    degrees = np.array(G.degrees)
+    C = _adjacency_square(G)
+    w = d_avg / n * (degrees - d_avg / 2.0)
+    for lo in range(0, n, _ROW_BLOCK):  # C -= w 1^T + 1 w^T
+        C[lo:lo + _ROW_BLOCK] -= w[lo:lo + _ROW_BLOCK, None] + w
+    d_max = float(degrees.max())
+    return C, UNIT_ROUNDOFF * d_max * (d_max + 32.0 * d_avg)
+
+
 def demeaned_norm(G: MultiGraph) -> float:
-    """Operator norm of A - (d_avg/n) J, multiplicities counted."""
+    """Operator norm of A - (d_avg/n) J, multiplicities counted.
+
+    The estimate (lo, hi) and the value max(|lo|, |hi|) are
+    ``proved_extreme``'s for "norm".  A graph with at most n^2 neighbour
+    pairs (sum of d_v^2) proves |Abar|_2 < t in one factorization, as
+    lambda_max < fl(t t) on ``demeaned_square``, Abar^2 >= 0 making that
+    one side the whole claim; u fl(t t) more in err covers the rounding of
+    t t.  Past n^2 pairs, assembling A^2 costs more than the second
+    factorization it saves, and the proof is "norm" on Abar.
+    """
     if G.m == 0:
         return 0.0
     _check_dense(G.n)
-    Abar, err = demeaned_adjacency(G)
     adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
     matvec = None if adjacency is None else lambda x: adjacency(x) - q * x.sum()
-    return proved_extreme(Abar, "norm", err, matvec)
+    if sum(d * d for d in G.degrees) > G.n**2:
+        Abar, err = demeaned_adjacency(G)
+        return proved_extreme(Abar, "norm", err, matvec)
+    C, err = demeaned_square(G)
+
+    def proved(lo: float, hi: float) -> float:
+        value = max(abs(lo), abs(hi))
+        t = proved_bound(value, "norm", (lo, hi))
+        prove_side(C, "max", t * t, err + UNIT_ROUNDOFF * (t * t))
+        return value
+
+    if matvec is not None:
+        try:
+            return proved(*_lanczos_extremes(matvec, G.n))
+        except EigensolverError:
+            pass
+    return proved(*eigen_extremes(demeaned_adjacency(G)[0]))
 
 
 def spectral_report(

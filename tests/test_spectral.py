@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from solgeo.eigencount import (
 from solgeo.geometry import refute_biased_2xor_family
 from solgeo.instances import (
     MultiGraph,
+    primal_graph,
     sample_goe,
     sample_regular_graph,
+    sample_signed_hypergraph,
     sample_unsigned_hypergraph,
 )
 from solgeo.spectral import (
@@ -298,7 +301,7 @@ def test_spectrum_consumer_factors_once(monkeypatch, consumer):
     instance = make()
     calls = []
     real = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda B: calls.append(B.shape) or real(B))
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B, **kw: calls.append(B.shape) or real(B, **kw))
     consume(instance)
     assert calls == [(40, 40)]
 
@@ -377,25 +380,50 @@ def edge_expansion_case(_):
     return edge_expansion_lower_bound(loaded, 7), lambda t: 0.5 * t * report.d_min * 7
 
 
-def mixing_case(_):
-    report = spectral_report(dense_graph(), laplacian=False)
-    loaded = SpectralReport.from_json_dict(report.to_json_dict())
-    assert loaded.norm_bound == report.norm_bound
-    center = report.d_avg / report.n * 20 * 30
-    return (mixing_interval(loaded, 20, 30),
-            lambda t: (center - t * math.sqrt(20 * 30), center + t * math.sqrt(20 * 30)))
+def matching_union(n: int, d: int, seed: int) -> MultiGraph:
+    """d random perfect matchings on n vertices: a d-regular multigraph."""
+    rng = np.random.default_rng(seed)
+    return MultiGraph.build(n, np.concatenate([rng.permutation(n).reshape(-1, 2) for _ in range(d)]))
 
 
-def biased_family_case(_):
-    G = dense_graph()
-    n, davg, eps, rho = G.n, G.average_degree(), 0.1, 1.0
+def sparse_graph() -> MultiGraph:
+    # 400 vertices of degree 20: n^2 neighbour pairs, de-meaned norm near 8.6
+    return matching_union(400, 20, seed=2)
 
-    def expected(nu):
-        gamma_frac = (davg * n / 2.0 * (1.0 + rho**2) - nu * n - davg) / (2.0 * G.m)
-        assert gamma_frac - (0.5 + eps) > 0  # not hidden by the floor at 0
-        return max(0.0, gamma_frac - (0.5 + eps))
 
-    return refute_biased_2xor_family(G, eps, rho), expected
+def mixing_case(make):
+    def run(_):
+        report = spectral_report(make(), laplacian=False)
+        loaded = SpectralReport.from_json_dict(report.to_json_dict())
+        assert loaded.norm_bound == report.norm_bound
+        center = report.d_avg / report.n * 20 * 30
+        return (mixing_interval(loaded, 20, 30),
+                lambda t: (center - t * math.sqrt(20 * 30), center + t * math.sqrt(20 * 30)))
+    return run
+
+
+def biased_family_case(make, eps):
+    def run(_):
+        G = make()
+        n, davg, rho = G.n, G.average_degree(), 1.0
+
+        def expected(nu):
+            gamma_frac = (davg * n / 2.0 * (1.0 + rho**2) - nu * n - davg) / (2.0 * G.m)
+            assert gamma_frac - (0.5 + eps) > 0  # not hidden by the floor at 0
+            return max(0.0, gamma_frac - (0.5 + eps))
+
+        return refute_biased_2xor_family(G, eps, rho), expected
+    return run
+
+
+def on_square(case):
+    """A norm case whose proof is lambda_max < fl(t t) on the square: the
+    bound t is read back as sqrt(fl(t t)), which is t exactly in binary
+    floating point."""
+    def run(monkeypatch):
+        got, expected = case(monkeypatch)
+        return got, lambda t2: expected(math.sqrt(t2))
+    return run
 
 
 def hoffman_case(_):
@@ -427,8 +455,11 @@ def window_case(certify, make):
 # returns its bound and the bound expected from the proved threshold
 BOUND_CONSUMERS = {
     "edge_expansion_lower_bound": (1e5, "min", edge_expansion_case),
-    "mixing_interval": (1e5, "norm", mixing_case),
-    "refute_biased_2xor_family": (1e5, "norm", biased_family_case),
+    "mixing_interval": (1e5, "norm", mixing_case(dense_graph)),
+    "mixing_interval-square": (1e5, "max", on_square(mixing_case(sparse_graph))),
+    "refute_biased_2xor_family": (1e5, "norm", biased_family_case(dense_graph, 0.1)),
+    "refute_biased_2xor_family-square": (
+        1e5, "max", on_square(biased_family_case(sparse_graph, 0.01))),
     "hoffman_bound": (5e6, "min", hoffman_case),
     "certify_count_sk": (1e5, "max", window_case(
         lambda M: certify_count_sk(M, 0.1), lambda: sample_goe(40, seed=3))),
@@ -566,3 +597,89 @@ def test_skewed_lanczos_and_eigvalsh_are_caught(monkeypatch, name):
     skewed_eigvalsh(monkeypatch, edit)
     with pytest.raises(EigensolverError):
         measure()
+
+
+# ---------------------------------------------------------------------------
+# One factorization for the de-meaned norm of a sparse graph
+# ---------------------------------------------------------------------------
+
+def clusters_xor_primal(seed: int) -> MultiGraph:
+    """The primal multigraph a cluster certificate measures for
+    ``gen --kind xor -k 3 -n 14 -m 1960``: 3.4 million neighbour pairs."""
+    H = sample_signed_hypergraph(3, 14, 1960, seed).to_xor().hypergraph()
+    return primal_graph(H.without_repeats().dedup().without_repeats())
+
+
+# graph: (Cholesky factorizations, the value demeaned_norm returned when it
+# proved every graph on both sides).  A graph with at most n^2 neighbour
+# pairs is proved once, on its square; the rest on both sides.
+NORM_CASES = {
+    "regular-1000": (lambda: sample_regular_graph(N_ITER, 3, 0), 1, "0x1.6a346de7a6b46p+1"),
+    "regular-60": (lambda: sample_regular_graph(60, 3, 1), 1, "0x1.5c0daff9c28c3p+1"),
+    "petersen": (petersen_graph, 1, "0x1.0000000000000p+1"),
+    "cycle-12": (lambda: cycle_graph(12), 1, "0x1.0000000000002p+1"),
+    "multigraph-12": (lambda: MultiGraph.build(12, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 2), (2, 3),
+                                                    (5, 6)]), 1, "0x1.a0f247a8caf91p+1"),
+    "complete-6": (lambda: complete_graph(6), 2, "0x1.0000000000002p+0"),
+    "dense-60": (dense_graph, 2, "0x1.424b9e48406b4p+3"),
+    "clusters-xor-primal": (lambda: clusters_xor_primal(1), 2, "0x1.d12d928a7de17p+5"),
+    "er-1000": (lambda: random_graph(N_ITER, int(N_ITER**1.4), 0).simple(), 2,
+                "0x1.6839058f08fc7p+3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_CASES))
+def test_demeaned_norm_factorizations_and_value(monkeypatch, name):
+    make, factorizations, value = NORM_CASES[name]
+    G = make()
+    calls = []
+    real = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda B, **kw: calls.append(1) or real(B, **kw))
+    assert demeaned_norm(G) == float.fromhex(value)
+    assert len(calls) == factorizations
+
+
+def test_sparse_norm_proof_catches_under_reporting(monkeypatch):
+    G = sample_regular_graph(60, 3, seed=1)
+    nu = demeaned_norm(G)
+
+    def edit(vals):
+        vals[0] += 10 * eig_slack(nu)
+        vals[-1] -= 10 * eig_slack(nu)
+
+    skewed_eigvalsh(monkeypatch, edit)
+    with pytest.raises(EigensolverError, match="lambda_max"):
+        demeaned_norm(G)
+
+
+SQUARE_GRAPHS = {
+    "parallel-edges": lambda: MultiGraph.build(5, [(0, 1), (0, 1), (0, 1), (1, 2), (2, 0), (3, 4)]),
+    "isolated-vertices": lambda: MultiGraph.build(9, [(1, 4), (4, 7), (7, 1), (4, 6), (6, 4)]),
+    "n-1": lambda: MultiGraph.build(1, []),
+    "m-0": lambda: MultiGraph.build(6, []),
+    "random-multigraph": lambda: random_graph(30, 200, seed=4),
+    "clusters-xor-primal": lambda: clusters_xor_primal(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SQUARE_GRAPHS))
+def test_adjacency_square_is_exact(name):
+    G = SQUARE_GRAPHS[name]()
+    A = G.adjacency()
+    square = spectral._adjacency_square(G)
+    assert square.dtype == np.float64
+    assert np.array_equal(square, A @ A)
+
+
+@pytest.mark.parametrize("name", ["parallel-edges", "isolated-vertices", "random-multigraph"])
+def test_demeaned_square_error_is_within_err(name):
+    # each row of |C - (A - (2m/n^2) J)^2| sums to at most err, in exact arithmetic
+    G = SQUARE_GRAPHS[name]()
+    n, q = G.n, Fraction(2 * G.m, G.n**2)
+    C, err = spectral.demeaned_square(G)
+    assert np.array_equal(C, C.T)
+    Abar = [[int(a) - q for a in row] for row in G.adjacency()]
+    for i in range(n):
+        row = sum(abs(Fraction(C[i, j]) - sum(Abar[i][k] * Abar[k][j] for k in range(n)))
+                  for j in range(n))
+        assert 0 < row <= err
