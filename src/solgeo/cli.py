@@ -158,10 +158,8 @@ KINDS = {
         certifiers={MultiGraph: lambda G, a: eigencount.certify_count_indsets(G, a.eta)},
         oracles={MultiGraph: lambda G, a: oracle.brute_independent_sets(G, _indset_threshold(G, a))},
     ),
-    "gauss": Kind(certifiers={}, oracles={XorInstance: lambda I, a: oracle.gaussian_count(I)}),
 }
-_ORACLE_KINDS = {row.oracle_name or name: name for name, row in KINDS.items() if row.oracles}
-_CERTIFIABLE = [name for name, row in KINDS.items() if row.certifiers]
+_ORACLE_KINDS = {row.oracle_name or name: name for name, row in KINDS.items()}
 
 
 _FILE_KINDS = {t: kind or "graph" for kind, t in FILE_KINDS.items()}
@@ -170,7 +168,7 @@ _FILE_KINDS = {t: kind or "graph" for kind, t in FILE_KINDS.items()}
 def _lookup(command: str, kind: str, table: dict, instance) -> Callable:
     run = table.get(type(instance))
     if run is None:
-        accepted = " or ".join(_FILE_KINDS[t] for t in table) or "no"
+        accepted = " or ".join(_FILE_KINDS[t] for t in table)
         raise ValueError(f"{command} --kind {kind} takes {accepted} files, "
                          f"not {_FILE_KINDS[type(instance)]} files")
     return run
@@ -238,13 +236,15 @@ _INT_AXES = ("n", "k", "m", "d")
 # Config keys besides the grid, with their defaults; rows are keyed on all of them.
 _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 # The names a config key may hold, where its type alone does not decide.
-_CONFIG_CHOICES = {"kind": _CERTIFIABLE, "instance": _GENERATORS, "predicate": _PREDICATES}
+_CONFIG_CHOICES = {"kind": list(KINDS), "instance": _GENERATORS, "predicate": _PREDICATES}
 
 
 def _sweep_cells(config: dict) -> list[dict]:
-    """The grid's cells, values as written; ValueError naming an axis not a
-    list of finite numbers, or of integers where size and shape belong."""
+    """The grid's cells, values as written; ValueError naming a missing axis
+    'n' or an axis not a list of finite numbers (of integers for size and shape)."""
     grid = decode_field(config, "grid", dict, "sweep config")
+    if "n" not in grid:
+        raise ValueError("sweep grid lacks the axis 'n', which every generator reads")
     for axis, values in grid.items():
         decode(values, tuple[int, ...] if axis in _INT_AXES else tuple[float, ...],
                f"sweep grid axis {axis!r}")
@@ -429,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     cert = sub.add_parser("certify", help="emit a certificate for an instance file")
-    cert.add_argument("--kind", required=True, choices=_CERTIFIABLE)
+    cert.add_argument("--kind", required=True, choices=list(KINDS))
     cert.add_argument("--instance", required=True)
     cert.add_argument("--out", required=True)
     cert.add_argument("--eta", type=finite_float, default=0.0)

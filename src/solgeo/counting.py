@@ -250,6 +250,8 @@ def certify_count_kxor(
 ) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
     violating at most an eta fraction of the hyperedges of H."""
+    if H.k < 2:
+        raise ValueError(f"kXOR counting requires k >= 2, got k = {H.k}")
     return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps))
 
 

@@ -117,20 +117,7 @@ def _satisfiers(I: SignedHypergraph | XorInstance, P: Predicate | None, eta: flo
     return np.flatnonzero(within).astype(np.uint64)
 
 
-def brute_count(
-    I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float
-) -> OracleResult:
-    """Exact count of (1-eta)-satisfying assignments by full enumeration."""
-    if I.m == 0:
-        raise ValueError("cannot count satisfiers of an empty instance")
-    count = len(_satisfiers(I, P, eta))
-    # count certificates of an XOR instance hold for every signing, so they
-    # bind its hypergraph
-    bound = I.hypergraph() if isinstance(I, XorInstance) else I
-    return OracleResult("count", count, 1 << I.n, instance_sha256=bound.sha256(), eta=float(eta))
-
-
-def gaussian_count(I: XorInstance) -> OracleResult:
+def gaussian_count(I: XorInstance) -> int:
     """Exact count of exactly-satisfying assignments over GF(2):
     0 if inconsistent, else 2^(n - rank)."""
     pivots: dict[int, tuple[int, bool]] = {}
@@ -142,11 +129,23 @@ def gaussian_count(I: XorInstance) -> OracleResult:
         if mask:
             pivots[top] = (mask, odd)
         elif odd:
-            count = 0
-            break
+            return 0
+    return 1 << (I.n - len(pivots))
+
+
+def brute_count(I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float) -> OracleResult:
+    """Exact count of (1-eta)-satisfying assignments: by GF(2) elimination,
+    at any n, for an XOR instance none of whose clauses may be violated;
+    by full enumeration otherwise.  The count of an XOR instance binds its
+    hypergraph, as count certificates, which hold for every signing, do."""
+    if I.m == 0:
+        raise ValueError("cannot count satisfiers of an empty instance")
+    if isinstance(I, XorInstance) and violation_budget(eta, I.m) == 0:
+        count = gaussian_count(I)
     else:
-        count = 1 << (I.n - len(pivots))
-    return OracleResult("gauss-count", count, I.m, instance_sha256=I.sha256())
+        count = len(_satisfiers(I, P, eta))
+    bound = I.hypergraph() if isinstance(I, XorInstance) else I
+    return OracleResult("count", count, 1 << I.n, instance_sha256=bound.sha256(), eta=float(eta))
 
 
 def _pairwise_distance_histogram(solutions: np.ndarray) -> dict[str, int]:
@@ -351,7 +350,7 @@ def brute_independent_sets(G: MultiGraph, size_threshold: int) -> OracleResult:
                         threshold_size=size_threshold)
 
 
-def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
+def brute_subspace_count(basis: np.ndarray, eps: float) -> int:
     """Exact count of the y = x / sqrt(n), x in {-1, 1}^n, at squared
     distance at most eps^2 + 2e-12 from the span of the basis columns:
     with Q an orthonormal basis of it (a rank-revealing SVD), the x with
@@ -373,8 +372,7 @@ def brute_subspace_count(basis: np.ndarray, eps: float) -> OracleResult:
         # the span of a rank-deficient basis
         U, s, _ = np.linalg.svd(basis, full_matrices=False)
         Q = U[:, s > 1e-10 * s.max()]
-    count = _count_at_least(*_screen(Q @ Q.T), n * (1.0 - eps * eps) - 2e-12 * n)
-    return OracleResult("subspace-count", 2 * count, 1 << n)
+    return 2 * _count_at_least(*_screen(Q @ Q.T), n * (1.0 - eps * eps) - 2e-12 * n)
 
 
 # ---------------------------------------------------------------------------

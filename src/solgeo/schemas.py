@@ -3,12 +3,12 @@
 A format that a package type reads is described by that type alone: the
 certificate schemas are built from the records of ``oracle.PAIRINGS``,
 one per certificate kind (the declined balance note among them), and
-the oracle-result and sweep-row schemas from their records, each from
-the fields and type hints; the csp, xor and hypergraph schemas come from
-their classes' ``KIND``, ``BODY`` and ``PAYLOAD``.  Written here are only
-what no type states: the limits of a value (``_LIMITS``), a clause's
-entry of each instance array (``_ENTRIES``), the oracle kinds, and the
-formats no type reads: graphs and GOE matrices.
+the oracle-result (of the oracle kinds the rows name) and sweep-row
+schemas from their records, each from the fields and type hints; the
+csp, xor and hypergraph schemas from their classes' ``KIND``, ``BODY``
+and ``PAYLOAD``.  Written here are only what no type states: the limits
+of a value (``_LIMITS``), a clause's entry of each instance array
+(``_ENTRIES``), and the formats no type reads: graphs and GOE matrices.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ _LIMITS = {
 }
 # Fields that every file of a record holding them carries, default or not.
 _CARRIED = ("kind", "instance_sha256", "tool_version")
-# The kinds of oracle result; they overlap the certificate kinds.
-_ORACLE_KINDS = ["count", "gauss-count", "clusters", "max-bias", "sk", "indset", "subspace-count"]
+# The oracle kinds that certificate kinds pair with; they overlap the certificate kinds.
+_ORACLE_KINDS = list(dict.fromkeys(row.oracle_kind for row in PAIRINGS.values() if row.oracle_kind))
 
 
 def _schema(hint) -> dict:

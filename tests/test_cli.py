@@ -13,6 +13,7 @@ from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
 from solgeo.instances import MultiGraph, XorInstance, instance_doc, load_instance, read_instance
 from solgeo.jsonio import canonical_json, read_json, sha256_of, write_json
+from solgeo.oracle import PAIRINGS
 
 
 def run(*argv) -> int:
@@ -397,6 +398,58 @@ def test_oracle_timing_is_opt_in(tmp_path):
     assert run("verify", "--certificate", str(cert), "--oracle", str(timed)) == 0
 
 
+XOR10 = ["--kind", "xor", "-k", "3", "-n", "10", "-m", "30"]
+# `gen` arguments and extra `oracle` flags for each `oracle --kind`
+ORACLE_RUNS = {
+    "count": (XOR10, []),
+    "clusters": (XOR10, ["--theta", "0.2"]),
+    "bias": (XOR10, []),
+    "sk": (["--kind", "goe", "-n", "8"], []),
+    "indset": (["--kind", "regular", "-n", "12", "-d", "3"], []),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli._ORACLE_KINDS))
+def test_every_oracle_kind_writes_a_result_a_certificate_pairs_with(tmp_path, kind):
+    # `oracle --kind gauss` once wrote a gauss-count result that no certificate paired with
+    gen_args, flags = ORACLE_RUNS[kind]
+    inst, orc = gen(tmp_path, "i.json", *gen_args, "--seed", "1"), tmp_path / "o.json"
+    assert run("oracle", "--kind", kind, *flags, "--instance", str(inst), "--out", str(orc)) == 0
+    assert validate_file(orc)["kind"] in {row.oracle_kind for row in PAIRINGS.values()}
+
+
+def test_oracle_kind_gauss_is_gone(tmp_path):
+    inst = gen(tmp_path, "i.json", *XOR10, "--seed", "1")
+    with pytest.raises(SystemExit) as exc:
+        run("oracle", "--kind", "gauss", "--instance", str(inst), "--out", str(tmp_path / "o.json"))
+    assert exc.value.code == 2
+
+
+def test_eta_0_xor_count_sweep_checks_every_row_past_enumeration(tmp_path):
+    # n = 30 once exited 2: "enumeration limited to n <= 24"
+    grid = {"n": [30, 100], "k": [3], "delta": [0.5, 4], "eta": [0.0]}
+    cfg, out = sweep_config(tmp_path, grid=grid, oracle_max_n=100), tmp_path / "rows.jsonl"
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
+    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(rows) == 8
+    assert all(type(row["oracle"]) is int and row["sound"] is True for row in rows)
+    assert any(row["oracle"] > 0 for row in rows) and any(row["oracle"] == 0 for row in rows)
+
+
+@pytest.mark.parametrize("doc", [
+    {"kind": "xor", "k": 1, "n": 4, "clauses": [{"vars": [0], "rhs": 1}, {"vars": [2], "rhs": -1}]},
+    {"kind": "hypergraph", "k": 1, "n": 4, "edges": [[0], [2]]},
+], ids=["xor", "hypergraph"])
+def test_count_certificate_refuses_arity_1(tmp_path, capsys, doc):
+    # the kXOR recursion once built a 0-uniform block: "k and n must be positive"
+    inst, cert = tmp_path / "i.json", tmp_path / "c.json"
+    write_json(str(inst), doc)
+    capsys.readouterr()
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 2
+    assert capsys.readouterr().err == "error: kXOR counting requires k >= 2, got k = 1\n"
+    assert not cert.exists()
+
+
 def test_verify_refuses_other_parameters(tmp_path):
     xor = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "200", "--seed", "4")
     reg = gen(tmp_path, "g.json", "--kind", "regular", "-n", "12", "-d", "3", "--seed", "4")
@@ -522,6 +575,18 @@ def test_sweep_density_axis_without_an_edge_count_is_usage_error(tmp_path, capsy
     assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"'{axis}'" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("density", [{"m": [10]}, {"delta": [4]}], ids=["m", "delta"])
+def test_sweep_grid_without_n_is_refused_before_any_job(tmp_path, capsys, density):
+    # every generator reads n: the m grid once exited 4, the delta grid
+    # printed only "error: 'n'"
+    cfg, out = sweep_config(tmp_path, grid={"k": [3], **density}), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: sweep grid lacks the axis 'n', which every generator reads\n")
     assert not out.exists()
 
 

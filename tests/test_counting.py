@@ -136,7 +136,7 @@ def test_2xor_all_signings_of_k5():
     # cross-check a sample against GF(2) elimination
     for row in range(0, len(signings), 97):
         I = XorInstance(2, 5, G.edge_array, signings[row])
-        assert gaussian_count(I).exact_value == counts[row]
+        assert gaussian_count(I) == counts[row]
 
 
 def test_2xor_empty_graph_falls_back():

@@ -180,7 +180,10 @@ ORACLE_CASES = {
     "indset-threshold-size": (REGULAR16, ["--kind", "indset", "--threshold-size", "5"]),
     "indset-n26": (["--kind", "regular", "-n", "26", "-d", "3", "--seed", "1"],
                    ["--kind", "indset", "--eta", "0.2"]),
-    "gauss": ([*XOR12, "--seed", "2"], ["--kind", "gauss"]),
+    # eta 0 and a budget of 0 (0.05 * 12 clauses): GF(2) elimination
+    "count-xor-exact": ([*XOR12, "--seed", "2"], ["--kind", "count"]),
+    "count-xor-exact-inconsistent": ([*XOR12, "--seed", "1"], ["--kind", "count"]),
+    "count-xor-budget-0": ([*XOR12, "--seed", "2"], ["--kind", "count", "--eta", "0.05"]),
 }
 
 ORACLE_GOLDEN = {
@@ -191,7 +194,9 @@ ORACLE_GOLDEN = {
     "count-csp-ksat": "97f9feea1b46899437f127b99f24d0924e6274402f24c12a6559592cbbc630b1",
     "count-csp-parity": "4f44b720ffa19fa6567c98e5a849429f5925b1362f30781c6b4494a74d322699",
     "count-xor": "a20e35e5f138d833f9dfad7dd08282237e7ea20f9020f36cc7f637a1d505f6f1",
-    "gauss": "6403f5975212adcf28bade799d201e2f65cdf5bffd00de6d118cf73aa860641a",
+    "count-xor-budget-0": "1728f1f5b43272f0100b2a920ba762d4d721916c8a137d8733f8063e644d2936",
+    "count-xor-exact": "bb1721f4dff71a87a7f8bc3ffd40d7a2a61c6c5f837962fd3680c1a04e3a774f",
+    "count-xor-exact-inconsistent": "578c632e17ccbb6ec69c78e99e34981b86796b17097f58c116bc0b927ee1624e",
     "indset": "af2fb0f20038de4da6c6d0c638e316b3d289ea9c1e53b2a24e39b6b077a52560",
     "indset-n26": "f2c06accfe583bff88e0a498255bc373753d72137554e1d3a564b9094a5a90da",
     "indset-threshold-size": "4dae1449d3dc6437443c00ff812f2550862368791d6a4e03eb9d690da7959b9a",
@@ -237,6 +242,8 @@ def test_oracle_cases_reach_the_edge_values(measured):
     oracles = measured["oracles"]
     assert oracles["clusters"]["exact_value"]["num_solutions"] >= 2
     assert oracles["bias-none"]["exact_value"] is None
+    assert oracles["count-xor-exact"]["exact_value"] == 4
+    assert oracles["count-xor-exact-inconsistent"]["exact_value"] == 0
 
 
 def _measure(case) -> dict:

@@ -6,6 +6,7 @@ import pytest
 from conftest import batch_xor_counts, petersen_graph, xor_sign_table, xor_violations
 from solgeo import oracle
 from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificate
+from solgeo.cli import main
 from solgeo.instances import (
     MultiGraph,
     Predicate,
@@ -13,11 +14,14 @@ from solgeo.instances import (
     UnsignedHypergraph,
     XorInstance,
     evaluate,
+    instance_doc,
+    read_instance,
     sample_goe,
     sample_signed_hypergraph,
     signs_to_index,
     violation_budget,
 )
+from solgeo.jsonio import read_json, write_json
 from solgeo.oracle import (
     OracleResult,
     brute_clusters,
@@ -54,19 +58,45 @@ def test_brute_count_agrees_with_gaussian():
         I = sample_signed_hypergraph(2, n, m, seed=trial).to_xor()
         if I.m == 0:
             continue
-        assert brute_count(I, None, 0.0).exact_value == gaussian_count(I).exact_value
+        # the enumeration itself: brute_count at eta 0 is GF(2) elimination too
+        assert gaussian_count(I) == int(np.count_nonzero(violation_profile(I) == 0))
+
+
+def test_brute_count_takes_gf2_elimination_exactly_at_budget_0(monkeypatch):
+    I = sample_signed_hypergraph(3, 12, 40, seed=2).to_xor()
+    calls = []
+
+    def counted(name):
+        real = getattr(oracle, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("violation_profile", "gaussian_count"):
+        monkeypatch.setattr(oracle, name, counted(name))
+    for eta, path in [(0.0, "gaussian_count"), (0.02, "gaussian_count"),
+                      (0.025, "violation_profile"), (0.3, "violation_profile")]:
+        calls.clear()
+        brute_count(I, None, eta)
+        assert calls == [path], (eta, violation_budget(eta, I.m))
+    # a csp file stays on the enumeration under the parity predicate too
+    calls.clear()
+    brute_count(I.to_signed(), Predicate.parity(3), 0.0)
+    assert calls == ["violation_profile"]
 
 
 def test_gaussian_triangle_cases():
-    assert gaussian_count(triangle_xor((1, 1, 1))).exact_value == 2
-    assert gaussian_count(triangle_xor((1, 1, -1))).exact_value == 0
-    assert gaussian_count(XorInstance(2, 5, [], [])).exact_value == 32
+    assert gaussian_count(triangle_xor((1, 1, 1))) == 2
+    assert gaussian_count(triangle_xor((1, 1, -1))) == 0
+    assert gaussian_count(XorInstance(2, 5, [], [])) == 32
 
 
 def test_gaussian_handles_repeated_variables():
     # x_0 * x_0 = -1 is contradictory; = +1 is vacuous
-    assert gaussian_count(XorInstance(2, 3, [(0, 0)], [-1])).exact_value == 0
-    assert gaussian_count(XorInstance(2, 3, [(0, 0)], [1])).exact_value == 8
+    assert gaussian_count(XorInstance(2, 3, [(0, 0)], [-1])) == 0
+    assert gaussian_count(XorInstance(2, 3, [(0, 0)], [1])) == 8
 
 
 def test_batch_xor_counts_matches_single():
@@ -332,7 +362,7 @@ def test_brute_subspace_matches_the_full_hypercube(n):
     for name, basis in bases.items():
         for e in (0.3, 0.9) if n > 12 else (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
             expected = reference_subspace_count(basis, e)
-            assert brute_subspace_count(basis, e).exact_value == expected, (name, e)
+            assert brute_subspace_count(basis, e) == expected, (name, e)
 
 
 def test_brute_subspace_is_exact_at_the_distances_of_coordinate_and_sign_bases():
@@ -344,12 +374,12 @@ def test_brute_subspace_is_exact_at_the_distances_of_coordinate_and_sign_bases()
         for r in range(1, n + 1):
             for k in range(max(r - 1, 0), min(r + 1, n) + 1):
                 res = brute_subspace_count(np.eye(n)[:, :r], math.sqrt((n - k) / n))
-                assert res.exact_value == (2**n if k <= r else 0), (n, r, k)
+                assert res == (2**n if k <= r else 0), (n, r, k)
         x0 = np.random.default_rng(n).choice([-1.0, 1.0], size=(n, 1))
         for k in range(n + 1):
             expected = sum(math.comb(n, j) for j in range(n + 1) if j * (n - j) <= k * (n - k))
             res = brute_subspace_count(x0, 2.0 * math.sqrt(k * (n - k)) / n)
-            assert res.exact_value == expected, (n, k)
+            assert res == expected, (n, k)
 
 
 def test_brute_subspace_refuses_a_negative_eps():
@@ -360,8 +390,8 @@ def test_brute_subspace_refuses_a_negative_eps():
 
 def test_brute_subspace_full_and_zero():
     n = 8
-    assert brute_subspace_count(np.eye(n), 0.1).exact_value == 2**n
-    assert brute_subspace_count(np.zeros((n, 0)), 0.9).exact_value == 0
+    assert brute_subspace_count(np.eye(n), 0.1) == 2**n
+    assert brute_subspace_count(np.zeros((n, 0)), 0.9) == 0
 
 
 def test_verify_count_certificate():
@@ -556,7 +586,7 @@ def test_array_oracle_matches_tuple_reference(I):
             continue
         assert np.array_equal(xor_sign_table(J.hypergraph()),
                               reference_sign_table(J.hypergraph()))
-        assert gaussian_count(J).exact_value == reference_gaussian_count(J)
+        assert gaussian_count(J) == reference_gaussian_count(J)
         if scans:
             solutions = np.flatnonzero(expected <= violation_budget(0.1, I.m))
             assert brute_count(J, None, 0.1).exact_value == len(solutions)
@@ -607,7 +637,7 @@ def test_gaussian_count_is_exact_past_64_variables(n, density):
     free = 5
     I, unused = planted_xor(n, int(density * n), free, seed=n)
     assert I.vars.max() >= 64
-    count = gaussian_count(I).exact_value
+    count = gaussian_count(I)
     assert count == reference_gaussian_count(I)
     # consistent, and the unused variables are free
     assert count >= 1 << free and count % (1 << free) == 0
@@ -615,4 +645,28 @@ def test_gaussian_count_is_exact_past_64_variables(n, density):
     cycle = [int(v) for v in np.setdiff1d(np.arange(n), unused)[[3, 40, 70, -1]]]
     edges = list(zip(cycle, cycle[1:] + cycle[:1]))
     plus = XorInstance(2, n, I.vars[:, :2].tolist() + edges, [1] * I.m + [1, 1, 1, -1])
-    assert gaussian_count(plus).exact_value == reference_gaussian_count(plus) == 0
+    assert gaussian_count(plus) == reference_gaussian_count(plus) == 0
+
+
+@pytest.mark.parametrize("n, m", [(100, 3000), (400, 14494)])
+def test_count_oracle_checks_eta_0_certificates_past_enumeration(tmp_path, capsys, n, m):
+    # the count oracle once stopped at n = 24; a planted signing has
+    # 2^(n - rank) solutions, a random one this dense has none
+    random = tmp_path / "random.json"
+    assert main(["gen", "--kind", "xor", "-k", "3", "-n", str(n), "-m", str(m),
+                 "--seed", "1", "--out", str(random)]) == 0
+    V = read_instance(str(random)).vars
+    x = np.random.default_rng(n).choice(np.array([-1, 1]), size=n)
+    J, planted = XorInstance(3, n, V, x[V].prod(axis=1)), tmp_path / "planted.json"
+    write_json(str(planted), instance_doc(J))
+    cert = tmp_path / "cert.json"
+    assert main(["certify", "--kind", "count", "--instance", str(random), "--out", str(cert)]) == 0
+    solutions = reference_gaussian_count(J)
+    assert solutions >= 1
+    for path, expected in [(planted, solutions), (random, 0)]:
+        res = tmp_path / "oracle.json"
+        assert main(["oracle", "--kind", "count", "--instance", str(path), "--out", str(res)]) == 0
+        assert read_json(str(res))["exact_value"] == expected
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(cert), "--oracle", str(res)]) == 0
+        assert capsys.readouterr().out == "sound\n"

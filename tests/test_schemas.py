@@ -11,7 +11,7 @@ import pytest
 from solgeo import schemas
 from solgeo.instances import SignedHypergraph, UnsignedHypergraph, XorInstance, instance_doc
 from solgeo.jsonio import canonical_json
-from solgeo.oracle import OracleResult
+from solgeo.oracle import PAIRINGS, OracleResult
 from test_certificates import SHA, samples
 
 VARS = [[0, 1, 2], [1, 3, 4]]
@@ -122,3 +122,13 @@ def test_schemas_derived_from_the_types_hold_what_the_readers_demand(name, key, 
         doc[key] = value
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate(doc, schema)
+
+
+def test_oracle_kinds_are_those_a_certificate_pairs_with():
+    # the hand-written list also named gauss-count and subspace-count,
+    # results no certificate pairs with
+    paired = {row.oracle_kind for row in PAIRINGS.values()} - {None}
+    assert set(schemas.ORACLE_RESULT["properties"]["kind"]["enum"]) == paired
+    for kind in ("gauss-count", "subspace-count"):
+        with pytest.raises(ValueError, match="no schema"):
+            schemas.schema_for({"kind": kind, "exact_value": 0, "enumeration_size": 1})
