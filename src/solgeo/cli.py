@@ -467,10 +467,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # looked up on each call: a wrapper set over a cmd_* after the parser is built runs
         return globals()[f"cmd_{args.command}"](args)
-    except (ValueError, OSError, KeyError) as exc:  # OSError: a path that cannot be read or written
+    except (ValueError, OSError) as exc:  # OSError: a path that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:  # a bug: every expected failure is a ValueError or OSError
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -87,11 +87,10 @@ def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], f
 
 @dataclass(frozen=True)
 class Predicate:
-    """A k-ary Boolean predicate, not identically 1, with its Fourier table."""
+    """A k-ary Boolean predicate, not identically 1, given by its truth table."""
 
     k: int
     table: tuple[int, ...]
-    fourier: dict[tuple[int, ...], float] = field(compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -102,8 +101,6 @@ class Predicate:
             raise ValueError("truth table entries must be 0/1")
         if all(v == 1 for v in self.table):
             raise ValueError("the constant-1 predicate is not allowed")
-        if self.fourier is None:
-            object.__setattr__(self, "fourier", fourier_transform(self.table, self.k))
 
     def value(self, z: Sequence[int]) -> int:
         return self.table[signs_to_index(z)]

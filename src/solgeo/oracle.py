@@ -135,13 +135,16 @@ def gaussian_count(I: XorInstance) -> int:
 
 def brute_count(I: SignedHypergraph | XorInstance, P: Predicate | None, eta: float) -> OracleResult:
     """Exact count of (1-eta)-satisfying assignments: by GF(2) elimination,
-    at any n, for an XOR instance none of whose clauses may be violated;
-    by full enumeration otherwise.  The count of an XOR instance binds its
-    hypergraph, as count certificates, which hold for every signing, do."""
+    at any n, for an XOR instance, or a CSP instance under the parity
+    predicate (clause (c, S) demanding prod(x[S]) == prod(c)), none of
+    whose clauses may be violated; by full enumeration otherwise.  The
+    count of an XOR instance binds its hypergraph, as count certificates,
+    which hold for every signing, do; a CSP instance's binds itself."""
     if I.m == 0:
         raise ValueError("cannot count satisfiers of an empty instance")
-    if isinstance(I, XorInstance) and violation_budget(eta, I.m) == 0:
-        count = gaussian_count(I)
+    if violation_budget(eta, I.m) == 0 and (
+            isinstance(I, XorInstance) or P == Predicate.parity(I.k)):
+        count = gaussian_count(I if isinstance(I, XorInstance) else I.to_xor())
     else:
         count = len(_satisfiers(I, P, eta))
     bound = I.hypergraph() if isinstance(I, XorInstance) else I

@@ -8,16 +8,15 @@ Each consumed number is ``proved_bound``: an estimate shifted by
 ``eig_slack`` in the direction its consumer reads it, then *proved*.
 ``prove_side`` is the one proof: a Cholesky factorization of the shifted
 matrix, with a margin that covers its own rounding and the rounding made
-while forming the matrix.  ``proved_extreme`` is the one estimate-and-prove
-entry; ``demeaned_norm`` takes its estimate by the same rule when it proves
-a sparse graph's norm on the square.  The estimate is the caller's or
-comes from ``np.linalg.eigvalsh``, except that graphs with at least
-``ITERATIVE_MIN_N`` vertices take it from Lanczos on a sparse
-matrix-vector product (``_lanczos_extremes``) and fall back to
-``eigvalsh`` only when that estimate fails its proof.  Where an
-estimate comes from never decides soundness: the proof does, and only of
-the side its consumer reads.  A failed proof of the caller's or the
-``eigvalsh`` value raises ``EigensolverError``.
+while forming the matrix.  ``proved_extreme`` is the one step from an
+estimate to a recorded, proved value: it takes the caller's proof and the
+estimates to try in order.  An estimate comes from ``np.linalg.eigvalsh``,
+except that graphs with at least ``ITERATIVE_MIN_N`` vertices first try
+Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and
+fall back to ``eigvalsh`` only when that estimate fails its proof.  Where
+an estimate comes from never decides soundness: the proof does, and only
+of the side its consumer reads.  A failed proof of the last estimate
+raises ``EigensolverError``.
 
 Consumers and the side each one proves:
 
@@ -276,35 +275,33 @@ def _adjacency_matvec(G: MultiGraph) -> Callable[[np.ndarray], np.ndarray] | Non
     return lambda x: np.bincount(u, x[v], G.n) + np.bincount(v, x[u], G.n)
 
 
-def proved_extreme(B: np.ndarray, side: str, err: float = 0.0,
-                   matvec: Callable[[np.ndarray], np.ndarray] | None = None,
-                   estimate: tuple[float, float] | None = None,
+def proved_extreme(side: str, prove: Callable[[float], None],
+                   *estimates: Callable[[], tuple[float, float]],
                    within: tuple[float, float] | None = None) -> float:
-    """B's lambda_min ("min"), lambda_max ("max") or spectral norm ("norm")
-    as estimated, once ``prove_side`` has shown lambda_min > t, lambda_max
-    < t or |B|_2 < t for every symmetric matrix within ``err`` of B, t =
-    proved_bound(value, side, (lo, hi)).
+    """A lambda_min ("min"), lambda_max ("max") or spectral norm ("norm")
+    as estimated, once ``prove(t)`` has shown lambda_min > t, lambda_max <
+    t or norm < t, t = proved_bound(value, side, (lo, hi)).
 
-    (lo, hi) is the caller's ``estimate`` of B's extreme eigenvalues,
-    proved as given; without one, Lanczos on ``matvec`` (an operator equal
-    to B up to rounding) gives it, and ``eigvalsh(B)`` when there is no
-    matvec or that value fails its proof.  ``within`` = (a, b) states that
-    B's spectrum lies in [a, b]: (lo, hi) is clipped to it, the span is
-    (a, b), and "min" is not proved where t <= a, as lambda_min >= a >= t
-    holds there.
+    Each estimate returns (lo, hi), estimates of the extreme eigenvalues;
+    they are tried in order until one passes its proof, and the last one's
+    EigensolverError propagates.  ``within`` = (a, b) states that the
+    spectrum lies in [a, b]: (lo, hi) is clipped to it, the span is (a, b),
+    and "min" is not proved where t <= a, as lambda_min >= a >= t holds
+    there.
     """
-    if estimate is None and matvec is not None:
+    *fallible, last = estimates
+    for estimate in fallible:
         try:
-            return proved_extreme(B, side, err, None, _lanczos_extremes(matvec, B.shape[0]), within)
+            return proved_extreme(side, prove, estimate, within=within)
         except EigensolverError:
             pass
-    lo, hi = eigen_extremes(B) if estimate is None else estimate
+    lo, hi = last()
     if within is not None:
         lo, hi = map(float, np.clip((lo, hi), *within))
     value = {"min": lo, "max": hi, "norm": max(abs(lo), abs(hi))}[side]
     t = proved_bound(value, side, within or (lo, hi))
     if within is None or side != "min" or t > within[0]:
-        prove_side(B, side, t, err)
+        prove(t)
     return float(value)
 
 
@@ -324,7 +321,7 @@ def _lambda2_value(G: MultiGraph) -> float:
     v0 = D^(1/2) 1 spans the kernel of L; adding 2 P0 = 2 v0 v0^T/|v0|^2
     moves its eigenvalue to 2 and keeps lambda_2..lambda_n <= 2, so the
     spectrum of L + 2 P0 lies in [0, 2] with extremes lambda_2 and 2.
-    Without a matvec, lambda_2 is read off eigvalsh(L), second smallest.
+    Below ITERATIVE_MIN_N vertices, lambda_2 is read off eigvalsh(L), second smallest.
     """
     degrees = np.array(G.degrees, dtype=float)
     if degrees.min() == 0:
@@ -339,13 +336,16 @@ def _lambda2_value(G: MultiGraph) -> float:
     w = np.sqrt(degrees) * math.sqrt(2.0 / float(degrees.sum()))
     adjacency = _adjacency_matvec(G)
     if adjacency is None:
-        matvec, estimate = None, (np.linalg.eigvalsh(L)[min(1, n - 1)], 2.0)
+        estimate = (np.linalg.eigvalsh(L)[min(1, n - 1)], 2.0)
+        estimates = (lambda: estimate,)
     else:
-        matvec, estimate = lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x), None
+        matvec = lambda x: x - inv_sqrt * adjacency(inv_sqrt * x) + w * (w @ x)
+        estimates = (lambda: _lanczos_extremes(matvec, n), lambda: eigen_extremes(L))
     for lo in range(0, n, _ROW_BLOCK):  # L += w w^T
         L[lo:lo + _ROW_BLOCK] += w[lo:lo + _ROW_BLOCK, None] * w
-    return proved_extreme(L, "min", 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0),
-                          matvec, estimate, LAPLACIAN_RANGE)
+    err = 16.0 * UNIT_ROUNDOFF * (math.sqrt(n) + 2.0)
+    return proved_extreme("min", lambda t: prove_side(L, "min", t, err), *estimates,
+                          within=LAPLACIAN_RANGE)
 
 
 def demeaned_adjacency(G: MultiGraph) -> tuple[np.ndarray, float]:
@@ -408,36 +408,30 @@ def demeaned_square(G: MultiGraph) -> tuple[np.ndarray, float]:
 def demeaned_norm(G: MultiGraph) -> float:
     """Operator norm of A - (d_avg/n) J, multiplicities counted.
 
-    The estimate (lo, hi) and the value max(|lo|, |hi|) are
-    ``proved_extreme``'s for "norm".  A graph with at most n^2 neighbour
-    pairs (sum of d_v^2) proves |Abar|_2 < t in one factorization, as
-    lambda_max < fl(t t) on ``demeaned_square``, Abar^2 >= 0 making that
-    one side the whole claim; u fl(t t) more in err covers the rounding of
-    t t.  Past n^2 pairs, assembling A^2 costs more than the second
-    factorization it saves, and the proof is "norm" on Abar.
+    The value is ``proved_extreme``'s for "norm".  A graph with at most
+    n^2 neighbour pairs (sum of d_v^2) proves |Abar|_2 < t in one
+    factorization, as lambda_max < fl(t t) on ``demeaned_square``, Abar^2
+    >= 0 making that one side the whole claim; u fl(t t) more in err covers
+    the rounding of t t, and Abar is built only for an eigvalsh estimate.
+    Past n^2 pairs, assembling A^2 costs more than the second factorization
+    it saves, and the proof is "norm" on Abar.
     """
     if G.m == 0:
         return 0.0
     _check_dense(G.n)
-    adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
-    matvec = None if adjacency is None else lambda x: adjacency(x) - q * x.sum()
     if sum(d * d for d in G.degrees) > G.n**2:
         Abar, err = demeaned_adjacency(G)
-        return proved_extreme(Abar, "norm", err, matvec)
-    C, err = demeaned_square(G)
-
-    def proved(lo: float, hi: float) -> float:
-        value = max(abs(lo), abs(hi))
-        t = proved_bound(value, "norm", (lo, hi))
-        prove_side(C, "max", t * t, err + UNIT_ROUNDOFF * (t * t))
-        return value
-
-    if matvec is not None:
-        try:
-            return proved(*_lanczos_extremes(matvec, G.n))
-        except EigensolverError:
-            pass
-    return proved(*eigen_extremes(demeaned_adjacency(G)[0]))
+        prove = lambda t: prove_side(Abar, "norm", t, err)
+        dense = lambda: eigen_extremes(Abar)
+    else:
+        C, err = demeaned_square(G)
+        prove = lambda t: prove_side(C, "max", t * t, err + UNIT_ROUNDOFF * (t * t))
+        dense = lambda: eigen_extremes(demeaned_adjacency(G)[0])
+    adjacency, q = _adjacency_matvec(G), G.average_degree() / G.n
+    if adjacency is None:
+        return proved_extreme("norm", prove, dense)
+    lanczos = lambda: _lanczos_extremes(lambda x: adjacency(x) - q * x.sum(), G.n)
+    return proved_extreme("norm", prove, lanczos, dense)
 
 
 def spectral_report(
@@ -495,4 +489,5 @@ def symmetric_spectrum(M: np.ndarray, side: str, err: float = 0.0) -> tuple[np.n
         raise ValueError(f"matrix must be symmetric: |M - M^T|_F = {asym:.3g} exceeds {limit:.3g}")
     vals = np.linalg.eigvalsh(B)
     span = (vals[0], vals[-1])
-    return vals, proved_bound(proved_extreme(B, side, err + asym, estimate=span), side, span)
+    value = proved_extreme(side, lambda t: prove_side(B, side, t, err + asym), lambda: span)
+    return vals, proved_bound(value, side, span)

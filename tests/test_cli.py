@@ -99,6 +99,16 @@ def test_command_is_looked_up_when_it_runs(tmp_path, monkeypatch):
     assert [(args.certificate, args.oracle) for args in calls] == [("c.json", "o.json")]
 
 
+def test_key_error_is_an_internal_error(monkeypatch, capsys):
+    # every reader names a missing field in a ValueError, so a KeyError is a bug
+    def broken(args):
+        raise KeyError("x")
+
+    monkeypatch.setattr(cli, "cmd_verify", broken)
+    assert run("verify", "--certificate", "c.json", "--oracle", "o.json") == cli.EXIT_INTERNAL == 4
+    assert capsys.readouterr().err == "internal error: 'x'\n"
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--out", "--certificate"])
 def test_directory_path_is_a_usage_error(tmp_path, capsys, flag):
     # each once exited 4 with "internal error: [Errno 21] Is a directory"

@@ -167,15 +167,17 @@ def test_regular_sampler_rejects():
 
 def test_ksat_fourier_k2():
     P = Predicate.ksat(2)
-    assert P.fourier[()] == pytest.approx(3 / 4)
+    fourier = fourier_transform(P.table, P.k)
+    assert fourier[()] == pytest.approx(3 / 4)
     for T in [(0,), (1,), (0, 1)]:
-        assert P.fourier[T] == pytest.approx(-1 / 4)
+        assert fourier[T] == pytest.approx(-1 / 4)
 
 
 def test_ksat_fourier_k3():
     P = Predicate.ksat(3)
-    assert P.fourier[()] == pytest.approx(7 / 8)
-    for T, coeff in P.fourier.items():
+    fourier = fourier_transform(P.table, P.k)
+    assert fourier[()] == pytest.approx(7 / 8)
+    for T, coeff in fourier.items():
         if T:
             assert coeff == pytest.approx(-1 / 8)
 
@@ -189,7 +191,7 @@ def test_ksat_truth_table():
 
 def test_predicate_plancherel():
     for P in (Predicate.ksat(3), Predicate.parity(3), Predicate.parity(4, -1)):
-        power = sum(c * c for c in P.fourier.values())
+        power = sum(c * c for c in fourier_transform(P.table, P.k).values())
         mean_sq = sum(v * v for v in P.table) / len(P.table)
         assert power == pytest.approx(mean_sq, abs=1e-9)
 
@@ -231,7 +233,8 @@ def test_predicate_fourier_unchanged_to_the_bit(k):
     table[k % len(table)] = 0  # not the constant-1 predicate
     for P in (Predicate.ksat(k), Predicate.parity(k), Predicate.parity(k, -1),
               Predicate(k, tuple(table.tolist()))):
-        assert every_bit(P.fourier) == every_bit(reference_fourier_transform(P.table, k))
+        assert every_bit(fourier_transform(P.table, P.k)) == every_bit(
+            reference_fourier_transform(P.table, k))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +268,8 @@ def test_evaluate_matches_fourier_pairing():
             continue
         x = rng.choice([-1, 1], size=8)
         table = density_table(I, x)
-        paired = sum(P.fourier[T] * table.fourier[T] for T in P.fourier)
+        fourier = fourier_transform(P.table, P.k)
+        paired = sum(fourier[T] * table.fourier[T] for T in fourier)
         assert evaluate(I, P, x) == pytest.approx(paired, abs=1e-9)
 
 

@@ -81,10 +81,47 @@ def test_brute_count_takes_gf2_elimination_exactly_at_budget_0(monkeypatch):
         calls.clear()
         brute_count(I, None, eta)
         assert calls == [path], (eta, violation_budget(eta, I.m))
-    # a csp file stays on the enumeration under the parity predicate too
-    calls.clear()
-    brute_count(I.to_signed(), Predicate.parity(3), 0.0)
-    assert calls == ["violation_profile"]
+    # a csp file under the parity predicate is the same XOR system; under
+    # another predicate it enumerates
+    for P, eta, path in [(Predicate.parity(3), 0.0, "gaussian_count"),
+                         (Predicate.parity(3), 0.3, "violation_profile"),
+                         (Predicate.parity(3, -1), 0.0, "violation_profile"),
+                         (Predicate.ksat(3), 0.0, "violation_profile")]:
+        calls.clear()
+        brute_count(I.to_signed(), P, eta)
+        assert calls == [path], (P, eta)
+
+
+def test_parity_csp_count_agrees_with_enumeration():
+    # prod over the clause of c_i x_i = 1 is prod(x[S]) = prod(c): the XOR
+    # system I.to_xor(), counted by GF(2) elimination, bound to the csp file
+    cases = 0
+    for k in (2, 3, 4):
+        for n in range(k + 1, 15):
+            for m in (n // 2, n, 2 * n):
+                I = sample_signed_hypergraph(k, n, m, seed=100 * k + n + m)
+                if I.m == 0:
+                    continue
+                P = Predicate.parity(k)
+                res = brute_count(I, P, 0.0)
+                assert res.exact_value == int(np.count_nonzero(violation_profile(I, P) == 0))
+                assert res.instance_sha256 == I.sha256()
+                cases += 1
+    assert cases >= 90
+
+
+def test_parity_count_of_a_csp_file_runs_past_enumeration(tmp_path):
+    # the count oracle once enumerated a csp file under --predicate xor and
+    # refused it past n = 24
+    inst, res = tmp_path / "inst.json", tmp_path / "oracle.json"
+    assert main(["gen", "--kind", "csp", "-k", "3", "-n", "100", "-m", "3000", "--seed", "1",
+                 "--out", str(inst)]) == 0
+    assert main(["oracle", "--kind", "count", "--predicate", "xor", "--instance", str(inst),
+                 "--out", str(res)]) == 0
+    I = read_instance(str(inst))
+    doc = read_json(str(res))
+    assert doc["exact_value"] == gaussian_count(I.to_xor())
+    assert doc["instance_sha256"] == I.sha256()
 
 
 def test_gaussian_triangle_cases():

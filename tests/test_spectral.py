@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -481,6 +482,63 @@ def test_consumers_read_the_proved_bound(monkeypatch, consumer):
     got, expected = case(monkeypatch)
     assert proved[0][0] == side  # "norm" goes on to prove "max" and "min"
     assert got == expected(proved[0][1])
+
+
+# ---------------------------------------------------------------------------
+# proved_extreme: the one step from estimates to a proved value
+# ---------------------------------------------------------------------------
+
+def recording_proof(proved: list, holds_from: float):
+    """A proof of lambda_max < t that records each t and holds from ``holds_from`` on."""
+    def prove(t):
+        proved.append(t)
+        if t < holds_from:
+            raise EigensolverError(f"lambda_max < {t!r} failed")
+    return prove
+
+
+def recording_estimate(calls: list, name: str, lo: float, hi: float):
+    return lambda: calls.append(name) or (lo, hi)
+
+
+def test_proved_extreme_takes_the_first_estimate_that_passes():
+    calls, proved = [], []
+    estimates = [recording_estimate(calls, name, -1.0, hi)
+                 for name, hi in [("low", 3.0), ("passes", 5.0), ("later", 6.0)]]
+    assert spectral.proved_extreme("max", recording_proof(proved, 5.0), *estimates) == 5.0
+    assert calls == ["low", "passes"]  # tried in order; once one passes, the rest never run
+    assert proved == [spectral.proved_bound(3.0, "max", (-1.0, 3.0)),
+                      spectral.proved_bound(5.0, "max", (-1.0, 5.0))]
+    # "norm" reads the larger magnitude, whichever end it lies at
+    calls.clear()
+    norm = spectral.proved_extreme("norm", recording_proof([], 0.0),
+                                   recording_estimate(calls, "only", -7.0, 2.0))
+    assert (norm, calls) == (7.0, ["only"])
+
+
+def test_proved_extreme_raises_the_last_estimates_error():
+    calls, proved = [], []
+    estimates = [recording_estimate(calls, name, -1.0, hi) for name, hi in [("a", 3.0), ("b", 4.0)]]
+    last = spectral.proved_bound(4.0, "max", (-1.0, 4.0))
+    with pytest.raises(EigensolverError, match=re.escape(f"lambda_max < {last!r} failed")):
+        spectral.proved_extreme("max", recording_proof(proved, 5.0), *estimates)
+    assert calls == ["a", "b"]
+    assert proved[-1] == last
+
+
+def test_proved_extreme_within_clips_and_skips_min_at_the_floor():
+    proved = []
+    prove = recording_proof(proved, -math.inf)
+    # the estimate is clipped to [0, 2]; a "min" at t <= 0 needs no proof
+    for lo in (-0.5, 0.0, 1e-9):
+        value = spectral.proved_extreme("min", prove, lambda: (lo, 2.5), within=(0.0, 2.0))
+        assert value == max(lo, 0.0)
+    assert proved == []
+    assert spectral.proved_extreme("min", prove, lambda: (0.7, 2.5), within=(0.0, 2.0)) == 0.7
+    assert spectral.proved_extreme("max", prove, lambda: (0.7, 2.5), within=(0.0, 2.0)) == 2.0
+    # the span is (a, b), not the estimate
+    assert proved == [spectral.proved_bound(0.7, "min", (0.0, 2.0)),
+                      spectral.proved_bound(2.0, "max", (0.0, 2.0))]
 
 
 def test_report_builds_adjacency_once_per_quantity(monkeypatch):
