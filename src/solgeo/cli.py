@@ -85,13 +85,6 @@ def _balance_csp(I: SignedHypergraph, a):
     return geometry.certify_balance_kcsp(I, P, rho)
 
 
-def _balance_xor(I: XorInstance, a):
-    rho = _required(a, "rho")
-    if I.k < 4:
-        raise ValueError("balance certification needs a csp or k>=4 xor instance")
-    return geometry.certify_balance_kxor(I, rho)
-
-
 def _indset_threshold(G: MultiGraph, a) -> int:
     if a.threshold_size is not None:
         return a.threshold_size
@@ -143,7 +136,10 @@ KINDS = {
         },
     ),
     "balance": Kind(
-        certifiers={SignedHypergraph: _balance_csp, XorInstance: _balance_xor},
+        certifiers={
+            SignedHypergraph: _balance_csp,
+            XorInstance: lambda I, a: geometry.certify_balance_kxor(I, _required(a, "rho")),
+        },
         oracles={
             XorInstance: lambda I, a: oracle.brute_max_bias(I, None, a.eta),
             SignedHypergraph: lambda I, a: oracle.brute_max_bias(I, _predicate(a, I), a.eta),

@@ -23,7 +23,6 @@ from .instances import (
     XorInstance,
     Predicate,
     clause_split,
-    csp_to_ksat,
     violation_budget,
 )
 from .refuter import kxor_principle
@@ -255,26 +254,20 @@ def certify_count_kxor(
     return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps))
 
 
-def _ksat_bound(I: SignedHypergraph, eta: float, eps: float) -> _BoundResult:
-    """The XOR principle step: convert I's SAT slack into an XOR slack,
-    then bound with the signing-independent kXOR recursion."""
-    if I.k < 3:
-        raise ValueError("kSAT counting requires k >= 3")
-    if I.m == 0:
-        raise ValueError("cannot certify an empty instance")
-    principle = kxor_principle(I, eta)
-    principle_check = CheckRecord(
-        "xor-principle-nontrivial", principle.eta_x, 1.0, principle.eta_x < 1.0
-    )
+def _ksat_bound(I: SignedHypergraph, P: Predicate, eta: float, eps: float) -> _BoundResult:
+    """The XOR principle step: convert I's slack under P into an XOR
+    slack, then bound with the signing-independent kXOR recursion."""
+    principle = kxor_principle(I, P)
+    check = principle.check(eta)
     transcript = {
-        "quasirandom_eps": principle.eps,
-        "eta_x": principle.eta_x,
+        "quasirandom_eps": principle.quasirandomness.eps,
+        "eta_x": check.measured,
         "quasirandomness": principle.quasirandomness.to_json_dict(),
     }
-    if not principle_check.passed:
-        return _fallback(I.n, (principle_check,), transcript)
-    res = _kxor_budget(I.hypergraph(), violation_budget(principle.eta_x, I.m), eps)
-    return _BoundResult(res.log2_bound, (principle_check,) + res.checks, res.trace,
+    if not check.passed:
+        return _fallback(I.n, (check,), transcript)
+    res = _kxor_budget(principle.instance.hypergraph(), violation_budget(check.measured, I.m), eps)
+    return _BoundResult(res.log2_bound, (check,) + res.checks, res.trace,
                         {**transcript, **res.transcript})
 
 
@@ -284,7 +277,7 @@ def certify_count_ksat(
     """Certificate on the number of (1-eta)-satisfying assignments of I as
     a kSAT instance: the XOR principle converts the SAT slack into an XOR
     slack, then the signing-independent kXOR certifier takes over."""
-    return _count_certificate(I, eta, _ksat_bound(I, eta, eps))
+    return _count_certificate(I, eta, _ksat_bound(I, Predicate.ksat(I.k), eta, eps))
 
 
 def certify_count_kcsp(
@@ -292,7 +285,7 @@ def certify_count_kcsp(
 ) -> CountCertificate:
     """Certificate on (1-eta)-satisfiers of I under an arbitrary predicate,
     via composition with a fixed non-satisfying string of P."""
-    res = _ksat_bound(csp_to_ksat(I, P), eta, eps)
+    res = _ksat_bound(I, P, eta, eps)
     res.transcript["reduction_string"] = list(P.first_unsatisfying())
     return _count_certificate(I, eta, res)
 

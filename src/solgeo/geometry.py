@@ -210,19 +210,13 @@ def certify_clusters_3csp(
     then certify the underlying hypergraph."""
     if I.k != 3 or P.k != 3:
         raise ValueError("3CSP cluster certification requires arity 3")
-    if I.m == 0:
-        raise ValueError("cannot certify an empty instance")
-    reduced = csp_to_ksat(I, P)
-    principle = kxor_principle(reduced, eta)
-    transcript = {
-        "quasirandom_eps": principle.eps,
-        "eta_x": principle.eta_x,
-    }
-    if principle.eta_x >= 1.0:
-        check = CheckRecord("xor-principle-nontrivial", principle.eta_x, 1.0, False)
+    principle = kxor_principle(I, P)
+    check = principle.check(eta)
+    transcript = {"quasirandom_eps": principle.quasirandomness.eps, "eta_x": check.measured}
+    if not check.passed:
         theta_steps, evidence = None, {"primal_report": {}, "checks": (check,)}
     else:
-        theta_steps, evidence = _cluster_step(reduced.hypergraph(), principle.eta_x, c0)
+        theta_steps, evidence = _cluster_step(principle.instance.hypergraph(), check.measured, c0)
         transcript.update(evidence["transcript"])
     return _cluster_certificate(I, eta, theta_steps, {**evidence, "transcript": transcript})
 
@@ -386,7 +380,7 @@ def certify_balance_kxor(I: XorInstance, rho: float) -> BalanceCertificate | Non
     """Certify that no sufficiently biased assignment nearly satisfies the
     kXOR instance, or decline (see ``_balance_kxor_step``)."""
     if I.k < 4:
-        raise ValueError("kXOR balance certification requires k >= 4")
+        raise ValueError("balance certification needs a csp or k>=4 xor instance")
     fields = _balance_kxor_step(I, rho)
     if fields is None:
         return None
@@ -403,19 +397,17 @@ def certify_balance_kcsp(
         raise ValueError("kCSP balance certification requires matching k >= 4")
     if I.m == 0:
         raise ValueError("cannot certify an empty instance")
-    reduced = csp_to_ksat(I, P)
-    fields = _balance_kxor_step(reduced.to_xor(), rho)
+    # the step runs first, on its own composition: a declined run
+    # certifies no quasirandomness
+    fields = _balance_kxor_step(csp_to_ksat(I, P).to_xor(), rho)
     if fields is None:
         return None
-    principle = kxor_principle(reduced, 0.0)
-    # largest SAT slack whose implied XOR slack stays under the certificate
-    scale = 2.0 ** (I.k - 1)
+    principle = kxor_principle(I, P)
     eta_xor = fields["eta"]
-    eta_p = (eta_xor - (scale - 1.0) * principle.eps) / scale
-    if eta_p <= 0:
+    eta = principle.max_eta(eta_xor)
+    if eta <= 0:
         return None
-    fields["transcript"].update(
-        quasirandom_eps=principle.eps, eta_xor=eta_xor, eta_asymptotic_rule=rho**I.k / 2.0
-    )
-    fields.update(eta=eta_p * (1.0 - 1e-9), violated_fraction_bound=eta_p)
+    fields["transcript"].update(quasirandom_eps=principle.quasirandomness.eps, eta_xor=eta_xor,
+                                eta_asymptotic_rule=rho**I.k / 2.0)
+    fields.update(eta=eta * (1.0 - 1e-9), violated_fraction_bound=eta)
     return BalanceCertificate(n=I.n, instance_sha256=I.sha256(), **fields)

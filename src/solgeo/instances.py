@@ -1,5 +1,5 @@
 """Instance types for random CSPs: signed hypergraphs, XOR instances,
-predicates, local distributions, multigraphs, and their samplers.
+predicates, multigraphs, and their samplers.
 
 Conventions used throughout the package:
 
@@ -16,7 +16,7 @@ import math
 import warnings
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -44,7 +44,7 @@ def violation_budget(eta: float, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Fourier analysis over the k-dimensional hypercube
+# Sign vectors
 # ---------------------------------------------------------------------------
 
 def signs_to_index(z: Sequence[int]) -> int:
@@ -59,30 +59,6 @@ def signs_to_index(z: Sequence[int]) -> int:
 
 def index_to_signs(idx: int, k: int) -> tuple[int, ...]:
     return tuple(-1 if (idx >> i) & 1 else 1 for i in range(k))
-
-
-def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Transform the contiguous length-2^k array ``a`` in place to
-    sum_x a[x] * (-1)^|x & T| at each index T, and return it; exact on an
-    integer array."""
-    h = 1
-    while h < len(a):
-        pairs = a.reshape(-1, 2, h)
-        low = pairs[:, 0].copy()
-        pairs[:, 0] += pairs[:, 1]
-        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
-        h *= 2
-    return a
-
-
-def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], float]:
-    """Fourier coefficients f_hat(T) = E_z[f(z) * prod_{i in T} z_i] of a
-    function given as a table indexed by the sign-vector encoding."""
-    if len(table) != 1 << k:
-        raise ValueError("table length must be 2^k")
-    coeffs = _walsh_hadamard(np.array(table, dtype=float)) / (1 << k)
-    return {tuple(i for i in range(k) if (mask >> i) & 1): c
-            for mask, c in enumerate(coeffs.tolist())}
 
 
 @dataclass(frozen=True)
@@ -464,16 +440,6 @@ class MultiGraph:
         return sha256_of(rendered_doc(self))
 
 
-@dataclass(frozen=True)
-class DensityTable:
-    """The local distribution of sign patterns c o x_S over the clauses of
-    an instance, scaled by 2^k, together with its Fourier coefficients."""
-
-    k: int
-    values: dict[tuple[int, ...], float]
-    fourier: dict[tuple[int, ...], float]
-
-
 # ---------------------------------------------------------------------------
 # Random samplers (pure functions of parameters and seed)
 # ---------------------------------------------------------------------------
@@ -588,7 +554,7 @@ def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) ->
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and local Fourier data
+# Evaluation
 # ---------------------------------------------------------------------------
 
 def _pattern_indices(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -608,21 +574,8 @@ def evaluate(I: SignedHypergraph, P: Predicate, x: Sequence[int] | np.ndarray) -
     return int(np.asarray(P.table)[_pattern_indices(I, x)].sum()) / I.m
 
 
-def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> DensityTable:
-    """Local distribution D_{I,x} (density scaled by 2^k) and its Fourier
-    coefficients; D_hat(empty) == 1 by normalization."""
-    if I.m == 0:
-        raise ValueError("cannot build the density table of an empty instance")
-    k = I.k
-    counts = np.bincount(_pattern_indices(I, x), minlength=1 << k).astype(float)
-    table = counts * ((1 << k) / I.m)
-    values = {index_to_signs(idx, k): float(table[idx]) for idx in range(1 << k)}
-    fourier = fourier_transform(table.tolist(), k)
-    return DensityTable(k, values, fourier)
-
-
 # ---------------------------------------------------------------------------
-# Induced / truncated / primal constructions
+# Clause splits, primal graphs and reductions
 # ---------------------------------------------------------------------------
 
 def clause_split(
@@ -638,30 +591,6 @@ def clause_split(
     order = np.argsort(~member[rows], axis=1, kind="stable")
     parts = np.take_along_axis(V[rows], order, axis=1)
     return rows, parts[:, :inside], parts[:, inside:]
-
-
-def induced_xor(
-    I: XorInstance, S: Iterable[int], sigma: Mapping[int, int], t: int
-) -> XorInstance:
-    """The induced tXOR instance: clauses with exactly k-t variables in S
-    are projected onto their non-S variables, with the rhs multiplied by
-    the sigma-values of the dropped S-variables."""
-    if not (1 <= t <= I.k - 1):
-        raise ValueError(f"t must be in [1, k-1], got {t}")
-    rows, in_part, out_part = clause_split(I.vars, S, I.k - t)
-    # a variable of S without a sigma-value leaves a 0 rhs, which is refused
-    values = np.zeros(I.n, dtype=np.int64)
-    values[list(sigma)] = list(sigma.values())
-    return XorInstance(t, I.n, out_part, I.rhs[rows] * values[in_part].prod(axis=1))
-
-
-def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
-    """The truncated (k-t)XOR instance on S: same clause selection as the
-    induced instance, but keeping the S-variables and the original rhs."""
-    if not (1 <= arity <= I.k - 1):
-        raise ValueError(f"truncated arity must be in [1, k-1], got {arity}")
-    rows, in_part, _ = clause_split(I.vars, S, arity)
-    return XorInstance(arity, I.n, in_part, I.rhs[rows])
 
 
 def primal_graph(H: UnsignedHypergraph) -> MultiGraph:

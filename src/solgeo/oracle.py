@@ -32,7 +32,6 @@ from .instances import (
     Predicate,
     SignedHypergraph,
     XorInstance,
-    _walsh_hadamard,
     rendered_doc,
     row_groups,
     violation_budget,
@@ -72,6 +71,20 @@ def _enumerable(n: int) -> int:
     if n > 24:
         raise ValueError("enumeration limited to n <= 24")
     return 1 << n
+
+
+def _walsh_hadamard(a: np.ndarray) -> np.ndarray:
+    """Transform the contiguous length-2^k array ``a`` in place to
+    sum_x a[x] * (-1)^|x & T| at each index T, and return it; exact on an
+    integer array."""
+    h = 1
+    while h < len(a):
+        pairs = a.reshape(-1, 2, h)
+        low = pairs[:, 0].copy()
+        pairs[:, 0] += pairs[:, 1]
+        np.subtract(low, pairs[:, 1], out=pairs[:, 1])
+        h *= 2
+    return a
 
 
 def violation_profile(

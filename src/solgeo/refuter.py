@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .instances import SignedHypergraph, row_groups
+from .certificates import CheckRecord
+from .instances import Predicate, SignedHypergraph, csp_to_ksat, row_groups
 from .jsonio import JsonRecord
 from .spectral import UNIT_ROUNDOFF, eigen_extremes, prove_side
 
@@ -208,33 +209,47 @@ def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertifica
 
 
 @dataclass(frozen=True)
-class XorPrincipleBound:
-    """Certified statement: every (1-eta)-satisfying assignment of a kSAT
-    instance XOR-satisfies at least ``fraction_lower_bound`` of its clauses
-    (equivalently XOR-violates at most an ``eta_x`` fraction)."""
+class XorPrinciple:
+    """Certified implication for a CSP instance I under a predicate P: every
+    (1-eta)-satisfier of I under P violates at most an ``eta_x(eta)``
+    fraction of the XOR clauses prod(x_S) = -prod(c) of ``instance``, I
+    composed with P's first zero, once ``quasirandomness`` bounds the lower
+    Fourier coefficients of its local distribution D by eps.
 
-    k: int
-    eta: float
-    eps: float
-    eta_x: float
-    fraction_lower_bound: float
+    A clause of ``instance`` is violated under kSAT where c o x_S is
+    all-plus, so the violated fraction 2^-k sum_T D_hat(T) is at most eta
+    and D_hat([k]) <= 2^k eta - 1 + (2^k - 2) eps.  The clauses with
+    prod(c o x_S) = +1 make up (1 + D_hat([k])) / 2 of them.  Flipping
+    every rhs changes no certificate that reads the XOR form (the counts
+    and clusters hold for every signing, the balance step bounds |p|),
+    so the readers take ``instance.to_xor()``.
+    """
+
+    instance: SignedHypergraph
     quasirandomness: QuasirandomnessCertificate
 
+    def eta_x(self, eta: float) -> float:
+        if eta < 0:
+            raise ValueError("eta must be nonnegative")
+        scale = 2.0 ** (self.instance.k - 1)
+        return scale * eta + (scale - 1.0) * self.quasirandomness.eps
 
-def kxor_principle(I: SignedHypergraph, eta: float) -> XorPrincipleBound:
-    """Lower bound the XOR-satisfied fraction of any (1-eta)-satisfying
-    assignment of I read as a kSAT instance.
+    def max_eta(self, eta_x: float) -> float:
+        """The largest eta whose ``eta_x(eta)`` stays at or under ``eta_x``
+        in exact arithmetic; negative when the quasirandomness error alone
+        exceeds it."""
+        scale = 2.0 ** (self.instance.k - 1)
+        return (eta_x - (scale - 1.0) * self.quasirandomness.eps) / scale
 
-    From the SAT objective's Fourier expansion, the top coefficient obeys
-    D_hat([k]) >= 1 - 2^k eta - (2^k - 2) eps once every lower-order
-    coefficient is certified to be at most eps in magnitude; the XOR
-    fraction is (1 + D_hat([k])) / 2.
-    """
+    def check(self, eta: float) -> CheckRecord:
+        eta_x = self.eta_x(eta)
+        return CheckRecord("xor-principle-nontrivial", eta_x, 1.0, eta_x < 1.0)
+
+
+def kxor_principle(I: SignedHypergraph, P: Predicate) -> XorPrinciple:
+    """The XOR principle for I under P: compose I with P's first zero and
+    certify the composed instance's quasirandomness once."""
     if I.k < 3:
         raise ValueError("the XOR principle requires k >= 3")
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    q = certify_quasirandom(I, I.k - 1)
-    eta_x = 2.0 ** (I.k - 1) * eta + (2.0 ** (I.k - 1) - 1.0) * q.eps
-    fraction = min(1.0, max(0.0, 1.0 - eta_x))
-    return XorPrincipleBound(I.k, eta, q.eps, eta_x, fraction, q)
+    reduced = csp_to_ksat(I, P)
+    return XorPrinciple(reduced, certify_quasirandom(reduced, I.k - 1))

@@ -1,5 +1,7 @@
 import itertools
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import pytest
@@ -10,9 +12,12 @@ from solgeo.instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
+    _pattern_indices,
+    clause_split,
+    index_to_signs,
     sample_signed_hypergraph,
 )
-from solgeo.oracle import clause_masks
+from solgeo.oracle import _walsh_hadamard, clause_masks
 from solgeo.refuter import SparsePolynomial
 
 
@@ -81,6 +86,63 @@ def batch_xor_counts(table: np.ndarray, signings: np.ndarray, budget: int) -> np
 def xor_violations(I: XorInstance, x) -> int:
     """Number of clauses of an XOR instance violated by x."""
     return int((np.asarray(x)[I.vars].prod(axis=1) != I.rhs).sum())
+
+
+def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], float]:
+    """Fourier coefficients f_hat(T) = E_z[f(z) * prod_{i in T} z_i] of a
+    function given as a table indexed by the sign-vector encoding."""
+    if len(table) != 1 << k:
+        raise ValueError("table length must be 2^k")
+    coeffs = _walsh_hadamard(np.array(table, dtype=float)) / (1 << k)
+    return {tuple(i for i in range(k) if (mask >> i) & 1): c
+            for mask, c in enumerate(coeffs.tolist())}
+
+
+@dataclass(frozen=True)
+class DensityTable:
+    """The local distribution of sign patterns c o x_S over the clauses of
+    an instance, scaled by 2^k, together with its Fourier coefficients."""
+
+    k: int
+    values: dict[tuple[int, ...], float]
+    fourier: dict[tuple[int, ...], float]
+
+
+def density_table(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> DensityTable:
+    """Local distribution D_{I,x} (density scaled by 2^k) and its Fourier
+    coefficients; D_hat(empty) == 1 by normalization."""
+    if I.m == 0:
+        raise ValueError("cannot build the density table of an empty instance")
+    k = I.k
+    counts = np.bincount(_pattern_indices(I, x), minlength=1 << k).astype(float)
+    table = counts * ((1 << k) / I.m)
+    values = {index_to_signs(idx, k): float(table[idx]) for idx in range(1 << k)}
+    fourier = fourier_transform(table.tolist(), k)
+    return DensityTable(k, values, fourier)
+
+
+def induced_xor(
+    I: XorInstance, S: Iterable[int], sigma: Mapping[int, int], t: int
+) -> XorInstance:
+    """The induced tXOR instance: clauses with exactly k-t variables in S
+    are projected onto their non-S variables, with the rhs multiplied by
+    the sigma-values of the dropped S-variables."""
+    if not (1 <= t <= I.k - 1):
+        raise ValueError(f"t must be in [1, k-1], got {t}")
+    rows, in_part, out_part = clause_split(I.vars, S, I.k - t)
+    # a variable of S without a sigma-value leaves a 0 rhs, which is refused
+    values = np.zeros(I.n, dtype=np.int64)
+    values[list(sigma)] = list(sigma.values())
+    return XorInstance(t, I.n, out_part, I.rhs[rows] * values[in_part].prod(axis=1))
+
+
+def truncated_xor(I: XorInstance, S: Iterable[int], arity: int) -> XorInstance:
+    """The truncated (k-t)XOR instance on S: same clause selection as the
+    induced instance, but keeping the S-variables and the original rhs."""
+    if not (1 <= arity <= I.k - 1):
+        raise ValueError(f"truncated arity must be in [1, k-1], got {arity}")
+    rows, in_part, _ = clause_split(I.vars, S, arity)
+    return XorInstance(arity, I.n, in_part, I.rhs[rows])
 
 
 def planted_xor_signs(table: np.ndarray, indices) -> np.ndarray:

@@ -460,6 +460,24 @@ def test_count_certificate_refuses_arity_1(tmp_path, capsys, doc):
     assert not cert.exists()
 
 
+@pytest.mark.parametrize("instance, certify, message", [
+    (["csp", "-k", "2", "-m", "40"], ["count"], "the XOR principle requires k >= 3"),
+    (["csp", "-k", "3", "-m", "0"], ["count"], "cannot certify an empty instance"),
+    (["csp", "-k", "3", "-m", "0"], ["clusters"], "cannot certify an empty instance"),
+    (["csp", "-k", "3", "-m", "200"], ["count", "--eta", "-0.1"], "eta must be nonnegative"),
+    (["csp", "-k", "3", "-m", "200"], ["clusters", "--eta", "-0.1"], "eta must be nonnegative"),
+    (["xor", "-k", "3", "-m", "200"], ["balance", "--rho", "0.5"],
+     "balance certification needs a csp or k>=4 xor instance"),
+], ids=["count-k2", "count-m0", "clusters-m0", "count-eta", "clusters-eta", "balance-xor-k3"])
+def test_certify_guard_is_one_usage_line(tmp_path, capsys, instance, certify, message):
+    inst = gen(tmp_path, "i.json", "--kind", *instance, "-n", "10", "--seed", "1")
+    out = tmp_path / "c.json"
+    capsys.readouterr()
+    assert run("certify", "--kind", *certify, "--instance", str(inst), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_verify_refuses_other_parameters(tmp_path):
     xor = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "200", "--seed", "4")
     reg = gen(tmp_path, "g.json", "--kind", "regular", "-n", "12", "-d", "3", "--seed", "4")

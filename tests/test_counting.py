@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import batch_xor_counts, from_clauses, xor_sign_table
+from conftest import batch_xor_counts, from_clauses, induced_xor, xor_sign_table
 from solgeo.certificates import CountCertificate
 from solgeo.counting import (
     aggregate_partition,
@@ -22,7 +22,6 @@ from solgeo.instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    induced_xor,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
     violation_budget,

@@ -24,7 +24,6 @@ from solgeo.instances import (
     XorInstance,
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
-    truncated_xor,
     violation_budget,
 )
 from solgeo.oracle import (
@@ -34,7 +33,8 @@ from solgeo.oracle import (
 )
 from solgeo.spectral import SpectralReport
 
-from conftest import from_clauses, planted_3sat, sign_cube_k4, synthetic_balanced_k4, xor_sign_table
+from conftest import (from_clauses, induced_xor, planted_3sat, sign_cube_k4, synthetic_balanced_k4,
+                      truncated_xor, xor_sign_table)
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +303,6 @@ def test_induced_positive_fraction_exhaustive_sigma():
     I = from_clauses(XorInstance, 4, n, clauses)
     S = list(range(s))
     res = _positive_fraction(S, truncated_xor(I, S, 2))
-    from solgeo.instances import induced_xor
 
     for bits in itertools.product([-1, 1], repeat=s):
         sigma = dict(zip(S, bits))

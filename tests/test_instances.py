@@ -5,7 +5,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import from_clauses, poly_from_terms, xor_violations
+from conftest import (density_table, fourier_transform, from_clauses, induced_xor,
+                      poly_from_terms, truncated_xor, xor_violations)
 from solgeo import instances, spectral
 from solgeo.geometry import _positive_fraction
 from solgeo.instances import (
@@ -19,11 +20,8 @@ from solgeo.instances import (
     _sample_tuples,
     clause_split,
     csp_to_ksat,
-    density_table,
     evaluate,
-    fourier_transform,
     index_to_signs,
-    induced_xor,
     instance_doc,
     load_instance,
     primal_graph,
@@ -34,7 +32,6 @@ from solgeo.instances import (
     sample_signed_hypergraph,
     sample_unsigned_hypergraph,
     split_by_sign,
-    truncated_xor,
     violation_budget,
 )
 from solgeo.jsonio import canonical_json, write_json

@@ -1,17 +1,22 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import brute_poly_max, poly_from_terms
+from conftest import brute_poly_max, density_table, poly_from_terms
 from solgeo.instances import (
     Predicate,
     SignedHypergraph,
-    density_table,
+    XorInstance,
+    index_to_signs,
     sample_signed_hypergraph,
     violation_budget,
 )
 from solgeo import refuter
+from solgeo.certificates import CheckRecord
 from solgeo.oracle import violation_profile
 from solgeo.refuter import (
     SparsePolynomial,
@@ -190,40 +195,101 @@ def test_quasirandom_eps_at_scale():
 # XOR principle
 # ---------------------------------------------------------------------------
 
+# kSAT, parity, and at-least-two-plus, whose first zero (-1, -1, 1) is neither's
+PREDICATES = (Predicate.ksat(3), Predicate.parity(3),
+              Predicate(3, tuple(int(bin(idx).count("1") <= 1) for idx in range(8))))
+
+
 def test_xor_principle_formula_arithmetic():
     I = sample_signed_hypergraph(3, 10, 60, seed=1)
     eta = 0.01
-    res = kxor_principle(I, eta)
-    assert res.eta_x == pytest.approx(4 * eta + 3 * res.eps)
-    assert res.fraction_lower_bound == pytest.approx(
-        min(1.0, max(0.0, 1 - res.eta_x))
-    )
+    res = kxor_principle(I, Predicate.ksat(3))
+    eps = res.quasirandomness.eps
+    assert res.instance == I  # kSAT's zero is the all-plus string
+    assert res.eta_x(eta) == pytest.approx(4 * eta + 3 * eps)
     # with eta=0 and eps=0 the bound would be exactly 1
-    assert kxor_principle(I, 0.0).eta_x == pytest.approx(3 * res.eps)
+    assert res.eta_x(0.0) == pytest.approx(3 * eps)
+    assert res.check(eta) == CheckRecord("xor-principle-nontrivial", res.eta_x(eta), 1.0,
+                                         res.eta_x(eta) < 1.0)
 
 
 def test_xor_principle_requires_k3():
     I = sample_signed_hypergraph(2, 6, 10, seed=0)
-    with pytest.raises(ValueError):
-        kxor_principle(I, 0.1)
+    with pytest.raises(ValueError, match="the XOR principle requires k >= 3"):
+        kxor_principle(I, Predicate.ksat(2))
+    res = kxor_principle(sample_signed_hypergraph(3, 8, 20, seed=0), Predicate.ksat(3))
+    with pytest.raises(ValueError, match="eta must be nonnegative"):
+        res.eta_x(-0.1)
+
+
+def principle_xor(res) -> XorInstance:
+    """The XOR clauses the principle bounds: prod(x_S) = -prod(c) of the
+    composed instance, since a kSAT near-satisfier has D_hat([k]) near -1."""
+    J = res.instance
+    return XorInstance(J.k, J.n, J.vars, -J.signs.prod(axis=1))
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_xor_principle_sound_by_enumeration(seed):
+    # x is planted: each clause's c o x_S is a uniform satisfying string of
+    # P.  At m = 1000 eta_x(0.1) is below 1 for parity and, at most seeds,
+    # for kSAT; not for the third predicate, whose zero leaves its lower
+    # coefficients large.
     n = 10
-    I = sample_signed_hypergraph(3, n, 50, seed=seed)
-    if I.m == 0:
-        pytest.skip("empty sample")
+    base = sample_signed_hypergraph(3, n, 1000, seed=seed)
+    rng = np.random.default_rng(seed)
+    x = rng.choice([-1, 1], n)
     eta = 0.1
-    res = kxor_principle(I, eta)
-    ksat = Predicate.ksat(3)
-    sat_viol = violation_profile(I, ksat)
-    xor_viol = violation_profile(I.to_xor())
-    budget = violation_budget(eta, I.m)
-    satisfiers = np.nonzero(sat_viol <= budget)[0]
-    for idx in satisfiers:
-        xor_frac = 1.0 - xor_viol[idx] / I.m
-        assert xor_frac >= res.fraction_lower_bound - 1e-9
+    budget = violation_budget(eta, base.m)
+    for P in PREDICATES:
+        ones = np.array([index_to_signs(idx, 3) for idx, v in enumerate(P.table) if v])
+        signs = ones[rng.integers(0, len(ones), base.m)] * x[base.vars]
+        I = SignedHypergraph(3, n, base.vars, signs)
+        res = kxor_principle(I, P)
+        xor_viol = violation_profile(principle_xor(res))
+        satisfiers = np.flatnonzero(violation_profile(I, P) <= budget)
+        assert len(satisfiers) >= 1
+        assert res.eta_x(eta) < 1.0 or P is not PREDICATES[1]
+        for idx in satisfiers:
+            assert xor_viol[idx] / I.m <= res.eta_x(eta) + 1e-9, (P, idx)
+
+
+@pytest.mark.parametrize("P", PREDICATES[:2], ids=["ksat", "parity"])
+def test_xor_principle_sign_on_a_sign_cube(P):
+    # the composition carries on each triple the four sign patterns of
+    # product -prod(x[S]): every lower coefficient vanishes (eps = 0), and
+    # x satisfies every clause under kSAT, and under P too
+    rng = np.random.default_rng(0)
+    n = 10
+    x = rng.choice([-1, 1], n)
+    odd = np.array([z for z in itertools.product([-1, 1], repeat=3) if np.prod(z) == -1])
+    triples = [rng.choice(n, 3, replace=False) for _ in range(40)]
+    signs = np.concatenate([odd * x[S] for S in triples]) * P.first_unsatisfying()
+    I = SignedHypergraph(3, n, np.repeat(triples, 4, axis=0), signs)
+    res = kxor_principle(I, P)
+    assert res.eta_x(0.0) == 0.0
+    satisfiers = np.flatnonzero(violation_profile(I, P) == 0)
+    assert len(satisfiers) >= 1
+    assert (violation_profile(principle_xor(res))[satisfiers] == 0).all()
+    assert (violation_profile(res.instance.to_xor())[satisfiers] == I.m).all()
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_xor_principle_inverse(k):
+    res = kxor_principle(sample_signed_hypergraph(k, 12, 200, seed=k), Predicate.ksat(k))
+    floor = res.eta_x(0.0)
+    for target in (floor, floor + 1e-6, floor + 0.01, floor + 0.5, floor + 3.0):
+        assert res.eta_x(res.max_eta(target)) == pytest.approx(target, rel=1e-12)
+    assert res.max_eta(floor / 2) < 0
+
+
+def test_only_the_refuter_builds_the_principle_check():
+    builders = sorted(
+        path.name for path in Path(refuter.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Constant) and node.value == "xor-principle-nontrivial"
+               for node in ast.walk(ast.parse(path.read_text())))
+    )
+    assert builders == ["refuter.py"]
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
