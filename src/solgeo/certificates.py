@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .jsonio import JsonRecord
 
-TOOL_VERSION = "0.5.0"
+TOOL_VERSION = "0.6.0"
 
 
 @dataclass(frozen=True)

@@ -554,27 +554,6 @@ def sample_regular_graph(n: int, d: int, seed: int, max_attempts: int = 5000) ->
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
-
-def _pattern_indices(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> np.ndarray:
-    """For each clause (c, S) of I, the index of the sign vector c o x_S."""
-    z = I.signs * np.asarray(x)[I.vars]
-    if (np.abs(z) != 1).any():
-        raise ValueError("assignment entries must be +-1")
-    return (z == -1) @ (1 << np.arange(I.k))
-
-
-def evaluate(I: SignedHypergraph, P: Predicate, x: Sequence[int] | np.ndarray) -> float:
-    """Fraction of clauses of I satisfied by x under predicate P."""
-    if I.m == 0:
-        raise ValueError("cannot evaluate an empty instance")
-    if P.k != I.k:
-        raise ValueError("predicate arity does not match instance")
-    return int(np.asarray(P.table)[_pattern_indices(I, x)].sum()) / I.m
-
-
-# ---------------------------------------------------------------------------
 # Clause splits, primal graphs and reductions
 # ---------------------------------------------------------------------------
 

@@ -13,10 +13,14 @@ estimate to a recorded, proved value: it takes the caller's proof and the
 estimates to try in order.  An estimate comes from ``np.linalg.eigvalsh``,
 except that graphs with at least ``ITERATIVE_MIN_N`` vertices first try
 Lanczos on a sparse matrix-vector product (``_lanczos_extremes``) and
-fall back to ``eigvalsh`` only when that estimate fails its proof.  Where
-an estimate comes from never decides soundness: the proof does, and only
-of the side its consumer reads.  A failed proof of the last estimate
-raises ``EigensolverError``.
+fall back to ``eigvalsh`` only when that estimate fails its proof.  The
+Lanczos run is the bare three-term recurrence, which keeps two vectors
+and no basis: its vectors lose orthogonality in floating point, but its
+extreme Ritz values still converge (C. C. Paige, Linear Algebra Appl. 34,
+1980), and an estimate they spoil fails its proof.  Where an estimate
+comes from never decides soundness: the proof does, and only of the side
+its consumer reads.  A failed proof of the last estimate raises
+``EigensolverError``.
 
 Consumers and the side each one proves:
 
@@ -230,28 +234,31 @@ def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tup
     """Smallest and largest Ritz values of the symmetric operator
     ``matvec`` on R^n: estimates of its extreme eigenvalues, not bounds.
 
-    Lanczos with full reorthogonalization (two Gram-Schmidt passes against
-    the whole basis each step) from a fixed start vector, so the result is
-    a deterministic function of the operator.  A Ritz pair (theta, y) of
-    the k-step tridiagonal T = S diag(theta) S^T has residual
-    |B y - theta y| = beta_k |s_kj|, and some eigenvalue of B lies within
-    that of theta.  It need not be the extreme one; the consumer's proof
-    settles that.
+    Lanczos by the three-term recurrence beta_j q_(j+1) = B q_j - alpha_j
+    q_j - beta_(j-1) q_(j-1), keeping only the last two vectors, from a
+    fixed start vector, so the result is a deterministic function of the
+    operator.  A Ritz pair (theta, y) of the k-step tridiagonal T = S
+    diag(theta) S^T has residual |B y - theta y| = beta_k |s_kj|, and
+    some eigenvalue of B lies within that of theta.  It need not be the
+    extreme one, and in floating point the q_j lose orthogonality as Ritz
+    values converge, which repeats converged values in T but leaves the
+    extreme ones accurate (C. C. Paige, "Accuracy and effectiveness of the
+    Lanczos algorithm for the symmetric eigenproblem", Linear Algebra
+    Appl. 34, 1980).  Neither can make a certificate wrong: the consumer's
+    Cholesky proof decides, and a failed proof falls back to eigvalsh.
     """
     steps = min(LANCZOS_MAX_STEPS, n)
-    Q = np.empty((steps, n))
     alpha, beta = np.empty(steps), np.empty(steps)
     q = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-    Q[0] = q / np.linalg.norm(q)
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros(n)
     floor = LANCZOS_TOL * eig_slack(0.0)  # below every stopping tolerance
     for j in range(steps):
-        z = matvec(Q[j])
-        alpha[j] = Q[j] @ z
-        z -= alpha[j] * Q[j]
+        z = matvec(q)
+        alpha[j] = q @ z
+        z -= alpha[j] * q
         if j:
-            z -= beta[j - 1] * Q[j - 1]
-        for _ in range(2):
-            z -= Q[:j + 1].T @ (Q[:j + 1] @ z)
+            z -= beta[j - 1] * q_prev
         beta[j] = float(np.linalg.norm(z))
         k = j + 1
         if k % LANCZOS_CHECK_EVERY == 0 or k == steps or beta[j] <= floor:
@@ -261,7 +268,7 @@ def _lanczos_extremes(matvec: Callable[[np.ndarray], np.ndarray], n: int) -> tup
             resid = beta[j] * max(abs(S[-1, 0]), abs(S[-1, -1]))
             if k == steps or resid <= LANCZOS_TOL * eig_slack(max(abs(lo), abs(hi))):
                 break
-        Q[k] = z / beta[j]
+        q_prev, q = q, z / beta[j]
     return lo, hi
 
 

@@ -9,10 +9,10 @@ import pytest
 from solgeo.cli import _worker_count
 from solgeo.instances import (
     MultiGraph,
+    Predicate,
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    _pattern_indices,
     clause_split,
     index_to_signs,
     sample_signed_hypergraph,
@@ -96,6 +96,23 @@ def fourier_transform(table: Sequence[float], k: int) -> dict[tuple[int, ...], f
     coeffs = _walsh_hadamard(np.array(table, dtype=float)) / (1 << k)
     return {tuple(i for i in range(k) if (mask >> i) & 1): c
             for mask, c in enumerate(coeffs.tolist())}
+
+
+def _pattern_indices(I: SignedHypergraph, x: Sequence[int] | np.ndarray) -> np.ndarray:
+    """For each clause (c, S) of I, the index of the sign vector c o x_S."""
+    z = I.signs * np.asarray(x)[I.vars]
+    if (np.abs(z) != 1).any():
+        raise ValueError("assignment entries must be +-1")
+    return (z == -1) @ (1 << np.arange(I.k))
+
+
+def evaluate(I: SignedHypergraph, P: Predicate, x: Sequence[int] | np.ndarray) -> float:
+    """Fraction of clauses of I satisfied by x under predicate P."""
+    if I.m == 0:
+        raise ValueError("cannot evaluate an empty instance")
+    if P.k != I.k:
+        raise ValueError("predicate arity does not match instance")
+    return int(np.asarray(P.table)[_pattern_indices(I, x)].sum()) / I.m
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,7 @@ GOLDEN = {
     "clusters-3xor-no-theta": "80cfc98eec01dbf6c80ed3f93614f7cd80638a503a9669ff31f5ac6e2fefc73f",
     "clusters-3xor-primal-norm": "7e5d218d7b75a12200f7c05003ca58899b5b21b397c6f3c9a085cd6f7ba2477b",
     "count-2xor": "4f62c1d6cfc04a59cf97b59b4f1c2bf29a9d11e6d48433e521e5fb38a776d573",
-    "count-2xor-lanczos": "8f57e1f39c889926178ddcea449659e22b593e708fb1cfaa3b40af476fe72dcb",
+    "count-2xor-lanczos": "2b0c5255520c3bfd1d021a5f67678983d49d4ab423cc65be2cbab308b34c1339",
     "count-kcsp-parity": "2fd7cb0659836a3d7951ed4c47f127dbb1ee27cf8d987f473c4a9e9b3d17c20e",
     "count-kcsp-xor-principle": "92e93f30713d4816ddbbba32e0f5374f255278452a0b09b20dfce3ab08b11c01",
     "count-ksat": "ef47326de47111be16adc54cd0c005f1004902fcdce2577ca879e1216ae23aaf",

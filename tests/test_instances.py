@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (density_table, fourier_transform, from_clauses, induced_xor,
+from conftest import (density_table, evaluate, fourier_transform, from_clauses, induced_xor,
                       poly_from_terms, truncated_xor, xor_violations)
 from solgeo import instances, spectral
 from solgeo.geometry import _positive_fraction
@@ -20,7 +20,6 @@ from solgeo.instances import (
     _sample_tuples,
     clause_split,
     csp_to_ksat,
-    evaluate,
     index_to_signs,
     instance_doc,
     load_instance,

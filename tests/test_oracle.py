@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import batch_xor_counts, petersen_graph, xor_sign_table, xor_violations
+from conftest import batch_xor_counts, evaluate, petersen_graph, xor_sign_table, xor_violations
 from solgeo import oracle
 from solgeo.certificates import CheckRecord, ClusterCertificate, CountCertificate
 from solgeo.cli import main
@@ -13,7 +13,6 @@ from solgeo.instances import (
     SignedHypergraph,
     UnsignedHypergraph,
     XorInstance,
-    evaluate,
     instance_doc,
     read_instance,
     sample_goe,

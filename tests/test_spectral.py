@@ -583,14 +583,14 @@ def dense_value(monkeypatch, measure) -> float:
         return measure()
 
 
-def count_square_eigvalsh(monkeypatch) -> list:
-    """Record each n x n eigvalsh call, n = N_ITER, on top of whatever
-    eigvalsh is installed now."""
+def count_square_eigvalsh(monkeypatch, n: int = N_ITER) -> list:
+    """Record each n x n eigvalsh call on top of whatever eigvalsh is
+    installed now."""
     calls = []
     inner = np.linalg.eigvalsh
 
     def counted(M):
-        if np.shape(M) == (N_ITER, N_ITER):
+        if np.shape(M) == (n, n):
             calls.append(1)
         return inner(M)
 
@@ -627,6 +627,18 @@ def test_lanczos_path_makes_no_dense_eigensolve(monkeypatch, name):
     calls = count_square_eigvalsh(monkeypatch)
     measure()
     assert calls == []
+
+
+@pytest.mark.slow
+def test_lanczos_estimate_passes_its_proof_at_scale(monkeypatch):
+    # the criterion-3 graphs at n = 2000: every first estimate is proved,
+    # so no n x n eigvalsh fallback runs
+    n = 2000
+    calls = count_square_eigvalsh(monkeypatch, n)
+    for seed in range(10):
+        spectral_report(random_graph(n, int(n**1.4), seed).simple(), demeaned=False)
+        demeaned_norm(sample_regular_graph(n, 3, seed))
+        assert calls == [], seed
 
 
 @pytest.mark.parametrize("name", sorted(MEASURES))
@@ -682,7 +694,7 @@ NORM_CASES = {
     "dense-60": (dense_graph, 2, "0x1.424b9e48406b4p+3"),
     "clusters-xor-primal": (lambda: clusters_xor_primal(1), 2, "0x1.d12d928a7de17p+5"),
     "er-1000": (lambda: random_graph(N_ITER, int(N_ITER**1.4), 0).simple(), 2,
-                "0x1.6839058f08fc7p+3"),
+                "0x1.6839058f08fcbp+3"),
 }
 
 
