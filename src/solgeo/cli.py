@@ -4,7 +4,7 @@ verification, and grid sweeps with persisted JSON artifacts.
 Exit codes: 0 success/sound, 2 usage error or unusable path, 3 soundness
 violation, 4 internal error.  All outputs are canonical JSON, reproducible
 byte for byte from the inputs and flags; seeds are mandatory, nothing
-draws entropy from the environment.
+draws entropy from the environment, and no output records a time.
 """
 
 from __future__ import annotations
@@ -14,9 +14,8 @@ import functools
 import itertools
 import os
 import sys
-import time
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -46,8 +45,7 @@ EXIT_VIOLATED = 3
 EXIT_INTERNAL = 4
 
 # Defaults shared by the certify flags and the sweep config keys.
-_DEFAULTS = {"predicate": "ksat", "eps_exponent": counting.EPS_EXPONENT,
-             "c0": geometry.PRIMAL_NORM_C0}
+_DEFAULTS = {"predicate": "ksat", "c0": geometry.PRIMAL_NORM_C0}
 _PREDICATES = {"ksat": Predicate.ksat, "xor": Predicate.parity}
 
 _GENERATORS = {
@@ -113,11 +111,9 @@ KINDS = {
     "count": Kind(
         certifiers={
             MultiGraph: lambda G, a: counting.certify_count_2xor(G, a.eta),
-            UnsignedHypergraph: lambda H, a: counting.certify_count_kxor(H, a.eta, a.eps_exponent),
-            XorInstance: lambda I, a: counting.certify_count_kxor(
-                I.hypergraph(), a.eta, a.eps_exponent),
-            SignedHypergraph: lambda I, a: counting.certify_count_kcsp(
-                I, _predicate(a, I), a.eta, a.eps_exponent),
+            UnsignedHypergraph: lambda H, a: counting.certify_count_kxor(H, a.eta),
+            XorInstance: lambda I, a: counting.certify_count_kxor(I.hypergraph(), a.eta),
+            SignedHypergraph: lambda I, a: counting.certify_count_kcsp(I, _predicate(a, I), a.eta),
         },
         oracles={
             XorInstance: lambda I, a: oracle.brute_count(I, None, a.eta),
@@ -206,10 +202,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     instance = read_instance(args.instance)
     run = _lookup("oracle", args.kind, KINDS[_ORACLE_KINDS[args.kind]].oracles, instance)
-    t0 = time.perf_counter()
     res = run(instance, args)
-    if args.timing:
-        res = replace(res, runtime_ms=(time.perf_counter() - t0) * 1000.0)
     write_json(args.out, res.to_json_dict())
     print(f"wrote {res.kind} oracle result to {args.out}")
     return EXIT_OK
@@ -235,12 +228,20 @@ _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 _CONFIG_CHOICES = {"kind": list(KINDS), "instance": _GENERATORS, "predicate": _PREDICATES}
 
 
+def _refuse_unread(names, read: list[str], what: str) -> None:
+    """ValueError naming the first of ``names`` that the sweep does not read."""
+    for name in names:
+        if name not in read:
+            raise ValueError(f"sweep {what} {name!r:.40} is not read; it reads {', '.join(read)}")
+
+
 def _sweep_cells(config: dict) -> list[dict]:
     """The grid's cells, values as written; ValueError naming a missing axis
-    'n' or an axis not a list of finite numbers (of integers for size and shape)."""
+    'n', an unread axis, or one not a list of finite numbers (integers for size and shape)."""
     grid = decode_field(config, "grid", dict, "sweep config")
     if "n" not in grid:
         raise ValueError("sweep grid lacks the axis 'n', which every generator reads")
+    _refuse_unread(grid, ["n", *_AXIS_DEFAULTS, "delta_exp"], "grid axis")
     for axis, values in grid.items():
         decode(values, tuple[int, ...] if axis in _INT_AXES else tuple[float, ...],
                f"sweep grid axis {axis!r}")
@@ -250,8 +251,10 @@ def _sweep_cells(config: dict) -> list[dict]:
 
 def _effective_config(config: dict) -> dict:
     """The config's kind and every `_CONFIG_DEFAULTS` key read as its
-    default's type (so 3 and 3.0 are one resume key); ValueError naming a
-    key of another type or naming no certifiable kind, generator or predicate."""
+    default's type (so 3 and 3.0 are one resume key); ValueError naming an
+    unread key, a key of another type, or one naming no certifiable kind,
+    generator or predicate."""
+    _refuse_unread(config, ["kind", "grid", "seeds", "out", *_CONFIG_DEFAULTS], "config key")
     effective = {key: decode(config.get(key, default), type(default), f"sweep config {key!r}")
                  for key, default in _CONFIG_DEFAULTS.items()}
     effective["kind"] = config.get("kind")
@@ -361,15 +364,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     workers = min(_worker_count(), len(jobs))
     with (Pool(workers) if workers > 1 else nullcontext()) as pool:
         rows = pool.imap(_sweep_worker, jobs, chunksize=1) if pool else map(_sweep_worker, jobs)
-        # a cell refused before the first row leaves no file and an existing one unchanged
+        # no jobs, or a cell refused before the first row, leave no file and an existing one as is
         first = next(rows, None)
-        with open(out_path, "a", encoding="utf-8") as fh:
-            for row in itertools.chain([first] if first else [], rows):
-                violations += row.sound is False
-                fh.write(canonical_json(row.to_json_dict()) + "\n")
-                fh.flush()
+        if first is not None:
+            with open(out_path, "a", encoding="utf-8") as fh:
+                for row in itertools.chain([first], rows):
+                    violations += row.sound is False
+                    fh.write(canonical_json(row.to_json_dict()) + "\n")
+                    fh.flush()
 
-    if args.csv:
+    if args.csv and os.path.exists(out_path):
         _export_csv(out_path, args.csv)
 
     print(f"sweep complete: {len(jobs)} new rows, {violations} violations")
@@ -430,8 +434,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cert.add_argument("--out", required=True)
     cert.add_argument("--eta", type=finite_float, default=0.0)
     cert.add_argument("--rho", type=finite_float, default=None)
-    cert.add_argument("--eps-exponent", type=finite_float, default=_DEFAULTS["eps_exponent"],
-                      dest="eps_exponent")
     cert.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
     cert.add_argument("--c0", type=finite_float, default=_DEFAULTS["c0"])
 
@@ -443,7 +445,6 @@ def _build_parser() -> argparse.ArgumentParser:
     orc.add_argument("--theta", type=finite_float, default=None)
     orc.add_argument("--threshold-size", type=int, default=None, dest="threshold_size")
     orc.add_argument("--predicate", default=_DEFAULTS["predicate"], choices=list(_PREDICATES))
-    orc.add_argument("--timing", action="store_true")
 
     ver = sub.add_parser("verify", help="compare a certificate with an oracle result")
     ver.add_argument("--certificate", required=True)

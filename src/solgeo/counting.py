@@ -35,8 +35,8 @@ from .spectral import edge_expansion_lower_bound, spectral_report
 # attempted).
 DEGREE_WINDOW_C = 2.5
 
-# Default margin added to the block-size exponent c of the kXOR recursion
-# (``--eps-exponent``): blocks of n^c vertices, c = 1 - delta/(k-2) + eps.
+# The one margin eps, a constant of the method, added to the block-size exponent
+# c of the kXOR recursion: blocks of n^c vertices, c = 1 - delta/(k-2) + eps.
 EPS_EXPONENT = 0.05
 
 
@@ -175,7 +175,7 @@ def _partition_blocks(n: int, c: float) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
 
 
-def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float) -> _BoundResult:
+def _kxor_budget(H: UnsignedHypergraph, budget: int) -> _BoundResult:
     n, k = H.n, H.k
     if k == 2:
         return _count_2xor_budget(MultiGraph.build(n, H.vars), budget)
@@ -193,7 +193,7 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float) -> _BoundResult
     if delta_exp >= k - 2:
         c = 0.0
     else:
-        c = min(1.0, max(0.0, 1.0 - delta_exp / (k - 2) + eps))
+        c = min(1.0, max(0.0, 1.0 - delta_exp / (k - 2) + EPS_EXPONENT))
     if max(1, math.ceil(n**c)) >= n:
         # a single block covering [n] certifies nothing: the instance is
         # too sparse for the recursion at this size
@@ -225,7 +225,7 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float) -> _BoundResult
         _, _, out_part = clause_split(clean.vars, block, 1)
         sub_H = UnsignedHypergraph(k - 1, n - size,
                                    np.where(out_part < block.start, out_part, out_part - size))
-        sub = _kxor_budget(sub_H, block_budget, eps)
+        sub = _kxor_budget(sub_H, block_budget)
         sizes.append(size)
         bounds.append(sub.log2_bound)
         trace.append({
@@ -244,17 +244,15 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int, eps: float) -> _BoundResult
     return _BoundResult(log2_bound, (), tuple(trace), transcript)
 
 
-def certify_count_kxor(
-    H: UnsignedHypergraph, eta: float, eps: float = EPS_EXPONENT
-) -> CountCertificate:
+def certify_count_kxor(H: UnsignedHypergraph, eta: float) -> CountCertificate:
     """Certificate, valid for every signing, on the number of assignments
     violating at most an eta fraction of the hyperedges of H."""
     if H.k < 2:
         raise ValueError(f"kXOR counting requires k >= 2, got k = {H.k}")
-    return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m), eps))
+    return _count_certificate(H, eta, _kxor_budget(H, violation_budget(eta, H.m)))
 
 
-def _ksat_bound(I: SignedHypergraph, P: Predicate, eta: float, eps: float) -> _BoundResult:
+def _ksat_bound(I: SignedHypergraph, P: Predicate, eta: float) -> _BoundResult:
     """The XOR principle step: convert I's slack under P into an XOR
     slack, then bound with the signing-independent kXOR recursion."""
     principle = kxor_principle(I, P)
@@ -266,26 +264,22 @@ def _ksat_bound(I: SignedHypergraph, P: Predicate, eta: float, eps: float) -> _B
     }
     if not check.passed:
         return _fallback(I.n, (check,), transcript)
-    res = _kxor_budget(principle.instance.hypergraph(), violation_budget(check.measured, I.m), eps)
+    res = _kxor_budget(principle.instance.hypergraph(), violation_budget(check.measured, I.m))
     return _BoundResult(res.log2_bound, (check,) + res.checks, res.trace,
                         {**transcript, **res.transcript})
 
 
-def certify_count_ksat(
-    I: SignedHypergraph, eta: float, eps: float = EPS_EXPONENT
-) -> CountCertificate:
+def certify_count_ksat(I: SignedHypergraph, eta: float) -> CountCertificate:
     """Certificate on the number of (1-eta)-satisfying assignments of I as
     a kSAT instance: the XOR principle converts the SAT slack into an XOR
     slack, then the signing-independent kXOR certifier takes over."""
-    return _count_certificate(I, eta, _ksat_bound(I, Predicate.ksat(I.k), eta, eps))
+    return _count_certificate(I, eta, _ksat_bound(I, Predicate.ksat(I.k), eta))
 
 
-def certify_count_kcsp(
-    I: SignedHypergraph, P: Predicate, eta: float, eps: float = EPS_EXPONENT
-) -> CountCertificate:
+def certify_count_kcsp(I: SignedHypergraph, P: Predicate, eta: float) -> CountCertificate:
     """Certificate on (1-eta)-satisfiers of I under an arbitrary predicate,
     via composition with a fixed non-satisfying string of P."""
-    res = _ksat_bound(I, P, eta, eps)
+    res = _ksat_bound(I, P, eta)
     res.transcript["reduction_string"] = list(P.first_unsatisfying())
     return _count_certificate(I, eta, res)
 

@@ -11,15 +11,16 @@ of the hypercube at once, meeting in the middle from two small sign
 tables, and recompute with ``math.fsum`` only the x too close to call.
 
 ``PAIRINGS`` is the one table of certificate kinds: for each, the record
-that reads it, the oracle that checks it, the verdict and the number a
-sweep row records; ``certificate_from_json`` reads a file through it.
-``SweepRow`` is the record of a sweep's output line.
+that reads it, the oracle that checks it, the verdict (which refuses a
+count below 0 or a bias outside [0, 1]) and the number a sweep row
+records; ``certificate_from_json`` reads a file through it.  ``SweepRow``
+is the record of a sweep's output line.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable
 
@@ -47,12 +48,12 @@ class OracleResult(JsonRecord):
     """Exact value of an oracle computation plus bookkeeping: the hash of
     the instance, computed the way the matching certificates bind it, and
     the parameters the value depends on.  A bookkeeping field left None
-    is left out of the JSON; ``runtime_ms`` is set only by a timed run."""
+    is left out of the JSON.  No wall time is recorded (one that a file of
+    0.6.0 or before carries is read past, as any unknown field)."""
 
     kind: str
     exact_value: object
     enumeration_size: int
-    runtime_ms: float | None = field(default=None, compare=False)
     instance_sha256: str | None = None
     eta: float | None = None
     theta: float | None = None
@@ -406,21 +407,29 @@ def _exact(value, hint, key: str | None = None, where: str = "oracle exact_value
     return decode(value, hint, where) if key is None else decode_field(value, key, hint, where)
 
 
+def _count(value, key: str | None = None) -> int:
+    """``_exact(value, int, key)`` if it is >= 0; ValueError naming it otherwise."""
+    if (count := _exact(value, int, key)) < 0:
+        raise ValueError(f"oracle exact_value{f' field {key!r}' if key else ''} holds {count}, "
+                         "not a count")
+    return count
+
+
 def _count_verdict(key: str | None = None) -> Callable[[object, object], str]:
     """The verdict on a count bound: sound unless the oracle's count (its
     entry ``key``) exceeds 2^log2_bound."""
     def verdict(cert, value) -> str:
-        count = _exact(value, int, key)
-        return SOUND if count <= 0 or math.log2(count) <= cert.log2_bound + 1e-9 else VIOLATED
+        count = _count(value, key)
+        return SOUND if count == 0 or math.log2(count) <= cert.log2_bound + 1e-9 else VIOLATED
     return verdict
 
 
 def _cluster_verdict(cert, data) -> str:
     histogram = _exact(data, dict[str, int], "distance_histogram")
-    if not all(map(str.isdecimal, histogram)):
+    if not all(map(str.isdecimal, histogram)) or min(histogram.values(), default=0) < 0:
         raise ValueError(f"oracle exact_value field 'distance_histogram' holds "
                          f"{histogram!r:.40}, not counts keyed by distance")
-    cover_count = _exact(data, int, "cover_count")
+    cover_count = _count(data, "cover_count")
     if cert.fallback:
         return SOUND
     theta_n = cert.theta * cert.n
@@ -438,6 +447,8 @@ def _balance_verdict(cert, max_bias) -> str:
     max_bias = _exact(max_bias, float | None)
     if max_bias is None:
         return SOUND
+    if not 0.0 <= max_bias <= 1.0:
+        raise ValueError(f"oracle exact_value holds {max_bias!r}, not a bias in [0, 1]")
     return SOUND if max_bias < cert.rho - 1e-12 else VIOLATED
 
 
@@ -474,11 +485,11 @@ PAIRINGS = {
     DeclinedBalance.kind: Pairing(DeclinedBalance),
     "refutation": Pairing(
         RefutationCertificate, "count", lambda c: {"eta": c.eta_refuted},
-        lambda c, v: SOUND if _exact(v, int) == 0 else VIOLATED,
+        lambda c, v: SOUND if _count(v) == 0 else VIOLATED,
     ),
     "indset-refutation": Pairing(
         RefutationCertificate, "indset", lambda c: {},
-        lambda c, v: SOUND if _exact(v, int, "alpha") < _exact(
+        lambda c, v: SOUND if _count(v, "alpha") < _exact(
             c.evidence, int, "refuted_size", "certificate evidence") else VIOLATED,
     ),
 }

@@ -1,6 +1,6 @@
 """Sound upper bounds for sparse multilinear polynomials on the hypercube,
-quasirandomness certification of signed hypergraphs, and the certified
-implication from near-SAT-satisfaction to near-XOR-satisfaction.
+quasirandomness certification of signed hypergraphs at every order below
+k, and the certified implication from near-SAT- to near-XOR-satisfaction.
 
 Every bound returned here holds for *every* point of the hypercube; the
 branches are elementary (absolute sums, quadratic-form norms, flattened
@@ -161,7 +161,7 @@ def refute_polynomial(p: SparsePolynomial) -> PolynomialBound:
 @dataclass(frozen=True)
 class QuasirandomnessCertificate(JsonRecord):
     """Certified bounds on |D_hat(T)| of the local distribution, holding
-    simultaneously for every assignment, for all nonempty T with |T| <= t.
+    simultaneously for every assignment, for all T with 0 < |T| <= t = k - 1.
     Both maps are keyed by T's clause positions joined by commas, as "0,2"."""
 
     t: int
@@ -176,36 +176,30 @@ class QuasirandomnessCertificate(JsonRecord):
                 raise ValueError("eps must equal the worst per-T bound")
 
 
-def _coefficient_polynomial(
-    I: SignedHypergraph, T: tuple[int, ...]
-) -> SparsePolynomial:
+def _coefficient_polynomial(I: SignedHypergraph, T: tuple[int, ...]) -> SparsePolynomial:
     """The polynomial x -> D_hat_{I,x}(T), as a function of the assignment."""
     T = list(T)
     sign = I.signs[:, T].prod(axis=1)
     return SparsePolynomial(I.n, I.vars[:, T], sign * (1.0 / I.m))
 
 
-def certify_quasirandom(I: SignedHypergraph, t: int) -> QuasirandomnessCertificate:
+def certify_quasirandom(I: SignedHypergraph) -> QuasirandomnessCertificate:
     """Certify that for every assignment x, all Fourier coefficients
-    D_hat_{I,x}(T) with 0 < |T| <= t are at most eps in magnitude."""
+    D_hat_{I,x}(T) with 0 < |T| < k, all that the XOR principle reads, are
+    at most eps in magnitude."""
     if I.m == 0:
         raise ValueError("cannot certify an empty instance")
-    if not (1 <= t <= I.k - 1):
-        raise ValueError(f"t must be in [1, k-1], got {t}")
     per_T: dict[str, float] = {}
     branches: dict[str, str] = {}
-    for mask in range(1, 1 << I.k):
+    for mask in range(1, (1 << I.k) - 1):
         T = tuple(i for i in range(I.k) if (mask >> i) & 1)
-        if len(T) > t:
-            continue
-        poly = _coefficient_polynomial(I, T)
-        bound = refute_polynomial(poly)
+        bound = refute_polynomial(_coefficient_polynomial(I, T))
         # |D_hat(T)| <= 1 unconditionally, so the trivial bound caps it
         key = ",".join(map(str, T))
         per_T[key] = min(1.0, bound.value)
         branches[key] = bound.branch
     eps = max(per_T.values())
-    return QuasirandomnessCertificate(t, eps, per_T, branches)
+    return QuasirandomnessCertificate(I.k - 1, eps, per_T, branches)
 
 
 @dataclass(frozen=True)
@@ -252,4 +246,4 @@ def kxor_principle(I: SignedHypergraph, P: Predicate) -> XorPrinciple:
     if I.k < 3:
         raise ValueError("the XOR principle requires k >= 3")
     reduced = csp_to_ksat(I, P)
-    return XorPrinciple(reduced, certify_quasirandom(reduced, I.k - 1))
+    return XorPrinciple(reduced, certify_quasirandom(reduced))

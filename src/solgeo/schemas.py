@@ -36,7 +36,6 @@ _LIMITS = {
     "instance_sha256": {"pattern": "^[0-9a-f]{64}$"},
     "enumeration_size": {"minimum": 0},
     "threshold_size": {"minimum": 1},
-    "runtime_ms": {"minimum": 0},
     "seed": {"minimum": 0},
 }
 # Fields that every file of a record holding them carries, default or not.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import thread_map
-from solgeo import cli, instances, schemas
+from solgeo import cli, instances, oracle, schemas
 from solgeo.cli import main
 from solgeo.eigencount import certify_count_indsets, refute_indset_from_count
 from solgeo.instances import MultiGraph, XorInstance, instance_doc, load_instance, read_instance
@@ -74,14 +74,16 @@ def test_one_parser_tree_serves_every_command(tmp_path, monkeypatch):
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(tmp_path):
-    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
-    timed, plain, again = tmp_path / "t.json", tmp_path / "o.json", tmp_path / "o2.json"
+    inst = gen(tmp_path, "i.json", "--kind", "csp", "-k", "3", "-n", "8", "-m", "28", "--seed", "3")
+    parity, plain, again = tmp_path / "x.json", tmp_path / "o.json", tmp_path / "o2.json"
     misses = cli._build_parser.cache_info().misses
-    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(timed),
-               "--eta", "0.25", "--timing") == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(parity),
+               "--eta", "0.25", "--predicate", "xor") == 0
     assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(plain)) == 0
     doc = validate_file(plain)
-    assert "runtime_ms" not in doc and doc["eta"] == 0.0
+    ksat = oracle.brute_count(read_instance(str(inst)), instances.Predicate.ksat(3), 0.0)
+    assert doc["eta"] == 0.0 and doc["exact_value"] == ksat.exact_value
+    assert validate_file(parity)["exact_value"] != ksat.exact_value
     with pytest.raises(SystemExit) as exc:
         run("oracle", "--kind", "nope", "--instance", str(inst), "--out", str(again))
     assert exc.value.code == 2
@@ -213,7 +215,9 @@ def test_balance_decline_writes_marker(tmp_path, capsys):
 def test_sweep_row_of_a_declined_balance_run(tmp_path):
     # the rows as the sweep wrote them when it built the declined note by
     # hand: the declined cell records no oracle value and no verdict, while
-    # the certified one runs the oracle
+    # the certified one runs the oracle; each cell_hash as of 0.7.0, whose
+    # resume key no longer holds eps_exponent (0.6.0 wrote fc040df1b962630e
+    # and 3bb76d00e0f74192)
     config = {"kind": "balance", "instance": "csp", "seeds": 1, "oracle_max_n": 10,
               "grid": {"n": [10], "k": [3], "m": [1000], "rho": [0.05, 0.8], "eta": [0.02]}}
     cfg, out = tmp_path / "cfg.json", tmp_path / "rows.jsonl"
@@ -221,10 +225,10 @@ def test_sweep_row_of_a_declined_balance_run(tmp_path):
     assert run("sweep", "--config", str(cfg), "--out", str(out)) == 0
     assert out.read_text().splitlines() == [
         '{"cell":{"eta":0.02,"k":3,"m":1000,"n":10,"rho":0.050000000000000003},'
-        '"cell_hash":"fc040df1b962630e","oracle":null,"result":{"kind":"balance-declined",'
+        '"cell_hash":"40024fbcbcad7545","oracle":null,"result":{"kind":"balance-declined",'
         '"rho":0.050000000000000003},"seed":0,"sound":null}',
         '{"cell":{"eta":0.02,"k":3,"m":1000,"n":10,"rho":0.80000000000000004},'
-        '"cell_hash":"3bb76d00e0f74192","oracle":null,"result":{"checks_passed":0.0,"eta":0.02,'
+        '"cell_hash":"b5e1d557a995e4d7","oracle":null,"result":{"checks_passed":0.0,"eta":0.02,'
         '"kind":"balance","rho":0.80000000000000004,"violated_fraction_bound":0.030700145202494721},'
         '"seed":0,"sound":true}',
     ]
@@ -395,17 +399,31 @@ def test_oracle_binds_instance_and_parameters(tmp_path):
     assert doc["eta"] == 0.1 and "theta" not in doc
 
 
-def test_oracle_timing_is_opt_in(tmp_path):
+@pytest.mark.parametrize("command, flag", [("certify", ["--eps-exponent", "0.1"]),
+                                           ("oracle", ["--timing"])],
+                         ids=["certify---eps-exponent", "oracle---timing"])
+def test_removed_flags_are_unrecognized(tmp_path, capsys, command, flag):
+    # the kXOR block margin is a constant, and no output records a wall time
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "8", "-m", "28", "--seed", "3")
+    out = tmp_path / "o.json"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--kind", "count", "--instance", str(inst), "--out", str(out), *flag)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_oracle_file_with_a_wall_time_still_verifies(tmp_path):
+    # files of 0.6.0 and before could carry runtime_ms; the reader passes over it
     inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
-    cert, plain, timed = tmp_path / "c.json", tmp_path / "o.json", tmp_path / "t.json"
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
     assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
-    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(plain)) == 0
-    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(timed),
-               "--timing") == 0
-    doc, timed_doc = validate_file(plain), validate_file(timed)
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    doc = read_json(str(orc))
     assert "runtime_ms" not in doc
-    assert timed_doc.pop("runtime_ms") >= 0.0 and timed_doc == doc
-    assert run("verify", "--certificate", str(cert), "--oracle", str(timed)) == 0
+    write_json(str(orc), {**doc, "runtime_ms": 1.5})
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 0
 
 
 XOR10 = ["--kind", "xor", "-k", "3", "-n", "10", "-m", "30"]
@@ -495,6 +513,20 @@ def test_verify_refuses_other_parameters(tmp_path):
         assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
 
 
+def test_verify_refuses_a_negative_count(tmp_path, capsys):
+    # an oracle file edited to a count of -7 was once "sound"
+    inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "10", "-m", "40", "--seed", "3")
+    cert, orc = tmp_path / "c.json", tmp_path / "o.json"
+    assert run("certify", "--kind", "count", "--instance", str(inst), "--out", str(cert)) == 0
+    assert run("oracle", "--kind", "count", "--instance", str(inst), "--out", str(orc)) == 0
+    write_json(str(orc), {**read_json(str(orc)), "exact_value": -7})
+    capsys.readouterr()
+    assert run("verify", "--certificate", str(cert), "--oracle", str(orc)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle exact_value holds -7, not a count\n"
+    assert captured.out == ""
+
+
 def test_verify_refuses_oracle_file_without_instance(tmp_path):
     inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "2", "-n", "8", "-m", "28", "--seed", "3")
     cert, orc = tmp_path / "c.json", tmp_path / "o.json"
@@ -520,11 +552,10 @@ def test_sweep_resume_keys_on_effective_config(tmp_path):
     # spelling out the defaults changes nothing
     for c0 in (3.0, 3):
         explicit = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", predicate="ksat",
-                                eps_exponent=0.05, c0=c0)
+                                c0=c0)
         assert run("sweep", "--config", str(explicit), "--out", str(out)) == 0
         assert len(out.read_text().splitlines()) == 2, c0
-    for key, value in [("predicate", "xor"), ("eps_exponent", 0.1), ("c0", 4.0),
-                       ("oracle_max_n", 0)]:
+    for key, value in [("predicate", "xor"), ("c0", 4.0), ("oracle_max_n", 0)]:
         config = sweep_config(tmp_path, grid=grid, seeds=1, instance="csp", **{key: value})
         before = len(out.read_text().splitlines())
         assert run("sweep", "--config", str(config), "--out", str(out)) == 0
@@ -574,20 +605,47 @@ def test_sweep_config_kind_names_a_certifiable_kind(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, unread", [
+    ({"kind": "clusters", "grid": {"n": [14], "m": [1960], "eta": [0.05], "c0": [3, 6]}},
+     "grid axis 'c0'"),
+    ({"oracel_max_n": 14}, "config key 'oracel_max_n'"),
+    ({"eps_exponent": 0.05}, "config key 'eps_exponent'"),
+], ids=["grid-axis-c0", "misspelled-key", "eps-exponent"])
+def test_sweep_refuses_a_key_or_axis_it_does_not_read(tmp_path, capsys, config, unread):
+    # the c0 axis was once overridden by the config's c0, so the row of its
+    # cell c0 = 6 was a fallback that `certify --c0 6` does not give; the
+    # misspelled key ran no oracle, and the sweep reported 0 violations
+    cfg, out = sweep_config(tmp_path, **config), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: sweep {unread} is not read; it reads ")
+    assert not out.exists()  # refused before any job ran
+
+
+def test_sweep_with_no_jobs_leaves_no_rows_file(tmp_path):
+    # "seeds": 0 once left an empty rows file
+    out, csv_out = tmp_path / "rows.jsonl", tmp_path / "rows.csv"
+    cfg = sweep_config(tmp_path, seeds=0)
+    assert run("sweep", "--config", str(cfg), "--out", str(out), "--csv", str(csv_out)) == 0
+    assert not out.exists() and not csv_out.exists()
+
+
 def test_sweep_resume_hashes_are_unchanged():
-    # recorded before the kind joined the config checks
+    # recorded at 0.7.0, when eps_exponent left the effective config (0.6.0
+    # gave a7ff39db31771168 and 171d54d732f3c2d5)
     config = {"kind": "count", "instance": "xor", "oracle_max_n": 12,
               "grid": {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}}
     cell = {"n": 10, "k": 3, "delta": 4, "eta": 0.05}
-    assert cli._cell_hash(cli._effective_config(config), cell) == "a7ff39db31771168"
+    assert cli._cell_hash(cli._effective_config(config), cell) == "4f1a6208f07d22da"
     config = {"kind": "clusters", "instance": "csp", "predicate": "xor", "c0": 4.0, "grid": {}}
-    assert cli._cell_hash(cli._effective_config(config), {}) == "171d54d732f3c2d5"
+    assert cli._cell_hash(cli._effective_config(config), {}) == "ed779b2ad34a3622"
 
 
-@pytest.mark.parametrize("key, value", [("c0", 3), ("eps_exponent", 0)])
+@pytest.mark.parametrize("key, value", [("c0", 3), ("c0", 0)])
 def test_sweep_resume_key_holds_an_int_float_key_as_a_float(key, value):
     # an int once hashed as an int: "c0": 3 was another sweep than the
-    # default 3.0, and "eps_exponent": 0 another than 0.0
+    # default 3.0, and "c0": 0 another than 0.0
     config = {"kind": "count", "grid": {}}
     as_float = cli._cell_hash(cli._effective_config({**config, key: float(value)}), {})
     assert cli._cell_hash(cli._effective_config({**config, key: value}), {}) == as_float
@@ -621,7 +679,7 @@ def test_sweep_grid_without_n_is_refused_before_any_job(tmp_path, capsys, densit
 def test_sweep_config_takes_an_int_for_a_float_key(tmp_path):
     grid = {"n": [10], "k": [3], "delta": [4], "eta": [0.05]}
     out = tmp_path / "rows.jsonl"
-    config = sweep_config(tmp_path, grid=grid, seeds=1, c0=3, eps_exponent=0)
+    config = sweep_config(tmp_path, grid=grid, seeds=1, c0=3)
     assert run("sweep", "--config", str(config), "--out", str(out)) == 0
     assert len(out.read_text().splitlines()) == 1
 
@@ -732,12 +790,11 @@ def test_malformed_solgeo_threads_is_usage_error(tmp_path, capsys, monkeypatch, 
 @pytest.mark.parametrize("value", ["inf", "nan", "-inf"])
 @pytest.mark.parametrize("command, flag", [
     ("certify", "--eta"), ("certify", "--rho"), ("certify", "--c0"),
-    ("certify", "--eps-exponent"), ("oracle", "--eta"), ("oracle", "--theta"),
+    ("oracle", "--eta"), ("oracle", "--theta"),
 ])
 def test_nonfinite_float_flag_is_usage_error(tmp_path, capsys, command, flag, value):
     # --eta inf once exited 4 ("cannot convert float infinity to integer"),
-    # --eps-exponent nan wrote a certificate, and --c0 nan exited 2 only
-    # after all the work, with the serializer's message
+    # and --c0 nan exited 2 only after all the work, with the serializer's message
     inst = gen(tmp_path, "x.json", "--kind", "xor", "-k", "3", "-n", "12", "-m", "60", "--seed", "1")
     out = tmp_path / "o.json"
     capsys.readouterr()
@@ -752,9 +809,9 @@ def test_nonfinite_float_flag_is_usage_error(tmp_path, capsys, command, flag, va
     ("eta", {"grid": {"n": [10], "k": [3], "delta": [4], "eta": [0.05, math.inf]}}),
     ("rho", {"grid": {"n": [10], "k": [3], "delta": [4], "rho": [math.nan]}}),
     ("c0", {"c0": math.inf}),
-    ("eps_exponent", {"eps_exponent": -math.inf}),
-    ("eps_exponent", {"eps_exponent": math.nan}),
-], ids=["grid-eta-inf", "grid-rho-nan", "c0-inf", "eps-exponent-minus-inf", "eps-exponent-nan"])
+    ("c0", {"c0": -math.inf}),
+    ("c0", {"c0": math.nan}),
+], ids=["grid-eta-inf", "grid-rho-nan", "c0-inf", "c0-minus-inf", "c0-nan"])
 def test_nonfinite_sweep_number_is_usage_error(tmp_path, capsys, key, config):
     # a grid "eta": [Infinity] once exited 2 with only the serializer's
     # message, after the jobs had run

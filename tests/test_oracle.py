@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from solgeo.oracle import (
     verify_certificate,
     violation_profile,
 )
+from test_certificates import samples
 
 
 def triangle_xor(signs=(1, 1, 1)) -> XorInstance:
@@ -473,6 +475,25 @@ def test_cluster_verdict_reads_every_distance_and_the_cover_count():
     # a fallback certificate claims nothing
     fallback = cluster_certificate(fallback=True)
     assert verify_certificate(fallback, cluster_oracle({"5": 1}, 5)) == "sound"
+
+
+@pytest.mark.parametrize("kind, result, message", [
+    ("count", OracleResult("count", -7, 64), "exact_value holds -7"),
+    ("sk-count", OracleResult("sk", {"opt": 1.0, "count": -1}, 64), "'count' holds -1"),
+    ("indset-count", OracleResult("indset", {"alpha": 3, "count": -1}, 256), "'count' holds -1"),
+    ("clusters", cluster_oracle({"1": 1}, -1), "'cover_count' holds -1"),
+    ("clusters", cluster_oracle({"1": -2}, 1), "'distance_histogram'"),
+    ("balance", OracleResult("max-bias", 1.5, 1 << 14), "1.5, not a bias in"),
+    ("balance", OracleResult("max-bias", -0.1, 1 << 14), "-0.1, not a bias in"),
+    ("refutation", OracleResult("count", -1, 1 << 12), "exact_value holds -1"),
+    ("indset-refutation", OracleResult("indset", {"alpha": -1, "count": 0}, 256), "'alpha' holds -1"),
+], ids=["count", "sk-count", "indset-count", "clusters-cover", "clusters-histogram",
+        "balance-above-1", "balance-negative", "refutation", "indset-refutation"])
+def test_verdict_refuses_an_oracle_value_out_of_range(kind, result, message):
+    # each of these once gave a verdict: a negative count or size "sound",
+    # a bias of 1.5 "violated"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        verify_certificate(samples()[kind], result)
 
 
 def test_violation_profile_matches_direct_evaluation():

@@ -144,17 +144,22 @@ def brute_max_coefficient(I: SignedHypergraph, T: tuple[int, ...]) -> float:
 
 def test_quasirandom_all_plus_single_variable():
     # all signs +1: the T={0} coefficient polynomial has every weight
-    # positive, so the absolute-sum branch equals the exhaustive maximum
+    # positive, so the absolute-sum branch equals the exhaustive maximum;
+    # the singletons' bounds sit inside the certificate of every order below k
     I = SignedHypergraph(3, 6, [(i % 6, (i + 1) % 6, (i + 2) % 6) for i in range(9)],
                          [(1, 1, 1)] * 9)
-    cert = certify_quasirandom(I, 1)
+    cert = certify_quasirandom(I)
+    assert cert.t == 2 and list(cert.per_T_bounds) == ["0", "1", "0,1", "2", "0,2", "1,2"]
     for i in range(3):
         assert cert.per_T_bounds[str(i)] == pytest.approx(brute_max_coefficient(I, (i,)), abs=1e-9)
 
 
 def test_quasirandom_single_clause_is_fully_biased():
     I = SignedHypergraph(3, 5, [(0, 1, 2)], [(1, -1, 1)])
-    cert = certify_quasirandom(I, 1)
+    cert = certify_quasirandom(I)
+    # every singleton coefficient of the one clause is +-1, and so is every pair's
+    for key in ("0", "1", "2"):
+        assert cert.per_T_bounds[key] == pytest.approx(1.0)
     assert cert.eps == pytest.approx(1.0)
 
 
@@ -163,18 +168,15 @@ def test_quasirandom_bounds_hold_exhaustively():
         I = sample_signed_hypergraph(3, 8, 30, seed=seed)
         if I.m == 0:
             continue
-        cert = certify_quasirandom(I, 2)
+        cert = certify_quasirandom(I)
         for key, bound in cert.per_T_bounds.items():
             T = tuple(map(int, key.split(",")))
             assert bound >= brute_max_coefficient(I, T) - 1e-9
 
 
 def test_quasirandom_rejects_bad_input():
-    I = sample_signed_hypergraph(3, 8, 20, seed=0)
     with pytest.raises(ValueError):
-        certify_quasirandom(I, 3)
-    with pytest.raises(ValueError):
-        certify_quasirandom(SignedHypergraph(3, 8, [], []), 1)
+        certify_quasirandom(SignedHypergraph(3, 8, [], []))
 
 
 @pytest.mark.slow
@@ -185,7 +187,7 @@ def test_quasirandom_eps_at_scale():
     good = 0
     for seed in range(10):
         I = sample_signed_hypergraph(3, n, m, seed)
-        cert = certify_quasirandom(I, 2)
+        cert = certify_quasirandom(I)
         if cert.eps <= 0.2:
             good += 1
     assert good >= 9

@@ -26,7 +26,7 @@ def documents() -> dict:
     """One valid document of each format, as the JSON a file holds."""
     docs = {kind: cert.to_json_dict() for kind, cert in samples().items()}
     docs["oracle"] = OracleResult(kind="clusters", exact_value={"cover_count": 3},
-                                  enumeration_size=1024, runtime_ms=1.5, instance_sha256=SHA,
+                                  enumeration_size=1024, instance_sha256=SHA,
                                   eta=0.05, theta=0.25, threshold_size=2).to_json_dict()
     docs.update((kind, instance_doc(x)) for kind, x in INSTANCES.items())
     return {name: json.loads(canonical_json(doc)) for name, doc in docs.items()}
@@ -56,7 +56,7 @@ BAD_VALUES = [
     ("log2_bound", -1.0), ("log2_cluster_bound", -1.0), ("violated_fraction_bound", -0.1),
     ("theta", 0.6), ("theta", -0.1), ("rho", 0), ("rho", 1.5), ("fallback", 1),
     ("instance_sha256", "AB" * 32), ("instance_sha256", "ab" * 31 + "a"),
-    ("enumeration_size", -1), ("threshold_size", 0), ("runtime_ms", -1.0),
+    ("enumeration_size", -1), ("threshold_size", 0),
     ("gap_interval", [1.0]), ("gap_interval", [1.0, 2.0, 3.0]),
     ("checks", [{"name": "gate", "measured": 0.1, "threshold": 0.5}]),
     ("checks", [{"name": "gate", "measured": 0.1, "threshold": 0.5, "passed": "yes"}]),
