@@ -399,11 +399,15 @@ def test_oracle_binds_instance_and_parameters(tmp_path):
     assert doc["eta"] == 0.1 and "theta" not in doc
 
 
-@pytest.mark.parametrize("command, flag", [("certify", ["--eps-exponent", "0.1"]),
+@pytest.mark.parametrize("command, flag", [("certify", ["--eps-exponent=inf"]),
+                                           ("certify", ["--eps-exponent=nan"]),
+                                           ("certify", ["--eps-exponent=-inf"]),
                                            ("oracle", ["--timing"])],
-                         ids=["certify---eps-exponent", "oracle---timing"])
+                         ids=["certify---eps-exponent-inf", "certify---eps-exponent-nan",
+                              "certify---eps-exponent--inf", "oracle---timing"])
 def test_removed_flags_are_unrecognized(tmp_path, capsys, command, flag):
-    # the kXOR block margin is a constant, and no output records a wall time
+    # the kXOR block margin is a constant, and no output records a wall time;
+    # the values the old flag refused as not finite now meet an unknown flag
     inst = gen(tmp_path, "i.json", "--kind", "xor", "-k", "3", "-n", "8", "-m", "28", "--seed", "3")
     out = tmp_path / "o.json"
     capsys.readouterr()
