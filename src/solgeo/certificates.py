@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .jsonio import JsonRecord
 
-TOOL_VERSION = "0.7.0"
+TOOL_VERSION = "0.8.0"
 
 
 @dataclass(frozen=True)

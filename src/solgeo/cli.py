@@ -56,6 +56,15 @@ _GENERATORS = {
     "regular": lambda a: sample_regular_graph(a.n, a.d, a.seed),
     "goe": lambda a: sample_goe(a.n, a.seed),
 }
+# The density axes, each giving the edge count m from the cell when m is unset.
+_DENSITY_AXES = {
+    "delta": lambda c: c["delta"] * c["n"],
+    "delta_exp": lambda c: c["n"] ** (1.0 + c["delta_exp"]),
+}
+# The grid axes each generator reads besides n; at most one edge axis may be set.
+_EDGE_AXES = ("m", *_DENSITY_AXES)
+_GENERATOR_AXES = {"csp": ("k", *_EDGE_AXES), "xor": ("k", *_EDGE_AXES),
+                   "hypergraph": ("k", *_EDGE_AXES), "graph": _EDGE_AXES, "regular": ("d",), "goe": ()}
 
 
 def _predicate(args, instance: SignedHypergraph) -> Predicate:
@@ -79,7 +88,7 @@ def _required(args, name: str):
 def _balance_csp(I: SignedHypergraph, a):
     P, rho = _predicate(a, I), _required(a, "rho")
     if I.k == 3:
-        return geometry.certify_balance_3csp(I, P, rho, a.eta)
+        return geometry.certify_balance_3csp(I, P, rho, a.eta, a.c0)
     return geometry.certify_balance_kcsp(I, P, rho)
 
 
@@ -228,11 +237,11 @@ _CONFIG_DEFAULTS = {"instance": "xor", **_DEFAULTS, "oracle_max_n": 0}
 _CONFIG_CHOICES = {"kind": list(KINDS), "instance": _GENERATORS, "predicate": _PREDICATES}
 
 
-def _refuse_unread(names, read: list[str], what: str) -> None:
+def _refuse_unread(names, read: list[str], what: str, by: str = "") -> None:
     """ValueError naming the first of ``names`` that the sweep does not read."""
     for name in names:
         if name not in read:
-            raise ValueError(f"sweep {what} {name!r:.40} is not read; it reads {', '.join(read)}")
+            raise ValueError(f"sweep {what} {name!r:.40} is not read{by}; it reads {', '.join(read)}")
 
 
 def _sweep_cells(config: dict) -> list[dict]:
@@ -271,16 +280,30 @@ def _cell_hash(effective: dict, cell: dict) -> str:
     return sha256_of({**effective, "cell": cell})[:16]
 
 
-# The density axes, each giving the edge count m from the cell when m is unset.
-_DENSITY_AXES = {
-    "delta": lambda c: c["delta"] * c["n"],
-    "delta_exp": lambda c: c["n"] ** (1.0 + c["delta_exp"]),
-}
+def _refuse_unread_axes(effective: dict, cell: dict) -> None:
+    """ValueError naming an axis of ``cell`` that its jobs do not read: one
+    its generator does not read, a second edge count, rho off a balance
+    sweep, or eta on a balance certifier that takes no slack."""
+    kind, instance = effective["kind"], effective["instance"]
+    edges = [axis for axis in _EDGE_AXES if axis in cell]
+    if len(edges) > 1:
+        raise ValueError(f"sweep grid axes {', '.join(map(repr, edges))} each give the edge "
+                         "count; set at most one")
+    k = cell.get("k", _AXIS_DEFAULTS["k"])
+    read = ["n", *_GENERATOR_AXES[instance]]
+    if kind == "balance":
+        read.append("rho")
+    if kind != "balance" or (instance == "csp" and k == 3):  # 3CSP balance alone takes eta
+        read.append("eta")
+    by = f" by {kind} on {instance} instances" + (f" at k = {k}" if "k" in read else "")
+    _refuse_unread(cell, read, "grid axis", by)
 
 
 def _job_args(effective: dict, cell: dict) -> dict:
     """The gen/certify/oracle arguments of a cell's jobs, all but the seed;
-    ValueError naming a density axis that gives no edge count."""
+    ValueError naming an axis they do not read or a density axis that gives
+    no edge count."""
+    _refuse_unread_axes(effective, cell)
     merged = {**_AXIS_DEFAULTS, **cell}
     for axis, edges in _DENSITY_AXES.items():
         if merged.get("m") is None and merged.get(axis) is not None:

@@ -3,7 +3,8 @@ the 2XOR spectral base case, the recursive kXOR certifier, kSAT/kCSP via
 the XOR principle, and the refutation-from-counting reduction.
 
 All internal bookkeeping uses absolute violation budgets (integers), so
-the floor arithmetic of the block recursion is exact.  Bounds are capped
+the floor arithmetic of the block recursion is exact, and Hamming-ball
+sizes are summed exactly in integers at every n.  Bounds are capped
 at 2^n; a bound that reaches the cap is a fallback.  A certificate is
 built once, bound to the caller's instance, whatever reductions led to it.
 """
@@ -41,20 +42,16 @@ EPS_EXPONENT = 0.05
 
 
 def log2_binomial_tail(n: int, radius: int) -> float:
-    """log2 of sum_{l <= radius} C(n, l); exact integer arithmetic up to
-    n = 64, log-gamma beyond."""
+    """log2 of sum_{l <= radius} C(n, l): the sum exact in integers, each
+    term from the last by C(n, l+1) = C(n, l) (n - l) / (l + 1), then one
+    log2."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    radius = min(radius, n)
-    if n <= 64:
-        return math.log2(sum(math.comb(n, l) for l in range(radius + 1)))
-    terms = [
-        (math.lgamma(n + 1) - math.lgamma(l + 1) - math.lgamma(n - l + 1))
-        / math.log(2.0)
-        for l in range(radius + 1)
-    ]
-    top = max(terms)
-    return top + math.log2(sum(2.0 ** (t - top) for t in terms))
+    term = total = 1
+    for l in range(min(radius, n)):
+        term = term * (n - l) // (l + 1)
+        total += term
+    return math.log2(total)
 
 
 def log2_sum_of_powers(exponents: list[float]) -> float:
@@ -127,12 +124,12 @@ def _count_2xor_budget(G: MultiGraph, budget: int) -> _BoundResult:
     max_dev = max(abs(d - center) for d in degrees)
     degree_check = CheckRecord("degree-window", max_dev, window, max_dev <= window)
 
+    lam2_threshold = 1.0 - delta ** -0.25
     if min(degrees) == 0:
-        lam2_check = CheckRecord("lambda2-threshold", 0.0, 1.0 - delta ** -0.25, False)
+        lam2_check = CheckRecord("lambda2-threshold", 0.0, lam2_threshold, False)
         return _fallback(n, (degree_check, lam2_check), transcript)
 
     report = spectral_report(simple, demeaned=False)
-    lam2_threshold = 1.0 - delta ** -0.25
     lam2_check = CheckRecord(
         "lambda2-threshold", report.lambda2, lam2_threshold,
         report.lambda2 >= lam2_threshold,
@@ -165,14 +162,10 @@ def certify_count_2xor(G: MultiGraph, eta: float) -> CountCertificate:
 # ---------------------------------------------------------------------------
 
 def _partition_blocks(n: int, c: float) -> list[range]:
-    """Contiguous vertex blocks of size ceil(n^c); the last block absorbs
+    """Contiguous vertex blocks of size ceil(n^c); the last block holds
     the remainder."""
     size = max(1, math.ceil(n**c))
-    blocks_target = max(1, math.ceil(n ** (1.0 - c)))
-    if (blocks_target - 1) * size >= n:
-        blocks_target = math.ceil(n / size)
-    starts = [i * size for i in range(blocks_target)] + [n]
-    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+    return [range(lo, min(lo + size, n)) for lo in range(0, n, size)]
 
 
 def _kxor_budget(H: UnsignedHypergraph, budget: int) -> _BoundResult:
@@ -194,26 +187,16 @@ def _kxor_budget(H: UnsignedHypergraph, budget: int) -> _BoundResult:
         c = 0.0
     else:
         c = min(1.0, max(0.0, 1.0 - delta_exp / (k - 2) + EPS_EXPONENT))
-    if max(1, math.ceil(n**c)) >= n:
-        # a single block covering [n] certifies nothing: the instance is
-        # too sparse for the recursion at this size
-        transcript.update({"density": density, "delta_exponent": delta_exp, "c": c})
-        checks = (CheckRecord("density-usable", density, float(n), False),)
-        return _fallback(n, checks, transcript)
+    transcript.update({"density": density, "delta_exponent": delta_exp, "c": c})
     blocks = _partition_blocks(n, c)
     ell = len(blocks)
+    if ell == 1:
+        # a single block covering [n] certifies nothing: the instance is
+        # too sparse for the recursion at this size
+        checks = (CheckRecord("density-usable", density, float(n), False),)
+        return _fallback(n, checks, transcript)
     block_budget = (k * budget) // ell
-
-    transcript.update(
-        {
-            "density": density,
-            "delta_exponent": delta_exp,
-            "c": c,
-            "blocks": ell,
-            "block_size": len(blocks[0]),
-            "block_budget": block_budget,
-        }
-    )
+    transcript.update({"blocks": ell, "block_size": len(blocks[0]), "block_budget": block_budget})
 
     sizes = []
     bounds = []

@@ -226,7 +226,7 @@ def certify_clusters_3csp(
 # ---------------------------------------------------------------------------
 
 def _lb3_at_bias(
-    part: UnsignedHypergraph, rho: float
+    part: UnsignedHypergraph, rho: float, c0: float
 ) -> tuple[float, SpectralReport, CheckRecord]:
     """Lower bound on fully-inside hyperedges of ``part``, valid for every
     vertex set of size at least ceil((1+rho)/2 * n): the exact grid scan
@@ -234,13 +234,13 @@ def _lb3_at_bias(
     measured norm is large relative to the degrees)."""
     n = part.n
     s_min = math.ceil((1.0 + rho) / 2.0 * n - 1e-9)
-    expansion = certify_primal_expansion(part)
+    expansion = certify_primal_expansion(part, c0)
     _, lb3 = hyperedge_split_bounds(part, expansion.report, np.arange(s_min, n + 1) / n - 0.5)
     return float(lb3.min()), expansion.report, expansion.check
 
 
 def certify_balance_3csp(
-    I: SignedHypergraph, P: Predicate, rho: float, eta: float
+    I: SignedHypergraph, P: Predicate, rho: float, eta: float, c0: float = PRIMAL_NORM_C0
 ) -> BalanceCertificate | None:
     """Certify that no rho-biased assignment (1-eta)-satisfies I under a
     3-ary predicate, or decline.
@@ -264,8 +264,8 @@ def certify_balance_3csp(
     h_neg = part_neg.hypergraph().without_repeats().dedup()
     if h_pos.m == 0 or h_neg.m == 0:
         return None
-    v_pos, rep_pos, chk_pos = _lb3_at_bias(h_pos, rho)
-    v_neg, rep_neg, chk_neg = _lb3_at_bias(h_neg, rho)
+    v_pos, rep_pos, chk_pos = _lb3_at_bias(h_pos, rho, c0)
+    v_neg, rep_neg, chk_neg = _lb3_at_bias(h_neg, rho, c0)
     v_min = min(v_pos, v_neg)
     m = I.m
     if v_min <= eta * m + _MARGIN:

@@ -627,6 +627,57 @@ def test_sweep_refuses_a_key_or_axis_it_does_not_read(tmp_path, capsys, config, 
     assert not out.exists()  # refused before any job ran
 
 
+@pytest.mark.parametrize("config, refused", [
+    ({"grid": {"n": [10], "k": [3], "m": [40], "delta": [4, 8], "rho": [0.1, 0.2]}},
+     "axes 'm', 'delta' each give the edge count; set at most one"),
+    ({"grid": {"n": [10], "k": [3], "delta": [4], "delta_exp": [0.5]}},
+     "axes 'delta', 'delta_exp' each give the edge count; set at most one"),
+    ({"grid": {"n": [10], "k": [3], "m": [40], "rho": [0.1, 0.2]}},
+     "axis 'rho' is not read by count on xor instances at k = 3; "
+     "it reads n, k, m, delta, delta_exp, eta"),
+    ({"kind": "sk", "instance": "goe", "grid": {"n": [10], "k": [3, 5], "d": [3, 4]}},
+     "axis 'd' is not read by sk on goe instances; it reads n, eta"),
+    ({"kind": "indset", "instance": "regular", "grid": {"n": [12], "d": [3], "m": [18]}},
+     "axis 'm' is not read by indset on regular instances; it reads n, d, eta"),
+    ({"kind": "count", "instance": "graph", "grid": {"n": [12], "k": [2], "m": [18]}},
+     "axis 'k' is not read by count on graph instances; it reads n, m, delta, delta_exp, eta"),
+    ({"kind": "balance", "grid": {"n": [10], "k": [4], "m": [200], "rho": [0.5],
+                                  "eta": [0.0, 0.1]}},
+     "axis 'eta' is not read by balance on xor instances at k = 4; "
+     "it reads n, k, m, delta, delta_exp, rho"),
+    ({"kind": "balance", "instance": "csp",
+      "grid": {"n": [10], "k": [3, 4], "m": [400], "rho": [0.5], "eta": [0.1]}},
+     "axis 'eta' is not read by balance on csp instances at k = 4; "
+     "it reads n, k, m, delta, delta_exp, rho"),
+], ids=["m-and-delta", "delta-and-delta-exp", "rho-on-count", "k-and-d-on-goe", "m-on-regular",
+        "k-on-graph", "eta-on-xor-balance", "eta-on-4csp-balance"])
+def test_sweep_refuses_an_axis_its_jobs_do_not_read(tmp_path, capsys, config, refused):
+    # each once wrote one row per value of the unread axis, all of one
+    # instance and one certificate: the count sweep four rows of the same
+    # log2_bound, the sk sweep four rows of one certificate
+    cfg, out = sweep_config(tmp_path, **config), tmp_path / "rows.jsonl"
+    capsys.readouterr()
+    assert run("sweep", "--config", str(cfg), "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"error: sweep grid {refused}\n"
+    assert not out.exists()  # refused before any job ran
+
+
+def test_certify_balance_3csp_reads_c0(tmp_path):
+    # a 3CSP balance run once ignored --c0: --c0 9 wrote the bytes of --c0 3
+    inst = gen(tmp_path, "i.json", "--kind", "csp", "-k", "3", "-n", "14", "-m", "1960", "--seed", "1")
+    docs = {}
+    for c0 in (None, "3", "9"):
+        out = tmp_path / f"b{c0}.json"
+        flags = ["--c0", c0] if c0 else []
+        assert run("certify", "--kind", "balance", "--instance", str(inst), "--rho", "0.85",
+                   "--eta", "0.02", *flags, "--out", str(out)) == 0
+        docs[c0] = validate_file(out)
+    assert docs[None] == docs["3"] != docs["9"]
+    for low, high in zip(docs["3"]["checks"], docs["9"]["checks"]):
+        assert low["name"] == high["name"] == "primal-norm"
+        assert high["threshold"] == pytest.approx(3 * low["threshold"])
+
+
 def test_sweep_with_no_jobs_leaves_no_rows_file(tmp_path):
     # "seeds": 0 once left an empty rows file
     out, csv_out = tmp_path / "rows.jsonl", tmp_path / "rows.csv"

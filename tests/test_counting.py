@@ -13,6 +13,7 @@ from solgeo.counting import (
     certify_count_kcsp,
     certify_count_ksat,
     certify_count_kxor,
+    _partition_blocks,
     log2_binomial_tail,
     refute_from_count,
 )
@@ -48,10 +49,22 @@ def test_log2_binomial_tail_small_exact():
 
 
 def test_log2_binomial_tail_large_matches_exact():
-    # the log-gamma path agrees with exact integer arithmetic
     n, r = 80, 13
     exact = math.log2(sum(math.comb(n, l) for l in range(r + 1)))
-    assert log2_binomial_tail(n, r) == pytest.approx(exact, rel=1e-12)
+    assert log2_binomial_tail(n, r) == exact
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 63, 64, 65, 100, 200, 257, 999, 2000])
+def test_log2_binomial_tail_is_exact(n):
+    # the one log2 of the exact integer sum, at every n and radius
+    for r in sorted({0, 1, 2, 3, n // 7, n // 3, n // 2, n - 1, n, n + 5}):
+        exact = math.log2(sum(math.comb(n, l) for l in range(min(r, n) + 1)))
+        assert log2_binomial_tail(n, r) == exact, (n, r)
+
+
+def test_log2_binomial_tail_of_a_whole_cube_and_a_unit_ball():
+    assert log2_binomial_tail(100, 100) == 100.0
+    assert log2_binomial_tail(200, 1) == math.log2(201)
 
 
 def test_aggregate_partition_single_block():
@@ -167,6 +180,37 @@ def test_kxor_partition_arithmetic_in_trace():
     assert blocks == math.ceil(16 ** (1 - c)) or blocks == math.ceil(16 / size)
     assert sum(entry["size"] for entry in cert.recursion_trace) == 16
     assert len(cert.recursion_trace) == blocks
+
+
+def frozen_partition_blocks(n: int, c: float) -> list[range]:
+    """The kXOR block partition as the count recursion computed it before:
+    a block target of ceil(n^(1-c)), clamped to the blocks that fit."""
+    size = max(1, math.ceil(n**c))
+    blocks_target = max(1, math.ceil(n ** (1.0 - c)))
+    if (blocks_target - 1) * size >= n:
+        blocks_target = math.ceil(n / size)
+    starts = [i * size for i in range(blocks_target)] + [n]
+    return [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
+def test_partition_blocks_match_frozen():
+    # every c = 0, 0.005, ..., 1 at every n <= 400, and at a stride of n up to 3000
+    cs = [i / 200 for i in range(201)]
+    for n in [*range(1, 401), *range(401, 3001, 37), 3000]:
+        for c in cs:
+            assert _partition_blocks(n, c) == frozen_partition_blocks(n, c), (n, c)
+
+
+@pytest.mark.parametrize("n", [10, 30, 100])
+def test_kxor_single_block_falls_back_exactly_when_ceil_n_to_c_reaches_n(n):
+    seen = set()
+    for m in range(n, 3 * n, max(1, n // 10)):
+        cert = certify_count_kxor(sample_unsigned_hypergraph(3, n, m, seed=m), 0.0)
+        single = math.ceil(n ** cert.transcript["c"]) >= n
+        assert ("density-usable" in [ch.name for ch in cert.checks]) == single, m
+        assert ("blocks" in cert.transcript) == (not single), m
+        seen.add(single)
+    assert seen == {False, True}
 
 
 def test_kxor_empty_hypergraph_falls_back():
